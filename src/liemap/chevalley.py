@@ -8,7 +8,8 @@ non-simple positive root xi, the special pair (gamma, delta) with gamma
 minimal in the (height, lex) order gets N_{gamma,delta} = p+1 > 0, and every
 other constant is forced by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
 Jacobi identity.  The construction-time Jacobi sweep is the oracle that
-certifies the whole table.
+checks the table: on every basis triple up to rank 4, on a strided sample of
+about 2000 triples above.
 """
 
 from __future__ import annotations
@@ -248,6 +249,7 @@ class ChevalleyAlgebra:
 
         self._center = None
         self._realization = None
+        self._powers = {}
         if validate:
             self._validate_jacobi()
 
@@ -459,41 +461,64 @@ class ChevalleyAlgebra:
         m = linalg.identity_matrix(self.field, self.dim)
         return LieAutomorphism(self, m, [row[:] for row in m])
 
+    def _divided_powers(self, coords):
+        """Sparse N_k = ad(e_beta)^k / k! for k = 1, 2, .. while nonzero,
+        computed once per root, so that x_beta(t) = I + sum_k t^k N_k
+        (Carter, Simple Groups of Lie Type, ch. 4).  Each N_k is a tuple of
+        (column j, ((row i, entry), ..)) pairs.  Requires characteristic 0 or
+        >= 5 so that the denominators k! (k <= 4) are invertible."""
+        powers = self._powers.get(coords)
+        if powers is None:
+            if self.field.characteristic in (2, 3):
+                raise ChevalleyError("root automorphisms need characteristic 0 or >= 5")
+            e = {self._eidx[self.rs.root(coords).coords]: self.field.one()}
+            cols = [{j: self.field.one()} for j in range(self.dim)]
+            powers = []
+            for k in range(1, 6):
+                cols = [{i: c / k for i, c in self._sparse_bracket(e, col).items()}
+                        for col in cols]
+                nk = tuple((j, tuple(col.items())) for j, col in enumerate(cols) if col)
+                if not nk:
+                    break
+                powers.append(nk)
+            else:
+                raise AssertionError("ad e_beta not nilpotent of index <= 5")
+            powers = self._powers[coords] = tuple(powers)
+        return powers
+
     def root_automorphism(self, root, t) -> RootAutomorphism:
-        """exp(t ad e_beta); requires characteristic 0 or >= 5 so that the
-        exponential's denominators (up to 4!) are invertible."""
-        ch = self.field.characteristic
-        if ch in (2, 3):
-            raise ChevalleyError("root automorphisms need characteristic 0 or >= 5")
+        """exp(t ad e_beta) = I + sum_k t^k N_k from the cached divided powers;
+        requires characteristic 0 or >= 5."""
+        coords = root.coords if hasattr(root, "coords") else tuple(root)
+        powers = self._divided_powers(coords)
         if isinstance(t, (int, Fraction)):
             t = self.field.from_rational(Fraction(t))
-        coords = root.coords if hasattr(root, "coords") else tuple(root)
-        root_obj = self.rs.root(coords)
-        A = self.ad_matrix(self.e_element(coords))
 
         def expo(tt):
             M = linalg.identity_matrix(self.field, self.dim)
-            P = linalg.identity_matrix(self.field, self.dim)
-            fact = 1
-            for k in range(1, 6):
-                P = linalg.mat_mul(P, A)
-                if not any(any(row) for row in P):
-                    break
-                fact *= k
-                c = tt ** k / self.field.from_int(fact)
-                for i in range(self.dim):
-                    Mi, Pi = M[i], P[i]
-                    for j in range(self.dim):
-                        if Pi[j]:
-                            Mi[j] = Mi[j] + c * Pi[j]
-            else:
-                raise AssertionError("ad e_beta not nilpotent of index <= 5")
+            tk = self.field.one()
+            for nk in powers:
+                tk = tk * tt
+                for j, col in nk:
+                    for i, c in col:
+                        M[i][j] = M[i][j] + tk * c
             return M
 
-        return RootAutomorphism(self, root_obj, t, expo(t), expo(-t))
+        return RootAutomorphism(self, self.rs.root(coords), t, expo(t), expo(-t))
 
-    def apply_automorphism(self, g: LieAutomorphism, x: AlgElement) -> AlgElement:
-        return g.apply(x)
+    def _root_element_times(self, coords, t, v):
+        """x_beta(t) v = v + sum_k t^k N_k v on a coefficient list."""
+        out = list(v)
+        tk = self.field.one()
+        for nk in self._divided_powers(coords):
+            tk = tk * t
+            for j, col in nk:
+                x = v[j]
+                if x:
+                    x = tk * x
+                    for i, c in col:
+                        out[i] = out[i] + c * x
+        return out
 
     def conjugate_into_U(self, l: AlgElement, seed=0, budget=4000):
         """Find (g, u) with u = g(l) having zero H-part.
@@ -544,18 +569,29 @@ class ChevalleyAlgebra:
         return g, u
 
     def _conjugate_into_U_randomized(self, l, seed, budget):
+        """Replay the seeded words of 2|R+| root elements x_beta(t) on the
+        coefficient vector of l.  Only the first word that clears the H-part
+        is built as an automorphism matrix, and checked against the vector."""
         rng = random.Random(seed)
         p = self.field.modulus
         roots = self.rs.roots
         steps = 2 * len(self.rs.positive_roots)
         for _ in range(budget):
-            g = self.identity_automorphism()
+            word = []
+            v = l.coeffs
             for _ in range(steps):
                 b = roots[rng.randrange(len(roots))]
                 t = self.field.from_int(rng.randrange(1, p))
-                g = self.root_automorphism(b, t).compose(g)
-            u = g.apply(l)
-            if not any(u.h_part):
+                v = self._root_element_times(b.coords, t, v)
+                word.append((b, t))
+            if not any(v[: self.rank]):
+                g = self.identity_automorphism()
+                for b, t in word:
+                    g = self.root_automorphism(b, t).compose(g)
+                u = g.apply(l)
+                if list(u.coeffs) != v:
+                    raise AssertionError(
+                        "root-element word disagrees with its automorphism matrix")
                 return g, u
         raise ConjugationBudgetError(
             "randomized conjugation exhausted budget=%d (seed=%d); "

@@ -116,8 +116,3 @@ def invert_matrix(A, field):
 def rank(A):
     _, pivots = rref(A)
     return len(pivots)
-
-
-def in_column_space(A, b, field):
-    """True iff b lies in the column span of A."""
-    return solve(A, b, field) is not None

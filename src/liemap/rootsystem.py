@@ -129,9 +129,6 @@ class RootSystem:
             raise KeyError("not a root: %r" % (c,))
         return self.roots[self._index[c]]
 
-    def root_index(self, root: Root) -> int:
-        return self._index[root.coords]
-
     def inner(self, a, b) -> int:
         """(a, b) under the Gram form, integer exact."""
         G = self.gram

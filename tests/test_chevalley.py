@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_element, random_nonzero_element
+from liemap import linalg
 from liemap.chevalley import (CentralElementError, ChevalleyError,
+                              ConjugationBudgetError,
                               ConjugationUnsupportedError, FieldTooSmallError,
                               build_algebra)
 from liemap.matrixrep import matrix_from_ints, realize_chevalley
@@ -158,6 +160,38 @@ def test_root_automorphism_basics():
         build_algebra("A", 2, f2).root_automorphism(b, 1)
 
 
+def _dense_exponential(alg, A, t):
+    """Oracle: sum_k t^k A^k / k! by dense matrix powers."""
+    f = alg.field
+    M = linalg.identity_matrix(f, alg.dim)
+    P = linalg.identity_matrix(f, alg.dim)
+    fact = 1
+    for k in range(1, alg.dim + 1):
+        P = linalg.mat_mul(P, A)
+        if not any(any(row) for row in P):
+            return M
+        fact *= k
+        c = t ** k / f.from_int(fact)
+        M = [[m + c * a for m, a in zip(Mr, Pr)] for Mr, Pr in zip(M, P)]
+    raise AssertionError("ad e_beta is not nilpotent")
+
+
+def test_root_automorphism_matches_dense_series():
+    for t_, r, field in (("B", 2, F5), ("G", 2, F7)):
+        alg = build_algebra(t_, r, field)
+        eye = linalg.identity_matrix(field, alg.dim)
+        p = field.modulus
+        for b in alg.rs.roots:
+            A = alg.ad_matrix(alg.e_element(b.coords))
+            for tv in (1, 2, p - 1):
+                t = field.from_int(tv)
+                g = alg.root_automorphism(b, t)
+                assert g.matrix == _dense_exponential(alg, A, t)
+                assert g.inv_matrix == _dense_exponential(alg, A, -t)
+                assert linalg.mat_mul(g.inv_matrix, g.matrix) == eye
+                assert g.factors == (("root", b.coords, t),)
+
+
 def test_automorphism_bracket_preservation():
     rng = random.Random(7)
     alg = build_algebra("A", 2, F7)
@@ -244,6 +278,41 @@ def test_conjugate_into_U_randomized_B2():
     with pytest.raises(ConjugationUnsupportedError):
         build_algebra("B", 2, Q).conjugate_into_U(
             build_algebra("B", 2, Q).h_element(0))
+
+
+def _root_word(field, word):
+    return tuple(("root", c, field.from_int(t)) for c, t in word)
+
+
+def test_conjugate_into_U_randomized_pinned_words():
+    # the seeded search must consume random numbers in a fixed order: these
+    # words and images were recorded with the dense-matrix search
+    alg = build_algebra("B", 2, F5)
+    l = alg.h_element(0) + alg.e_element((0, 1))
+    g, u = alg.conjugate_into_U(l, seed=2)
+    assert g.factors == _root_word(F5, [
+        ((0, 1), 1), ((1, 0), 3), ((1, 1), 3), ((0, -1), 2),
+        ((0, 1), 2), ((-1, -1), 4), ((-1, 0), 4), ((0, -1), 1)])
+    assert u == alg.element_from_ints([0, 0, 3, 0, 3, 1, 3, 0, 2, 1])
+    l = alg.element_from_ints([1, 4, 0, 2, 0, 3, 3, 3, 3, 1])
+    g, u = alg.conjugate_into_U(l, seed=0)
+    assert g.factors == _root_word(F5, [
+        ((-1, 0), 2), ((1, 2), 2), ((-1, -2), 4), ((-1, -1), 1),
+        ((-1, -1), 4), ((0, 1), 2), ((-1, -2), 1), ((0, -1), 2)])
+    assert u == alg.element_from_ints([0, 0, 3, 2, 2, 2, 1, 3, 1, 4])
+    assert g.apply(l) == u and g.inverse().apply(u) == l
+
+
+def test_conjugate_into_U_randomized_error_order():
+    # an empty budget is reported before the characteristic is looked at
+    for field in (F3, F5):
+        alg = build_algebra("B", 2, field)
+        with pytest.raises(ConjugationBudgetError):
+            alg.conjugate_into_U(alg.h_element(0), budget=0)
+    alg3 = build_algebra("B", 2, F3)
+    with pytest.raises(ChevalleyError) as err:
+        alg3.conjugate_into_U(alg3.h_element(0), budget=1)
+    assert not isinstance(err.value, ConjugationBudgetError)
 
 
 def test_element_part_views():

@@ -267,6 +267,20 @@ def test_engel_solve_B2():
         assert evaluate(P, [sol.X, sol.Y]) == x
 
 
+def test_engel_solve_C3():
+    # rank-3 randomized conjugation: 70 search attempts of 18 root elements
+    alg = build_algebra("C", 3, F7)
+    P, spec = make_engel([1])
+    rng = random.Random(2)
+    x = alg.element_from_ints([rng.randrange(7) for _ in range(alg.dim)])
+    sol = maps.engel_solve(alg, spec, x)
+    assert evaluate(P, [sol.X, sol.Y]) == x
+    assert len(sol.trace["conjugator"]) == 2 * len(alg.rs.positive_roots)
+    # recorded with the dense-matrix search (2.5 min on a 2-vCPU x86-64 VM)
+    assert sol.certificate == (
+        "24dfc39e4cfec14be5bad8448fe40289db25daf9ad95af461506e0015e4b5ce1")
+
+
 # -- image scans --------------------------------------------------------------
 
 
