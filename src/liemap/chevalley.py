@@ -184,39 +184,52 @@ class AlgElement:
 
 
 class LieAutomorphism:
-    """Invertible bracket-preserving linear map, stored as an exact matrix pair."""
+    """Invertible bracket-preserving linear map, stored as an exact pair of
+    residue matrices (see linalg); `matrix` and `inv_matrix` give them in
+    the field's scalars."""
 
-    def __init__(self, alg, matrix, inv_matrix, factors=()):
+    def __init__(self, alg, res_matrix, res_inv_matrix, factors=()):
         self.alg = alg
-        self.matrix = matrix
-        self.inv_matrix = inv_matrix
+        self.res_matrix = res_matrix
+        self.res_inv_matrix = res_inv_matrix
         self.factors = tuple(factors)
+
+    @property
+    def matrix(self):
+        return [[self.alg.field.lift(x) for x in row] for row in self.res_matrix]
+
+    @property
+    def inv_matrix(self):
+        return [[self.alg.field.lift(x) for x in row] for row in self.res_inv_matrix]
 
     def apply(self, x: AlgElement) -> AlgElement:
         if x.alg is not self.alg:
             raise ChevalleyError("element from a different algebra")
-        return AlgElement(self.alg, linalg.mat_vec(self.matrix, list(x.coeffs)))
+        f = self.alg.field
+        v = linalg.mat_vec(self.res_matrix, [f.residue(c) for c in x.coeffs], f)
+        return AlgElement(self.alg, [f.lift(c) for c in v])
 
     def inverse(self):
-        return LieAutomorphism(self.alg, self.inv_matrix, self.matrix,
+        return LieAutomorphism(self.alg, self.res_inv_matrix, self.res_matrix,
                                tuple(("inv",) + f for f in reversed(self.factors)))
 
     def compose(self, other):
         """self after other."""
         if other.alg is not self.alg:
             raise ChevalleyError("automorphisms of different algebras")
+        f = self.alg.field
         return LieAutomorphism(
             self.alg,
-            linalg.mat_mul(self.matrix, other.matrix),
-            linalg.mat_mul(other.inv_matrix, self.inv_matrix),
+            linalg.mat_mul(self.res_matrix, other.res_matrix, f),
+            linalg.mat_mul(other.res_inv_matrix, self.res_inv_matrix, f),
             other.factors + self.factors)
 
 
 class RootAutomorphism(LieAutomorphism):
     """x_beta(t) = exp(t ad e_beta) as an exact matrix."""
 
-    def __init__(self, alg, root, t, matrix, inv_matrix):
-        super().__init__(alg, matrix, inv_matrix, (("root", root.coords, t),))
+    def __init__(self, alg, root, t, res_matrix, res_inv_matrix):
+        super().__init__(alg, res_matrix, res_inv_matrix, (("root", root.coords, t),))
         self.root = root
         self.t = t
 
@@ -240,12 +253,14 @@ class ChevalleyAlgebra:
             for g in rs.roots:
                 self.q_table[(b.coords, g.coords)] = rs.pairing(g.coords, b.coords)
 
-        self._table = {}
+        # bracket_table[i][j]: sparse integer coefficients (k, n) of [b_i, b_j],
+        # read by the bracket here and by the scan kernels in maps.py
+        self.bracket_table = [[()] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 sp = self._pair_bracket(i, j)
-                if sp:
-                    self._table[(i, j)] = sp
+                self.bracket_table[i][j] = sp
+                self.bracket_table[j][i] = tuple((k, -n) for k, n in sp)
 
         self._center = None
         self._realization = None
@@ -256,43 +271,34 @@ class ChevalleyAlgebra:
     # -- construction helpers -------------------------------------------
 
     def _pair_bracket(self, i, j):
-        """Sparse coefficients of [b_i, b_j] for i < j."""
-        f = self.field
+        """Sparse integer coefficients of [b_i, b_j] for i < j."""
         ti, tj = self.basis[i], self.basis[j]
         if ti[0] == "h" and tj[0] == "h":
             return ()
         if ti[0] == "h":
             q = self.rs.pairing(tj[1], self.rs.simple_roots[ti[1]].coords)
-            return ((j, f.from_int(q)),) if q else ()
+            return ((j, q),) if q else ()
         a, b = ti[1], tj[1]
         s = tuple(x + y for x, y in zip(a, b))
         if all(x == 0 for x in s):
             co = self.rs.coroot_coords(a)
-            return tuple((k, f.from_int(c)) for k, c in enumerate(co) if c)
+            return tuple((k, c) for k, c in enumerate(co) if c)
         if self.rs.contains(s):
-            n = self.n_table[(a, b)]
-            return ((self._eidx[s], f.from_int(n)),)
+            return ((self._eidx[s], self.n_table[(a, b)]),)
         return ()
 
     def _sparse_bracket(self, xs, ys):
         """Bracket of two sparse {index: scalar} dicts."""
         acc = {}
+        zero = self.field.zero()
         for i, ci in xs.items():
+            Ti = self.bracket_table[i]
             for j, cj in ys.items():
-                if i == j:
-                    continue
-                if i < j:
-                    ent, sign = self._table.get((i, j), ()), False
-                else:
-                    ent, sign = self._table.get((j, i), ()), True
-                if not ent:
-                    continue
-                c = ci * cj
-                for k, v in ent:
-                    w = c * v
-                    if sign:
-                        w = -w
-                    acc[k] = acc.get(k, self.field.zero()) + w
+                ent = Ti[j]
+                if ent:
+                    c = ci * cj
+                    for k, n in ent:
+                        acc[k] = acc.get(k, zero) + c * n
         return {k: v for k, v in acc.items() if v}
 
     def _validate_jacobi(self):
@@ -356,42 +362,40 @@ class ChevalleyAlgebra:
 
     def ad_matrix(self, x: AlgElement):
         """Matrix of y -> [x, y] in the fixed basis (columns are [x, b_j])."""
-        xs = {i: c for i, c in enumerate(x.coeffs) if c}
-        one = self.field.one()
-        cols = []
-        for j in range(self.dim):
-            acc = self._sparse_bracket(xs, {j: one})
-            col = [self.field.zero()] * self.dim
-            for k, v in acc.items():
-                col[k] = v
-            cols.append(col)
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        cols = [self.bracket(x, self.basis_element(j)).coeffs for j in range(self.dim)]
+        return [list(row) for row in zip(*cols)]
 
-    def center(self):
-        """Exact basis of the centre (kernel of the adjoint representation)."""
+    def _center_echelon(self):
+        """The centre, the kernel of x -> ([x, b_j])_j, in residues:
+        (kernel basis, its reduced echelon rows, their pivot columns)."""
         if self._center is None:
-            one = self.field.one()
+            f = self.field
+            zero = f.residue(0)
             rows = []
             for j in range(self.dim):
                 # row block: x -> coefficient k of [x, b_j]
                 block = {}
                 for i in range(self.dim):
-                    acc = self._sparse_bracket({i: one}, {j: one})
-                    for k, v in acc.items():
-                        block.setdefault(k, [self.field.zero()] * self.dim)[i] = v
+                    for k, n in self.bracket_table[i][j]:
+                        block.setdefault(k, [zero] * self.dim)[i] = f.residue(n)
                 rows.extend(block.values())
             if not rows:
-                rows = [[self.field.zero()] * self.dim]
-            self._center = [AlgElement(self, v)
-                            for v in linalg.kernel_basis(rows, self.field)]
+                rows = linalg.zero_matrix(f, 1, self.dim)
+            basis = linalg.kernel_basis(rows, f)
+            R, pivots = linalg.rref(basis, f)
+            self._center = (basis, R, pivots)
         return self._center
 
+    def center(self):
+        """Exact basis of the centre (kernel of the adjoint representation)."""
+        f = self.field
+        return [AlgElement(self, [f.lift(c) for c in v])
+                for v in self._center_echelon()[0]]
+
     def is_central(self, x: AlgElement) -> bool:
-        cb = self.center()
-        if not cb:
-            return x.is_zero()
-        A = [[b.coeffs[i] for b in cb] for i in range(self.dim)]
-        return linalg.solve(A, list(x.coeffs), self.field) is not None
+        f = self.field
+        _, R, pivots = self._center_echelon()
+        return linalg.in_row_space(R, pivots, [f.residue(c) for c in x.coeffs], f)
 
     def beta_value(self, coords, h: AlgElement):
         """beta(h) for h given by its H-part (U-part of h is ignored)."""
@@ -465,19 +469,21 @@ class ChevalleyAlgebra:
         """Sparse N_k = ad(e_beta)^k / k! for k = 1, 2, .. while nonzero,
         computed once per root, so that x_beta(t) = I + sum_k t^k N_k
         (Carter, Simple Groups of Lie Type, ch. 4).  Each N_k is a tuple of
-        (column j, ((row i, entry), ..)) pairs.  Requires characteristic 0 or
-        >= 5 so that the denominators k! (k <= 4) are invertible."""
+        (column j, ((row i, residue), ..)) pairs.  Requires characteristic 0
+        or >= 5 so that the denominators k! (k <= 4) are invertible."""
         powers = self._powers.get(coords)
         if powers is None:
-            if self.field.characteristic in (2, 3):
+            f = self.field
+            if f.characteristic in (2, 3):
                 raise ChevalleyError("root automorphisms need characteristic 0 or >= 5")
-            e = {self._eidx[self.rs.root(coords).coords]: self.field.one()}
-            cols = [{j: self.field.one()} for j in range(self.dim)]
+            e = {self._eidx[self.rs.root(coords).coords]: f.one()}
+            cols = [{j: f.one()} for j in range(self.dim)]
             powers = []
             for k in range(1, 6):
                 cols = [{i: c / k for i, c in self._sparse_bracket(e, col).items()}
                         for col in cols]
-                nk = tuple((j, tuple(col.items())) for j, col in enumerate(cols) if col)
+                nk = tuple((j, tuple((i, f.residue(c)) for i, c in col.items()))
+                           for j, col in enumerate(cols) if col)
                 if not nk:
                     break
                 powers.append(nk)
@@ -491,25 +497,26 @@ class ChevalleyAlgebra:
         requires characteristic 0 or >= 5."""
         coords = root.coords if hasattr(root, "coords") else tuple(root)
         powers = self._divided_powers(coords)
-        if isinstance(t, (int, Fraction)):
-            t = self.field.from_rational(Fraction(t))
+        f = self.field
+        t = f.residue(t)
 
         def expo(tt):
-            M = linalg.identity_matrix(self.field, self.dim)
-            tk = self.field.one()
+            M = linalg.identity_matrix(f, self.dim)
+            tk = 1
             for nk in powers:
                 tk = tk * tt
                 for j, col in nk:
                     for i, c in col:
-                        M[i][j] = M[i][j] + tk * c
-            return M
+                        M[i][j] += tk * c
+            return [f.reduce_row(row) for row in M]
 
-        return RootAutomorphism(self, self.rs.root(coords), t, expo(t), expo(-t))
+        return RootAutomorphism(self, self.rs.root(coords), f.lift(t), expo(t),
+                                expo(f.reduce(-t)))
 
     def _root_element_times(self, coords, t, v):
-        """x_beta(t) v = v + sum_k t^k N_k v on a coefficient list."""
+        """x_beta(t) v = v + sum_k t^k N_k v on a residue vector."""
         out = list(v)
-        tk = self.field.one()
+        tk = 1
         for nk in self._divided_powers(coords):
             tk = tk * t
             for j, col in nk:
@@ -517,8 +524,8 @@ class ChevalleyAlgebra:
                 if x:
                     x = tk * x
                     for i, c in col:
-                        out[i] = out[i] + c * x
-        return out
+                        out[i] += c * x
+        return self.field.reduce_row(out)
 
     def conjugate_into_U(self, l: AlgElement, seed=0, budget=4000):
         """Find (g, u) with u = g(l) having zero H-part.
@@ -549,17 +556,17 @@ class ChevalleyAlgebra:
         return self._realization
 
     def _conjugate_into_U_type_A(self, l):
+        f = self.field
         real = self._get_realization()
-        M = [list(row) for row in real.to_matrix(l).rows]
-        S, Sinv, factors = _zero_diagonal(M, self.field)
-        n = len(M)
+        M = real.combine([f.residue(c) for c in l.coeffs])
+        S, Sinv, factors = _zero_diagonal(M, f)
         cols = []
         inv_cols = []
         for k in range(self.dim):
             B = real.image_matrix(k)
-            conj = linalg.mat_mul(linalg.mat_mul(S, B), Sinv)
+            conj = linalg.mat_mul(linalg.mat_mul(S, B, f), Sinv, f)
             cols.append(real.matrix_coords(conj))
-            conj_inv = linalg.mat_mul(linalg.mat_mul(Sinv, B), S)
+            conj_inv = linalg.mat_mul(linalg.mat_mul(Sinv, B, f), S, f)
             inv_cols.append(real.matrix_coords(conj_inv))
         mat = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
         inv = [[inv_cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
@@ -573,15 +580,17 @@ class ChevalleyAlgebra:
         coefficient vector of l.  Only the first word that clears the H-part
         is built as an automorphism matrix, and checked against the vector."""
         rng = random.Random(seed)
-        p = self.field.modulus
+        f = self.field
+        p = f.modulus
         roots = self.rs.roots
         steps = 2 * len(self.rs.positive_roots)
+        l_res = [f.residue(c) for c in l.coeffs]
         for _ in range(budget):
             word = []
-            v = l.coeffs
+            v = l_res
             for _ in range(steps):
                 b = roots[rng.randrange(len(roots))]
-                t = self.field.from_int(rng.randrange(1, p))
+                t = rng.randrange(1, p)
                 v = self._root_element_times(b.coords, t, v)
                 word.append((b, t))
             if not any(v[: self.rank]):
@@ -589,7 +598,7 @@ class ChevalleyAlgebra:
                 for b, t in word:
                     g = self.root_automorphism(b, t).compose(g)
                 u = g.apply(l)
-                if list(u.coeffs) != v:
+                if [f.residue(c) for c in u.coeffs] != v:
                     raise AssertionError(
                         "root-element word disagrees with its automorphism matrix")
                 return g, u
@@ -600,8 +609,10 @@ class ChevalleyAlgebra:
     def structure_json(self):
         f = self.field
         table = {}
-        for (i, j), ent in sorted(self._table.items()):
-            table["%d,%d" % (i, j)] = [[k, f.format_scalar(v)] for k, v in ent]
+        for i, row in enumerate(self.bracket_table):
+            for j in range(i + 1, self.dim):
+                if row[j]:
+                    table["%d,%d" % (i, j)] = [[k, f.format_scalar(n)] for k, n in row[j]]
         return {
             "type": self.rs.type_label,
             "rank": self.rank,
@@ -633,8 +644,9 @@ def _lattice_points(bound, rank):
 
 
 def _zero_diagonal(M, field, max_iter=None):
-    """Similarity-transform the trace-zero non-scalar matrix M (mutated in
-    place) to zero diagonal using elementary conjugations I + t E_ab.
+    """Similarity-transform the trace-zero non-scalar residue matrix M
+    (mutated in place) to zero diagonal using elementary conjugations
+    I + t E_ab.
 
     Returns (S, Sinv, factors) with the final M equal to S M0 Sinv.
     Requires characteristic != 2.
@@ -643,36 +655,32 @@ def _zero_diagonal(M, field, max_iter=None):
     S = linalg.identity_matrix(field, n)
     Sinv = linalg.identity_matrix(field, n)
     factors = []
+    red = field.reduce
 
     def elem(a, b, t):
         # M <- (I + tE_ab) M (I - tE_ab), exact.
-        Ma, Mb = M[a], M[b]
-        for j in range(n):
-            Ma[j] = Ma[j] + t * Mb[j]
+        M[a] = field.sub_row(M[a], -t, M[b])
         for i in range(n):
-            M[i][b] = M[i][b] - t * M[i][a]
-        Sa, Sb = S[a], S[b]
-        for j in range(n):
-            Sa[j] = Sa[j] + t * Sb[j]
+            M[i][b] = red(M[i][b] - t * M[i][a])
+        S[a] = field.sub_row(S[a], -t, S[b])
         for i in range(n):
-            Sinv[i][b] = Sinv[i][b] - t * Sinv[i][a]
-        factors.append(("elem", a, b, t))
+            Sinv[i][b] = red(Sinv[i][b] - t * Sinv[i][a])
+        factors.append(("elem", a, b, field.lift(t)))
 
     def transfer(a, b, delta):
         # Move `delta` onto m_aa (and off m_bb); needs m_aa != m_bb.
         ta, tb = M[a][a], M[b][b]
         s = None
         for cand in range(3):
-            cf = field.from_int(cand)
-            c = M[b][a] + cf * (ta - tb) - cf * cf * M[a][b]
+            cf = field.residue(cand)
+            c = red(M[b][a] + cf * (ta - tb) - cf * cf * M[a][b])
             if c:
                 s = cf
                 break
         assert s is not None
         if s:
             elem(b, a, s)
-        c = M[b][a]
-        elem(a, b, delta / c)
+        elem(a, b, red(delta * field.inv(M[b][a])))
 
     if max_iter is None:
         max_iter = 12 * n + 24
@@ -704,7 +712,7 @@ def _zero_diagonal(M, field, max_iter=None):
                 break
         assert found is not None, "scalar matrix reached (central input?)"
         i, j = found
-        elem(j, i, (-t) / M[i][j])
+        elem(j, i, red(-t * field.inv(M[i][j])))
     raise AssertionError("diagonal elimination did not converge")
 
 

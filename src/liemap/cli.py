@@ -55,6 +55,13 @@ def _poly_arg(text):
     return parse(text)
 
 
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def _check_expect(args, obj, key):
     if getattr(args, "expect", None) and obj.get(key) != args.expect:
         return 1
@@ -318,7 +325,7 @@ def build_parser():
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--budget", type=int, default=None,
                    help="enumeration cap (env LIEMAP_BUDGET overrides the default)")
     common(p)
@@ -330,7 +337,7 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--m-from", type=int, required=True)
     p.add_argument("--m-to", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     common(p)
     p.set_defaults(fn=cmd_central_probe)
 

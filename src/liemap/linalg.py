@@ -1,49 +1,53 @@
-"""Exact Gaussian elimination helpers, generic over the scalar field.
+"""Exact Gaussian elimination and matrix products, one body for every field.
 
-Matrices are lists of lists of scalars (Fraction or FpElement).  Pivoting is
-deterministic (first nonzero row), so every result is reproducible.
+Matrices are lists of rows of residues: ints in [0, p) over F_p, Fractions
+over Q (``field.residue`` converts a scalar, ``field.lift`` converts back).
+The field descriptor supplies the residue arithmetic: the reduction of a sum
+of products, the pivot inverse and the row updates.  Pivoting is
+deterministic (first nonzero row) and ``rref`` returns the reduced row
+echelon form, which is unique for the row space, so every result is
+reproducible.
 """
 
 from __future__ import annotations
 
 
 def zero_matrix(field, n, m):
-    return [[field.zero() for _ in range(m)] for _ in range(n)]
+    zero = field.residue(0)
+    return [[zero] * m for _ in range(n)]
 
 
 def identity_matrix(field, n):
     rows = zero_matrix(field, n, n)
+    one = field.residue(1)
     for i in range(n):
-        rows[i][i] = field.one()
+        rows[i][i] = one
     return rows
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
+def mat_mul(A, B, field):
+    """A B, accumulating each row over the nonzero entries of A's row."""
+    zero = field.residue(0)
+    m = len(B[0])
     out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            acc = Ai[0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + Ai[t] * B[t][j]
-            row.append(acc)
-        out.append(row)
+    for Ai in A:
+        acc = [zero] * m
+        for a, Bk in zip(Ai, B):
+            if a:
+                for j, b in enumerate(Bk):
+                    if b:
+                        acc[j] += a * b
+        out.append(field.reduce_row(acc))
     return out
 
 
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for t in range(1, len(v)):
-            acc = acc + row[t] * v[t]
-        out.append(acc)
-    return out
+def mat_vec(A, v, field):
+    zero = field.residue(0)
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return field.reduce_row([sum([row[j] * x for j, x in nz], zero) for row in A])
 
 
-def rref(rows):
+def rref(rows, field):
     """Row-reduce a copy of `rows`; returns (reduced rows, pivot column list)."""
     M = [list(r) for r in rows]
     n = len(M)
@@ -59,12 +63,10 @@ def rref(rows):
         if pr is None:
             continue
         M[r], M[pr] = M[pr], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        piv = M[r] = field.scale_row(M[r], field.inv(M[r][c]))
         for i in range(n):
             if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+                M[i] = field.sub_row(M[i], M[i][c], piv)
         pivots.append(c)
         r += 1
         if r == n:
@@ -72,15 +74,22 @@ def rref(rows):
     return M, pivots
 
 
+def in_row_space(R, pivots, v, field):
+    """Whether v lies in the span of the rows of the reduced echelon form
+    (R, pivots) returned by rref."""
+    for row, c in zip(R, pivots):
+        if v[c]:
+            v = field.sub_row(v, v[c], row)
+    return not any(v)
+
+
 def solve(A, b, field):
     """One exact solution of A x = b (free variables set to 0), or None."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    R, pivots = rref(aug)
+    m = len(A[0]) if A else 0
+    R, pivots = rref([list(row) + [x] for row, x in zip(A, b)], field)
     if m in pivots:
         return None
-    x = [field.zero()] * m
+    x = [field.residue(0)] * m
     for r, c in enumerate(pivots):
         x[c] = R[r][m]
     return x
@@ -88,31 +97,30 @@ def solve(A, b, field):
 
 def kernel_basis(A, field):
     """Basis of the exact null space of A (deterministic order)."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    R, pivots = rref(A)
+    m = len(A[0]) if A else 0
+    R, pivots = rref(A, field)
     pivset = set(pivots)
-    free = [c for c in range(m) if c not in pivset]
     basis = []
-    for fc in free:
-        v = [field.zero()] * m
-        v[fc] = field.one()
+    for fc in range(m):
+        if fc in pivset:
+            continue
+        v = [field.residue(0)] * m
+        v[fc] = field.residue(1)
         for r, c in enumerate(pivots):
             v[c] = -R[r][fc]
-        basis.append(v)
+        basis.append(field.reduce_row(v))
     return basis
 
 
 def invert_matrix(A, field):
     """Exact inverse, or None if singular."""
     n = len(A)
-    aug = [list(A[i]) + list(identity_matrix(field, n)[i]) for i in range(n)]
-    R, pivots = rref(aug)
+    eye = identity_matrix(field, n)
+    R, pivots = rref([list(A[i]) + eye[i] for i in range(n)], field)
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in R]
 
 
-def rank(A):
-    _, pivots = rref(A)
-    return len(pivots)
+def rank(A, field):
+    return len(rref(A, field)[1])

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .chevalley import (AlgElement, CentralElementError, ChevalleyAlgebra,
                         build_algebra)
 from .freelie import (EngelSpec, LiePoly, Br, Sum, Var, engel_monomial,
                       evaluate, make_engel, normal_form, parse)
+from . import linalg
 from .matrixrep import MatrixElement, theta_separates, char_invariants
 from .scalar import PrimeField
 
@@ -490,25 +492,10 @@ def _certify(alg, P, spec, X, Y, target, trace):
 # ---------------------------------------------------------------------------
 
 
-def _int_table(alg: ChevalleyAlgebra):
-    p = alg.field.modulus
-    dim = alg.dim
-    T = [[()] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            if i < j:
-                ent = alg._table.get((i, j), ())
-                T[i][j] = tuple((k, v.val) for k, v in ent)
-            else:
-                ent = alg._table.get((j, i), ())
-                T[i][j] = tuple((k, (-v).val) for k, v in ent)
-    return p, dim, T
-
-
 def _compile_int_eval(P: LiePoly, alg: ChevalleyAlgebra):
-    p, dim, T = _int_table(alg)
+    """P as a function of residue vectors, on the algebra's integer bracket
+    table."""
+    p, dim, T = alg.field.modulus, alg.dim, alg.bracket_table
 
     def bracket(u, v):
         out = [0] * dim
@@ -740,7 +727,8 @@ def _build_report(alg, P, mode_json, attained, domain_size, workers):
             check(v, attained[v])
             central_hits.append({"element": elem_json(v),
                                  "preimage": preimage_json(attained[v])})
-    missed = [elem_json(v) for v in range(N) if v not in attained][:10]
+    missed = [elem_json(v) for v in
+              itertools.islice((v for v in range(N) if v not in attained), 10)]
     samples = []
     for v in sorted(attained)[:8]:
         check(v, attained[v])
@@ -761,94 +749,35 @@ def _build_report(alg, P, mode_json, attained, domain_size, workers):
 # -- exact linear-fiber engine for Engel maps --------------------------------
 
 
-def _dy_matrix(y, p, dim, T):
-    """Matrix of W -> [W, y]; column j is [b_j, y]."""
+def _dy_matrix(alg, y):
+    """Residue matrix of W -> [W, y] for a residue vector y; column j is
+    [b_j, y]."""
+    p, dim, T = alg.field.modulus, alg.dim, alg.bracket_table
     D = [[0] * dim for _ in range(dim)]
     for j in range(dim):
         Tj = T[j]
         for k, yv in enumerate(y):
             if yv:
                 for t, n in Tj[k]:
-                    D[t][j] = (D[t][j] + yv * n) % p
-    return D
+                    D[t][j] += yv * n
+    return [[x % p for x in row] for row in D]
 
 
-def _mat_mul_mod(A, B, p):
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for k in range(n):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                for j in range(n):
-                    if Bk[j]:
-                        Oi[j] = (Oi[j] + a * Bk[j]) % p
-    return out
+def _column_echelon(M, field):
+    """Reduced echelon basis (rows, pivots) of the column space of M."""
+    R, pivots = linalg.rref([list(col) for col in zip(*M)], field)
+    return R[:len(pivots)], pivots
 
 
-def _echelon_mod(rows, p):
-    """Row echelon (reduced) of integer rows mod p; returns basis rows."""
-    M = [list(r) for r in rows]
-    n = len(M)
-    m = len(M[0]) if n else 0
-    out = []
-    r = 0
-    for c in range(m):
-        pr = None
-        for i in range(r, n):
-            if M[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][c] % p:
-                f = M[i][c]
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
-        out.append(tuple(M[r]))
-        r += 1
-        if r == n:
-            break
-    return out
-
-
-def _solve_mod(M, b, p):
-    """Particular solution of M x = b mod p (free vars 0), or None."""
-    n = len(M)
-    aug = [list(M[i]) + [b[i] % p] for i in range(n)]
-    R = [list(r) for r in aug]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, len(R)):
-            if R[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = pow(R[r][c], -1, p)
-        R[r] = [(x * inv) % p for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c] % p:
-                f = R[i][c]
-                R[i] = [(a - f * bb) % p for a, bb in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(R)):
-        if R[i][n] % p:
-            return None
-    x = [0] * n
-    for rr, c in enumerate(pivots):
-        x[c] = R[rr][n]
-    return x
+def _engel_matrix(acoeffs, D, field):
+    """g(D) = sum_i a_i D^i (i >= 1) by Horner's rule, for residues a_i."""
+    *rest, lead = acoeffs
+    M = [field.scale_row(row, lead) for row in D]
+    for a in reversed(rest):
+        for i in range(len(M)):
+            M[i][i] = field.reduce(M[i][i] + a)
+        M = linalg.mat_mul(M, D, field)
+    return M
 
 
 def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec,
@@ -862,49 +791,33 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec,
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
-    p = alg.field.modulus
-    dim = alg.dim
-    _, _, T = _int_table(alg)
+    field, p, dim = alg.field, alg.field.modulus, alg.dim
     N = p ** dim
-    acoeffs = [int(c) for c in spec.coeffs]
+    acoeffs = [field.residue(c) for c in spec.coeffs]
     subspaces = {}
     for y_idx in range(N):
-        y = _decode(y_idx, p, dim)
-        D = _dy_matrix(y, p, dim, T)
-        acc = [[0] * dim for _ in range(dim)]
-        power = linalg_identity_int(dim)
-        for a in acoeffs:
-            power = _mat_mul_mod(power, D, p)
-            if a % p:
-                for i in range(dim):
-                    for j in range(dim):
-                        if power[i][j]:
-                            acc[i][j] = (acc[i][j] + a * power[i][j]) % p
-        cols = [tuple(acc[i][j] for i in range(dim)) for j in range(dim)]
-        key = tuple(_echelon_mod(cols, p)) if any(any(c) for c in cols) else ()
+        M = _engel_matrix(acoeffs, _dy_matrix(alg, _decode(y_idx, p, dim)), field)
+        basis, _ = _column_echelon(M, field)
+        key = tuple(map(tuple, basis))
         if key not in subspaces:
-            subspaces[key] = (y_idx, acc)
+            subspaces[key] = (y_idx, M)
+    place = [p ** k for k in range(dim)]
     attained = {}
     for key, (y_idx, M) in subspaces.items():
-        basis = list(key)
-        for combo in itertools.product(range(p), repeat=len(basis)):
-            acc = [0] * dim
-            for t, row in zip(combo, basis):
-                if t:
-                    for i in range(dim):
-                        acc[i] = (acc[i] + t * row[i]) % p
-            v = _encode(acc, p)
-            if v not in attained:
-                x = _solve_mod(M, acc, p)
+        span = [[0] * dim]
+        for row in key:
+            span += [[(a + b) % p for a, b in zip(v, trow)]
+                     for trow in [[t * b % p for b in row] for t in range(1, p)]
+                     for v in span]
+        for v in span:
+            v_idx = sum(map(operator.mul, v, place))
+            if v_idx not in attained:
+                x = linalg.solve(M, v, field)
                 assert x is not None
-                attained[v] = _encode(x, p) + (p ** dim) * y_idx
+                attained[v_idx] = _encode(x, p) + N * y_idx
     P, _ = make_engel(spec.coeffs)
     mode_json = {"kind": "exhaustive", "engine": "engel-linear"}
     return _build_report(alg, P, mode_json, attained, N ** 2, workers)
-
-
-def linalg_identity_int(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -931,51 +844,35 @@ class CentralProbeReport:
 def _probe_chunk(args):
     """Scan Y indices [start, end) for central hits of E_m, all m in range.
 
-    Uses Fitting stabilization: once rank(D^{m+1}) = rank(D^m) the column
-    space is constant for all larger m.
+    A target is a hit for (m, Y) when it lies in the column space of D_Y^m,
+    tested against that space's echelon form; only a hit is solved for its
+    preimage.  Fitting stabilization: once rank(D^m) = rank(D^(m-1)) the
+    column space is the same for every larger m, so membership is decided
+    once and later degrees only solve D^m x = c for the targets inside it.
     """
     type_label, rank, p, ms, start, end, targets = args
     alg = build_algebra(type_label, rank, PrimeField(p))
-    _, dim, T = _int_table(alg)
+    field = alg.field
     max_m = max(ms)
     hits = {}
     for y_idx in range(start, end):
-        y = _decode(y_idx, p, dim)
-        D = _dy_matrix(y, p, dim, T)
-        M = D
-        prev_rank = None
-        frozen = None
+        D = _dy_matrix(alg, _decode(y_idx, p, alg.dim))
+        M, rk, frozen = D, -1, False
         for m in range(1, max_m + 1):
             if m > 1:
-                if frozen is None:
-                    M = _mat_mul_mod(M, D, p)
-            if frozen is None:
-                ech = _echelon_mod([[M[i][j] for i in range(dim)]
-                                    for j in range(dim)], p)
-                rk = len(ech)
-                if prev_rank is not None and rk == prev_rank:
-                    frozen = m - 1
-                prev_rank = rk
+                M = linalg.mat_mul(M, D, field)
+            if not frozen:
+                basis, pivots = _column_echelon(M, field)
+                frozen = len(pivots) == rk
+                rk = len(pivots)
+                inside = [(c_idx, c) for c_idx, c in targets
+                          if linalg.in_row_space(basis, pivots, c, field)]
+                if frozen and not inside:
+                    break
             if m in ms:
-                for c_idx, c_vec in targets:
-                    if (m, c_idx) in hits:
-                        continue
-                    x = _solve_mod(M, list(c_vec), p)
-                    if x is not None:
-                        hits[(m, c_idx)] = (y_idx, tuple(x))
-            if frozen is not None and m >= max_m:
-                break
-            if frozen is not None:
-                # memberships no longer change with m; fill remaining ms
-                for m2 in ms:
-                    if m2 >= m:
-                        for c_idx, c_vec in targets:
-                            if (m2, c_idx) in hits:
-                                continue
-                            x = _solve_mod(M, list(c_vec), p)
-                            if x is not None:
-                                hits[(m2, c_idx)] = (y_idx, tuple(x))
-                break
+                for c_idx, c in inside:
+                    if (m, c_idx) not in hits:
+                        hits[(m, c_idx)] = (y_idx, tuple(linalg.solve(M, c, field)))
     return hits
 
 

@@ -151,13 +151,18 @@ def matrix_from_ints(realization, rows, field, validate=True):
 
 def commutator(X: MatrixElement, Y: MatrixElement) -> MatrixElement:
     X._check(Y)
-    A = [list(r) for r in X.rows]
-    B = [list(r) for r in Y.rows]
-    AB = linalg.mat_mul(A, B)
-    BA = linalg.mat_mul(B, A)
-    return MatrixElement(X.realization,
-                         [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(AB, BA)],
-                         X.field, validate=False)
+    f = X.field
+    rows = _commutator([[f.residue(x) for x in r] for r in X.rows],
+                       [[f.residue(x) for x in r] for r in Y.rows], f)
+    return MatrixElement(X.realization, [[f.lift(x) for x in r] for r in rows],
+                         f, validate=False)
+
+
+def _commutator(A, B, field):
+    """AB - BA on residue matrices."""
+    AB = linalg.mat_mul(A, B, field)
+    BA = linalg.mat_mul(B, A, field)
+    return [field.reduce_row([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(AB, BA)]
 
 
 # -- characteristic invariants ----------------------------------------------
@@ -270,7 +275,8 @@ def theta_separates(D1: MatrixElement, D2: MatrixElement) -> str:
 
 class Realization:
     """Verified linear isomorphism between a Chevalley algebra and a matrix
-    algebra, with phi([x,y]) = [phi(x), phi(y)] checked on every basis pair."""
+    algebra, with phi([x,y]) = [phi(x), phi(y)] checked on every basis pair.
+    The basis images are residue matrices (see linalg)."""
 
     def __init__(self, alg: ChevalleyAlgebra, tag, images):
         self.alg = alg
@@ -287,19 +293,26 @@ class Realization:
     def image_matrix(self, k):
         return self.images[k]
 
+    def combine(self, coeffs):
+        """The residue matrix sum_k coeffs[k] images[k] (coeffs in residues)."""
+        f = self.alg.field
+        rows = linalg.zero_matrix(f, self.n, self.n)
+        for c, B in zip(coeffs, self.images):
+            if c:
+                for row, Brow in zip(rows, B):
+                    for j, b in enumerate(Brow):
+                        if b:
+                            row[j] += c * b
+        return [f.reduce_row(row) for row in rows]
+
     def to_matrix(self, x: AlgElement) -> MatrixElement:
         f = self.alg.field
-        rows = [[f.zero()] * self.n for _ in range(self.n)]
-        for k, c in enumerate(x.coeffs):
-            if c:
-                B = self.images[k]
-                for i in range(self.n):
-                    for j in range(self.n):
-                        if B[i][j]:
-                            rows[i][j] = rows[i][j] + c * B[i][j]
-        return MatrixElement(self.tag, rows, f, validate=False)
+        rows = self.combine([f.residue(c) for c in x.coeffs])
+        return MatrixElement(self.tag, [[f.lift(v) for v in row] for row in rows],
+                             f, validate=False)
 
     def matrix_coords(self, rows):
+        """Coordinates (residues) of the residue matrix `rows`."""
         b = [rows[i][j] for i in range(self.n) for j in range(self.n)]
         sol = linalg.solve(self._A, b, self.alg.field)
         if sol is None:
@@ -307,29 +320,28 @@ class Realization:
         return sol
 
     def from_matrix(self, M: MatrixElement) -> AlgElement:
-        return AlgElement(self.alg, self.matrix_coords(M.rows))
+        f = self.alg.field
+        coords = self.matrix_coords([[f.residue(x) for x in r] for r in M.rows])
+        return AlgElement(self.alg, [f.lift(c) for c in coords])
 
     def _verify(self):
         alg = self.alg
+        f = alg.field
         for i in range(alg.dim):
             for j in range(i + 1, alg.dim):
-                lhs = commutator(
-                    MatrixElement(self.tag, self.images[i], alg.field, validate=False),
-                    MatrixElement(self.tag, self.images[j], alg.field, validate=False))
-                rhs = self.to_matrix(alg.bracket(alg.basis_element(i), alg.basis_element(j)))
-                if lhs.rows != rhs.rows:
+                lhs = _commutator(self.images[i], self.images[j], f)
+                bij = alg.bracket(alg.basis_element(i), alg.basis_element(j))
+                if lhs != self.combine([f.residue(c) for c in bij.coeffs]):
                     raise MatrixRepError(
                         "realization fails on basis pair (%d, %d)" % (i, j))
 
 
-def _unit_matrix(field, n, i, j, c=1):
-    rows = [[field.zero()] * n for _ in range(n)]
-    rows[i][j] = field.from_int(c)
+def _sparse_matrix(field, n, *entries):
+    """The n x n residue matrix with the (i, j, c) entries, zero elsewhere."""
+    rows = linalg.zero_matrix(field, n, n)
+    for i, j, c in entries:
+        rows[i][j] = field.residue(c)
     return rows
-
-
-def _mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def _fill_composite_images(alg, images, n):
@@ -352,14 +364,9 @@ def _fill_composite_images(alg, images, n):
                 g = tuple(x - y for x, y in zip(coords, s))
                 if not alg.rs.contains(g) or images.get(alg._eidx[g]) is None:
                     continue
-                N = alg.n_table[(s, g)]
-                A = images[alg._eidx[s]]
-                B = images[alg._eidx[g]]
-                AB = linalg.mat_mul(A, B)
-                BA = linalg.mat_mul(B, A)
-                inv = 1 / f.from_int(N)
-                images[k] = [[inv * (x - y) for x, y in zip(ra, rb)]
-                             for ra, rb in zip(AB, BA)]
+                inv = f.inv(f.residue(alg.n_table[(s, g)]))
+                C = _commutator(images[alg._eidx[s]], images[alg._eidx[g]], f)
+                images[k] = [f.scale_row(row, inv) for row in C]
                 done = True
                 break
             if not done:
@@ -372,13 +379,10 @@ def _realize_type_A(alg: ChevalleyAlgebra) -> Realization:
     f = alg.field
     images = {}
     for i in range(alg.rank):
-        h = [[f.zero()] * n for _ in range(n)]
-        h[i][i] = f.one()
-        h[i + 1][i + 1] = -f.one()
-        images[i] = h
+        images[i] = _sparse_matrix(f, n, (i, i, 1), (i + 1, i + 1, -1))
         a = alg.rs.simple_roots[i].coords
-        images[alg._eidx[a]] = _unit_matrix(f, n, i, i + 1)
-        images[alg._eidx[_neg(a)]] = _unit_matrix(f, n, i + 1, i)
+        images[alg._eidx[a]] = _sparse_matrix(f, n, (i, i + 1, 1))
+        images[alg._eidx[_neg(a)]] = _sparse_matrix(f, n, (i + 1, i, 1))
     for k in range(alg.dim):
         images.setdefault(k, None)
     images = _fill_composite_images(alg, images, n)
@@ -390,10 +394,7 @@ def _realize_B2(alg: ChevalleyAlgebra) -> Realization:
     n = 5
 
     def diag(*vals):
-        rows = [[f.zero()] * n for _ in range(n)]
-        for i, v in enumerate(vals):
-            rows[i][i] = f.from_int(v)
-        return rows
+        return _sparse_matrix(f, n, *((i, i, v) for i, v in enumerate(vals)))
 
     a1 = alg.rs.simple_roots[0].coords
     a2 = alg.rs.simple_roots[1].coords
@@ -404,14 +405,10 @@ def _realize_B2(alg: ChevalleyAlgebra) -> Realization:
     last_err = None
     for c, cp, s1 in candidates:
         images = {0: diag(0, 1, -1, -1, 1), 1: diag(0, 0, 2, 0, -2)}
-        images[alg._eidx[a1]] = _mat_add(_unit_matrix(f, n, 1, 2, s1),
-                                         _unit_matrix(f, n, 4, 3, -s1))
-        images[alg._eidx[_neg(a1)]] = _mat_add(_unit_matrix(f, n, 2, 1, s1),
-                                               _unit_matrix(f, n, 3, 4, -s1))
-        images[alg._eidx[a2]] = _mat_add(_unit_matrix(f, n, 0, 4, c),
-                                         _unit_matrix(f, n, 2, 0, -c))
-        images[alg._eidx[_neg(a2)]] = _mat_add(_unit_matrix(f, n, 0, 2, cp),
-                                               _unit_matrix(f, n, 4, 0, -cp))
+        images[alg._eidx[a1]] = _sparse_matrix(f, n, (1, 2, s1), (4, 3, -s1))
+        images[alg._eidx[_neg(a1)]] = _sparse_matrix(f, n, (2, 1, s1), (3, 4, -s1))
+        images[alg._eidx[a2]] = _sparse_matrix(f, n, (0, 4, c), (2, 0, -c))
+        images[alg._eidx[_neg(a2)]] = _sparse_matrix(f, n, (0, 2, cp), (4, 0, -cp))
         full = dict(images)
         for k in range(alg.dim):
             full.setdefault(k, None)

@@ -4,6 +4,13 @@ Scalars are either ``fractions.Fraction`` (over Q) or :class:`FpElement`
 (canonical residue in [0, p)).  Both support +, -, *, /, ** and compare
 equal by value, so all higher modules are generic over the field.
 No floating point anywhere.
+
+Linear algebra runs on a bare representation instead: residues, meaning
+ints in [0, p) over F_p and Fractions over Q.  Each field descriptor
+converts scalars to residues (``residue``) and back (``lift``) and supplies
+the residue arithmetic of ``linalg``: ``reduce`` and ``reduce_row`` for
+sums of products, ``inv`` for pivots, and the row updates ``scale_row`` and
+``sub_row``.
 """
 
 from __future__ import annotations
@@ -160,6 +167,30 @@ class Rationals:
     def elements(self):
         raise FieldSpecError("Q is infinite; cannot enumerate")
 
+    # -- residues (here the Fractions themselves) --------------------------
+
+    def residue(self, x):
+        return x if type(x) is Fraction else Fraction(x)
+
+    def lift(self, r):
+        return r
+
+    def reduce(self, x):
+        return x
+
+    def reduce_row(self, row):
+        return row
+
+    def inv(self, r):
+        return Fraction(1) / r
+
+    def scale_row(self, row, c):
+        return [x * c for x in row]
+
+    def sub_row(self, row, c, piv):
+        """row - c * piv."""
+        return [x - c * y if y else x for x, y in zip(row, piv)]
+
     @property
     def size(self):
         return None
@@ -214,6 +245,41 @@ class PrimeField:
     def elements(self):
         p = self.modulus
         return [FpElement(v, p) for v in range(p)]
+
+    # -- residues: ints in [0, p) ------------------------------------------
+
+    def residue(self, x) -> int:
+        if isinstance(x, FpElement):
+            if x.p != self.modulus:
+                raise ValueError("mixed moduli: %d vs %d" % (x.p, self.modulus))
+            return x.val
+        if isinstance(x, Fraction):
+            return self.from_rational(x).val
+        return x % self.modulus
+
+    def lift(self, r) -> FpElement:
+        return FpElement(r, self.modulus)
+
+    def reduce(self, x) -> int:
+        return x % self.modulus
+
+    def reduce_row(self, row):
+        p = self.modulus
+        return [x % p for x in row]
+
+    def inv(self, r) -> int:
+        if r % self.modulus == 0:
+            raise ZeroDivisionError("inverse of zero in F_%d" % self.modulus)
+        return pow(r, -1, self.modulus)
+
+    def scale_row(self, row, c):
+        p = self.modulus
+        return [x * c % p for x in row]
+
+    def sub_row(self, row, c, piv):
+        """row - c * piv."""
+        p = self.modulus
+        return [(x - c * y) % p for x, y in zip(row, piv)]
 
     @property
     def size(self):

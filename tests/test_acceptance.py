@@ -8,6 +8,7 @@ values after their first computation.
 Run with  pytest tests/test_acceptance.py -v -s  to see the pass lines.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -161,6 +162,9 @@ def test_criterion_7_central_probe():
         assert rep.table[m], "E_%d should attain nonzero central values" % m
     for m in range(3, 13):
         assert rep.table[m] == []
+    # the preimages too: the report's canonical-JSON digest
+    assert hashlib.sha256(maps._canonical(rep.to_json()).encode()).hexdigest() == \
+        "ba936ba020ca5281346a383adf841ee3dfce1190fc0b25cf2b8bcc842c600b53"
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     _report(7, "central hits vanish from m0 = 3 through 12 on sl(3,F3)", t0)
@@ -219,7 +223,7 @@ def test_criterion_9_invariance_suite():
         ginv = linalg.invert_matrix(g, Q)
         if ginv is None:
             continue
-        rows = linalg.mat_mul(linalg.mat_mul(g, [list(r) for r in X.rows]), ginv)
+        rows = linalg.mat_mul(linalg.mat_mul(g, [list(r) for r in X.rows], Q), ginv, Q)
         Y = MatrixElement("sl3", rows, Q, validate=False)
         a, b = char_invariants(X), char_invariants(Y)
         assert (a.f1, a.f2) == (b.f1, b.f2)

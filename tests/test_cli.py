@@ -139,6 +139,22 @@ def test_usage_error_exit_2():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_scan_workers_below_1_is_usage_error(workers):
+    with pytest.raises(SystemExit) as e:
+        main(["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A1",
+              "--field", "F3", "--workers", workers])
+    assert e.value.code == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_central_probe_workers_below_1_is_usage_error(workers):
+    with pytest.raises(SystemExit) as e:
+        main(["central-probe", "--algebra", "A2", "--field", "F3",
+              "--m-from", "1", "--m-to", "3", "--workers", workers])
+    assert e.value.code == 2
+
+
 def test_semantic_error_exit_1(capsys):
     code, out = run(capsys, ["roots", "--type", "A", "--rank", "1",
                              "--field", "F2"])

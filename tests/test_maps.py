@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_element, random_nonzero_element
-from liemap import maps
+from liemap import linalg, maps
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
@@ -382,19 +383,21 @@ def test_scan_solve_cross_validation_sl3_F3():
     alg = build_algebra("A", 2, F3)
     P, spec = make_engel([0, 1])
     lin = maps.engel_image_scan(alg, spec)
-    attained_elems = None
+    assert lin.contains_all_noncentral
+    assert lin.hit_counts == {"zero": 1, "central_nonzero": 2, "noncentral": 6558}
+    # regression constant: the report's canonical-JSON digest
+    assert hashlib.sha256(maps._canonical(lin.to_json()).encode()).hexdigest() == \
+        "22929e9e7775bcdaa2f83979e2ce9b63ddb76e2178638ae5184cd564a70cebd5"
     rng = random.Random(13)
-    from liemap.maps import _int_table, _dy_matrix, _mat_mul_mod, _solve_mod
-    p, dim, T = 3, alg.dim, _int_table(alg)[2]
     for _ in range(60):
         x = random_nonzero_element(alg, rng)
         if alg.is_central(x):
             continue
         sol = maps.engel_solve(alg, spec, x)
-        y_ints = [c.val for c in sol.Y.coeffs]
-        D = _dy_matrix(y_ints, p, dim, T)
-        M = _mat_mul_mod(D, D, p)
-        assert _solve_mod(M, [c.val for c in x.coeffs], p) is not None
+        # E_2(X, Y) = D_Y^2 X with D_Y = -ad(Y), so x is in the column space of ad(Y)^2
+        A = [[F3.residue(c) for c in row] for row in alg.ad_matrix(sol.Y)]
+        M = linalg.mat_mul(A, A, F3)
+        assert linalg.solve(M, [F3.residue(c) for c in x.coeffs], F3) is not None
 
 
 # -- the example48 map ---------------------------------------------------------

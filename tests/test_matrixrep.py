@@ -95,7 +95,7 @@ def test_so5_shape_space_dimension_is_10():
     from liemap import linalg
     flat = [[real.images[k][i][j] for k in range(alg.dim)]
             for i in range(5) for j in range(5)]
-    assert linalg.rank(flat) == 10 == alg.dim
+    assert linalg.rank(flat, Q) == 10 == alg.dim
     rng = random.Random(9)
     for _ in range(25):
         X = _rand_so5(rng, Q)
@@ -181,7 +181,7 @@ def test_conjugation_invariance_sl3():
         ginv = linalg.invert_matrix(g, Q)
         if ginv is None:
             continue
-        rows = linalg.mat_mul(linalg.mat_mul(g, [list(r) for r in X.rows]), ginv)
+        rows = linalg.mat_mul(linalg.mat_mul(g, [list(r) for r in X.rows], Q), ginv, Q)
         Y = MatrixElement("sl3", rows, Q, validate=False)
         a, b = char_invariants(X), char_invariants(Y)
         assert (a.f1, a.f2) == (b.f1, b.f2)
