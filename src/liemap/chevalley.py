@@ -10,6 +10,11 @@ other constant is forced by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
 Jacobi identity.  The construction-time Jacobi sweep is the oracle that
 checks the table: on every basis triple up to rank 4, on a strided sample of
 about 2000 triples above.
+
+Elements hold their coefficients as residues (ints in [0, p) over F_p,
+Fractions over Q; see scalar.py): ChevalleyAlgebra.element converts scalars,
+the bracket runs on the integer table bracket_table and reduces once, and
+AlgElement.to_json formats the result.
 """
 
 from __future__ import annotations
@@ -117,7 +122,9 @@ def _structure_constants(rs: RootSystem):
 
 
 class AlgElement:
-    """Element of a Chevalley algebra: a coefficient vector in the fixed basis."""
+    """Element of a Chevalley algebra: a coefficient vector in the fixed basis,
+    held as residues (ints in [0, p) over F_p, Fractions over Q).  Scalars
+    become residues in ChevalleyAlgebra.element and are formatted in to_json."""
 
     __slots__ = ("alg", "coeffs")
 
@@ -131,21 +138,23 @@ class AlgElement:
 
     def __add__(self, other):
         self._check(other)
-        return AlgElement(self.alg, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return AlgElement(self.alg, self.alg.field.reduce_row(
+            [a + b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
         self._check(other)
-        return AlgElement(self.alg, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return AlgElement(self.alg, self.alg.field.reduce_row(
+            [a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
-        return AlgElement(self.alg, [-a for a in self.coeffs])
+        return AlgElement(self.alg, self.alg.field.reduce_row([-a for a in self.coeffs]))
 
     def scale(self, c):
-        return AlgElement(self.alg, [c * a for a in self.coeffs])
+        f = self.alg.field
+        return AlgElement(self.alg, f.scale_row(self.coeffs, f.residue(c)))
 
     def scale_rational(self, q):
-        c = self.alg.field.from_rational(Fraction(q))
-        return self.scale(c)
+        return self.scale(Fraction(q))
 
     def bracket(self, other):
         self._check(other)
@@ -205,9 +214,7 @@ class LieAutomorphism:
     def apply(self, x: AlgElement) -> AlgElement:
         if x.alg is not self.alg:
             raise ChevalleyError("element from a different algebra")
-        f = self.alg.field
-        v = linalg.mat_vec(self.res_matrix, [f.residue(c) for c in x.coeffs], f)
-        return AlgElement(self.alg, [f.lift(c) for c in v])
+        return AlgElement(self.alg, linalg.mat_vec(self.res_matrix, x.coeffs, self.alg.field))
 
     def inverse(self):
         return LieAutomorphism(self.alg, self.res_inv_matrix, self.res_matrix,
@@ -287,56 +294,41 @@ class ChevalleyAlgebra:
             return ((self._eidx[s], self.n_table[(a, b)]),)
         return ()
 
-    def _sparse_bracket(self, xs, ys):
-        """Bracket of two sparse {index: scalar} dicts."""
-        acc = {}
-        zero = self.field.zero()
-        for i, ci in xs.items():
-            Ti = self.bracket_table[i]
-            for j, cj in ys.items():
-                ent = Ti[j]
-                if ent:
-                    c = ci * cj
-                    for k, n in ent:
-                        acc[k] = acc.get(k, zero) + c * n
-        return {k: v for k, v in acc.items() if v}
-
     def _validate_jacobi(self):
-        n = self.dim
+        n, T, red = self.dim, self.bracket_table, self.field.reduce
         triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
                    for k in range(j + 1, n)]
         if self.rank > 4:
             stride = max(1, len(triples) // 2000)
             triples = triples[::stride]
-        one = self.field.one()
         for (i, j, k) in triples:
             acc = {}
             for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self._sparse_bracket({x: one}, {y: one})
-                outer = self._sparse_bracket(inner, {z: one})
-                for t, v in outer.items():
-                    acc[t] = acc.get(t, self.field.zero()) + v
-            if any(acc.values()):
+                for t, a in T[x][y]:
+                    for s, b in T[t][z]:
+                        acc[s] = acc.get(s, 0) + a * b
+            if any(red(v) for v in acc.values()):
                 raise AssertionError(
                     "Jacobi identity fails on basis triple %r" % ((i, j, k),))
 
     # -- public operations ------------------------------------------------
 
     def zero(self):
-        return AlgElement(self, [self.field.zero()] * self.dim)
+        return AlgElement(self, [self.field.residue(0)] * self.dim)
 
     def element(self, coeffs):
+        """The element with these coefficients (FpElements, Fractions or ints)."""
         cs = list(coeffs)
         if len(cs) != self.dim:
             raise ChevalleyError("expected %d coefficients" % self.dim)
-        return AlgElement(self, cs)
+        return AlgElement(self, [self.field.residue(c) for c in cs])
 
     def element_from_ints(self, ints):
-        return self.element([self.field.from_int(n) for n in ints])
+        return self.element(ints)
 
     def basis_element(self, i):
-        c = [self.field.zero()] * self.dim
-        c[i] = self.field.one()
+        c = [self.field.residue(0)] * self.dim
+        c[i] = self.field.residue(1)
         return AlgElement(self, c)
 
     def h_element(self, i):
@@ -352,13 +344,19 @@ class ChevalleyAlgebra:
         return self.element([self.field.parse_scalar(s) for s in obj["coeffs"]])
 
     def bracket(self, x: AlgElement, y: AlgElement) -> AlgElement:
-        xs = {i: c for i, c in enumerate(x.coeffs) if c}
-        ys = {i: c for i, c in enumerate(y.coeffs) if c}
-        acc = self._sparse_bracket(xs, ys)
-        out = [self.field.zero()] * self.dim
-        for k, v in acc.items():
-            out[k] = v
-        return AlgElement(self, out)
+        T = self.bracket_table
+        ys = [(j, c) for j, c in enumerate(y.coeffs) if c]
+        out = [self.field.residue(0)] * self.dim
+        for i, ci in enumerate(x.coeffs):
+            if ci:
+                Ti = T[i]
+                for j, cj in ys:
+                    ent = Ti[j]
+                    if ent:
+                        c = ci * cj
+                        for k, n in ent:
+                            out[k] += c * n
+        return AlgElement(self, self.field.reduce_row(out))
 
     def ad_matrix(self, x: AlgElement):
         """Matrix of y -> [x, y] in the fixed basis (columns are [x, b_j])."""
@@ -388,43 +386,34 @@ class ChevalleyAlgebra:
 
     def center(self):
         """Exact basis of the centre (kernel of the adjoint representation)."""
-        f = self.field
-        return [AlgElement(self, [f.lift(c) for c in v])
-                for v in self._center_echelon()[0]]
+        return [AlgElement(self, v) for v in self._center_echelon()[0]]
 
     def is_central(self, x: AlgElement) -> bool:
-        f = self.field
         _, R, pivots = self._center_echelon()
-        return linalg.in_row_space(R, pivots, [f.residue(c) for c in x.coeffs], f)
+        return linalg.in_row_space(R, pivots, x.coeffs, self.field)
 
     def beta_value(self, coords, h: AlgElement):
-        """beta(h) for h given by its H-part (U-part of h is ignored)."""
+        """beta(h), as a residue, for h given by its H-part (U-part of h is
+        ignored)."""
         f = self.field
-        acc = f.zero()
-        for i in range(self.rank):
-            q = self.rs.pairing(coords, self.rs.simple_roots[i].coords)
-            if q:
-                acc = acc + h.coeffs[i] * f.from_int(q)
-        return acc
+        return f.reduce(sum((c * self.rs.pairing(coords, s.coords)
+                             for c, s in zip(h.coeffs, self.rs.simple_roots)),
+                            f.residue(0)))
 
     def find_regular(self, avoid):
         """Deterministic lattice search for h in H with beta(h) outside `avoid`
         for every root beta.  The sufficient size bound |K| > |avoid||R| is a
         guarantee, not a gate: any witness found is returned."""
         f = self.field
-        avoid_set = set()
-        for v in avoid:
-            avoid_set.add(f.from_int(v) if isinstance(v, int) else v)
+        red = f.reduce
+        avoid_set = {f.residue(v) for v in avoid}
         pairings = [[self.rs.pairing(b.coords, self.rs.simple_roots[i].coords)
                      for i in range(self.rank)] for b in self.rs.positive_roots]
 
         def good(ts):
             for row in pairings:
-                acc = f.zero()
-                for t, q in zip(ts, row):
-                    if q:
-                        acc = acc + t * q
-                if acc in avoid_set or -acc in avoid_set:
+                acc = red(sum(t * q for t, q in zip(ts, row)))
+                if acc in avoid_set or red(-acc) in avoid_set:
                     return False
             return True
 
@@ -432,18 +421,16 @@ class ChevalleyAlgebra:
             bound = 1
             while bound < 10 * len(self.rs.roots) * (len(avoid_set) + 1) + 10:
                 for ts in _lattice_points(bound, self.rank):
-                    tsf = [f.from_int(t) for t in ts]
-                    if good(tsf):
-                        return self._h_from(tsf)
+                    if good(ts):
+                        return self._h_from(ts)
                 bound += 1
             raise AssertionError("rational lattice search failed unexpectedly")
 
         p = f.modulus
         import itertools
         for ts in itertools.product(range(p), repeat=self.rank):
-            tsf = [f.from_int(t) for t in ts]
-            if good(tsf):
-                return self._h_from(tsf)
+            if good(ts):
+                return self._h_from(ts)
         bound = len(avoid_set) * len(self.rs.roots)
         if p > bound:
             # the sufficient bound held, so exhaustion is a bug, not a
@@ -456,10 +443,7 @@ class ChevalleyAlgebra:
             "(sufficient bound: |K| > %d)" % (len(avoid_set), p, bound))
 
     def _h_from(self, ts):
-        c = [self.field.zero()] * self.dim
-        for i, t in enumerate(ts):
-            c[i] = t
-        return AlgElement(self, c)
+        return self.element(list(ts) + [0] * (self.dim - self.rank))
 
     def identity_automorphism(self):
         m = linalg.identity_matrix(self.field, self.dim)
@@ -476,14 +460,21 @@ class ChevalleyAlgebra:
             f = self.field
             if f.characteristic in (2, 3):
                 raise ChevalleyError("root automorphisms need characteristic 0 or >= 5")
-            e = {self._eidx[self.rs.root(coords).coords]: f.one()}
-            cols = [{j: f.one()} for j in range(self.dim)]
+            Te = self.bracket_table[self._eidx[self.rs.root(coords).coords]]
+            cols = [{j: f.residue(1)} for j in range(self.dim)]
             powers = []
             for k in range(1, 6):
-                cols = [{i: c / k for i, c in self._sparse_bracket(e, col).items()}
-                        for col in cols]
-                nk = tuple((j, tuple((i, f.residue(c)) for i, c in col.items()))
-                           for j, col in enumerate(cols) if col)
+                inv_k = f.inv(f.residue(k))
+                new_cols = []
+                for col in cols:
+                    acc = {}
+                    for i, c in col.items():
+                        for t, n in Te[i]:
+                            acc[t] = acc.get(t, 0) + c * n
+                    acc = {t: f.reduce(v * inv_k) for t, v in acc.items()}
+                    new_cols.append({t: v for t, v in acc.items() if v})
+                cols = new_cols
+                nk = tuple((j, tuple(col.items())) for j, col in enumerate(cols) if col)
                 if not nk:
                     break
                 powers.append(nk)
@@ -558,7 +549,7 @@ class ChevalleyAlgebra:
     def _conjugate_into_U_type_A(self, l):
         f = self.field
         real = self._get_realization()
-        M = real.combine([f.residue(c) for c in l.coeffs])
+        M = real.combine(l.coeffs)
         S, Sinv, factors = _zero_diagonal(M, f)
         cols = []
         inv_cols = []
@@ -584,10 +575,9 @@ class ChevalleyAlgebra:
         p = f.modulus
         roots = self.rs.roots
         steps = 2 * len(self.rs.positive_roots)
-        l_res = [f.residue(c) for c in l.coeffs]
         for _ in range(budget):
             word = []
-            v = l_res
+            v = l.coeffs
             for _ in range(steps):
                 b = roots[rng.randrange(len(roots))]
                 t = rng.randrange(1, p)
@@ -598,7 +588,7 @@ class ChevalleyAlgebra:
                 for b, t in word:
                     g = self.root_automorphism(b, t).compose(g)
                 u = g.apply(l)
-                if [f.residue(c) for c in u.coeffs] != v:
+                if list(u.coeffs) != v:
                     raise AssertionError(
                         "root-element word disagrees with its automorphism matrix")
                 return g, u

@@ -282,8 +282,8 @@ def build_parser():
     p.add_argument("--field", default="Q")
     p.add_argument("--mode", choices=["exact", "randomized"], default="exact")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--grid", type=int, default=2 ** 20)
+    p.add_argument("--trials", type=positive_int, default=8)
+    p.add_argument("--grid", type=positive_int, default=2 ** 20)
     p.add_argument("--expect")
     common(p)
     p.set_defaults(fn=cmd_identity)
@@ -302,7 +302,7 @@ def build_parser():
     p.add_argument("--poly", required=True)
     p.add_argument("--realization", choices=["sl3", "so5"], required=True)
     p.add_argument("--field", default="Q")
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--expect")
     common(p)
@@ -324,9 +324,9 @@ def build_parser():
     p.add_argument("--field", required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=positive_int, default=10000)
     p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=positive_int, default=None,
                    help="enumeration cap (env LIEMAP_BUDGET overrides the default)")
     common(p)
     p.set_defaults(fn=cmd_scan)

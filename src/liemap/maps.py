@@ -114,6 +114,14 @@ class MPoly:
     def __rmul__(self, o):
         return MPoly({m: o * c for m, c in self.coeffs.items()}, self.nvars)
 
+    def substitute(self, i, v):
+        """The polynomial with variable i set to the scalar v."""
+        out = {}
+        for m, c in self.coeffs.items():
+            k = m[:i] + (0,) + m[i + 1:]
+            out[k] = out.get(k, 0) + c * v ** m[i]
+        return MPoly(out, self.nvars)
+
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -188,15 +196,17 @@ def _sl2_value(P, triples, field):
     return evaluate(P, xs)
 
 
-def _witness_grid_search(P, field, deg):
-    """Deterministic grid search for a nonzero value of a non-identity."""
-    d = P.nvars
+def _grid_values(field, deg):
     if field.characteristic == 0:
-        span = range(0, max(3, deg + 2))
-        values = [Fraction(v) for v in span]
-    else:
-        values = [x for x in field.elements()]
-    combos = itertools.product(values, repeat=3 * d)
+        return [Fraction(v) for v in range(max(3, deg + 2))]
+    return field.elements()
+
+
+def _witness_grid_search(P, field, deg):
+    """Deterministic grid search for a nonzero value of a non-identity: the
+    first grid point in lex order of its 3d coordinates, up to a cap."""
+    d = P.nvars
+    combos = itertools.product(_grid_values(field, deg), repeat=3 * d)
     cap = 300000
     for n, flat in enumerate(combos):
         if n >= cap:
@@ -208,6 +218,39 @@ def _witness_grid_search(P, field, deg):
     return None, None
 
 
+def _symbolic_value(P, field, symbolic):
+    """P at sl(2) elements whose coordinates are indeterminates (variable
+    3(i-1)+k for coordinate k of X_i) for the X_i with i in `symbolic`, and
+    zero for the other X_i."""
+    nsym = 3 * P.nvars
+    zero = MPoly.zero(nsym)
+    return evaluate(P, [Sl2Vec(*[MPoly.variable(3 * i + k, nsym, field)
+                                 if i + 1 in symbolic else zero for k in range(3)],
+                               field) for i in range(P.nvars)])
+
+
+def _greedy_witness(P, val, field, deg):
+    """Over Q, the grid point _witness_grid_search would return, found from
+    the nonzero symbolic value `val` of P: each coordinate in turn takes the
+    least grid value that leaves some coordinate polynomial nonzero.  One
+    always exists: a variable occurs in degree at most deg(P), below the
+    number of grid values, so a nonzero polynomial cannot vanish on all of
+    them.  The lex-least grid point with a nonzero value has no cap."""
+    polys = [val.e, val.f, val.h]
+    point = []
+    for i in range(3 * P.nvars):
+        for v in _grid_values(field, deg):
+            sub = [q.substitute(i, v) for q in polys]
+            if any(sub):
+                break
+        else:
+            raise AssertionError("no grid value keeps a nonzero polynomial nonzero")
+        polys = sub
+        point.append(v)
+    triples = [tuple(point[3 * i: 3 * i + 3]) for i in range(P.nvars)]
+    return triples, _sl2_value(P, triples, field)
+
+
 def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
                     trials=8, grid=2 ** 20) -> IdentityVerdict:
     """Decide whether P vanishes identically on sl(2, K).
@@ -216,7 +259,9 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
     and tests the coordinate polynomials for literal zero; refused for
     d > 4 or degree > 12.  A monomial of degree < 5 short-circuits to
     not_identity over Q.  randomized mode: seeded integer-grid sampling
-    with per-trial failure bound deg(P)/grid.
+    with per-trial failure bound deg(P)/grid.  A not_identity witness is
+    the least point of a fixed grid in lex order; over Q it is read off the
+    symbolic value (_greedy_witness), over F_p the grid is searched.
     """
     if field.characteristic == 2:
         raise MapsError("sl(2) identity testing requires characteristic != 2")
@@ -227,8 +272,17 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
     mindeg = min(len(w) for w in nf.coeffs)
 
     if mindeg < 5 and field.characteristic == 0:
-        triples, val = _witness_grid_search(P, field, deg)
-        assert triples is not None, "degree-<5 shortcut failed to find a witness"
+        used = {i for w in nf.coeffs for i in w}
+        if len(used) <= 4 and deg <= 12:
+            triples, val = _greedy_witness(P, _symbolic_value(P, field, used),
+                                           field, deg)
+        else:
+            triples, val = _witness_grid_search(P, field, deg)
+            if triples is None:
+                raise CostGuardError(
+                    "degree-<5 shortcut: no witness among the first 300000 grid "
+                    "points, and %d variables or degree %d is beyond the "
+                    "symbolic guard (4, 12)" % (len(used), deg))
         return IdentityVerdict(result="not_identity", mode="degree_shortcut",
                                witness=[tuple(t) for t in triples],
                                witness_value=(val.e, val.f, val.h))
@@ -238,16 +292,13 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
             raise CostGuardError(
                 "exact mode refused: arity %d > 4 or degree %d > 12"
                 % (P.nvars, deg))
-        d = P.nvars
-        nsym = 3 * d
-        xs = [Sl2Vec(MPoly.variable(3 * i, nsym, field),
-                     MPoly.variable(3 * i + 1, nsym, field),
-                     MPoly.variable(3 * i + 2, nsym, field), field)
-              for i in range(d)]
-        val = evaluate(P, xs)
+        val = _symbolic_value(P, field, range(1, P.nvars + 1))
         if val.is_zero():
             return IdentityVerdict(result="identity", mode="exact_symbolic")
-        triples, wval = _witness_grid_search(P, field, deg)
+        if field.characteristic == 0:
+            triples, wval = _greedy_witness(P, val, field, deg)
+        else:
+            triples, wval = _witness_grid_search(P, field, deg)
         if triples is None:
             raise MapsError(
                 "coordinate polynomials are nonzero but no witness was found "
@@ -457,14 +508,13 @@ def engel_solve(alg: ChevalleyAlgebra, spec: EngelSpec, target: AlgElement,
     g, u = alg.conjugate_into_U(target, seed=seed, budget=budget)
     conj_desc = [[f[0]] + [str(x) for x in f[1:]] for f in g.factors]
 
-    coeffs = [alg.field.zero()] * alg.dim
+    coeffs = [0] * alg.dim
     for k in range(alg.rank, alg.dim):
         c = u.coeffs[k]
         if c:
             beta = alg.basis[k][1]
-            val = spec.f_value(alg.beta_value(beta, h), alg.field)
-            coeffs[k] = c / val
-    X = AlgElement(alg, coeffs)
+            coeffs[k] = c / spec.f_value(alg.beta_value(beta, h), alg.field)
+    X = alg.element(coeffs)
     ginv = g.inverse()
     Xs, Ys = ginv.apply(X), ginv.apply(h)
     trace = {
@@ -547,8 +597,7 @@ def _encode(vec, p):
 def _central_indices(alg: ChevalleyAlgebra):
     """Indices of all central elements (the span of the centre basis)."""
     p = alg.field.modulus
-    cb = alg.center()
-    vecs = [[c.val for c in b.coeffs] for b in cb]
+    vecs = [b.coeffs for b in alg.center()]
     out = set()
     for combo in itertools.product(range(p), repeat=len(vecs)):
         acc = [0] * alg.dim
@@ -718,7 +767,7 @@ def _build_report(alg, P, mode_json, attained, domain_size, workers):
     def check(v, a_idx):
         xs = [alg.element_from_json(e) for e in preimage_json(a_idx)]
         val = evaluate(P, xs)
-        assert _encode([c.val for c in val.coeffs], p) == v, \
+        assert _encode(val.coeffs, p) == v, \
             "stored preimage fails re-evaluation"
 
     central_hits = []
@@ -932,7 +981,7 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
             X = alg.element_from_ints(list(x))
             Y = alg.element_from_ints(_decode(y_idx, p, alg.dim))
             val = evaluate(engel_monomial(m), [X, Y])
-            assert _encode([c.val for c in val.coeffs], p) == c_idx, \
+            assert _encode(val.coeffs, p) == c_idx, \
                 "probe preimage fails re-evaluation"
             entries.append({"element": alg.element_from_ints(
                                 _decode(c_idx, p, alg.dim)).to_json(),

@@ -307,7 +307,7 @@ class Realization:
 
     def to_matrix(self, x: AlgElement) -> MatrixElement:
         f = self.alg.field
-        rows = self.combine([f.residue(c) for c in x.coeffs])
+        rows = self.combine(x.coeffs)
         return MatrixElement(self.tag, [[f.lift(v) for v in row] for row in rows],
                              f, validate=False)
 
@@ -322,7 +322,7 @@ class Realization:
     def from_matrix(self, M: MatrixElement) -> AlgElement:
         f = self.alg.field
         coords = self.matrix_coords([[f.residue(x) for x in r] for r in M.rows])
-        return AlgElement(self.alg, [f.lift(c) for c in coords])
+        return AlgElement(self.alg, coords)
 
     def _verify(self):
         alg = self.alg
@@ -331,7 +331,7 @@ class Realization:
             for j in range(i + 1, alg.dim):
                 lhs = _commutator(self.images[i], self.images[j], f)
                 bij = alg.bracket(alg.basis_element(i), alg.basis_element(j))
-                if lhs != self.combine([f.residue(c) for c in bij.coeffs]):
+                if lhs != self.combine(bij.coeffs):
                     raise MatrixRepError(
                         "realization fails on basis pair (%d, %d)" % (i, j))
 

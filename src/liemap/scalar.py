@@ -5,11 +5,13 @@ Scalars are either ``fractions.Fraction`` (over Q) or :class:`FpElement`
 equal by value, so all higher modules are generic over the field.
 No floating point anywhere.
 
-Linear algebra runs on a bare representation instead: residues, meaning
-ints in [0, p) over F_p and Fractions over Q.  Each field descriptor
-converts scalars to residues (``residue``) and back (``lift``) and supplies
-the residue arithmetic of ``linalg``: ``reduce`` and ``reduce_row`` for
-sums of products, ``inv`` for pivots, and the row updates ``scale_row`` and
+These are the public scalars: arguments, MatrixElement rows and the
+values formatted into JSON.  Algebra elements, linear algebra and the
+automorphism and realization matrices hold a bare representation instead:
+residues, meaning ints in [0, p) over F_p and Fractions over Q.  Each field
+descriptor converts scalars to residues (``residue``) and back (``lift``)
+and supplies the residue arithmetic: ``reduce`` and ``reduce_row`` for sums
+of products, ``inv`` for pivots, and the row updates ``scale_row`` and
 ``sub_row``.
 """
 
@@ -191,10 +193,6 @@ class Rationals:
         """row - c * piv."""
         return [x - c * y if y else x for x, y in zip(row, piv)]
 
-    @property
-    def size(self):
-        return None
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -238,9 +236,7 @@ class PrimeField:
         return FpElement(int(text.strip()), self.modulus)
 
     def format_scalar(self, x) -> str:
-        if isinstance(x, int):
-            x = self.from_int(x)
-        return str(x.val)
+        return str(self.residue(x))
 
     def elements(self):
         p = self.modulus
@@ -280,10 +276,6 @@ class PrimeField:
         """row - c * piv."""
         p = self.modulus
         return [(x - c * y) % p for x, y in zip(row, piv)]
-
-    @property
-    def size(self):
-        return self.modulus
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.modulus == self.modulus

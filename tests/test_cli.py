@@ -155,6 +155,25 @@ def test_central_probe_workers_below_1_is_usage_error(workers):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A1", "--field", "F3",
+     "--mode", "sampled", "--seed", "1", "--samples", "-5"],
+    ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A1", "--field", "F3",
+     "--budget", "-1"],
+    ["witness-search", "--poly", "[[X1,X2],X2]", "--realization", "sl3",
+     "--budget", "-1"],
+    ["identity", "--poly", "[[[[X,Y],Y],Y],Y]", "--mode", "randomized",
+     "--trials", "-1"],
+    ["identity", "--poly", "[[[[X,Y],Y],Y],Y]", "--mode", "randomized",
+     "--grid", "0"],
+], ids=["scan-samples", "scan-budget", "witness-search-budget",
+        "identity-trials", "identity-grid"])
+def test_nonpositive_count_is_usage_error(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
 def test_semantic_error_exit_1(capsys):
     code, out = run(capsys, ["roots", "--type", "A", "--rank", "1",
                              "--field", "F2"])

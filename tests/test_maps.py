@@ -10,7 +10,7 @@ from liemap import linalg, maps
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
-from liemap.freelie import engel_monomial, evaluate, make_engel, parse
+from liemap.freelie import engel_monomial, evaluate, make_engel, normal_form, parse
 from liemap.scalar import make_field
 
 Q = make_field("Q")
@@ -70,6 +70,42 @@ def test_identity_randomized_bound_clipped_by_field():
     # degree >= field size cannot give a meaningful bound
     with pytest.raises(maps.MapsError):
         maps.is_identity_sl2(engel_monomial(9), F7, mode="randomized", seed=0)
+
+
+def test_identity_witness_from_symbolic_value():
+    # the capped lex-order grid keeps the leading variables at zero: it misses
+    # the first two and needs about a minute for the third; over Q the
+    # witness is read off the symbolic value
+    from liemap.maps import _sl2_value
+    for text, how in (("[[X1,X2],[X3,X4]]", "degree_shortcut"),
+                      ("[X1,X2] + 0*X9", "degree_shortcut"),
+                      ("[[[X3,X2],X1],[[X1,X2],X3]]", "exact_symbolic")):
+        P = parse(text)
+        v = maps.is_identity_sl2(P, Q, mode="exact")
+        assert v.result == "not_identity" and v.mode == how
+        val = _sl2_value(P, v.witness, Q)
+        assert not val.is_zero()
+        assert (val.e, val.f, val.h) == tuple(v.witness_value)
+
+
+def test_identity_greedy_witness_is_the_grid_witness():
+    # where the grid search is quick, both find the same lex-least point
+    for text in ("[[X,Y],Y]", "[[[X,Y],X],Y]", "2*X1+[X2,X3]",
+                 "[[[X,Y],Y],[X,Y]]", "[[X,Y],[X,[X,Y]]]"):
+        P = parse(text)
+        deg = max(len(w) for w in normal_form(P).coeffs)
+        v = maps.is_identity_sl2(P, Q, mode="exact")
+        triples, val = maps._witness_grid_search(P, Q, deg)
+        assert v.witness == triples
+        assert tuple(v.witness_value) == (val.e, val.f, val.h)
+
+
+def test_identity_exact_not_identity_pinned():
+    v = maps.is_identity_sl2(parse("[[[X3,X2],X1],[[X1,X2],X3]]"), Q, mode="exact")
+    assert v.to_json(Q) == {"result": "not_identity", "mode": "exact_symbolic",
+                            "witness": [["0", "0", "1"], ["0", "1", "0"],
+                                        ["1", "0", "1"]],
+                            "witness_value": ["0", "-16", "0"]}
 
 
 def test_identity_cost_guard():
@@ -373,7 +409,7 @@ def test_scan_solve_cross_validation_sl2_F3():
         sol = maps.engel_solve(alg, spec, x)
         v = evaluate(P, [sol.X, sol.Y])
         assert v == x
-        assert _encode([c.val for c in v.coeffs], 3) in range(27)
+        assert _encode(v.coeffs, 3) in range(27)
     assert rep.contains_all_noncentral
 
 
@@ -407,16 +443,10 @@ def test_example48_scan_misses_me_mf():
     alg = build_algebra("A", 1, F5)
     P = maps.example48_poly()
     rep = maps.image_scan(alg, P, mode="exhaustive")
-    from liemap.maps import _compile_int_eval, _decode, _encode
-    ev = _compile_int_eval(P, alg)
-    attained = set()
-    for ai in range(125 ** 2):
-        rest = ai
-        xs = []
-        for _ in range(2):
-            rest, e_idx = divmod(rest, 125)
-            xs.append(_decode(e_idx, 5, 3))
-        attained.add(_encode(ev(xs), 5))
+    # independent of the scan's int kernel: the element bracket
+    from liemap.maps import _decode, _encode
+    elems = [alg.element_from_ints(_decode(i, 5, 3)) for i in range(125)]
+    attained = {_encode(evaluate(P, [x, y]).coeffs, 5) for y in elems for x in elems}
     assert len(attained) == rep.attained_count
     # basis order (h, e, f): m*e has index 5m, m*f has index 25m
     for m in range(1, 5):
