@@ -460,21 +460,13 @@ class ChevalleyAlgebra:
             f = self.field
             if f.characteristic in (2, 3):
                 raise ChevalleyError("root automorphisms need characteristic 0 or >= 5")
-            Te = self.bracket_table[self._eidx[self.rs.root(coords).coords]]
-            cols = [{j: f.residue(1)} for j in range(self.dim)]
+            e = self.basis_element(self._eidx[self.rs.root(coords).coords])
+            cols = [self.basis_element(j) for j in range(self.dim)]
             powers = []
             for k in range(1, 6):
-                inv_k = f.inv(f.residue(k))
-                new_cols = []
-                for col in cols:
-                    acc = {}
-                    for i, c in col.items():
-                        for t, n in Te[i]:
-                            acc[t] = acc.get(t, 0) + c * n
-                    acc = {t: f.reduce(v * inv_k) for t, v in acc.items()}
-                    new_cols.append({t: v for t, v in acc.items() if v})
-                cols = new_cols
-                nk = tuple((j, tuple(col.items())) for j, col in enumerate(cols) if col)
+                cols = [e.bracket(c).scale_rational(Fraction(1, k)) for c in cols]
+                nk = tuple((j, tuple((i, c) for i, c in enumerate(col.coeffs) if c))
+                           for j, col in enumerate(cols) if not col.is_zero())
                 if not nk:
                     break
                 powers.append(nk)

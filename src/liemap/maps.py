@@ -273,16 +273,8 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
 
     if mindeg < 5 and field.characteristic == 0:
         used = {i for w in nf.coeffs for i in w}
-        if len(used) <= 4 and deg <= 12:
-            triples, val = _greedy_witness(P, _symbolic_value(P, field, used),
-                                           field, deg)
-        else:
-            triples, val = _witness_grid_search(P, field, deg)
-            if triples is None:
-                raise CostGuardError(
-                    "degree-<5 shortcut: no witness among the first 300000 grid "
-                    "points, and %d variables or degree %d is beyond the "
-                    "symbolic guard (4, 12)" % (len(used), deg))
+        triples, val = _greedy_witness(P, _symbolic_value(P, field, used),
+                                       field, deg)
         return IdentityVerdict(result="not_identity", mode="degree_shortcut",
                                witness=[tuple(t) for t in triples],
                                witness_value=(val.e, val.f, val.h))

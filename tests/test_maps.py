@@ -74,11 +74,12 @@ def test_identity_randomized_bound_clipped_by_field():
 
 def test_identity_witness_from_symbolic_value():
     # the capped lex-order grid keeps the leading variables at zero: it misses
-    # the first two and needs about a minute for the third; over Q the
+    # the first three and needs about a minute for the last; over Q the
     # witness is read off the symbolic value
     from liemap.maps import _sl2_value
     for text, how in (("[[X1,X2],[X3,X4]]", "degree_shortcut"),
                       ("[X1,X2] + 0*X9", "degree_shortcut"),
+                      ("[X1,X2]+[X1,X3]+[X1,X4]+[X1,X5]", "degree_shortcut"),
                       ("[[[X3,X2],X1],[[X1,X2],X3]]", "exact_symbolic")):
         P = parse(text)
         v = maps.is_identity_sl2(P, Q, mode="exact")
