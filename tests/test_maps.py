@@ -92,7 +92,8 @@ def test_identity_witness_from_symbolic_value():
 def test_identity_greedy_witness_is_the_grid_witness():
     # where the grid search is quick, both find the same lex-least point
     for text in ("[[X,Y],Y]", "[[[X,Y],X],Y]", "2*X1+[X2,X3]",
-                 "[[[X,Y],Y],[X,Y]]", "[[X,Y],[X,[X,Y]]]"):
+                 "[[[X,Y],Y],[X,Y]]", "[[X,Y],[X,[X,Y]]]",
+                 "[X4,X5]+[[X1,X2],[X3,X5]]", "[[X5,X4],X5]+[X1,[X2,X3]]"):
         P = parse(text)
         deg = max(len(w) for w in normal_form(P).coeffs)
         v = maps.is_identity_sl2(P, Q, mode="exact")
