@@ -1,8 +1,10 @@
 """liemap: command-line frontend with canonical JSON output.
 
 Exit codes: 0 success, 1 semantic failure (mathematical precondition or an
---expect mismatch), 2 usage error.  Identical invocations produce identical
-bytes; every randomized run records its seed in the output.
+--expect mismatch), 2 usage error, 3 internal error (a failed invariant or
+re-evaluation certificate; the error JSON has kind "InternalError").
+Identical invocations produce identical bytes; every randomized run records
+its seed in the output.
 """
 
 from __future__ import annotations
@@ -362,6 +364,9 @@ def main(argv=None) -> int:
     except SEMANTIC_ERRORS as e:
         _emit({"error": str(e), "kind": type(e).__name__})
         return 1
+    except AssertionError as e:
+        _emit({"error": str(e), "kind": "InternalError"})
+        return 3
 
 
 if __name__ == "__main__":

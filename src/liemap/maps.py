@@ -230,12 +230,13 @@ def _symbolic_value(P, field, symbolic):
 
 
 def _greedy_witness(P, val, field, deg):
-    """Over Q, the grid point _witness_grid_search would return, found from
-    the nonzero symbolic value `val` of P: each coordinate in turn takes the
-    least grid value that leaves some coordinate polynomial nonzero.  One
-    always exists: a variable occurs in degree at most deg(P), below the
-    number of grid values, so a nonzero polynomial cannot vanish on all of
-    them.  The lex-least grid point with a nonzero value has no cap."""
+    """The grid point _witness_grid_search would return, found from the
+    nonzero symbolic value `val` of P, over Q or over F_p with deg(P) < p:
+    each coordinate in turn takes the least grid value that leaves some
+    coordinate polynomial nonzero.  One always exists: a variable occurs in
+    degree at most deg(P), below the number of grid values, so a nonzero
+    polynomial cannot vanish on all of them.  The lex-least grid point with
+    a nonzero value has no cap."""
     polys = [val.e, val.f, val.h]
     point = []
     for i in range(3 * P.nvars):
@@ -248,7 +249,9 @@ def _greedy_witness(P, val, field, deg):
         polys = sub
         point.append(v)
     triples = [tuple(point[3 * i: 3 * i + 3]) for i in range(P.nvars)]
-    return triples, _sl2_value(P, triples, field)
+    value = _sl2_value(P, triples, field)
+    assert not value.is_zero(), "greedy witness fails re-evaluation"
+    return triples, value
 
 
 def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
@@ -260,8 +263,9 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
     d > 4 or degree > 12.  A monomial of degree < 5 short-circuits to
     not_identity over Q.  randomized mode: seeded integer-grid sampling
     with per-trial failure bound deg(P)/grid.  A not_identity witness is
-    the least point of a fixed grid in lex order; over Q it is read off the
-    symbolic value (_greedy_witness), over F_p the grid is searched.
+    the least point of a fixed grid in lex order.  Over Q, and over F_p when
+    deg(P) < p, it is read off the symbolic value (_greedy_witness); over a
+    smaller F_p the grid is searched up to a cap.
     """
     if field.characteristic == 2:
         raise MapsError("sl(2) identity testing requires characteristic != 2")
@@ -287,7 +291,7 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
         val = _symbolic_value(P, field, range(1, P.nvars + 1))
         if val.is_zero():
             return IdentityVerdict(result="identity", mode="exact_symbolic")
-        if field.characteristic == 0:
+        if field.characteristic == 0 or deg < field.modulus:
             triples, wval = _greedy_witness(P, val, field, deg)
         else:
             triples, wval = _witness_grid_search(P, field, deg)
@@ -821,41 +825,97 @@ def _engel_matrix(acoeffs, D, field):
     return M
 
 
+def _scaling_representatives(p, dim):
+    """Indices of the least vector of each class {cY : c in F_p^*}, in
+    increasing order: 0 and every index whose highest nonzero digit is 1."""
+    return itertools.chain((0,), *(range(p ** k, 2 * p ** k) for k in range(dim)))
+
+
+def _column_preimages(M, basis, field):
+    """x_i with M x_i = u_i for the echelon rows u_i of M's column space,
+    each the one `linalg.solve(M, u_i)` returns, from one elimination of
+    [M | basis^T]."""
+    m = len(M[0])
+    R, pivots = linalg.rref([row + [u[i] for u in basis]
+                             for i, row in enumerate(M)], field)
+    assert all(c < m for c in pivots), "echelon row outside the column space"
+    xs = []
+    for j, u in enumerate(basis):
+        x = [0] * m
+        for r, c in enumerate(pivots):
+            x[c] = R[r][m + j]
+        assert linalg.mat_vec(M, x, field) == u, "column preimage fails M x = u"
+        xs.append(x)
+    return xs
+
+
+def _members(basis, remaining, field, dim):
+    """The indices in `remaining` (index -> vector) of the vectors in the
+    span of the echelon rows `basis`: the span is enumerated when it is no
+    larger than `remaining`, otherwise each vector is tested against the
+    annihilator."""
+    p = field.modulus
+    if p ** len(basis) <= len(remaining):
+        span = [[0] * dim]
+        for row in basis:
+            span += [[(a + t * b) % p for a, b in zip(v, row)]
+                     for t in range(1, p) for v in span]
+        return [i for i in map(_encode, span, itertools.repeat(p))
+                if i in remaining]
+    ann = linalg.kernel_basis(basis, field)
+    return [i for i, v in remaining.items()
+            if not any(sum(map(operator.mul, a, v)) % p for a in ann)]
+
+
 def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec,
                      workers=1) -> ImageReport:
     """Exact image of a generalized Engel map, computed per fixed Y.
 
     P(X, Y) = g(D_Y) X with D_Y = [., Y] and g(t) = sum a_i t^i, so for each
-    Y the attainable values form the column space of g(D_Y).  Enumerating Y
-    and deciding membership by exact linear algebra marks exactly the same
-    elements as the brute-force scan (validated against it on small cases).
+    Y the attainable values form the column space of g(D_Y).  Y is walked in
+    index order; each element is credited to the first Y whose column space
+    holds it, with the preimage `linalg.solve` gives there.  Solving is
+    linear on the column space, so one elimination per new column space
+    yields preimages x_i of its echelon rows u_i, and v gets sum v[pivot_i]
+    x_i.  The walk stops once every element is attained.  When g is a
+    monomial a t^m, g(D_cY) = c^m g(D_Y) has the same column space as
+    g(D_Y), so only the least Y of each F_p^* class is visited.  The result
+    marks exactly the elements the brute-force scan marks (validated against
+    it on small cases).  `workers` is recorded only: the walk is sequential
+    so that it can stop early.  The elements not yet attained are held
+    decoded, so p^dim is capped by the scan budget (LIEMAP_BUDGET).
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
     field, p, dim = alg.field, alg.field.modulus, alg.dim
     N = p ** dim
+    budget = int(os.environ.get("LIEMAP_BUDGET", DEFAULT_SCAN_BUDGET))
+    if N > budget:
+        raise ScanBudgetError(
+            "Engel scan holds %d elements > budget %d; raise LIEMAP_BUDGET"
+            % (N, budget))
     acoeffs = [field.residue(c) for c in spec.coeffs]
-    subspaces = {}
-    for y_idx in range(N):
-        M = _engel_matrix(acoeffs, _dy_matrix(alg, _decode(y_idx, p, dim)), field)
-        basis, _ = _column_echelon(M, field)
-        key = tuple(map(tuple, basis))
-        if key not in subspaces:
-            subspaces[key] = (y_idx, M)
-    place = [p ** k for k in range(dim)]
+    monomial = sum(1 for a in acoeffs if a) == 1
+    seen = set()
+    remaining = {i: _decode(i, p, dim) for i in range(N)}
     attained = {}
-    for key, (y_idx, M) in subspaces.items():
-        span = [[0] * dim]
-        for row in key:
-            span += [[(a + b) % p for a, b in zip(v, trow)]
-                     for trow in [[t * b % p for b in row] for t in range(1, p)]
-                     for v in span]
-        for v in span:
-            v_idx = sum(map(operator.mul, v, place))
-            if v_idx not in attained:
-                x = linalg.solve(M, v, field)
-                assert x is not None
-                attained[v_idx] = _encode(x, p) + N * y_idx
+    for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
+        M = _engel_matrix(acoeffs, _dy_matrix(alg, _decode(y_idx, p, dim)), field)
+        basis, pivots = _column_echelon(M, field)
+        key = tuple(_encode(u, p) for u in basis)
+        if key in seen:
+            continue
+        seen.add(key)
+        xs = _column_preimages(M, basis, field)
+        for v_idx in _members(basis, remaining, field, dim):
+            v = remaining.pop(v_idx)
+            x = [0] * dim
+            for c, xi in zip(pivots, xs):
+                if v[c]:
+                    x = [(a + v[c] * b) % p for a, b in zip(x, xi)]
+            attained[v_idx] = _encode(x, p) + N * y_idx
+        if not remaining:
+            break
     P, _ = make_engel(spec.coeffs)
     mode_json = {"kind": "exhaustive", "engine": "engel-linear"}
     return _build_report(alg, P, mode_json, attained, N ** 2, workers)
@@ -883,7 +943,8 @@ class CentralProbeReport:
 
 
 def _probe_chunk(args):
-    """Scan Y indices [start, end) for central hits of E_m, all m in range.
+    """Scan the scaling-class representatives [start, end) of Y (positions
+    in `_scaling_representatives`) for central hits of E_m, all m in range.
 
     A target is a hit for (m, Y) when it lies in the column space of D_Y^m,
     tested against that space's echelon form; only a hit is solved for its
@@ -896,7 +957,7 @@ def _probe_chunk(args):
     field = alg.field
     max_m = max(ms)
     hits = {}
-    for y_idx in range(start, end):
+    for y_idx in itertools.islice(_scaling_representatives(p, alg.dim), start, end):
         D = _dy_matrix(alg, _decode(y_idx, p, alg.dim))
         M, rk, frozen = D, -1, False
         for m in range(1, max_m + 1):
@@ -921,8 +982,11 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
     """Which Engel degrees m attain nonzero central values, exhaustively.
 
     E_m(X, Y) is linear in X, so for each Y the attainable set is the column
-    space of D_Y^m; scanning every Y decides attainment exactly.  Reports the
-    least m0 in range with no nonzero central hits from m0 onward.
+    space of D_Y^m; scanning every Y decides attainment exactly.  D_cY^m =
+    c^m D_Y^m has the same column space and cY the larger index, so only the
+    least Y of each F_p^* class is scanned, and the workers split those
+    evenly.  Reports the least m0 in range with no nonzero central hits from
+    m0 onward.
     """
     if alg.field.characteristic == 0:
         raise MapsError("the central probe requires a finite field")
@@ -943,12 +1007,12 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
     if not targets:
         raise MapsError("central probe is meaningless for a trivial centre")
 
-    N = p ** alg.dim
+    n_reps = 1 + sum(p ** k for k in range(alg.dim))
     args = []
-    chunk = (N + workers - 1) // workers if workers > 1 else N
+    chunk = (n_reps + workers - 1) // workers if workers > 1 else n_reps
     pos = 0
-    while pos < N:
-        hi = min(N, pos + chunk)
+    while pos < n_reps:
+        hi = min(n_reps, pos + chunk)
         args.append((alg.rs.type_label, alg.rs.rank, p, tuple(ms), pos, hi,
                      tuple(targets)))
         pos = hi

@@ -184,6 +184,21 @@ def test_semantic_error_exit_1(capsys):
     assert code == 1 and "error" in json.loads(out)
 
 
+def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
+    # a failed re-evaluation certificate is an internal error, told apart
+    # from a mathematical precondition: error JSON and exit code 3
+    from liemap import maps
+    monkeypatch.setattr(maps, "evaluate", lambda P, xs: xs[0].alg.zero())
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(
+        {"basis": "chevalley", "coeffs": ["1", "2", "0", "0", "3", "0", "1", "0"]}))
+    code, out = run(capsys, ["engel-solve", "--algebra", "A2", "--field", "F5",
+                             "--coeffs", "0,1", "--target", str(target)])
+    assert code == 3
+    assert json.loads(out) == {"error": "Engel solver produced an invalid solution",
+                               "kind": "InternalError"}
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "roots.json"
     code, out = run(capsys, ["roots", "--type", "G", "--rank", "2",

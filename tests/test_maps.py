@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_element, random_nonzero_element
 from liemap import linalg, maps
@@ -100,6 +101,33 @@ def test_identity_greedy_witness_is_the_grid_witness():
         triples, val = maps._witness_grid_search(P, Q, deg)
         assert v.witness == triples
         assert tuple(v.witness_value) == (val.e, val.f, val.h)
+
+
+def test_identity_fp_greedy_witness():
+    # over F_p with deg(P) < p the witness is read off the symbolic value too,
+    # and it is the point the capped grid search finds where that is quick
+    from liemap.maps import _sl2_value
+    cases = [(text, F) for F in (F5, F7)
+             for text in ("[[X1,X2],X2]", "[X1,X2]", "[[[X1,X2],X2],X2]",
+                          "[X1,X2]+[X2,X3]", "[[X1,X2],X3]")]
+    cases.append(("[[X1,X2],[X1,[X1,X2]]]", F7))
+    for text, F in cases:
+        P = parse(text)
+        deg = max(len(w) for w in normal_form(P).coeffs)
+        assert deg < F.modulus
+        v = maps.is_identity_sl2(P, F, mode="exact")
+        assert v.result == "not_identity" and v.mode == "exact_symbolic"
+        triples, val = maps._witness_grid_search(P, F, deg)
+        assert v.witness == triples
+        assert tuple(v.witness_value) == (val.e, val.f, val.h)
+    # beyond the grid's cap: a witness exists and is found at once
+    for F in (F5, F7):
+        P = parse("[[X1,X2],[X3,X4]]")
+        v = maps.is_identity_sl2(P, F, mode="exact")
+        assert v.result == "not_identity" and v.mode == "exact_symbolic"
+        val = _sl2_value(P, v.witness, F)
+        assert not val.is_zero()
+        assert (val.e, val.f, val.h) == tuple(v.witness_value)
 
 
 def test_identity_exact_not_identity_pinned():
@@ -347,6 +375,14 @@ def test_scan_budget():
         maps.image_scan(alg, P, mode="exhaustive", budget=1000)
 
 
+def test_engel_scan_budget(monkeypatch):
+    alg = build_algebra("A", 2, F3)
+    _, spec = make_engel([0, 1])
+    monkeypatch.setenv("LIEMAP_BUDGET", "6560")
+    with pytest.raises(maps.ScanBudgetError):
+        maps.engel_image_scan(alg, spec)
+
+
 def test_scan_workers_bit_identical():
     alg = build_algebra("A", 1, F3)
     P, _ = make_engel([0, 1])
@@ -380,21 +416,60 @@ def test_scan_sampled_deterministic():
         maps.image_scan(alg, P, mode="sampled")
 
 
-def test_engel_linear_engine_matches_brute_force():
+# coefficient lists of length 1-4 with a nonzero last entry, which may still
+# vanish mod p: monomials a t^m and mixed sums
+_NONZERO = st.integers(-4, 8).filter(bool)
+_ENGEL_COEFFS = st.one_of(
+    st.builds(lambda m, a: [0] * (m - 1) + [a], st.integers(1, 4), _NONZERO),
+    st.builds(lambda head, a: head + [a],
+              st.lists(st.integers(-4, 8), max_size=3), _NONZERO))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.tuples(st.sampled_from([3, 5, 7]), _ENGEL_COEFFS))
+@example((3, [0, 1]))
+@example((3, [1]))
+@example((5, [0, 0, 1]))
+@example((5, [1, 1]))
+@example((3, [1, 2]))
+@example((7, [0, 1]))
+@example((7, [3, 0, 1]))
+def test_engel_linear_engine_matches_brute_force(case):
     """The linear-fiber engine must agree exactly with the brute-force oracle
     on every small case before it is trusted on larger ones."""
-    cases = [("A", 1, F3, [0, 1]), ("A", 1, F3, [1]), ("A", 1, F5, [0, 0, 1]),
-             ("A", 1, F5, [1, 1]), ("A", 1, F3, [1, 2])]
-    for t, r, field, coeffs in cases:
-        alg = build_algebra(t, r, field)
-        P, spec = make_engel(coeffs)
-        brute = maps.image_scan(alg, P, mode="exhaustive")
-        lin = maps.engel_image_scan(alg, spec)
-        assert brute.attained_count == lin.attained_count
-        assert brute.hit_counts == lin.hit_counts
-        assert brute.contains_all_noncentral == lin.contains_all_noncentral
-        assert [h["element"] for h in brute.central_hits] == \
-            [h["element"] for h in lin.central_hits]
+    p, coeffs = case
+    field = make_field("F%d" % p)
+    alg = build_algebra("A", 1, field)
+    P, spec = make_engel(coeffs)
+    brute = maps.image_scan(alg, P, mode="exhaustive", workers=2)
+    lin = maps.engel_image_scan(alg, spec)
+    assert brute.attained_count == lin.attained_count
+    assert brute.hit_counts == lin.hit_counts
+    assert brute.contains_all_noncentral == lin.contains_all_noncentral
+    assert brute.missed_sample == lin.missed_sample
+    assert [h["element"] for h in brute.central_hits] == \
+        [h["element"] for h in lin.central_hits]
+    assert [h["element"] for h in brute.preimage_samples] == \
+        [h["element"] for h in lin.preimage_samples]
+    # every preimage the engine reports, re-evaluated by the element bracket
+    for hit in lin.central_hits + lin.preimage_samples:
+        xs = [alg.element_from_json(e) for e in hit["preimage"]]
+        assert evaluate(P, xs) == alg.element_from_json(hit["element"])
+
+
+@pytest.mark.parametrize("coeffs, digest", [
+    ([1, 1], "c78006cffcaa9cb1d8584aa7a7164fe76d09e104ea5d8fc4fcc474aea8bd50ad"),
+    # misses two central elements, so the Y walk never stops early
+    ([0, 0, 1], "5f0d9c43eea03f699b2600fa7678369d141feed9a13cd8024f4cc36b2a7cddcc"),
+    ([2, 0, 1], "9c1206dfa1c2baf30caa221d3f021bfa6094791a190726a93e38f7f64799f427"),
+], ids=["1,1", "0,0,1", "2,0,1"])
+def test_engel_linear_engine_pinned_sl3_F3(coeffs, digest):
+    # regression constants: report digests of the unreduced engine, which
+    # visited every Y and enumerated every column space in full
+    alg = build_algebra("A", 2, F3)
+    _, spec = make_engel(coeffs)
+    rep = maps.engel_image_scan(alg, spec)
+    assert hashlib.sha256(maps._canonical(rep.to_json()).encode()).hexdigest() == digest
 
 
 def test_scan_solve_cross_validation_sl2_F3():
@@ -519,12 +594,16 @@ def test_central_probe_small():
 
 
 def test_central_probe_workers_match():
+    # the chunks split the scaling-class representatives of Y; the merged
+    # report must not depend on how many there are
     alg = build_algebra("A", 2, F3)
-    r1 = maps.central_image_probe(alg, range(1, 3), workers=1)
-    r2 = maps.central_image_probe(alg, range(1, 3), workers=2)
-    j1, j2 = r1.to_json(), r2.to_json()
-    j1.pop("workers"), j2.pop("workers")
-    assert j1 == j2
+    reports = {w: maps.central_image_probe(alg, range(1, 13), workers=w).to_json()
+               for w in (1, 2, 3)}
+    assert hashlib.sha256(maps._canonical(reports[2]).encode()).hexdigest() == \
+        "ba936ba020ca5281346a383adf841ee3dfce1190fc0b25cf2b8bcc842c600b53"
+    for w, rep in reports.items():
+        assert rep.pop("workers") == w
+    assert reports[1] == reports[2] == reports[3]
 
 
 # -- equivariance ---------------------------------------------------------------
