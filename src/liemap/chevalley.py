@@ -261,7 +261,7 @@ class ChevalleyAlgebra:
                 self.q_table[(b.coords, g.coords)] = rs.pairing(g.coords, b.coords)
 
         # bracket_table[i][j]: sparse integer coefficients (k, n) of [b_i, b_j],
-        # read by the bracket here and by the scan kernels in maps.py
+        # read by the bracket and ad_matrix here and by the scan kernel in maps.py
         self.bracket_table = [[()] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -359,9 +359,16 @@ class ChevalleyAlgebra:
         return AlgElement(self, self.field.reduce_row(out))
 
     def ad_matrix(self, x: AlgElement):
-        """Matrix of y -> [x, y] in the fixed basis (columns are [x, b_j])."""
-        cols = [self.bracket(x, self.basis_element(j)).coeffs for j in range(self.dim)]
-        return [list(row) for row in zip(*cols)]
+        """Residue matrix of y -> [x, y] in the fixed basis: column j is
+        [x, b_j], read off bracket_table.  The Engel engines in maps.py call
+        it on -Y for D_Y = [., Y]."""
+        M = [[self.field.residue(0)] * self.dim for _ in range(self.dim)]
+        for i, c in enumerate(x.coeffs):
+            if c:
+                for j, ent in enumerate(self.bracket_table[i]):
+                    for k, n in ent:
+                        M[k][j] += c * n
+        return [self.field.reduce_row(row) for row in M]
 
     def _center_echelon(self):
         """The centre, the kernel of x -> ([x, b_j])_j, in residues:

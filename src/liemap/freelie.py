@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt, lcm
 
 
 class ParseError(ValueError):
@@ -385,23 +386,34 @@ def normal_form(P: LiePoly) -> LyndonForm:
     return LyndonForm(out)
 
 
+def expansion(P: LiePoly) -> dict:
+    """P in the tensor algebra: word tuple -> nonzero Fraction.  The free Lie
+    algebra embeds in the tensor algebra and both gradings by multidegree
+    agree, so this is empty iff the normal form is zero, and its word
+    lengths, letters and one-letter coefficients are the normal form's
+    monomial degrees, variables and linear part."""
+    return _tensor_expand(P.node)
+
+
 def linear_part(P: LiePoly) -> tuple:
     """Coefficients (a_1..a_d) of the degree-1 monomials in normal form."""
-    return normal_form(P).linear_coefficients(P.nvars)
+    words = expansion(P)
+    return tuple(words.get((i,), Fraction(0)) for i in range(1, P.nvars + 1))
+
+
+def _monomial_degrees(P: LiePoly) -> set:
+    words = expansion(P)
+    if not words:
+        raise ValueError("zero polynomial has no monomial degree")
+    return {len(w) for w in words}
 
 
 def min_monomial_degree(P: LiePoly) -> int:
-    nf = normal_form(P)
-    if nf.is_zero():
-        raise ValueError("zero polynomial has no minimal monomial degree")
-    return nf.min_degree()
+    return min(_monomial_degrees(P))
 
 
 def max_monomial_degree(P: LiePoly) -> int:
-    nf = normal_form(P)
-    if nf.is_zero():
-        raise ValueError("zero polynomial has no maximal monomial degree")
-    return max(len(w) for w in nf.coeffs)
+    return max(_monomial_degrees(P))
 
 
 # -- Engel polynomials --------------------------------------------------------
@@ -440,7 +452,6 @@ class EngelSpec:
             return [x for x in field.elements() if not self.f_value(x, field)]
         fc = self.f_coefficients()
         # f = t * g; rational roots of g have p | const(g), q | lead(g)
-        from math import lcm
         den = lcm(*(c.denominator for c in fc))
         g = [int(c * den) for c in fc[1:]]
         while g and g[0] == 0:
@@ -463,8 +474,11 @@ class EngelSpec:
 
 
 def _divisors(n):
-    out = [d for d in range(1, abs(n) + 1) if n % d == 0]
-    return out or [1]
+    """Positive divisors of n in increasing order ([1] for n = 0), by trial
+    division up to sqrt|n|."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n] or [1]
 
 
 def engel_monomial(m: int) -> LiePoly:

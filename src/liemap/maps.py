@@ -26,7 +26,7 @@ from fractions import Fraction
 from .chevalley import (AlgElement, CentralElementError, ChevalleyAlgebra,
                         build_algebra)
 from .freelie import (EngelSpec, LiePoly, Br, Sum, Var, engel_monomial,
-                      evaluate, make_engel, normal_form, parse)
+                      evaluate, expansion, make_engel, parse)
 from . import linalg
 from .matrixrep import MatrixElement, theta_separates, char_invariants
 from .scalar import PrimeField
@@ -45,6 +45,10 @@ class ScanBudgetError(MapsError):
 
 
 DEFAULT_SCAN_BUDGET = 2_000_000
+
+
+def _scan_budget():
+    return int(os.environ.get("LIEMAP_BUDGET", DEFAULT_SCAN_BUDGET))
 
 
 def _canonical(obj) -> str:
@@ -122,6 +126,17 @@ class MPoly:
             out[k] = out.get(k, 0) + c * v ** m[i]
         return MPoly(out, self.nvars)
 
+    def folded(self, p):
+        """The polynomial with every exponent e >= 1 reduced to 1 + (e-1) %
+        (p-1): by x^p = x the same function on F_p^n, and, all exponents
+        being below p, zero iff that function is (Combinatorial
+        Nullstellensatz)."""
+        out = {}
+        for m, c in self.coeffs.items():
+            k = tuple(e and 1 + (e - 1) % (p - 1) for e in m)
+            out[k] = out.get(k, 0) + c
+        return MPoly(out, self.nvars)
+
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -189,58 +204,42 @@ class IdentityVerdict:
 
 
 def _sl2_value(P, triples, field):
-    xs = [Sl2Vec(field.from_rational(Fraction(a)), field.from_rational(Fraction(b)),
-                 field.from_rational(Fraction(c)), field)
-          if not hasattr(a, "p") and not isinstance(a, MPoly) else Sl2Vec(a, b, c, field)
-          for (a, b, c) in triples]
-    return evaluate(P, xs)
-
-
-def _grid_values(field, deg):
-    if field.characteristic == 0:
-        return [Fraction(v) for v in range(max(3, deg + 2))]
-    return field.elements()
-
-
-def _witness_grid_search(P, field, deg):
-    """Deterministic grid search for a nonzero value of a non-identity: the
-    first grid point in lex order of its 3d coordinates, up to a cap."""
-    d = P.nvars
-    combos = itertools.product(_grid_values(field, deg), repeat=3 * d)
-    cap = 300000
-    for n, flat in enumerate(combos):
-        if n >= cap:
-            break
-        triples = [tuple(flat[3 * i: 3 * i + 3]) for i in range(d)]
-        val = _sl2_value(P, triples, field)
-        if not val.is_zero():
-            return triples, val
-    return None, None
+    """P at the sl(2) elements with these (e, f, h) field scalars."""
+    return evaluate(P, [Sl2Vec(*t, field) for t in triples])
 
 
 def _symbolic_value(P, field, symbolic):
     """P at sl(2) elements whose coordinates are indeterminates (variable
     3(i-1)+k for coordinate k of X_i) for the X_i with i in `symbolic`, and
-    zero for the other X_i."""
+    zero for the other X_i.  Over F_p the coordinate polynomials are folded
+    (MPoly.folded), so they are zero iff P vanishes on sl(2, F_p)^d."""
     nsym = 3 * P.nvars
     zero = MPoly.zero(nsym)
-    return evaluate(P, [Sl2Vec(*[MPoly.variable(3 * i + k, nsym, field)
-                                 if i + 1 in symbolic else zero for k in range(3)],
-                               field) for i in range(P.nvars)])
+    val = evaluate(P, [Sl2Vec(*[MPoly.variable(3 * i + k, nsym, field)
+                                if i + 1 in symbolic else zero for k in range(3)],
+                              field) for i in range(P.nvars)])
+    if field.characteristic:
+        p = field.modulus
+        val = Sl2Vec(val.e.folded(p), val.f.folded(p), val.h.folded(p), field)
+    return val
 
 
 def _greedy_witness(P, val, field, deg):
-    """The grid point _witness_grid_search would return, found from the
-    nonzero symbolic value `val` of P, over Q or over F_p with deg(P) < p:
-    each coordinate in turn takes the least grid value that leaves some
-    coordinate polynomial nonzero.  One always exists: a variable occurs in
-    degree at most deg(P), below the number of grid values, so a nonzero
-    polynomial cannot vanish on all of them.  The lex-least grid point with
-    a nonzero value has no cap."""
+    """The least point, in lex order of its 3d coordinates, of the grid
+    {0, .., max(2, deg + 1)}^{3d} (F_p^{3d} over F_p) at which P is nonzero,
+    read off the nonzero symbolic value `val` of P: each coordinate in turn
+    takes the least grid value that leaves some coordinate polynomial
+    nonzero.  One always exists: a variable occurs in `val` in degree below
+    the number of grid values (at most deg(P) over Q, below p once folded
+    over F_p), so a nonzero polynomial cannot vanish on all of them."""
+    if field.characteristic:
+        grid = field.elements()
+    else:
+        grid = [Fraction(v) for v in range(max(3, deg + 2))]
     polys = [val.e, val.f, val.h]
     point = []
     for i in range(3 * P.nvars):
-        for v in _grid_values(field, deg):
+        for v in grid:
             sub = [q.substitute(i, v) for q in polys]
             if any(sub):
                 break
@@ -258,71 +257,56 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
                     trials=8, grid=2 ** 20) -> IdentityVerdict:
     """Decide whether P vanishes identically on sl(2, K).
 
-    exact mode: evaluates P at fully symbolic elements (3d indeterminates)
-    and tests the coordinate polynomials for literal zero; refused for
-    d > 4 or degree > 12.  A monomial of degree < 5 short-circuits to
-    not_identity over Q.  randomized mode: seeded integer-grid sampling
-    with per-trial failure bound deg(P)/grid.  A not_identity witness is
-    the least point of a fixed grid in lex order.  Over Q, and over F_p when
-    deg(P) < p, it is read off the symbolic value (_greedy_witness); over a
-    smaller F_p the grid is searched up to a cap.
+    The zero-ness, degrees and variables of P are read off its expansion in
+    the tensor algebra.  Exact mode evaluates P at symbolic elements (3
+    indeterminates per variable of P) and tests the coordinate polynomials
+    for zero; refused for arity > 4 or degree > 12.  Over F_p they are
+    folded first (x^p = x), and by the Combinatorial Nullstellensatz the
+    folded polynomials are zero iff P vanishes on sl(2, F_p)^d, so the
+    verdict is exact there too.  Over Q a P of least degree below 5 is never
+    an identity, and that degree shortcut takes the same path without the
+    cost guard.  A not_identity witness is the lex-least point of a fixed
+    grid at which P is nonzero, read off the symbolic value
+    (_greedy_witness).  Randomized mode: seeded integer-grid sampling with
+    per-trial failure bound deg(P)/grid.
     """
     if field.characteristic == 2:
         raise MapsError("sl(2) identity testing requires characteristic != 2")
-    nf = normal_form(P)
-    if nf.is_zero():
+    words = expansion(P)
+    if not words:
         return IdentityVerdict(result="identity", mode="exact_symbolic")
-    deg = max(len(w) for w in nf.coeffs)
-    mindeg = min(len(w) for w in nf.coeffs)
+    deg = max(map(len, words))
+    shortcut = field.characteristic == 0 and min(map(len, words)) < 5
 
-    if mindeg < 5 and field.characteristic == 0:
-        used = {i for w in nf.coeffs for i in w}
-        triples, val = _greedy_witness(P, _symbolic_value(P, field, used),
-                                       field, deg)
-        return IdentityVerdict(result="not_identity", mode="degree_shortcut",
-                               witness=[tuple(t) for t in triples],
-                               witness_value=(val.e, val.f, val.h))
-
-    if mode == "exact":
-        if P.nvars > 4 or deg > 12:
+    if shortcut or mode == "exact":
+        if not shortcut and (P.nvars > 4 or deg > 12):
             raise CostGuardError(
                 "exact mode refused: arity %d > 4 or degree %d > 12"
                 % (P.nvars, deg))
-        val = _symbolic_value(P, field, range(1, P.nvars + 1))
+        val = _symbolic_value(P, field, {i for w in words for i in w})
         if val.is_zero():
             return IdentityVerdict(result="identity", mode="exact_symbolic")
-        if field.characteristic == 0 or deg < field.modulus:
-            triples, wval = _greedy_witness(P, val, field, deg)
-        else:
-            triples, wval = _witness_grid_search(P, field, deg)
-        if triples is None:
-            raise MapsError(
-                "coordinate polynomials are nonzero but no witness was found "
-                "(possible only over a small finite field)")
-        return IdentityVerdict(result="not_identity", mode="exact_symbolic",
-                               witness=[tuple(t) for t in triples],
-                               witness_value=(wval.e, wval.f, wval.h))
+        triples, wval = _greedy_witness(P, val, field, deg)
+        return IdentityVerdict(
+            result="not_identity",
+            mode="degree_shortcut" if shortcut else "exact_symbolic",
+            witness=triples, witness_value=(wval.e, wval.f, wval.h))
 
     if mode != "randomized":
         raise MapsError("unknown mode %r" % mode)
     rng = random.Random(seed)
-    d = P.nvars
     # the effective grid is clipped by the field size, and so is the bound
     eff_grid = grid if field.characteristic == 0 else min(grid, field.modulus)
     if deg >= eff_grid:
         raise MapsError(
             "randomized mode needs a grid larger than deg(P) = %d" % deg)
     for _ in range(trials):
-        if field.characteristic == 0:
-            triples = [tuple(Fraction(rng.randrange(eff_grid)) for _ in range(3))
-                       for _ in range(d)]
-        else:
-            triples = [tuple(field.from_int(rng.randrange(eff_grid))
-                             for _ in range(3)) for _ in range(d)]
+        triples = [tuple(field.from_int(rng.randrange(eff_grid)) for _ in range(3))
+                   for _ in range(P.nvars)]
         val = _sl2_value(P, triples, field)
         if not val.is_zero():
             return IdentityVerdict(result="not_identity", mode="randomized",
-                                   witness=[tuple(t) for t in triples],
+                                   witness=triples,
                                    witness_value=(val.e, val.f, val.h))
     bound = Fraction(deg, eff_grid) ** trials
     return IdentityVerdict(result="probably_identity", mode="randomized",
@@ -590,19 +574,32 @@ def _encode(vec, p):
     return idx
 
 
+def _span_indices(basis, p, dim):
+    """Indices of the p^len(basis) vectors in the span of the linearly
+    independent residue rows `basis`."""
+    span = [[0] * dim]
+    for row in basis:
+        span += [[(a + t * b) % p for a, b in zip(v, row)]
+                 for t in range(1, p) for v in span]
+    return [_encode(v, p) for v in span]
+
+
 def _central_indices(alg: ChevalleyAlgebra):
     """Indices of all central elements (the span of the centre basis)."""
-    p = alg.field.modulus
-    vecs = [b.coeffs for b in alg.center()]
-    out = set()
-    for combo in itertools.product(range(p), repeat=len(vecs)):
-        acc = [0] * alg.dim
-        for t, v in zip(combo, vecs):
-            if t:
-                for k in range(alg.dim):
-                    acc[k] = (acc[k] + t * v[k]) % p
-        out.add(_encode(acc, p))
-    return out
+    return set(_span_indices([b.coeffs for b in alg.center()],
+                             alg.field.modulus, alg.dim))
+
+
+def _map_chunks(worker, n, workers, *common):
+    """worker((start, end) + common) for at most `workers` contiguous chunks
+    of the positions [0, n), in a forked pool when there is more than one."""
+    step = max(1, -(-n // workers) if workers > 1 else n)
+    args = [(lo, min(n, lo + step)) + common for lo in range(0, n, step)]
+    if len(args) > 1:
+        import multiprocessing
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            return pool.map(worker, args)
+    return [worker(a) for a in args]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +648,7 @@ class ImageReport:
 
 def _scan_chunk(args):
     """Worker: scan assignment indices [start, end); pure and order-free."""
-    type_label, rank, p, poly_text, start, end, mode_seed = args
+    start, end, type_label, rank, p, poly_text, mode_seed = args
     alg = build_algebra(type_label, rank, PrimeField(p))
     P = parse(poly_text)
     ev = _compile_int_eval(P, alg)
@@ -692,7 +689,7 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
     if budget is None:
-        budget = int(os.environ.get("LIEMAP_BUDGET", DEFAULT_SCAN_BUDGET))
+        budget = _scan_budget()
     p = alg.field.modulus
     N = p ** alg.dim
     d = P.nvars
@@ -714,21 +711,8 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     else:
         raise MapsError("unknown scan mode %r" % mode)
 
-    poly_text = P.pretty()
-    args = []
-    chunk = (njobs + workers - 1) // workers if workers > 1 else njobs
-    pos = 0
-    while pos < njobs:
-        hi = min(njobs, pos + chunk)
-        args.append((alg.rs.type_label, alg.rs.rank, p, poly_text, pos, hi,
-                     mode_seed))
-        pos = hi
-    if workers > 1 and len(args) > 1:
-        import multiprocessing
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_scan_chunk, args)
-    else:
-        parts = [_scan_chunk(a) for a in args]
+    parts = _map_chunks(_scan_chunk, njobs, workers, alg.rs.type_label,
+                        alg.rs.rank, p, P.pretty(), mode_seed)
     attained = {}
     for part in parts:
         for v, a_idx in part.items():
@@ -794,20 +778,6 @@ def _build_report(alg, P, mode_json, attained, domain_size, workers):
 # -- exact linear-fiber engine for Engel maps --------------------------------
 
 
-def _dy_matrix(alg, y):
-    """Residue matrix of W -> [W, y] for a residue vector y; column j is
-    [b_j, y]."""
-    p, dim, T = alg.field.modulus, alg.dim, alg.bracket_table
-    D = [[0] * dim for _ in range(dim)]
-    for j in range(dim):
-        Tj = T[j]
-        for k, yv in enumerate(y):
-            if yv:
-                for t, n in Tj[k]:
-                    D[t][j] += yv * n
-    return [[x % p for x in row] for row in D]
-
-
 def _column_echelon(M, field):
     """Reduced echelon basis (rows, pivots) of the column space of M."""
     R, pivots = linalg.rref([list(col) for col in zip(*M)], field)
@@ -856,12 +826,7 @@ def _members(basis, remaining, field, dim):
     annihilator."""
     p = field.modulus
     if p ** len(basis) <= len(remaining):
-        span = [[0] * dim]
-        for row in basis:
-            span += [[(a + t * b) % p for a, b in zip(v, row)]
-                     for t in range(1, p) for v in span]
-        return [i for i in map(_encode, span, itertools.repeat(p))
-                if i in remaining]
+        return [i for i in _span_indices(basis, p, dim) if i in remaining]
     ann = linalg.kernel_basis(basis, field)
     return [i for i, v in remaining.items()
             if not any(sum(map(operator.mul, a, v)) % p for a in ann)]
@@ -889,7 +854,7 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec,
         raise MapsError("image scans require a finite field")
     field, p, dim = alg.field, alg.field.modulus, alg.dim
     N = p ** dim
-    budget = int(os.environ.get("LIEMAP_BUDGET", DEFAULT_SCAN_BUDGET))
+    budget = _scan_budget()
     if N > budget:
         raise ScanBudgetError(
             "Engel scan holds %d elements > budget %d; raise LIEMAP_BUDGET"
@@ -900,7 +865,8 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec,
     remaining = {i: _decode(i, p, dim) for i in range(N)}
     attained = {}
     for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
-        M = _engel_matrix(acoeffs, _dy_matrix(alg, _decode(y_idx, p, dim)), field)
+        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
+        M = _engel_matrix(acoeffs, D, field)
         basis, pivots = _column_echelon(M, field)
         key = tuple(_encode(u, p) for u in basis)
         if key in seen:
@@ -952,13 +918,13 @@ def _probe_chunk(args):
     column space is the same for every larger m, so membership is decided
     once and later degrees only solve D^m x = c for the targets inside it.
     """
-    type_label, rank, p, ms, start, end, targets = args
+    start, end, type_label, rank, p, ms, targets = args
     alg = build_algebra(type_label, rank, PrimeField(p))
     field = alg.field
     max_m = max(ms)
     hits = {}
     for y_idx in itertools.islice(_scaling_representatives(p, alg.dim), start, end):
-        D = _dy_matrix(alg, _decode(y_idx, p, alg.dim))
+        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, alg.dim)))
         M, rk, frozen = D, -1, False
         for m in range(1, max_m + 1):
             if m > 1:
@@ -997,7 +963,7 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
         return CentralProbeReport(algebra=algebra_id(alg), field=str(alg.field),
                                   m_range=[], table={}, m0=None, workers=workers)
     p = alg.field.modulus
-    budget = int(os.environ.get("LIEMAP_BUDGET", DEFAULT_SCAN_BUDGET))
+    budget = _scan_budget()
     if p ** alg.dim > budget:
         raise ScanBudgetError(
             "probe needs %d fixed-Y subscans > budget %d; raise LIEMAP_BUDGET"
@@ -1008,20 +974,8 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
         raise MapsError("central probe is meaningless for a trivial centre")
 
     n_reps = 1 + sum(p ** k for k in range(alg.dim))
-    args = []
-    chunk = (n_reps + workers - 1) // workers if workers > 1 else n_reps
-    pos = 0
-    while pos < n_reps:
-        hi = min(n_reps, pos + chunk)
-        args.append((alg.rs.type_label, alg.rs.rank, p, tuple(ms), pos, hi,
-                     tuple(targets)))
-        pos = hi
-    if workers > 1 and len(args) > 1:
-        import multiprocessing
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_probe_chunk, args)
-    else:
-        parts = [_probe_chunk(a) for a in args]
+    parts = _map_chunks(_probe_chunk, n_reps, workers, alg.rs.type_label,
+                        alg.rs.rank, p, tuple(ms), tuple(targets))
     merged = {}
     for part in parts:
         for key, (y_idx, x) in part.items():

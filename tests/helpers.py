@@ -1,9 +1,12 @@
-"""Shared test utilities: seeded random elements and polynomials."""
+"""Shared test utilities: seeded random elements and polynomials, and the
+brute-force sl(2) witness oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
 from liemap.freelie import Br, LiePoly, Sum, Var
+from liemap.maps import _sl2_value
 
 
 def random_element(alg, rng):
@@ -39,3 +42,21 @@ def random_poly(rng, nvars=3, max_degree=5, max_terms=4):
     if not terms:
         terms = [(Fraction(1), Var(1))]
     return LiePoly(Sum(tuple(terms)), nvars)
+
+
+def grid_witness(P, field, deg):
+    """Brute force: the first point, in lex order of its 3d coordinates, of
+    the grid {0, .., max(2, deg + 1)}^{3d} (F_p^{3d} over F_p) at which P is
+    nonzero on sl(2), with P's value there; (None, None) if P vanishes on
+    the whole grid."""
+    if field.characteristic:
+        values = field.elements()
+    else:
+        values = [Fraction(v) for v in range(max(3, deg + 2))]
+    d = P.nvars
+    for flat in itertools.product(values, repeat=3 * d):
+        triples = [tuple(flat[3 * i: 3 * i + 3]) for i in range(d)]
+        val = _sl2_value(P, triples, field)
+        if not val.is_zero():
+            return triples, val
+    return None, None

@@ -106,6 +106,18 @@ def test_ad_matrix():
     assert not any(any(row) for row in P)
 
 
+def test_ad_matrix_is_the_bracket_columns():
+    # ad_matrix reads bracket_table directly; column j must be [x, b_j]
+    rng = random.Random(17)
+    for t_, r, field in (("A", 2, F3), ("A", 3, make_field("F2")),
+                         ("B", 2, F5), ("G", 2, Q)):
+        alg = build_algebra(t_, r, field)
+        for x in [alg.zero()] + [random_element(alg, rng) for _ in range(4)]:
+            cols = [alg.bracket(x, alg.basis_element(j)).coeffs
+                    for j in range(alg.dim)]
+            assert alg.ad_matrix(x) == [list(row) for row in zip(*cols)]
+
+
 def test_center_examples():
     assert build_algebra("A", 1, F5).center() == []
     assert build_algebra("A", 2, Q).center() == []

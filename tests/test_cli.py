@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -89,6 +90,39 @@ def test_engel_solve(tmp_path, capsys):
     obj = json.loads(out)
     assert code == 0 and obj["certificate"]
     validate(obj)
+
+
+def test_engel_solve_large_rational_coefficient(tmp_path, capsys):
+    # the rational roots of f come from the divisors of 10^12, found by trial
+    # division up to 10^6
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(
+        {"basis": "chevalley", "coeffs": ["1", "2", "0", "0", "3", "0", "1", "0"]}))
+    start = time.perf_counter()
+    code, out = run(capsys, ["engel-solve", "--algebra", "A2", "--field", "Q",
+                             "--coeffs", "1000000000000,1", "--target", str(target)])
+    assert time.perf_counter() - start < 1
+    obj = json.loads(out)
+    assert code == 0 and obj["certificate"]
+    assert obj["trace"]["avoid"] == ["0", "1000000000000"]
+    validate(obj)
+
+
+def test_identity_answers_at_once(capsys):
+    # randomized mode reads the degree off the tensor expansion, not the
+    # Lyndon normal form, so the 9-variable chain takes no time
+    chain = "X1"
+    for i in range(2, 10):
+        chain = "[%s,X%d]" % (chain, i)
+    start = time.perf_counter()
+    code, out = run(capsys, ["identity", "--poly", chain, "--mode", "randomized"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["result"] == "not_identity"
+    # over F5 with deg(P) >= 5 exact mode decides from the folded value
+    code, out = run(capsys, ["identity", "--poly", "[[[[X4,X3],X2],X1],X4]",
+                             "--field", "F5", "--expect", "not_identity"])
+    assert code == 0 and json.loads(out)["mode"] == "exact_symbolic"
+    validate(json.loads(out))
 
 
 def test_scan(capsys):

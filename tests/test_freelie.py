@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_element, random_monomial, random_poly
 from liemap.chevalley import build_algebra
-from liemap.freelie import (Br, EngelSpec, ParseError, Sum, Var, engel_monomial,
-                            evaluate, linear_part, make_engel,
+from liemap.freelie import (Br, EngelSpec, LiePoly, ParseError, Sum, Var,
+                            _divisors, engel_monomial, evaluate, expansion,
+                            linear_part, make_engel, max_monomial_degree,
                             min_monomial_degree, normal_form, parse)
 from liemap.scalar import make_field
 
@@ -100,6 +102,47 @@ def test_min_monomial_degree():
     assert min_monomial_degree(deg10) == 10
     with pytest.raises(ValueError):
         min_monomial_degree(parse("[X1,X1]"))
+
+
+@st.composite
+def lie_polys(draw):
+    """Random ASTs, half of them with a cancelling pair [A, B] + [B, A]
+    added, so that zero polynomials and cancelled letters occur."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    nvars = draw(st.integers(1, 4))
+    P = random_poly(rng, nvars, max_degree=draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        A, B = (random_poly(rng, nvars, 3, 2).node for _ in range(2))
+        rest = P.node.terms if draw(st.booleans()) else ()
+        P = LiePoly(Sum(((Fraction(1), Br(A, B)), (Fraction(1), Br(B, A))) + rest),
+                    nvars)
+    return P
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(lie_polys())
+@example(parse("[[X1,X2],X3]+[[X2,X3],X1]+[[X3,X1],X2]"))
+@example(parse("[X1,X1] + 2*X2"))
+@example(parse("[[X1,X2],X3] - [[X1,X2],X3] + 0*X4"))
+def test_expansion_facts_match_normal_form(P):
+    nf = normal_form(P)
+    words = expansion(P)
+    assert (not words) == nf.is_zero()
+    assert {i for w in words for i in w} == {i for w in nf.coeffs for i in w}
+    assert linear_part(P) == nf.linear_coefficients(P.nvars)
+    if nf.is_zero():
+        for fn in (min_monomial_degree, max_monomial_degree):
+            with pytest.raises(ValueError):
+                fn(P)
+    else:
+        assert min_monomial_degree(P) == nf.min_degree()
+        assert max_monomial_degree(P) == max(len(w) for w in nf.coeffs)
+
+
+def test_divisors_match_the_naive_loop():
+    for n in range(-3000, 3001):
+        assert _divisors(n) == ([d for d in range(1, abs(n) + 1) if n % d == 0]
+                                or [1])
 
 
 def test_make_engel():

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_element, random_nonzero_element
+from helpers import grid_witness, random_element, random_nonzero_element, random_poly
 from liemap import linalg, maps
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
-from liemap.freelie import engel_monomial, evaluate, make_engel, normal_form, parse
+from liemap.freelie import (LiePoly, Sum, engel_monomial, evaluate, make_engel,
+                            normal_form, parse)
 from liemap.scalar import make_field
 
 Q = make_field("Q")
@@ -74,9 +75,8 @@ def test_identity_randomized_bound_clipped_by_field():
 
 
 def test_identity_witness_from_symbolic_value():
-    # the capped lex-order grid keeps the leading variables at zero: it misses
-    # the first three and needs about a minute for the last; over Q the
-    # witness is read off the symbolic value
+    # the lex-order grid keeps the leading variables at zero, so brute force
+    # takes minutes here; the witness is read off the symbolic value
     from liemap.maps import _sl2_value
     for text, how in (("[[X1,X2],[X3,X4]]", "degree_shortcut"),
                       ("[X1,X2] + 0*X9", "degree_shortcut"),
@@ -98,14 +98,14 @@ def test_identity_greedy_witness_is_the_grid_witness():
         P = parse(text)
         deg = max(len(w) for w in normal_form(P).coeffs)
         v = maps.is_identity_sl2(P, Q, mode="exact")
-        triples, val = maps._witness_grid_search(P, Q, deg)
+        triples, val = grid_witness(P, Q, deg)
         assert v.witness == triples
         assert tuple(v.witness_value) == (val.e, val.f, val.h)
 
 
 def test_identity_fp_greedy_witness():
-    # over F_p with deg(P) < p the witness is read off the symbolic value too,
-    # and it is the point the capped grid search finds where that is quick
+    # over F_p the witness is read off the symbolic value too, and it is the
+    # point the brute-force grid search finds
     from liemap.maps import _sl2_value
     cases = [(text, F) for F in (F5, F7)
              for text in ("[[X1,X2],X2]", "[X1,X2]", "[[[X1,X2],X2],X2]",
@@ -117,10 +117,10 @@ def test_identity_fp_greedy_witness():
         assert deg < F.modulus
         v = maps.is_identity_sl2(P, F, mode="exact")
         assert v.result == "not_identity" and v.mode == "exact_symbolic"
-        triples, val = maps._witness_grid_search(P, F, deg)
+        triples, val = grid_witness(P, F, deg)
         assert v.witness == triples
         assert tuple(v.witness_value) == (val.e, val.f, val.h)
-    # beyond the grid's cap: a witness exists and is found at once
+    # 5^12 and 7^12 grid points, where brute force is slow: found at once
     for F in (F5, F7):
         P = parse("[[X1,X2],[X3,X4]]")
         v = maps.is_identity_sl2(P, F, mode="exact")
@@ -147,6 +147,51 @@ def test_identity_cost_guard():
 def test_identity_zero_polynomial():
     v = maps.is_identity_sl2(parse("[X1,X1]"), Q)
     assert v.result == "identity"
+
+
+def _engel_difference(a, b):
+    """E_a - E_b.  On sl(2), ad(y)^3 = q(y) ad(y) for a quadratic form q, and
+    q^(p-1) is 0 or 1 on F_p, so E_3 - E_{2p+1} and E_4 - E_{2p+2} vanish on
+    sl(2, F_p) without being zero."""
+    return LiePoly(Sum(((Fraction(1), engel_monomial(a).node),
+                        (Fraction(-1), engel_monomial(b).node))), 2)
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(st.tuples(st.sampled_from([F3, F5]), st.integers(0, 2 ** 32)).map(
+    lambda c: (c[0], random_poly(random.Random(c[1]), nvars=2, max_degree=6))))
+@example((F3, _engel_difference(3, 7)))
+@example((F3, _engel_difference(4, 8)))
+@example((F5, _engel_difference(3, 11)))
+@example((F3, _engel_difference(3, 5)))
+@example((F3, parse("[[[X1,X2],X2],[X1,X2]]")))
+@example((F5, parse("[X1,X1]")))
+def test_identity_exact_fp_is_brute_force_vanishing(case):
+    """Over F_p the exact verdict is vanishing on all of sl(2, F_p)^d, and
+    the witness is the lex-least nonzero point: both equal the brute-force
+    grid oracle on p^(3d) <= 15,625 points, also when deg(P) >= p."""
+    F, P = case
+    v = maps.is_identity_sl2(P, F, mode="exact")
+    triples, val = grid_witness(P, F, 0)
+    if triples is None:
+        assert v.result == "identity" and v.witness is None
+    else:
+        assert v.result == "not_identity" and v.mode == "exact_symbolic"
+        assert v.witness == triples
+        assert tuple(v.witness_value) == (val.e, val.f, val.h)
+
+
+def test_identity_fp_degree_above_p_pinned():
+    # deg 5 >= p: a witness beyond the first 300,000 grid points, found at once
+    from liemap.maps import _sl2_value
+    P = parse("[[[[X4,X3],X2],X1],X4]")
+    v = maps.is_identity_sl2(P, F5, mode="exact")
+    assert v.to_json(F5) == {"result": "not_identity", "mode": "exact_symbolic",
+                             "witness": [["0", "0", "1"], ["0", "0", "1"],
+                                         ["0", "0", "1"], ["0", "1", "1"]],
+                             "witness_value": ["0", "1", "0"]}
+    val = _sl2_value(P, v.witness, F5)
+    assert not val.is_zero() and (val.e, val.f, val.h) == tuple(v.witness_value)
 
 
 # -- dominancy witnesses -----------------------------------------------------
