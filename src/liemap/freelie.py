@@ -239,6 +239,8 @@ def _print_node(node) -> str:
         parts = []
         for i, (c, n) in enumerate(node.terms):
             body = _print_node(n)
+            if isinstance(n, Sum):
+                body = "(%s)" % body
             mag = abs(c)
             piece = body if mag == 1 else "%s*%s" % (_frac_str(mag), body)
             if i == 0:

@@ -6,14 +6,16 @@
 * the constructive Engel solver (regular element + conjugation into U +
   eigenvalue division), with exact re-evaluation certificates,
 * exhaustive / sampled finite-field image scans with worker partitioning,
-  plus an exact linear-fiber engine for (generalized) Engel maps, which are
-  linear in the first argument,
+  which evaluate P on a block of assignments at once (every assignment is
+  still evaluated), plus an exact linear-fiber engine for (generalized)
+  Engel maps, which are linear in the first argument,
 * the central-image probe measuring the least Engel degree with no nonzero
   central values.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -44,11 +46,27 @@ class ScanBudgetError(MapsError):
     """Exhaustive enumeration would exceed the configured budget."""
 
 
+class InvalidBudgetError(MapsError):
+    """A scan budget (LIEMAP_BUDGET or a budget argument) that is not a
+    positive integer."""
+
+
 DEFAULT_SCAN_BUDGET = 2_000_000
 
 
 def _scan_budget():
-    return int(os.environ.get("LIEMAP_BUDGET", DEFAULT_SCAN_BUDGET))
+    """The enumeration cap: LIEMAP_BUDGET when set, else the default."""
+    text = os.environ.get("LIEMAP_BUDGET")
+    if text is None:
+        return DEFAULT_SCAN_BUDGET
+    try:
+        budget = int(text)
+        if budget >= 1:
+            return budget
+    except ValueError:
+        pass
+    raise InvalidBudgetError(
+        "LIEMAP_BUDGET must be a positive integer, got %r" % text)
 
 
 def _canonical(obj) -> str:
@@ -518,45 +536,155 @@ def _certify(alg, P, spec, X, Y, target, trace):
 
 
 # ---------------------------------------------------------------------------
-# integer-vector scan kernels (finite fields)
+# integer vectors and the block scan kernel (finite fields)
 # ---------------------------------------------------------------------------
 
 
-def _compile_int_eval(P: LiePoly, alg: ChevalleyAlgebra):
-    """P as a function of residue vectors, on the algebra's integer bracket
-    table."""
+# Assignments evaluated together: a block holds each node's value as dim
+# columns of at most this many residues, whatever N = p^dim is.
+_BLOCK_LANES = 4096
+
+
+def _weigh(terms):
+    """Lane-wise sum of c * col over the (c, col) terms, unreduced."""
+    (a, u), *rest = terms
+    acc = u if a == 1 else [a * x for x in u]
+    for t in range(0, len(rest) - 1, 2):
+        (a, u), (b, v) = rest[t], rest[t + 1]
+        acc = [s + a * x + b * y for s, x, y in zip(acc, u, v)]
+    if len(rest) % 2:
+        a, u = rest[-1]
+        acc = [s + a * x for s, x in zip(acc, u)]
+    return acc
+
+
+def _lanes(terms, p, n, offset=0):
+    """The column offset + sum of c * col over the (c, col) terms, on n
+    lanes and reduced mod p; None stands for the zero column."""
+    if len(terms) == 1:
+        (a, u), = terms
+        return [(a * x + offset) % p for x in u]
+    if len(terms) == 2:
+        (a, u), (b, v) = terms
+        return [(a * x + b * y + offset) % p for x, y in zip(u, v)]
+    if terms:
+        return [(s + offset) % p for s in _weigh(terms)]
+    offset %= p
+    return [offset] * n if offset else None
+
+
+def _digit_columns(elems, p, dim):
+    """The coordinate columns of the elements with these indices."""
+    return [[e // w % p for e in elems] for w in [p ** k for k in range(dim)]]
+
+
+def _block_kernel(P: LiePoly, alg: ChevalleyAlgebra, batched):
+    """P on a block of n assignments at once, as a function (xs, n) -> codes.
+
+    xs[i - 1] is X_i: for i in `batched` its dim coordinate columns of n
+    lanes (one lane per assignment), otherwise an AlgElement shared by
+    every lane.  A node's value is held the same way: an AlgElement when
+    no batched variable occurs below it, columns (None for a zero column)
+    otherwise.  A bracket with one constant side is a linear map, its
+    ad_matrix built once per block and applied lane-wise; a bracket of two
+    batched sides takes lane-wise products over the nonzero bracket_table
+    entries, [u, v] = sum over i < j of [b_i, b_j] (u_i v_j - u_j v_i).
+    Every Br and Sum node reduces mod p once.  The result is the index
+    (_encode) of P's value on each lane.
+    """
     p, dim, T = alg.field.modulus, alg.dim, alg.bracket_table
+    pairs = [(i, j, T[i][j]) for i in range(dim) for j in range(i + 1, dim)
+             if T[i][j]]
 
-    def bracket(u, v):
-        out = [0] * dim
-        for i, ci in enumerate(u):
-            if ci:
-                Ti = T[i]
-                for j, cj in enumerate(v):
-                    if cj:
-                        c = ci * cj
-                        for k, n in Ti[j]:
-                            out[k] = (out[k] + c * n) % p
-        return out
+    def linear(M, vs, n):
+        return [_lanes([(c, vs[j]) for j, c in enumerate(row)
+                        if c and vs[j] is not None], p, n) for row in M]
 
-    def ev(node, xs):
+    def batched_bracket(us, vs, n):
+        terms = [[] for _ in range(dim)]
+        for i, j, entries in pairs:
+            ui, uj, vi, vj = us[i], us[j], vs[i], vs[j]
+            if ui is not None and vj is not None:
+                if uj is not None and vi is not None:
+                    w = [a * d - b * c for a, b, c, d in zip(ui, uj, vi, vj)]
+                else:
+                    w = [a * d for a, d in zip(ui, vj)]
+            elif uj is not None and vi is not None:
+                w = [-b * c for b, c in zip(uj, vi)]
+            else:
+                continue
+            for k, m in entries:
+                terms[k].append((m, w))
+        return [_lanes(t, p, n) for t in terms]
+
+    compiled = {}       # subtree -> (batched?, evaluator)
+    memo = {}           # evaluator's slot -> its value on the current block
+
+    def compile_node(node):
+        """(batched?, evaluator (xs, n) -> value) for the node; a subtree
+        that occurs more than once is evaluated once per block."""
+        if node not in compiled:
+            b, f = compile_new(node)
+            if not isinstance(node, Var):
+                f = functools.partial(recall, len(compiled), f)
+            compiled[node] = b, f
+        return compiled[node]
+
+    def recall(slot, f, xs, n):
+        if slot not in memo:
+            memo[slot] = f(xs, n)
+        return memo[slot]
+
+    def compile_new(node):
         if isinstance(node, Var):
-            return xs[node.index - 1]
+            i = node.index - 1
+            return node.index in batched, lambda xs, n: xs[i]
         if isinstance(node, Br):
-            return bracket(ev(node.left, xs), ev(node.right, xs))
+            lb, left = compile_node(node.left)
+            rb, right = compile_node(node.right)
+            if lb and rb:
+                return True, lambda xs, n: batched_bracket(left(xs, n), right(xs, n), n)
+            if lb:      # [u, v] = ad(-v) u
+                return True, lambda xs, n: linear(alg.ad_matrix(-right(xs, n)),
+                                                  left(xs, n), n)
+            if rb:
+                return True, lambda xs, n: linear(alg.ad_matrix(left(xs, n)),
+                                                  right(xs, n), n)
+            return False, lambda xs, n: left(xs, n).bracket(right(xs, n))
         if isinstance(node, Sum):
-            out = [0] * dim
-            for c, n in node.terms:
-                ci = (c.numerator * pow(c.denominator, -1, p)) % p
-                if ci:
-                    val = ev(n, xs)
-                    for k in range(dim):
-                        if val[k]:
-                            out[k] = (out[k] + ci * val[k]) % p
-            return out
+            parts = [(c, *compile_node(t)) for c, t in
+                     ((alg.field.residue(c), t) for c, t in node.terms) if c]
+            sum_batched = any(b for _, b, _ in parts)
+
+            def total(xs, n):
+                offset = [0] * dim
+                terms = [[] for _ in range(dim)]
+                for c, b, f in parts:
+                    if b:
+                        for t, x in zip(terms, f(xs, n)):
+                            if x is not None:
+                                t.append((c, x))
+                    else:
+                        for k, x in enumerate(f(xs, n).coeffs):
+                            offset[k] += c * x
+                if not sum_batched:
+                    return AlgElement(alg, alg.field.reduce_row(offset))
+                return [_lanes(t, p, n, o) for t, o in zip(terms, offset)]
+            return sum_batched, total
         raise TypeError(node)
 
-    return lambda xs: ev(P.node, xs)
+    root_batched, root = compile_node(P.node)
+    weights = [p ** k for k in range(dim)]
+
+    def codes(xs, n):
+        memo.clear()
+        val = root(xs, n)
+        if not root_batched:
+            return [_encode(val.coeffs, p)] * n
+        terms = [(w, col) for w, col in zip(weights, val) if col is not None]
+        return _weigh(terms) if terms else [0] * n
+
+    return codes
 
 
 def _decode(idx, p, dim):
@@ -647,33 +775,54 @@ class ImageReport:
 
 
 def _scan_chunk(args):
-    """Worker: scan assignment indices [start, end); pure and order-free."""
+    """Worker: the least index of every value P takes on the assignment
+    indices [start, end), evaluated by _block_kernel a block at a time;
+    pure and order-free.
+
+    Exhaustive mode walks the indices a_idx = x1 + N (x2 + N (..)) in
+    order, in blocks of at most _BLOCK_LANES that share X2..Xd, so only X1
+    is batched.  Sampled mode takes its slice of one global seeded stream
+    (so the merged result is independent of the worker count), sorted, and
+    batches every variable.  Blocks come in increasing index order, so a
+    value keeps the first index that reaches it.
+    """
     start, end, type_label, rank, p, poly_text, mode_seed = args
     alg = build_algebra(type_label, rank, PrimeField(p))
     P = parse(poly_text)
-    ev = _compile_int_eval(P, alg)
-    dim = alg.dim
+    dim, d = alg.dim, P.nvars
     N = p ** dim
-    d = P.nvars
     attained = {}
+
+    def merge(codes, indices):
+        first = dict(zip(reversed(codes), reversed(indices)))
+        for v in first.keys() - attained.keys():
+            attained[v] = first[v]
+
     if mode_seed is None:
-        indices = range(start, end)
+        kernel = _block_kernel(P, alg, {1})
+        x1_key = x1_cols = None
+        lo = start
+        while lo < end:
+            hi = min(end, lo + _BLOCK_LANES, (lo // N + 1) * N)
+            x1 = lo % N
+            if (x1, hi - lo) != x1_key:
+                x1_key = (x1, hi - lo)
+                x1_cols = _digit_columns(range(x1, x1 + hi - lo), p, dim)
+            rest, xs = lo // N, [x1_cols]
+            for _ in range(d - 1):
+                rest, e_idx = divmod(rest, N)
+                xs.append(AlgElement(alg, _decode(e_idx, p, dim)))
+            merge(kernel(xs, hi - lo), range(lo, hi))
+            lo = hi
     else:
-        # one global seeded stream; each chunk takes its own slice so the
-        # merged result is independent of the worker count
         rng = random.Random(mode_seed)
-        total = N ** d
-        indices = [rng.randrange(total) for _ in range(end)][start:]
-    for a_idx in indices:
-        rest = a_idx
-        xs = []
-        for _ in range(d):
-            rest, e_idx = divmod(rest, N)
-            xs.append(_decode(e_idx, p, dim))
-        v = _encode(ev(xs), p)
-        prev = attained.get(v)
-        if prev is None or a_idx < prev:
-            attained[v] = a_idx
+        drawn = sorted([rng.randrange(N ** d) for _ in range(end)][start:])
+        kernel = _block_kernel(P, alg, set(range(1, d + 1)))
+        for lo in range(0, len(drawn), _BLOCK_LANES):
+            block = drawn[lo:lo + _BLOCK_LANES]
+            xs = [_digit_columns([a // w % N for a in block], p, dim)
+                  for w in [N ** i for i in range(d)]]
+            merge(kernel(xs, len(block)), block)
     return attained
 
 
@@ -683,13 +832,21 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
 
     exhaustive mode enumerates every assignment (the independent oracle used
     throughout the test suite); sampled mode draws seeded uniform assignments.
-    Worker partitioning merges via minimum assignment index, so reports are
-    bit-identical for any worker count.
+    Every assignment is evaluated, a block at a time (_block_kernel): P's
+    tree is walked once per block of up to _BLOCK_LANES assignments, with
+    each value held as one column of residues per basis coordinate.  In
+    exhaustive mode a block shares X2..Xd, so brackets with them are linear
+    maps built once per block.  Worker partitioning merges via minimum
+    assignment index, so reports are bit-identical for any worker count.
+    `budget` (default LIEMAP_BUDGET, else 2,000,000) caps the exhaustive
+    enumeration and the sample count, and must be at least 1.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
     if budget is None:
         budget = _scan_budget()
+    elif budget < 1:
+        raise InvalidBudgetError("budget must be at least 1, got %d" % budget)
     p = alg.field.modulus
     N = p ** alg.dim
     d = P.nvars

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import liemap
 from liemap.cli import main
 
 
@@ -246,3 +250,27 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["scan", "--poly", "[X1,X2]", "--algebra", "A1",
                              "--field", "F3", "--mode", "exhaustive"])
     assert code == 1 and "budget" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+@pytest.mark.parametrize("mode", [[], ["--mode", "sampled", "--seed", "1"]],
+                         ids=["exhaustive", "sampled"])
+def test_budget_env_must_be_positive_integer(capsys, monkeypatch, value, mode):
+    monkeypatch.setenv("LIEMAP_BUDGET", value)
+    code, out = run(capsys, ["scan", "--poly", "[X1,X2]", "--algebra", "A1",
+                             "--field", "F3"] + mode)
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "InvalidBudgetError"
+    assert "LIEMAP_BUDGET" in err["error"]
+
+
+def test_python_m_liemap_matches_cli_main(capsys):
+    argv = ["roots", "--type", "A", "--rank", "1"]
+    src = os.path.dirname(os.path.dirname(liemap.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "liemap"] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, out = run(capsys, argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

@@ -64,6 +64,18 @@ def test_print_parse_round_trip_random():
         assert evaluate(back, xs) == evaluate(P, xs)
 
 
+@pytest.mark.parametrize("text", [
+    "2*(X1 + [X1,X2])", "-(X1 - X2)", "3*(2*X1)", "[X1,2*X2 + X1]",
+    "1/2*(3*X1 - [X2,-3/2*X3]) - X2",
+])
+def test_print_parse_round_trip_nested_sums(text):
+    # a sum nested in a sum keeps its parentheses, so the printed text
+    # parses back to the same tree (image_scan's workers parse it)
+    P = parse(text)
+    assert P.pretty() == text
+    assert parse(P.pretty()) == P
+
+
 def test_normal_form_trivials():
     assert normal_form(parse("[X1,X1]")).is_zero()
     assert normal_form(parse("[X2,X1]")).coeffs == {(1, 2): Fraction(-1)}

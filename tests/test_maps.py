@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +12,8 @@ from liemap import linalg, maps
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
-from liemap.freelie import (LiePoly, Sum, engel_monomial, evaluate, make_engel,
-                            normal_form, parse)
+from liemap.freelie import (Br, LiePoly, Sum, Var, engel_monomial, evaluate,
+                            make_engel, normal_form, parse)
 from liemap.scalar import make_field
 
 Q = make_field("Q")
@@ -461,6 +462,115 @@ def test_scan_sampled_deterministic():
         maps.image_scan(alg, P, mode="sampled")
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_scan_budget_argument_below_1(mode):
+    alg = build_algebra("A", 1, F3)
+    P, _ = make_engel([0, 1])
+    for budget in (0, -5):
+        with pytest.raises(maps.InvalidBudgetError):
+            maps.image_scan(alg, P, mode=mode, seed=1, budget=budget)
+
+
+def test_scan_workers_bit_identical_inside_blocks():
+    # 15,625 assignments split in 3 chunks: 15,625 / 3 is no multiple of
+    # N = 125, so chunk edges fall inside a block of assignments sharing X2
+    alg = build_algebra("A", 1, F5)
+    P = maps.example48_poly()
+    reports = []
+    for workers in (1, 2, 3):
+        j = maps.image_scan(alg, P, mode="exhaustive", workers=workers).to_json()
+        assert j.pop("workers") == workers
+        reports.append(j)
+    assert reports[0] == reports[1] == reports[2]
+
+
+# the scan kernel's oracle: (type, rank, p, sampled?) per algebra; the
+# coefficients include 1/2 and multiples of p, resolved once p is known
+_KERNEL_ALGEBRAS = [("A", 1, 3, False), ("A", 1, 5, False), ("A", 2, 2, False),
+                    ("B", 2, 3, True)]
+_KERNEL_COEFFS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2), "p", "-2p", "p/2"]
+
+
+def _kernel_coefficient(kind, p):
+    multiples = {"p": Fraction(p), "-2p": Fraction(-2 * p), "p/2": Fraction(p, 2)}
+    return multiples[kind] if kind in multiples else Fraction(kind)
+
+
+def _random_node(rng, arity, coeffs, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return Var(rng.randint(1, arity))
+    if r < 0.75:
+        return Br(_random_node(rng, arity, coeffs, depth - 1),
+                  _random_node(rng, arity, coeffs, depth - 1))
+    return Sum([(rng.choice(coeffs), _random_node(rng, arity, coeffs, depth - 1))
+                for _ in range(rng.randint(1, 3))])
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(algebra key, polynomial text, start, end, seed, block lanes)."""
+    t, r, p, sampled = draw(st.sampled_from(_KERNEL_ALGEBRAS))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    arity = rng.randint(1, 3)
+    coeffs = [_kernel_coefficient(k, p) for k in _KERNEL_COEFFS]
+    text = LiePoly(_random_node(rng, arity, coeffs, 4), arity).pretty()
+    N = p ** build_algebra(t, r, make_field("F%d" % p)).dim
+    total = 400 if sampled else N ** parse(text).nvars
+    start = rng.randrange(total)
+    end = min(total, start + rng.randint(1, 400))
+    lanes = rng.choice([1, 7, 50, maps._BLOCK_LANES])
+    return (t, r, p), text, start, end, (5 if sampled else None), lanes
+
+
+def _reference_attained(alg, P, indices):
+    """Value index -> least assignment index, by freelie.evaluate."""
+    p, dim = alg.field.modulus, alg.dim
+    N = p ** dim
+    elems = {}
+    attained = {}
+    for a_idx in indices:
+        rest, xs = a_idx, []
+        for _ in range(P.nvars):
+            rest, e_idx = divmod(rest, N)
+            if e_idx not in elems:
+                elems[e_idx] = alg.element_from_ints(maps._decode(e_idx, p, dim))
+            xs.append(elems[e_idx])
+        v = maps._encode(evaluate(P, xs).coeffs, p)
+        attained[v] = min(attained.get(v, a_idx), a_idx)
+    return attained
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_kernel_cases())
+@example((("A", 1, 5), "[[[X1,X2],X1],[[X1,X2],X2]]", 117, 15_523, None, 4096))
+@example((("A", 2, 2), "1/2*[X1,X2] + 2*[[X1,X2],X1] + X2", 3, 300, None, 7))
+@example((("B", 2, 3), "1/2*[[X1,X2],X3] - 3*X1 + [X2,X1]", 1, 4500, 5, 4096))
+@example((("A", 1, 3), "-3/2*[X1,[X2,X1]] + 3*X3", 5, 19_000, None, 4096))
+def test_scan_chunk_matches_element_evaluation(case):
+    """The block kernel's attained map equals the element bracket's on
+    chunk bounds off multiples of N and across block boundaries."""
+    (t, r, p), text, start, end, seed, lanes = case
+    alg = build_algebra(t, r, make_field("F%d" % p))
+    P = parse(text)
+    if seed is None:
+        indices = range(start, end)
+    else:
+        rng = random.Random(seed)
+        total = (p ** alg.dim) ** P.nvars
+        indices = [rng.randrange(total) for _ in range(end)][start:]
+    args = (start, end, t, r, p, text, seed)
+    with mock.patch.object(maps, "_BLOCK_LANES", lanes):
+        try:
+            expected = _reference_attained(alg, P, indices)
+        except ZeroDivisionError:
+            # a coefficient with p in its denominator, such as 1/2 over F2
+            with pytest.raises(ZeroDivisionError):
+                maps._scan_chunk(args)
+            return
+        assert maps._scan_chunk(args) == expected
+
+
 # coefficient lists of length 1-4 with a nonzero last entry, which may still
 # vanish mod p: monomials a t^m and mixed sums
 _NONZERO = st.integers(-4, 8).filter(bool)
@@ -483,8 +593,18 @@ def test_engel_linear_engine_matches_brute_force(case):
     """The linear-fiber engine must agree exactly with the brute-force oracle
     on every small case before it is trusted on larger ones."""
     p, coeffs = case
-    field = make_field("F%d" % p)
-    alg = build_algebra("A", 1, field)
+    _assert_engines_agree(build_algebra("A", 1, make_field("F%d" % p)), coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[1], [0, 1], [1, 1], [0, 1, 1]],
+                         ids=["1", "0,1", "1,1", "0,1,1"])
+def test_engel_linear_engine_matches_brute_force_A2_F2(coeffs):
+    # 65,536 assignments per case; sl(3, F_2) has a trivial centre, and
+    # t^2 + t^3 misses 24 of its 256 elements
+    _assert_engines_agree(build_algebra("A", 2, make_field("F2")), coeffs)
+
+
+def _assert_engines_agree(alg, coeffs):
     P, spec = make_engel(coeffs)
     brute = maps.image_scan(alg, P, mode="exhaustive", workers=2)
     lin = maps.engel_image_scan(alg, spec)
