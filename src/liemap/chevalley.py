@@ -457,34 +457,28 @@ class ChevalleyAlgebra:
         return LieAutomorphism(self, m, [row[:] for row in m])
 
     def _divided_powers(self, coords):
-        """Sparse N_k = ad(e_beta)^k / k! for k = 1, 2, .. while nonzero,
-        computed once per root, so that x_beta(t) = I + sum_k t^k N_k
-        (Carter, Simple Groups of Lie Type, ch. 4).  Each N_k is a tuple of
-        (column j, ((row i, residue), ..)) pairs.  Requires characteristic 0
-        or >= 5 so that the denominators k! (k <= 4) are invertible."""
+        """Sparse N_k = ad(e_beta)^k / k! for k = 1, 2, .. while nonzero, so
+        that x_beta(t) = I + sum_k t^k N_k (Carter, Simple Groups of Lie
+        Type, ch. 4).  The N_k are integral on the Chevalley basis (Kostant's
+        Z-form): they are computed once per root system over Z
+        (_integral_divided_powers) and reduced into this field once per
+        root, so they hold in every characteristic.  Each N_k is a tuple of
+        (column j, ((row i, residue), ..)) pairs; an N_k that vanishes in
+        the field stays in place as () so that position k-1 holds N_k."""
         powers = self._powers.get(coords)
         if powers is None:
-            f = self.field
-            if f.characteristic in (2, 3):
-                raise ChevalleyError("root automorphisms need characteristic 0 or >= 5")
-            e = self.basis_element(self._eidx[self.rs.root(coords).coords])
-            cols = [self.basis_element(j) for j in range(self.dim)]
+            res = self.field.residue
+            coords = self.rs.root(coords).coords
             powers = []
-            for k in range(1, 6):
-                cols = [e.bracket(c).scale_rational(Fraction(1, k)) for c in cols]
-                nk = tuple((j, tuple((i, c) for i, c in enumerate(col.coeffs) if c))
-                           for j, col in enumerate(cols) if not col.is_zero())
-                if not nk:
-                    break
-                powers.append(nk)
-            else:
-                raise AssertionError("ad e_beta not nilpotent of index <= 5")
+            for nk in _integral_divided_powers(self, coords):
+                cols = ((j, tuple((i, res(n)) for i, n in col if res(n))) for j, col in nk)
+                powers.append(tuple((j, col) for j, col in cols if col))
             powers = self._powers[coords] = tuple(powers)
         return powers
 
     def root_automorphism(self, root, t) -> RootAutomorphism:
-        """exp(t ad e_beta) = I + sum_k t^k N_k from the cached divided powers;
-        requires characteristic 0 or >= 5."""
+        """exp(t ad e_beta) = I + sum_k t^k N_k from the cached divided powers,
+        in every characteristic."""
         coords = root.coords if hasattr(root, "coords") else tuple(root)
         powers = self._divided_powers(coords)
         f = self.field
@@ -572,6 +566,12 @@ class ChevalleyAlgebra:
         rng = random.Random(seed)
         f = self.field
         p = f.modulus
+        if budget > 0 and p in (2, 3):
+            # The search keeps its old domain, characteristic 0 or >= 5, and
+            # its old refusal (reported after an empty budget), although
+            # root automorphisms now exist in every characteristic: engel-solve
+            # answers where it did and nowhere else.
+            raise ChevalleyError("root automorphisms need characteristic 0 or >= 5")
         roots = self.rs.roots
         steps = 2 * len(self.rs.positive_roots)
         for _ in range(budget):
@@ -703,6 +703,46 @@ def _zero_diagonal(M, field, max_iter=None):
         i, j = found
         elem(j, i, red(-t * field.inv(M[i][j])))
     raise AssertionError("diagonal elimination did not converge")
+
+
+_Z_POWERS = {}
+
+
+def _integral_divided_powers(alg, coords):
+    """N_k = ad(e_beta)^k / k! over Z from the integer bracket_table, as
+    tuples of (column j, ((row i, n), ..)); computed once per root system,
+    which fixes the basis and the table.  N_k = ad(e_beta) N_{k-1} / k, and
+    every division by k is checked to be exact."""
+    key = (alg.rs.key, coords)
+    powers = _Z_POWERS.get(key)
+    if powers is None:
+        row = alg.bracket_table[alg._eidx[coords]]
+        cols = [{j: 1} for j in range(alg.dim)]
+        powers = []
+        for k in range(1, 6):
+            nxt = []
+            for col in cols:
+                acc = {}
+                for j, x in col.items():
+                    for i, n in row[j]:
+                        acc[i] = acc.get(i, 0) + n * x
+                out = {}
+                for i, x in acc.items():
+                    q, r = divmod(x, k)
+                    assert r == 0, "ad(e_beta)^%d / %d! is not integral" % (k, k)
+                    if q:
+                        out[i] = q
+                nxt.append(out)
+            cols = nxt
+            nk = tuple((j, tuple(sorted(col.items())))
+                       for j, col in enumerate(cols) if col)
+            if not nk:
+                break
+            powers.append(nk)
+        else:
+            raise AssertionError("ad e_beta not nilpotent of index <= 5")
+        powers = _Z_POWERS[key] = tuple(powers)
+    return powers
 
 
 _ALGEBRA_CACHE = {}

@@ -10,7 +10,8 @@
   still evaluated), plus an exact linear-fiber engine for (generalized)
   Engel maps, which are linear in the first argument,
 * the central-image probe measuring the least Engel degree with no nonzero
-  central values.
+  central values, visiting one Y per orbit of the group generated by the
+  root elements x_beta(t), times F_p^*.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class ScanBudgetError(MapsError):
 class InvalidBudgetError(MapsError):
     """A scan budget (LIEMAP_BUDGET or a budget argument) that is not a
     positive integer."""
+
+
+class InvalidSampleCountError(MapsError):
+    """A sampled scan's sample_count below 1."""
 
 
 DEFAULT_SCAN_BUDGET = 2_000_000
@@ -839,7 +844,8 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     maps built once per block.  Worker partitioning merges via minimum
     assignment index, so reports are bit-identical for any worker count.
     `budget` (default LIEMAP_BUDGET, else 2,000,000) caps the exhaustive
-    enumeration and the sample count, and must be at least 1.
+    enumeration and the sample count, and must be at least 1, as must
+    sample_count.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
@@ -862,6 +868,9 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     elif mode == "sampled":
         if seed is None:
             raise MapsError("sampled mode requires a seed")
+        if sample_count < 1:
+            raise InvalidSampleCountError(
+                "sample_count must be at least 1, got %d" % sample_count)
         njobs = min(sample_count, budget)
         mode_seed = seed
         mode_json = {"kind": "sampled", "count": njobs, "seed": seed}
@@ -1065,23 +1074,124 @@ class CentralProbeReport:
                 "m0": self.m0, "workers": self.workers}
 
 
-def _probe_chunk(args):
-    """Scan the scaling-class representatives [start, end) of Y (positions
-    in `_scaling_representatives`) for central hits of E_m, all m in range.
+def _orbit_generators(alg: ChevalleyAlgebra):
+    """x_{+-alpha_i}(1) - I for the 2 rank simple root elements, as sparse
+    residue columns (column j, ((row i, residue), ..)), summed from the
+    cached divided powers.  Over F_p they generate the group the x_beta(t)
+    generate: x_a(t) = x_a(1)^t, and the simple reflections
+    x_a(1) x_-a(-1) x_a(1) carry the simple roots to every root."""
+    p = alg.field.modulus
+    gens = []
+    for a in alg.rs.simple_roots:
+        for coords in (a.coords, (-a).coords):
+            cols = {}
+            for nk in alg._divided_powers(coords):
+                for j, col in nk:
+                    acc = cols.setdefault(j, {})
+                    for i, c in col:
+                        acc[i] = acc.get(i, 0) + c
+            gens.append(tuple((j, tuple((i, c % p) for i, c in sorted(col.items())
+                                        if c % p))
+                              for j, col in sorted(cols.items())))
+    return gens
 
-    A target is a hit for (m, Y) when it lies in the column space of D_Y^m,
-    tested against that space's echelon form; only a hit is solved for its
+
+def _orbit_representatives(alg: ChevalleyAlgebra):
+    """(index, vector, orbit size) of the least Y of each orbit of the
+    group generated by the x_beta(t) times F_p^*, in increasing index order.
+
+    The scaling representatives are walked in order and every marked index
+    is skipped; an unmarked Y is the least of its orbit, which is then
+    marked in a bytearray(p^dim) by a search under _orbit_generators.  Each
+    generator is applied to each point found through its sparse columns,
+    updating the index only at the digits that change, and the point's
+    c-multiples (c in F_p^*) are marked with it: the group is linear, so the
+    marked set is the whole orbit once the search ends."""
+    p, dim = alg.field.modulus, alg.dim
+    weights = [p ** k for k in range(dim)]
+    gens = _orbit_generators(alg)
+    marked = bytearray(p ** dim)
+
+    def mark(idx, vec):
+        marked[idx] = 1
+        for c in range(2, p):
+            marked[sum(c * x % p * w for x, w in zip(vec, weights) if x)] = 1
+
+    for y_idx in _scaling_representatives(p, dim):
+        if marked[y_idx]:
+            continue
+        y = _decode(y_idx, p, dim)
+        mark(y_idx, y)
+        stack, size = [(y_idx, y)], 1
+        while stack:
+            idx, u = stack.pop()
+            for gen in gens:
+                delta = {}
+                for j, col in gen:
+                    x = u[j]
+                    if x:
+                        for i, c in col:
+                            delta[i] = delta.get(i, 0) + c * x
+                n, v = idx, None
+                for i, dx in delta.items():
+                    d = (u[i] + dx) % p
+                    if d != u[i]:
+                        if v is None:
+                            v = list(u)
+                        n += (d - u[i]) * weights[i]
+                        v[i] = d
+                if v is not None and not marked[n]:
+                    mark(n, v)
+                    stack.append((n, v))
+                    size += 1
+        yield y_idx, y, (size * (p - 1) if y_idx else 1)
+
+
+def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralProbeReport:
+    """Which Engel degrees m attain nonzero central values, exhaustively.
+
+    E_m(X, Y) is linear in X, so for each Y the attainable set is the column
+    space of D_Y^m, and scanning every Y decides attainment exactly.  For g
+    in the group generated by the x_beta(t), D_gY^m = g D_Y^m g^-1, and g
+    fixes every central c; D_cY^m = c^m D_Y^m has the same column space.  So
+    the Y hitting c at degree m form a union of orbits of that group times
+    F_p^*, and only the least Y of each orbit is visited
+    (_orbit_representatives), which keeps every least hitting Y and its
+    preimage.
+
+    For each visited Y the central targets are tested against the echelon
+    form of the column space of D_Y^m, and only a hit is solved for its
     preimage.  Fitting stabilization: once rank(D^m) = rank(D^(m-1)) the
     column space is the same for every larger m, so membership is decided
     once and later degrees only solve D^m x = c for the targets inside it.
+    The walk runs in-process; `workers` is only recorded in the report.
+    The orbit marks cover all p^dim values of Y, which the scan budget
+    (LIEMAP_BUDGET) caps.  Reports the least m0 in range with no nonzero
+    central hits from m0 onward.
     """
-    start, end, type_label, rank, p, ms, targets = args
-    alg = build_algebra(type_label, rank, PrimeField(p))
-    field = alg.field
+    if alg.field.characteristic == 0:
+        raise MapsError("the central probe requires a finite field")
+    ms = sorted(set(int(m) for m in m_range))
+    if any(m < 1 for m in ms):
+        raise MapsError("Engel degrees start at m = 1")
+    if not ms:
+        return CentralProbeReport(algebra=algebra_id(alg), field=str(alg.field),
+                                  m_range=[], table={}, m0=None, workers=workers)
+    field, p, dim = alg.field, alg.field.modulus, alg.dim
+    budget = _scan_budget()
+    if p ** dim > budget:
+        raise ScanBudgetError(
+            "probe needs %d fixed-Y subscans > budget %d; raise LIEMAP_BUDGET"
+            % (p ** dim, budget))
+    central = sorted(_central_indices(alg))
+    targets = [(v, tuple(_decode(v, p, dim))) for v in central if v != 0]
+    if not targets:
+        raise MapsError("central probe is meaningless for a trivial centre")
+
     max_m = max(ms)
     hits = {}
-    for y_idx in itertools.islice(_scaling_representatives(p, alg.dim), start, end):
-        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, alg.dim)))
+    for y_idx, y, _ in _orbit_representatives(alg):
+        D = alg.ad_matrix(-AlgElement(alg, y))
         M, rk, frozen = D, -1, False
         for m in range(1, max_m + 1):
             if m > 1:
@@ -1097,61 +1207,21 @@ def _probe_chunk(args):
             if m in ms:
                 for c_idx, c in inside:
                     if (m, c_idx) not in hits:
-                        hits[(m, c_idx)] = (y_idx, tuple(linalg.solve(M, c, field)))
-    return hits
-
-
-def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralProbeReport:
-    """Which Engel degrees m attain nonzero central values, exhaustively.
-
-    E_m(X, Y) is linear in X, so for each Y the attainable set is the column
-    space of D_Y^m; scanning every Y decides attainment exactly.  D_cY^m =
-    c^m D_Y^m has the same column space and cY the larger index, so only the
-    least Y of each F_p^* class is scanned, and the workers split those
-    evenly.  Reports the least m0 in range with no nonzero central hits from
-    m0 onward.
-    """
-    if alg.field.characteristic == 0:
-        raise MapsError("the central probe requires a finite field")
-    ms = sorted(set(int(m) for m in m_range))
-    if any(m < 1 for m in ms):
-        raise MapsError("Engel degrees start at m = 1")
-    if not ms:
-        return CentralProbeReport(algebra=algebra_id(alg), field=str(alg.field),
-                                  m_range=[], table={}, m0=None, workers=workers)
-    p = alg.field.modulus
-    budget = _scan_budget()
-    if p ** alg.dim > budget:
-        raise ScanBudgetError(
-            "probe needs %d fixed-Y subscans > budget %d; raise LIEMAP_BUDGET"
-            % (p ** alg.dim, budget))
-    central = sorted(_central_indices(alg))
-    targets = [(v, tuple(_decode(v, p, alg.dim))) for v in central if v != 0]
-    if not targets:
-        raise MapsError("central probe is meaningless for a trivial centre")
-
-    n_reps = 1 + sum(p ** k for k in range(alg.dim))
-    parts = _map_chunks(_probe_chunk, n_reps, workers, alg.rs.type_label,
-                        alg.rs.rank, p, tuple(ms), tuple(targets))
-    merged = {}
-    for part in parts:
-        for key, (y_idx, x) in part.items():
-            if key not in merged or (y_idx, x) < merged[key]:
-                merged[key] = (y_idx, x)
+                        hits[(m, c_idx)] = (y_idx, linalg.solve(M, c, field))
 
     table = {}
     for m in ms:
         entries = []
-        for (mm, c_idx), (y_idx, x) in sorted(merged.items()):
+        for (mm, c_idx), (y_idx, x) in sorted(hits.items()):
             if mm != m:
                 continue
             X = alg.element_from_ints(list(x))
-            Y = alg.element_from_ints(_decode(y_idx, p, alg.dim))
+            Y = alg.element_from_ints(_decode(y_idx, p, dim))
             val = evaluate(engel_monomial(m), [X, Y])
             assert _encode(val.coeffs, p) == c_idx, \
                 "probe preimage fails re-evaluation"
             entries.append({"element": alg.element_from_ints(
-                                _decode(c_idx, p, alg.dim)).to_json(),
+                                _decode(c_idx, p, dim)).to_json(),
                             "preimage": [X.to_json(), Y.to_json()]})
         table[m] = entries
     m0 = None

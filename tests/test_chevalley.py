@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -165,11 +167,14 @@ def test_root_automorphism_basics():
     assert g.apply(h) == expected
     # e_beta is fixed
     assert g.apply(alg.e_element(b.coords)) == alg.e_element(b.coords)
-    with pytest.raises(ChevalleyError):
-        build_algebra("A", 2, F3).root_automorphism(b, 1)
-    f2 = make_field("F2")
-    with pytest.raises(ChevalleyError):
-        build_algebra("A", 2, f2).root_automorphism(b, 1)
+    # the divided powers are integral, so characteristic 2 and 3 work too
+    for field in (F3, make_field("F2")):
+        alg_p = build_algebra("A", 2, field)
+        g = alg_p.root_automorphism(b, 1)
+        assert g.apply(alg_p.h_element(1)) == \
+            alg_p.h_element(1) + alg_p.e_element(b.coords)
+        assert linalg.mat_mul(g.res_inv_matrix, g.res_matrix, field) == \
+            linalg.identity_matrix(field, alg_p.dim)
 
 
 def _dense_exponential(alg, A, t):
@@ -203,6 +208,43 @@ def test_root_automorphism_matches_dense_series():
                 assert g.inv_matrix == _dense_exponential(alg, A, -t)
                 assert linalg.mat_mul(g.res_inv_matrix, g.res_matrix, field) == eye
                 assert g.factors == (("root", b.coords, t),)
+
+
+def _integral_series(type_label, rank, coords, t, p):
+    """Oracle: sum_k t^k ad(e_beta)^k / k! by dense matrix powers on the Q
+    algebra of the same type, each entry checked integral and reduced mod p."""
+    alg = build_algebra(type_label, rank, Q)
+    A = alg.ad_matrix(alg.e_element(coords))
+    M = linalg.identity_matrix(Q, alg.dim)
+    P = linalg.identity_matrix(Q, alg.dim)
+    for k in range(1, alg.dim + 1):
+        P = linalg.mat_mul(P, A, Q)
+        if not any(any(row) for row in P):
+            break
+        c = Fraction(t) ** k / math.factorial(k)
+        M = [[m + c * a for m, a in zip(Mr, Pr)] for Mr, Pr in zip(M, P)]
+    assert all(x.denominator == 1 for row in M for x in row)
+    return [[int(x) % p for x in row] for row in M]
+
+
+@pytest.mark.parametrize("type_label,rank,spec", [
+    ("A", 2, "F3"), ("A", 3, "F2"), ("B", 2, "F3"), ("G", 2, "F2"), ("G", 2, "F3")])
+def test_root_automorphism_small_characteristic(type_label, rank, spec):
+    field = make_field(spec)
+    alg = build_algebra(type_label, rank, field)
+    p = field.modulus
+    eye = linalg.identity_matrix(field, alg.dim)
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    for b in alg.rs.roots:
+        for t in sorted({1, p - 1}):
+            g = alg.root_automorphism(b, t)
+            assert g.res_matrix == _integral_series(type_label, rank, b.coords, t, p)
+            assert g.res_inv_matrix == _integral_series(type_label, rank, b.coords, -t, p)
+            assert linalg.mat_mul(g.res_inv_matrix, g.res_matrix, field) == eye
+            images = [g.apply(x) for x in basis]
+            for i, j in itertools.combinations(range(alg.dim), 2):
+                assert g.apply(alg.bracket(basis[i], basis[j])) == \
+                    alg.bracket(images[i], images[j])
 
 
 def test_automorphism_bracket_preservation():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -144,6 +145,24 @@ def test_central_probe(capsys):
     obj = json.loads(out)
     assert code == 0 and obj["m0"] == 3
     validate(obj)
+
+
+PROBE_A3F2_DIGESTS = {
+    "1": "fe8a8a0bb78e732491e9730f6bb2d492dc6913a0f157b2053f29df8927e6afa8",
+    "2": "87e2b6d12692cc17f6f7c8b715d6a292a793378b84ae0f52b93ea70d50de220d",
+}
+
+
+@pytest.mark.parametrize("workers", sorted(PROBE_A3F2_DIGESTS))
+def test_central_probe_A3F2_pinned(capsys, workers):
+    # 32,768 values of Y in 20 orbits; the stdout bytes are those of the
+    # probe that visited every scaling class
+    t0 = time.perf_counter()
+    code, out = run(capsys, ["central-probe", "--algebra", "A3", "--field", "F2",
+                             "--m-from", "1", "--m-to", "5", "--workers", workers])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROBE_A3F2_DIGESTS[workers]
 
 
 def test_example48(capsys):

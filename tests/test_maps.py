@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -471,6 +472,14 @@ def test_scan_budget_argument_below_1(mode):
             maps.image_scan(alg, P, mode=mode, seed=1, budget=budget)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_scan_sample_count_below_1(count):
+    alg = build_algebra("A", 1, F3)
+    with pytest.raises(maps.InvalidSampleCountError, match="sample_count"):
+        maps.image_scan(alg, parse("[X1,X2]"), mode="sampled", seed=1,
+                        sample_count=count)
+
+
 def test_scan_workers_bit_identical_inside_blocks():
     # 15,625 assignments split in 3 chunks: 15,625 / 3 is no multiple of
     # N = 125, so chunk edges fall inside a block of assignments sharing X2
@@ -759,8 +768,7 @@ def test_central_probe_small():
 
 
 def test_central_probe_workers_match():
-    # the chunks split the scaling-class representatives of Y; the merged
-    # report must not depend on how many there are
+    # workers is only recorded: the report must not depend on it
     alg = build_algebra("A", 2, F3)
     reports = {w: maps.central_image_probe(alg, range(1, 13), workers=w).to_json()
                for w in (1, 2, 3)}
@@ -769,6 +777,99 @@ def test_central_probe_workers_match():
     for w, rep in reports.items():
         assert rep.pop("workers") == w
     assert reports[1] == reports[2] == reports[3]
+
+
+def _union_find_orbits(alg):
+    """Oracle: {least index: size} of the orbits of every x_beta(t) (beta in
+    R, t in F_p^*) and every scalar in F_p^*, by union-find over all p^dim
+    points.  Each root automorphism is applied by linearity from its
+    matrix's columns: the point one unit above v in digit k maps to
+    g(v) + g(e_k)."""
+    p, dim = alg.field.modulus, alg.dim
+    N = p ** dim
+    parent = list(range(N))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
+    weights = [p ** k for k in range(dim)]
+    for idx in range(N):
+        v = maps._decode(idx, p, dim)
+        for c in range(2, p):
+            union(idx, maps._encode([c * x % p for x in v], p))
+    for b in alg.rs.roots:
+        for t in range(1, p):
+            cols = [list(col) for col in zip(*alg.root_automorphism(b, t).res_matrix)]
+            images, k = [[0] * dim], 0
+            for idx in range(1, N):
+                if k + 1 < dim and idx >= weights[k + 1]:
+                    k += 1
+                img = [(a + c) % p for a, c in zip(images[idx - weights[k]], cols[k])]
+                images.append(img)
+                union(idx, sum(map(operator.mul, img, weights)))
+    sizes = {}
+    for idx in range(N):
+        r = find(idx)
+        sizes[r] = sizes.get(r, 0) + 1
+    return sizes
+
+
+@pytest.mark.parametrize("type_label,rank,spec,n_orbits", [
+    ("A", 1, "F5", 4), ("A", 2, "F3", 10), ("A", 3, "F2", 20)])
+def test_orbit_representatives_match_union_find(type_label, rank, spec, n_orbits):
+    alg = build_algebra(type_label, rank, make_field(spec))
+    reps = list(maps._orbit_representatives(alg))
+    for y_idx, y, _ in reps:
+        assert y == maps._decode(y_idx, alg.field.modulus, alg.dim)
+    assert {y_idx: size for y_idx, _, size in reps} == _union_find_orbits(alg)
+    assert len(reps) == n_orbits
+    assert sum(size for _, _, size in reps) == alg.field.modulus ** alg.dim
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=8, max_size=8),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(1, 2)), max_size=4),
+       st.integers(1, 4))
+def test_probe_column_space_equivariance(ycoeffs, word, m):
+    # column space of D_gY^m = g (column space of D_Y^m): the reason the
+    # probe may visit one Y per orbit
+    alg = build_algebra("A", 2, F3)
+    g = alg.identity_automorphism()
+    for r, t in word:
+        g = alg.root_automorphism(alg.rs.roots[r], t).compose(g)
+    Y = alg.element_from_ints(ycoeffs)
+
+    def column_space(Y):
+        D = alg.ad_matrix(-Y)
+        M = D
+        for _ in range(m - 1):
+            M = linalg.mat_mul(M, D, F3)
+        return maps._column_echelon(M, F3)[0]
+
+    moved = [g.apply(alg.element(u)).coeffs for u in column_space(Y)]
+    R, pivots = linalg.rref([list(u) for u in moved], F3)
+    assert R[:len(pivots)] == column_space(g.apply(Y))
+
+
+def test_central_probe_opens_no_pool(monkeypatch):
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe opened a multiprocessing pool")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    alg = build_algebra("A", 2, F3)
+    rep = maps.central_image_probe(alg, range(1, 4), workers=2)
+    assert rep.m0 == 3 and rep.workers == 2
 
 
 # -- equivariance ---------------------------------------------------------------
