@@ -567,11 +567,11 @@ class ChevalleyAlgebra:
         f = self.field
         p = f.modulus
         if budget > 0 and p in (2, 3):
-            # The search keeps its old domain, characteristic 0 or >= 5, and
-            # its old refusal (reported after an empty budget), although
-            # root automorphisms now exist in every characteristic: engel-solve
-            # answers where it did and nowhere else.
-            raise ChevalleyError("root automorphisms need characteristic 0 or >= 5")
+            # The search keeps its domain, characteristic >= 5 (reported after
+            # an empty budget), although root automorphisms exist in every
+            # characteristic: engel-solve answers where it did and nowhere else.
+            raise ChevalleyError(
+                "the randomized conjugation search is limited to characteristic >= 5")
         roots = self.rs.roots
         steps = 2 * len(self.rs.positive_roots)
         for _ in range(budget):

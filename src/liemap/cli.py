@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import fixtures, maps
 from .chevalley import ChevalleyError, build_algebra
-from .freelie import ParseError, make_engel, normal_form, parse
+from .freelie import ParseError, engel_spec, make_engel, normal_form, parse
 from .matrixrep import MatrixRepError, matrix_from_json
 from .rootsystem import RootSystemError, build_root_system
 from .scalar import FieldSpecError, make_field
@@ -205,9 +205,19 @@ def cmd_scan(args):
     t, r = _algebra_label(args.algebra)
     alg = build_algebra(t, r, field)
     P = _poly_arg(args.poly)
-    rep = maps.image_scan(alg, P, mode=args.mode, seed=args.seed,
-                          workers=args.workers, budget=args.budget,
-                          sample_count=args.samples)
+    spec = None
+    if args.mode == "exhaustive" and field.characteristic and P.nvars == 2:
+        # brute force would exceed the budget, the Engel engine fits it
+        N = field.modulus ** alg.dim
+        if N <= maps.scan_budget(args.budget) < N * N:
+            spec = engel_spec(P)
+    if spec is not None:
+        rep = maps.engel_image_scan(alg, spec, workers=args.workers,
+                                    budget=args.budget)
+    else:
+        rep = maps.image_scan(alg, P, mode=args.mode, seed=args.seed,
+                              workers=args.workers, budget=args.budget,
+                              sample_count=args.samples)
     obj = {"schema": "liemap/scan/v1"}
     obj.update(rep.to_json())
     _emit(obj, args.out)

@@ -491,6 +491,23 @@ def engel_monomial(m: int) -> LiePoly:
     return LiePoly(node, 2)
 
 
+def engel_spec(P: LiePoly):
+    """The EngelSpec (a_1..a_m) when P = sum a_k E_k(X1, X2), else None.
+    a_k is read as the coefficient of the word X1 X2^k in expansion(P), and
+    P is accepted only when its expansion equals that of make_engel(a): the
+    free Lie algebra embeds in the tensor algebra, so P is then that sum."""
+    if P.nvars != 2:
+        return None
+    words = expansion(P)
+    a = [words.get((1,) + (2,) * k, Fraction(0))
+         for k in range(1, max(map(len, words), default=0))]
+    while a and not a[-1]:
+        a.pop()
+    if not a or expansion(make_engel(a)[0]) != words:
+        return None
+    return EngelSpec(a)
+
+
 def make_engel(coeffs) -> tuple:
     """(P, spec) with P = sum a_i E_i(X, Y)."""
     spec = EngelSpec(coeffs)

@@ -8,10 +8,12 @@
 * exhaustive / sampled finite-field image scans with worker partitioning,
   which evaluate P on a block of assignments at once (every assignment is
   still evaluated), plus an exact linear-fiber engine for (generalized)
-  Engel maps, which are linear in the first argument,
+  Engel maps, which are linear in the first argument: it decides the image
+  on one Y per orbit of G x F_p^*, G the group generated by the root
+  elements x_beta(t), and walks Y only for the printed preimages,
 * the central-image probe measuring the least Engel degree with no nonzero
-  central values, visiting one Y per orbit of the group generated by the
-  root elements x_beta(t), times F_p^*.
+  central values, visiting one Y per orbit of G x F_p^* (10 orbits on
+  sl(3, F_3), 20 on sl(4, F_2)).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import functools
 import hashlib
 import itertools
 import json
-import operator
 import os
 import random
 from dataclasses import dataclass
@@ -59,8 +60,13 @@ class InvalidSampleCountError(MapsError):
 DEFAULT_SCAN_BUDGET = 2_000_000
 
 
-def _scan_budget():
-    """The enumeration cap: LIEMAP_BUDGET when set, else the default."""
+def scan_budget(budget=None):
+    """The enumeration cap: `budget` when given (at least 1), else
+    LIEMAP_BUDGET when set, else the default."""
+    if budget is not None:
+        if budget < 1:
+            raise InvalidBudgetError("budget must be at least 1, got %d" % budget)
+        return budget
     text = os.environ.get("LIEMAP_BUDGET")
     if text is None:
         return DEFAULT_SCAN_BUDGET
@@ -849,10 +855,7 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
-    if budget is None:
-        budget = _scan_budget()
-    elif budget < 1:
-        raise InvalidBudgetError("budget must be at least 1, got %d" % budget)
+    budget = scan_budget(budget)
     p = alg.field.modulus
     N = p ** alg.dim
     d = P.nvars
@@ -885,60 +888,50 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
             prev = attained.get(v)
             if prev is None or a_idx < prev:
                 attained[v] = a_idx
-    return _build_report(alg, P, mode_json, attained, total, workers)
+    return _build_report(alg, P, mode_json, attained, lambda _: attained,
+                         total, workers)
 
 
-def _build_report(alg, P, mode_json, attained, domain_size, workers):
+def _build_report(alg, P, mode_json, image, preimages, domain_size, workers):
+    """The report on the attained indices `image` (a set or dict).  It
+    prints a preimage for every nonzero central index and the 8 least, and
+    preimages(printed) maps each printed index to its assignment index."""
     p = alg.field.modulus
     N = p ** alg.dim
     central = _central_indices(alg)
-    zero_idx = 0
-    hit_zero = zero_idx in attained
-    n_central_nonzero = sum(1 for v in attained if v in central and v != zero_idx)
-    n_noncentral = sum(1 for v in attained if v not in central)
-    all_noncentral = n_noncentral == N - len(central)
+    order = sorted(image)
+    hits = [v for v in order if v and v in central]
+    printed = hits + order[:8]
+    found = preimages(printed)
+    hit_zero = 0 in image
+    n_noncentral = len(image) - len(hits) - hit_zero
 
     def elem_json(v):
         return alg.element_from_ints(_decode(v, p, alg.dim)).to_json()
 
-    def preimage_json(a_idx):
-        d = P.nvars
-        rest = a_idx
+    def entry(v):
+        a_idx = found[v]
         out = []
-        for _ in range(d):
-            rest, e_idx = divmod(rest, N)
+        for _ in range(P.nvars):
+            a_idx, e_idx = divmod(a_idx, N)
             out.append(elem_json(e_idx))
-        return out
-
-    def check(v, a_idx):
-        xs = [alg.element_from_json(e) for e in preimage_json(a_idx)]
-        val = evaluate(P, xs)
-        assert _encode(val.coeffs, p) == v, \
+        xs = [alg.element_from_json(e) for e in out]
+        assert _encode(evaluate(P, xs).coeffs, p) == v, \
             "stored preimage fails re-evaluation"
+        return {"element": elem_json(v), "preimage": out}
 
-    central_hits = []
-    for v in sorted(attained):
-        if v in central and v != zero_idx:
-            check(v, attained[v])
-            central_hits.append({"element": elem_json(v),
-                                 "preimage": preimage_json(attained[v])})
     missed = [elem_json(v) for v in
-              itertools.islice((v for v in range(N) if v not in attained), 10)]
-    samples = []
-    for v in sorted(attained)[:8]:
-        check(v, attained[v])
-        samples.append({"element": elem_json(v),
-                        "preimage": preimage_json(attained[v])})
+              itertools.islice((v for v in range(N) if v not in image), 10)]
     return ImageReport(
         algebra=algebra_id(alg), field=str(alg.field), poly=P.pretty(),
         mode=mode_json, dim=alg.dim, arity=P.nvars, total_elements=N,
-        domain_size=domain_size, attained_count=len(attained),
-        contains_zero=hit_zero, contains_all_noncentral=all_noncentral,
+        domain_size=domain_size, attained_count=len(image),
+        contains_zero=hit_zero,
+        contains_all_noncentral=n_noncentral == N - len(central),
         hit_counts={"zero": 1 if hit_zero else 0,
-                    "central_nonzero": n_central_nonzero,
-                    "noncentral": n_noncentral},
-        central_hits=central_hits, missed_sample=missed,
-        preimage_samples=samples, workers=workers)
+                    "central_nonzero": len(hits), "noncentral": n_noncentral},
+        central_hits=[entry(v) for v in hits], missed_sample=missed,
+        preimage_samples=[entry(v) for v in order[:8]], workers=workers)
 
 
 # -- exact linear-fiber engine for Engel maps --------------------------------
@@ -985,72 +978,79 @@ def _column_preimages(M, basis, field):
     return xs
 
 
-def _members(basis, remaining, field, dim):
-    """The indices in `remaining` (index -> vector) of the vectors in the
-    span of the echelon rows `basis`: the span is enumerated when it is no
-    larger than `remaining`, otherwise each vector is tested against the
-    annihilator."""
-    p = field.modulus
-    if p ** len(basis) <= len(remaining):
-        return [i for i in _span_indices(basis, p, dim) if i in remaining]
-    ann = linalg.kernel_basis(basis, field)
-    return [i for i, v in remaining.items()
-            if not any(sum(map(operator.mul, a, v)) % p for a in ann)]
-
-
-def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec,
-                     workers=1) -> ImageReport:
-    """Exact image of a generalized Engel map, computed per fixed Y.
+def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
+                     budget=None) -> ImageReport:
+    """Exact image of a generalized Engel map, decided on one Y per orbit.
 
     P(X, Y) = g(D_Y) X with D_Y = [., Y] and g(t) = sum a_i t^i, so for each
-    Y the attainable values form the column space of g(D_Y).  Y is walked in
-    index order; each element is credited to the first Y whose column space
-    holds it, with the preimage `linalg.solve` gives there.  Solving is
-    linear on the column space, so one elimination per new column space
-    yields preimages x_i of its echelon rows u_i, and v gets sum v[pivot_i]
-    x_i.  The walk stops once every element is attained.  When g is a
-    monomial a t^m, g(D_cY) = c^m g(D_Y) has the same column space as
-    g(D_Y), so only the least Y of each F_p^* class is visited.  The result
-    marks exactly the elements the brute-force scan marks (validated against
-    it on small cases).  `workers` is recorded only: the walk is sequential
-    so that it can stop early.  The elements not yet attained are held
-    decoded, so p^dim is capped by the scan budget (LIEMAP_BUDGET).
+    Y the values form the column space of g(D_Y).  For h in the group G the
+    x_beta(t) generate, g(D_hY) = h g(D_Y) h^-1, and column spaces are
+    closed under F_p^*, so the image is a union of the orbits of G x F_p^*
+    that _orbit_representatives labels (10 on sl(3, F_3)).
+
+    Phase 1 decides the image: the column space of g(D_Y) for each orbit's
+    least Y, and for its multiples cY unless g is a monomial (then g(D_cY)
+    = c^m g(D_Y)), is enumerated, and the orbits it meets are attained,
+    until every orbit is.  Phase 2 credits each element the report prints
+    to the first Y of the walk in index order (one Y per F_p^* class for a
+    monomial g) whose column space holds it, with the preimage
+    `linalg.solve` gives there: one elimination per new column space
+    yields preimages x_i of its echelon rows u_i, and v gets sum
+    v[pivot_i] x_i.  It stops once each has its Y.  The image is the
+    brute-force scan's (validated on small cases).  The scan runs
+    in-process; `workers` is recorded only.  The labels cover all p^dim
+    elements, which `budget` (default LIEMAP_BUDGET) caps.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
     field, p, dim = alg.field, alg.field.modulus, alg.dim
     N = p ** dim
-    budget = _scan_budget()
+    budget = scan_budget(budget)
     if N > budget:
         raise ScanBudgetError(
             "Engel scan holds %d elements > budget %d; raise LIEMAP_BUDGET"
             % (N, budget))
     acoeffs = [field.residue(c) for c in spec.coeffs]
     monomial = sum(1 for a in acoeffs if a) == 1
-    seen = set()
-    remaining = {i: _decode(i, p, dim) for i in range(N)}
-    attained = {}
-    for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
-        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
-        M = _engel_matrix(acoeffs, D, field)
-        basis, pivots = _column_echelon(M, field)
-        key = tuple(_encode(u, p) for u in basis)
-        if key in seen:
-            continue
-        seen.add(key)
-        xs = _column_preimages(M, basis, field)
-        for v_idx in _members(basis, remaining, field, dim):
-            v = remaining.pop(v_idx)
-            x = [0] * dim
-            for c, xi in zip(pivots, xs):
-                if v[c]:
-                    x = [(a + v[c] * b) % p for a, b in zip(x, xi)]
-            attained[v_idx] = _encode(x, p) + N * y_idx
-        if not remaining:
+    reps, labels = _orbit_representatives(alg)
+
+    def column_space(y):
+        M = _engel_matrix(acoeffs, alg.ad_matrix(-AlgElement(alg, y)), field)
+        return (M,) + _column_echelon(M, field)
+
+    hit = set()
+    for _, y, _ in reps:
+        hit.update(labels[i] for c in ([1] if monomial else range(1, p))
+                   for i in _span_indices(
+                       column_space([c * a % p for a in y])[1], p, dim))
+        if len(hit) == len(reps):
             break
+
+    def preimages(printed):
+        found, pending, seen = {}, {v: _decode(v, p, dim) for v in printed}, set()
+        for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
+            if not pending:
+                break
+            M, basis, pivots = column_space(_decode(y_idx, p, dim))
+            key = tuple(_encode(u, p) for u in basis)
+            if key in seen:
+                continue
+            seen.add(key)
+            inside = [v for v, vec in pending.items()
+                      if linalg.in_row_space(basis, pivots, vec, field)]
+            xs = _column_preimages(M, basis, field) if inside else []
+            for v in inside:
+                vec, x = pending.pop(v), [0] * dim
+                for c, xi in zip(pivots, xs):
+                    x = [(a + vec[c] * b) % p for a, b in zip(x, xi)]
+                found[v] = _encode(x, p) + N * y_idx
+        assert not pending, "orbit image and preimage walk disagree"
+        return found
+
     P, _ = make_engel(spec.coeffs)
     mode_json = {"kind": "exhaustive", "engine": "engel-linear"}
-    return _build_report(alg, P, mode_json, attained, N ** 2, workers)
+    image = {v for v in range(N) if labels[v] in hit}
+    return _build_report(alg, P, mode_json, image, preimages, N ** 2, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,29 +1096,36 @@ def _orbit_generators(alg: ChevalleyAlgebra):
     return gens
 
 
+@functools.lru_cache(maxsize=None)
 def _orbit_representatives(alg: ChevalleyAlgebra):
-    """(index, vector, orbit size) of the least Y of each orbit of the
-    group generated by the x_beta(t) times F_p^*, in increasing index order.
+    """(reps, labels), once per algebra: reps lists (index, vector, orbit
+    size) for the least Y of each orbit of the group generated by the
+    x_beta(t) times F_p^*, in increasing index order, and labels, an
+    array('i') of length p^dim, holds each index's orbit number, its
+    position in reps.  sl(3, F_3) has 10 orbits, sl(4, F_2) 20.
 
-    The scaling representatives are walked in order and every marked index
-    is skipped; an unmarked Y is the least of its orbit, which is then
-    marked in a bytearray(p^dim) by a search under _orbit_generators.  Each
-    generator is applied to each point found through its sparse columns,
-    updating the index only at the digits that change, and the point's
-    c-multiples (c in F_p^*) are marked with it: the group is linear, so the
-    marked set is the whole orbit once the search ends."""
+    The scaling representatives are walked in order and every labelled index
+    is skipped; an unlabelled Y is the least of its orbit, which is then
+    labelled by a search under _orbit_generators.  Each generator is applied
+    to each point found through its sparse columns, updating the index only
+    at the digits that change, and the point's c-multiples (c in F_p^*) are
+    labelled with it: the group is linear, so the labelled set is the whole
+    orbit once the search ends.  Callers share the result and must not
+    change it."""
+    from array import array  # an extension module: only this pass loads it
     p, dim = alg.field.modulus, alg.dim
     weights = [p ** k for k in range(dim)]
     gens = _orbit_generators(alg)
-    marked = bytearray(p ** dim)
+    labels = array("i", [-1]) * p ** dim
+    reps = []
 
     def mark(idx, vec):
-        marked[idx] = 1
+        labels[idx] = len(reps)
         for c in range(2, p):
-            marked[sum(c * x % p * w for x, w in zip(vec, weights) if x)] = 1
+            labels[sum(c * x % p * w for x, w in zip(vec, weights) if x)] = len(reps)
 
     for y_idx in _scaling_representatives(p, dim):
-        if marked[y_idx]:
+        if labels[y_idx] >= 0:
             continue
         y = _decode(y_idx, p, dim)
         mark(y_idx, y)
@@ -1140,11 +1147,12 @@ def _orbit_representatives(alg: ChevalleyAlgebra):
                             v = list(u)
                         n += (d - u[i]) * weights[i]
                         v[i] = d
-                if v is not None and not marked[n]:
+                if v is not None and labels[n] < 0:
                     mark(n, v)
                     stack.append((n, v))
                     size += 1
-        yield y_idx, y, (size * (p - 1) if y_idx else 1)
+        reps.append((y_idx, y, size * (p - 1) if y_idx else 1))
+    return reps, labels
 
 
 def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralProbeReport:
@@ -1178,7 +1186,7 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
         return CentralProbeReport(algebra=algebra_id(alg), field=str(alg.field),
                                   m_range=[], table={}, m0=None, workers=workers)
     field, p, dim = alg.field, alg.field.modulus, alg.dim
-    budget = _scan_budget()
+    budget = scan_budget()
     if p ** dim > budget:
         raise ScanBudgetError(
             "probe needs %d fixed-Y subscans > budget %d; raise LIEMAP_BUDGET"
@@ -1190,7 +1198,7 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
 
     max_m = max(ms)
     hits = {}
-    for y_idx, y, _ in _orbit_representatives(alg):
+    for y_idx, y, _ in _orbit_representatives(alg)[0]:
         D = alg.ad_matrix(-AlgElement(alg, y))
         M, rk, frozen = D, -1, False
         for m in range(1, max_m + 1):

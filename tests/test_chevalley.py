@@ -370,6 +370,26 @@ def test_conjugate_into_U_randomized_error_order():
     assert not isinstance(err.value, ConjugationBudgetError)
 
 
+@pytest.mark.parametrize("type_label,spec", [("B", "F3"), ("G", "F2"), ("B", "F5")])
+def test_conjugate_into_U_randomized_refusal_names_the_search(type_label, spec):
+    # root automorphisms exist in characteristic 2 and 3, so the refusal
+    # names the randomized search's own limit; an empty budget still comes
+    # first, and over F5 the search runs
+    alg = build_algebra(type_label, 2, make_field(spec))
+    l = alg.h_element(0)
+    with pytest.raises(ConjugationBudgetError):
+        alg.conjugate_into_U(l, budget=0)
+    if alg.field.modulus >= 5:
+        g, u = alg.conjugate_into_U(l, budget=50)
+        assert g.apply(l) == u and not any(u.h_part)
+        return
+    with pytest.raises(ChevalleyError) as err:
+        alg.conjugate_into_U(l, budget=1)
+    assert type(err.value) is ChevalleyError
+    assert str(err.value) == \
+        "the randomized conjugation search is limited to characteristic >= 5"
+
+
 def test_element_part_views():
     alg = build_algebra("A", 2, F5)
     x = alg.element_from_ints([1, 2, 3, 4, 0, 1, 0, 2])

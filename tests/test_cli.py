@@ -139,6 +139,55 @@ def test_scan(capsys):
     validate(obj)
 
 
+def test_scan_past_budget_uses_engel_engine_sl3_F3(capsys):
+    # brute force would need 3^16 evaluations, so the Engel engine answers;
+    # its report, less the schema key, is the pinned library report
+    code, out = run(capsys, ["scan", "--poly", "[[X,Y],Y]", "--algebra", "A2",
+                             "--field", "F3"])
+    obj = json.loads(out)
+    assert code == 0 and obj.pop("schema") == "liemap/scan/v1"
+    assert obj["mode"] == {"kind": "exhaustive", "engine": "engel-linear"}
+    assert hashlib.sha256(liemap.maps._canonical(obj).encode()).hexdigest() == \
+        "22929e9e7775bcdaa2f83979e2ce9b63ddb76e2178638ae5184cd564a70cebd5"
+
+
+@pytest.mark.parametrize("poly", ["[[X1,X2],X2]", "[X1,X2] + 2*[[X1,X2],X2]"])
+def test_scan_engines_print_the_same_report(capsys, poly):
+    # A1/F5: 125 elements, 15,625 assignments; a budget between the two
+    # selects the Engel engine
+    argv = ["scan", "--poly", poly, "--algebra", "A1", "--field", "F5"]
+    _, brute = run(capsys, argv)
+    _, linear = run(capsys, argv + ["--budget", "125"])
+    brute, linear = json.loads(brute), json.loads(linear)
+    assert brute.pop("mode") == {"kind": "exhaustive", "engine": "brute-force"}
+    assert linear.pop("mode") == {"kind": "exhaustive", "engine": "engel-linear"}
+    brute.pop("poly"), linear.pop("poly")
+    assert brute == linear
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "[[X1,X2],X1]"],
+    ["--poly", "[[X1,X2],X2] + X1"],
+    ["--poly", "[[X1,X2],X3]"],
+    ["--poly", "[[X1,X2],X2]", "--budget", "6560"],
+], ids=["not-engel", "linear-term", "three-variables", "elements-past-budget"])
+def test_scan_past_budget_keeps_brute_force_refusal(capsys, argv):
+    # the Engel engine is taken only for P = sum a_k E_k(X1, X2) with
+    # p^dim within the budget; otherwise brute force refuses as before
+    code, out = run(capsys, ["scan", "--algebra", "A2", "--field", "F3"] + argv)
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "ScanBudgetError"
+    assert err["error"].startswith("exhaustive scan needs")
+
+
+def test_scan_sampled_stays_brute_force(capsys):
+    code, out = run(capsys, ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A2",
+                             "--field", "F3", "--mode", "sampled", "--seed", "1",
+                             "--samples", "50"])
+    obj = json.loads(out)
+    assert code == 0 and obj["mode"] == {"kind": "sampled", "count": 50, "seed": 1}
+
+
 def test_central_probe(capsys):
     code, out = run(capsys, ["central-probe", "--algebra", "A2", "--field",
                              "F3", "--m-from", "1", "--m-to", "3"])
@@ -265,10 +314,21 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_budget_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LIEMAP_BUDGET", "100")
+    # A1/F3: 27 elements, 729 assignments; 26 is below both engines' needs
+    monkeypatch.setenv("LIEMAP_BUDGET", "26")
     code, out = run(capsys, ["scan", "--poly", "[X1,X2]", "--algebra", "A1",
                              "--field", "F3", "--mode", "exhaustive"])
     assert code == 1 and "budget" in json.loads(out)["error"]
+
+
+def test_budget_env_override_selects_engel_engine(capsys, monkeypatch):
+    # below the 729 assignments brute force needs, above the 27 elements
+    # the Engel engine labels
+    monkeypatch.setenv("LIEMAP_BUDGET", "100")
+    code, out = run(capsys, ["scan", "--poly", "[X1,X2]", "--algebra", "A1",
+                             "--field", "F3", "--mode", "exhaustive"])
+    obj = json.loads(out)
+    assert code == 0 and obj["mode"]["engine"] == "engel-linear"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import random_element, random_monomial, random_poly
 from liemap.chevalley import build_algebra
 from liemap.freelie import (Br, EngelSpec, LiePoly, ParseError, Sum, Var,
-                            _divisors, engel_monomial, evaluate, expansion,
+                            _divisors, engel_monomial, engel_spec, evaluate,
+                            expansion,
                             linear_part, make_engel, max_monomial_degree,
                             min_monomial_degree, normal_form, parse)
 from liemap.scalar import make_field
@@ -171,6 +172,33 @@ def test_make_engel():
         EngelSpec([])
     with pytest.raises(ValueError):
         EngelSpec([1, 0])
+
+
+@pytest.mark.parametrize("text,coeffs", [
+    ("[X1,X2]", [1]),
+    ("[[X,Y],Y]", [0, 1]),
+    ("[X2,X1]", [-1]),
+    ("[[X2,X1],X2] + 2*[X1,X2]", [2, -1]),
+    ("1/2*[[[X1,X2],X2],X2] - [X2,[X1,X2]]", [0, 1, Fraction(1, 2)]),
+    ("[[X1,X2],X2] + [X1,X1] + [[X1,X2],[X1,X2]]", [0, 1]),
+])
+def test_engel_spec_reads_engel_polynomials(text, coeffs):
+    spec = engel_spec(parse(text))
+    assert spec is not None and list(spec.coeffs) == coeffs
+    assert expansion(make_engel(coeffs)[0]) == expansion(parse(text))
+
+
+@pytest.mark.parametrize("text,nvars", [
+    ("[[X1,X2],X1]", None),            # X2 is the linear variable here
+    ("[[X1,X2],X2] + X1", None),       # a linear term
+    ("[[X1,X2],[X1,X2]]", None),       # zero
+    ("X1", None),
+    ("[[X1,X2],X2] + [[X1,X2],X1]", None),
+    ("[[X1,X3],X3]", None),            # Engel in X1, X3, not X1, X2
+    ("[[X1,X2],X2]", 3),               # declared arity 3
+])
+def test_engel_spec_refuses_others(text, nvars):
+    assert engel_spec(parse(text, nvars)) is None
 
 
 def test_engel_rational_roots():

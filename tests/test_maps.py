@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -598,6 +600,7 @@ _ENGEL_COEFFS = st.one_of(
 @example((3, [1, 2]))
 @example((7, [0, 1]))
 @example((7, [3, 0, 1]))
+@example((11, [0, 1]))
 def test_engel_linear_engine_matches_brute_force(case):
     """The linear-fiber engine must agree exactly with the brute-force oracle
     on every small case before it is trusted on larger ones."""
@@ -644,6 +647,34 @@ def test_engel_linear_engine_pinned_sl3_F3(coeffs, digest):
     _, spec = make_engel(coeffs)
     rep = maps.engel_image_scan(alg, spec)
     assert hashlib.sha256(maps._canonical(rep.to_json()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("type_label,field_spec,coeffs,digest", [
+    ("B", "F3", [0, 1], "3664037cc8119e330c44b4d591b5ae4cf50c634c2f27eae9496370dc7519af19"),
+    ("B", "F3", [1, 1], "3ec03ceacd5614c5599239dc3b4739c5a6f31546ede7ded361e65cb1ff72c439"),
+    ("G", "F2", [0, 1], "44561408a86b8917a29ea45c0f8fa04f54ff80394373243af3976b76783e1297"),
+], ids=["B2/F3 0,1", "B2/F3 1,1", "G2/F2 0,1"])
+def test_engel_linear_engine_pinned_rank_2(type_label, field_spec, coeffs, digest):
+    # regression constants, recorded with the engine that credited every
+    # element on its walk of Y, independently of the orbit labels
+    alg = build_algebra(type_label, 2, make_field(field_spec))
+    _, spec = make_engel(coeffs)
+    rep = maps.engel_image_scan(alg, spec)
+    assert hashlib.sha256(maps._canonical(rep.to_json()).encode()).hexdigest() == digest
+
+
+def test_engel_scan_opens_no_pool(monkeypatch):
+    import multiprocessing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Engel scan opened a multiprocessing pool")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    alg = build_algebra("A", 2, F3)
+    _, spec = make_engel([1, 1])
+    rep = maps.engel_image_scan(alg, spec, workers=2)
+    assert rep.contains_all_noncentral and rep.workers == 2
 
 
 def test_scan_solve_cross_validation_sl2_F3():
@@ -779,12 +810,14 @@ def test_central_probe_workers_match():
     assert reports[1] == reports[2] == reports[3]
 
 
-def _union_find_orbits(alg):
-    """Oracle: {least index: size} of the orbits of every x_beta(t) (beta in
-    R, t in F_p^*) and every scalar in F_p^*, by union-find over all p^dim
-    points.  Each root automorphism is applied by linearity from its
-    matrix's columns: the point one unit above v in digit k maps to
+@functools.lru_cache(maxsize=None)
+def _union_find_roots(type_label, rank, spec):
+    """Oracle: the least index of each index's orbit under every x_beta(t)
+    (beta in R, t in F_p^*) and every scalar in F_p^*, by union-find over
+    all p^dim points.  Each root automorphism is applied by linearity from
+    its matrix's columns: the point one unit above v in digit k maps to
     g(v) + g(e_k)."""
+    alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
     N = p ** dim
     parent = list(range(N))
@@ -815,23 +848,34 @@ def _union_find_orbits(alg):
                 img = [(a + c) % p for a, c in zip(images[idx - weights[k]], cols[k])]
                 images.append(img)
                 union(idx, sum(map(operator.mul, img, weights)))
-    sizes = {}
-    for idx in range(N):
-        r = find(idx)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sizes
+    return tuple(find(idx) for idx in range(N))
 
 
 @pytest.mark.parametrize("type_label,rank,spec,n_orbits", [
     ("A", 1, "F5", 4), ("A", 2, "F3", 10), ("A", 3, "F2", 20)])
 def test_orbit_representatives_match_union_find(type_label, rank, spec, n_orbits):
     alg = build_algebra(type_label, rank, make_field(spec))
-    reps = list(maps._orbit_representatives(alg))
+    reps, _ = maps._orbit_representatives(alg)
     for y_idx, y, _ in reps:
         assert y == maps._decode(y_idx, alg.field.modulus, alg.dim)
-    assert {y_idx: size for y_idx, _, size in reps} == _union_find_orbits(alg)
+    assert {y_idx: size for y_idx, _, size in reps} == \
+        Counter(_union_find_roots(type_label, rank, spec))
     assert len(reps) == n_orbits
     assert sum(size for _, _, size in reps) == alg.field.modulus ** alg.dim
+
+
+@pytest.mark.parametrize("type_label,rank,spec,n_orbits", [
+    ("A", 1, "F5", 4), ("A", 2, "F3", 10), ("A", 3, "F2", 20)])
+def test_orbit_labels_partition(type_label, rank, spec, n_orbits):
+    # one label in range per index, the labels' classes are the union-find
+    # orbits, and each class's least index and size are its representative's
+    alg = build_algebra(type_label, rank, make_field(spec))
+    reps, labels = maps._orbit_representatives(alg)
+    assert len(labels) == alg.field.modulus ** alg.dim and len(reps) == n_orbits
+    assert set(labels) == set(range(n_orbits))
+    roots = _union_find_roots(type_label, rank, spec)
+    assert [reps[label][0] for label in labels] == list(roots)
+    assert [size for _, _, size in reps] == [labels.count(k) for k in range(n_orbits)]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
