@@ -271,6 +271,7 @@ class ChevalleyAlgebra:
 
         self._center = None
         self._realization = None
+        self._unit_roots = None
         self._powers = {}
         if validate:
             self._validate_jacobi()
@@ -514,10 +515,12 @@ class ChevalleyAlgebra:
     def conjugate_into_U(self, l: AlgElement, seed=0, budget=4000):
         """Find (g, u) with u = g(l) having zero H-part.
 
-        Type A over characteristic != 2: deterministic diagonal elimination in
-        the matrix realization via elementary similarity moves.  Other types:
-        seeded randomized products of root automorphisms over finite fields,
-        with exact verification (reported distinctly on budget exhaustion).
+        g is a word in the root elements x_beta(t), built by _word_automorphism
+        on both paths.  Type A over characteristic != 2: deterministic
+        diagonal elimination on the sl(n) matrix of l by moves I + t E_ab,
+        each applied as the root element it is.  Other types: seeded
+        randomized root-element words over finite fields, with exact
+        verification (reported distinctly on budget exhaustion).
         """
         if l.alg is not self:
             raise ChevalleyError("element from a different algebra")
@@ -539,22 +542,34 @@ class ChevalleyAlgebra:
             self._realization = realize_chevalley(self)
         return self._realization
 
+    def _word_automorphism(self, word, factors=None):
+        """x_{b_k}(t_k) .. x_{b_1}(t_1) for word [(b_1, t_1), ..], recording
+        `factors` instead of its ("root", b, t) factors when given."""
+        g = self.identity_automorphism()
+        for b, t in word:
+            g = self.root_automorphism(b, t).compose(g)
+        if factors is not None:
+            g.factors = tuple(factors)
+        return g
+
     def _conjugate_into_U_type_A(self, l):
+        """Each move I + t E_ab of _zero_diagonal acts as Ad(I + t E_ab) =
+        x_beta(t / c), where the realization sends e_beta to c E_ab."""
         f = self.field
         real = self._get_realization()
-        M = real.combine(l.coeffs)
-        S, Sinv, factors = _zero_diagonal(M, f)
-        cols = []
-        inv_cols = []
-        for k in range(self.dim):
-            B = real.image_matrix(k)
-            conj = linalg.mat_mul(linalg.mat_mul(S, B, f), Sinv, f)
-            cols.append(real.matrix_coords(conj))
-            conj_inv = linalg.mat_mul(linalg.mat_mul(Sinv, B, f), S, f)
-            inv_cols.append(real.matrix_coords(conj_inv))
-        mat = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        inv = [[inv_cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        g = LieAutomorphism(self, mat, inv, factors)
+        if self._unit_roots is None:
+            self._unit_roots = {}
+            for (kind, coords), B in zip(self.basis, real.images):
+                if kind == "e":
+                    (a, b, c), = [(i, j, x) for i, row in enumerate(B)
+                                  for j, x in enumerate(row) if x]
+                    self._unit_roots[(a, b)] = (coords, f.inv(c))
+        factors = _zero_diagonal(real.combine(l.coeffs), f)
+        word = []
+        for _, a, b, t in factors:
+            coords, cinv = self._unit_roots[(a, b)]
+            word.append((coords, f.reduce(f.residue(t) * cinv)))
+        g = self._word_automorphism(word, factors)
         u = g.apply(l)
         assert not any(u.h_part), "type A diagonal elimination failed"
         return g, u
@@ -583,9 +598,7 @@ class ChevalleyAlgebra:
                 v = self._root_element_times(b.coords, t, v)
                 word.append((b, t))
             if not any(v[: self.rank]):
-                g = self.identity_automorphism()
-                for b, t in word:
-                    g = self.root_automorphism(b, t).compose(g)
+                g = self._word_automorphism(word)
                 u = g.apply(l)
                 if list(u.coeffs) != v:
                     raise AssertionError(
@@ -632,28 +645,22 @@ def _lattice_points(bound, rank):
             yield ts
 
 
-def _zero_diagonal(M, field, max_iter=None):
+def _zero_diagonal(M, field):
     """Similarity-transform the trace-zero non-scalar residue matrix M
     (mutated in place) to zero diagonal using elementary conjugations
-    I + t E_ab.
+    M <- (I + t E_ab) M (I - t E_ab).
 
-    Returns (S, Sinv, factors) with the final M equal to S M0 Sinv.
+    Returns the moves as factors ("elem", a, b, t), first move first.
     Requires characteristic != 2.
     """
     n = len(M)
-    S = linalg.identity_matrix(field, n)
-    Sinv = linalg.identity_matrix(field, n)
     factors = []
     red = field.reduce
 
     def elem(a, b, t):
-        # M <- (I + tE_ab) M (I - tE_ab), exact.
         M[a] = field.sub_row(M[a], -t, M[b])
         for i in range(n):
             M[i][b] = red(M[i][b] - t * M[i][a])
-        S[a] = field.sub_row(S[a], -t, S[b])
-        for i in range(n):
-            Sinv[i][b] = red(Sinv[i][b] - t * Sinv[i][a])
         factors.append(("elem", a, b, field.lift(t)))
 
     def transfer(a, b, delta):
@@ -671,13 +678,11 @@ def _zero_diagonal(M, field, max_iter=None):
             elem(b, a, s)
         elem(a, b, red(delta * field.inv(M[b][a])))
 
-    if max_iter is None:
-        max_iter = 12 * n + 24
-    for _ in range(max_iter):
+    for _ in range(12 * n + 24):
         diag = [M[i][i] for i in range(n)]
         nz = [i for i in range(n) if diag[i]]
         if not nz:
-            return S, Sinv, factors
+            return factors
         assert len(nz) >= 2, "trace-zero matrix with one nonzero diagonal entry"
         a = nz[0]
         b = next((j for j in nz[1:] if diag[j] != diag[a]), None)

@@ -1,8 +1,9 @@
 """liemap: command-line frontend with canonical JSON output.
 
 Exit codes: 0 success, 1 semantic failure (mathematical precondition or an
---expect mismatch), 2 usage error, 3 internal error (a failed invariant or
-re-evaluation certificate; the error JSON has kind "InternalError").
+--expect mismatch), 2 usage error (including a file that cannot be read or
+written; the error JSON has the OSError class as kind), 3 internal error (a
+failed invariant or re-evaluation certificate; kind "InternalError").
 Identical invocations produce identical bytes; every randomized run records
 its seed in the output.
 """
@@ -30,10 +31,10 @@ SEMANTIC_ERRORS = (ChevalleyError, MatrixRepError, RootSystemError,
 
 def _emit(obj, out_path=None):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _field(spec):
@@ -374,6 +375,9 @@ def main(argv=None) -> int:
     except SEMANTIC_ERRORS as e:
         _emit({"error": str(e), "kind": type(e).__name__})
         return 1
+    except OSError as e:
+        _emit({"error": str(e), "kind": type(e).__name__})
+        return 2
     except AssertionError as e:
         _emit({"error": str(e), "kind": "InternalError"})
         return 3

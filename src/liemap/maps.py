@@ -1173,12 +1173,18 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
     column space is the same for every larger m, so membership is decided
     once and later degrees only solve D^m x = c for the targets inside it.
     The walk runs in-process; `workers` is only recorded in the report.
-    The orbit marks cover all p^dim values of Y, which the scan budget
-    (LIEMAP_BUDGET) caps.  Reports the least m0 in range with no nonzero
-    central hits from m0 onward.
+    The scan budget (LIEMAP_BUDGET) caps the orbit marks, which cover all
+    p^dim values of Y, and first the length of m_range (a range or a list).
+    Reports the least m0 in range with no nonzero central hits from m0
+    onward.
     """
     if alg.field.characteristic == 0:
         raise MapsError("the central probe requires a finite field")
+    budget = scan_budget()
+    if len(m_range) > budget:
+        raise ScanBudgetError(
+            "probe needs %d Engel degrees > budget %d; raise LIEMAP_BUDGET"
+            % (len(m_range), budget))
     ms = sorted(set(int(m) for m in m_range))
     if any(m < 1 for m in ms):
         raise MapsError("Engel degrees start at m = 1")
@@ -1186,7 +1192,6 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
         return CentralProbeReport(algebra=algebra_id(alg), field=str(alg.field),
                                   m_range=[], table={}, m0=None, workers=workers)
     field, p, dim = alg.field, alg.field.modulus, alg.dim
-    budget = scan_budget()
     if p ** dim > budget:
         raise ScanBudgetError(
             "probe needs %d fixed-Y subscans > budget %d; raise LIEMAP_BUDGET"

@@ -20,15 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .chevalley import AlgElement, ChevalleyAlgebra
+from .chevalley import AlgElement, ChevalleyAlgebra, _neg
 
 
 class MatrixRepError(ValueError):
     pass
-
-
-def _neg(c):
-    return tuple(-x for x in c)
 
 
 class MatrixElement:
@@ -289,9 +285,6 @@ class Realization:
                 flat.append([images[k][i][j] for k in range(alg.dim)])
         self._A = flat
         self._verify()
-
-    def image_matrix(self, k):
-        return self.images[k]
 
     def combine(self, coeffs):
         """The residue matrix sum_k coeffs[k] images[k] (coeffs in residues)."""

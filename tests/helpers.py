@@ -1,10 +1,12 @@
-"""Shared test utilities: seeded random elements and polynomials, and the
-brute-force sl(2) witness oracle."""
+"""Shared test utilities: seeded random elements and polynomials, the
+brute-force sl(2) witness oracle and the type-A similarity oracle."""
 
 import itertools
 import random
 from fractions import Fraction
 
+from liemap import linalg
+from liemap.chevalley import _zero_diagonal
 from liemap.freelie import Br, LiePoly, Sum, Var
 from liemap.maps import _sl2_value
 
@@ -60,3 +62,31 @@ def grid_witness(P, field, deg):
         if not val.is_zero():
             return triples, val
     return None, None
+
+
+def similarity_conjugator(alg, l):
+    """Type-A conjugation of l by similarity in the sl(n) realization:
+    the moves ("elem", a, b, t) of _zero_diagonal replayed into S = the
+    product of the I + t E_ab and into S^-1, then S B S^-1 and S^-1 B S for
+    every basis image B, read back into coordinates by matrix_coords.
+    Returns (res_matrix, res_inv_matrix, factors, u coefficients)."""
+    f = alg.field
+    real = alg._get_realization()
+    factors = _zero_diagonal(real.combine(l.coeffs), f)
+    n = real.n
+    S = linalg.identity_matrix(f, n)
+    Sinv = linalg.identity_matrix(f, n)
+    for _, a, b, t in factors:
+        t = f.residue(t)
+        S[a] = f.sub_row(S[a], -t, S[b])
+        for i in range(n):
+            Sinv[i][b] = f.reduce(Sinv[i][b] - t * Sinv[i][a])
+    cols, inv_cols = [], []
+    for B in real.images:
+        cols.append(real.matrix_coords(
+            linalg.mat_mul(linalg.mat_mul(S, B, f), Sinv, f)))
+        inv_cols.append(real.matrix_coords(
+            linalg.mat_mul(linalg.mat_mul(Sinv, B, f), S, f)))
+    mat = [list(row) for row in zip(*cols)]
+    inv = [list(row) for row in zip(*inv_cols)]
+    return mat, inv, tuple(factors), linalg.mat_vec(mat, l.coeffs, f)

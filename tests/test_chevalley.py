@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_element, random_nonzero_element
+from helpers import (random_element, random_nonzero_element,
+                     similarity_conjugator)
 from liemap import linalg
 from liemap.chevalley import (CentralElementError, ChevalleyError,
                               ConjugationBudgetError,
@@ -309,20 +310,63 @@ def test_conjugate_into_U_random_type_A():
             assert g.apply(l) == u
 
 
+def _adversarial_diagonals():
+    real3 = realize_chevalley(build_algebra("A", 2, F3))
+    real4 = realize_chevalley(build_algebra("A", 3, F3))
+    return [real3.from_matrix(matrix_from_ints(
+                "sl3", [[1, 1, 0], [0, 1, 0], [0, 0, 1]], F3)),
+            real4.from_matrix(matrix_from_ints(
+                "sl4", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], F3))]
+
+
 def test_conjugate_into_U_adversarial_diagonals():
     # equal diagonal values in small characteristic stress the elimination
-    alg3 = build_algebra("A", 2, F3)
-    real3 = realize_chevalley(alg3)
-    l = real3.from_matrix(matrix_from_ints(
-        "sl3", [[1, 1, 0], [0, 1, 0], [0, 0, 1]], F3))
-    g, u = alg3.conjugate_into_U(l)
-    assert not any(u.h_part) and g.apply(l) == u
-    a3 = build_algebra("A", 3, F3)
-    real4 = realize_chevalley(a3)
-    l4 = real4.from_matrix(matrix_from_ints(
-        "sl4", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]], F3))
-    g4, u4 = a3.conjugate_into_U(l4)
-    assert not any(u4.h_part) and g4.apply(l4) == u4
+    for l in _adversarial_diagonals():
+        g, u = l.alg.conjugate_into_U(l)
+        assert not any(u.h_part) and g.apply(l) == u
+
+
+def test_conjugate_into_U_type_A_matches_similarity_oracle(monkeypatch):
+    # the root-element word equals the similarity S . S^-1 of the moves,
+    # in matrix, inverse, factors and image
+    rng = random.Random(10)
+    targets = _adversarial_diagonals()
+    for field in (Q, F3, F5, F7):
+        for rank in (1, 2, 3, 4):
+            alg = build_algebra("A", rank, field)
+            for _ in range(6):
+                l = random_nonzero_element(alg, rng)
+                if any(l.h_part) and not alg.is_central(l):
+                    targets.append(l)
+    assert len(targets) > 80
+    refused = 0
+    for l in targets:
+        try:
+            mat, inv, factors, u_coeffs = similarity_conjugator(l.alg, l)
+        except AssertionError as e:
+            # the elimination cycles on some targets over F3 of rank >= 3;
+            # both constructions refuse them alike
+            assert str(e) == "diagonal elimination did not converge"
+            with pytest.raises(AssertionError, match=str(e)):
+                l.alg.conjugate_into_U(l)
+            refused += 1
+            continue
+        g, u = l.alg.conjugate_into_U(l)
+        assert g.res_matrix == mat and g.res_inv_matrix == inv
+        assert g.factors == factors and list(u.coeffs) == u_coeffs
+        assert not any(u.h_part)
+    assert refused == 1
+
+    def no_solve(*args):
+        raise AssertionError("type-A conjugation solved a linear system")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    alg = build_algebra("A", 3, F5)
+    for _ in range(10):
+        l = random_nonzero_element(alg, rng)
+        if any(l.h_part):
+            g, u = alg.conjugate_into_U(l)
+            assert not any(u.h_part) and g.apply(l) == u
 
 
 def test_conjugate_into_U_randomized_B2():

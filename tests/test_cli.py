@@ -113,6 +113,35 @@ def test_engel_solve_large_rational_coefficient(tmp_path, capsys):
     validate(obj)
 
 
+# stdout sha256 of engel-solve runs, recorded before the type-A conjugator
+# became a root-element word
+ENGEL_SOLVE_DIGESTS = [
+    (["A2", "F5", "1"], ["1", "2", "0", "0", "3", "0", "1", "0"],
+     "068a8a9b66986407054bd24d1e7a17d80ba7fa712bc2b22659eb8c6e2d10f442"),
+    (["A3", "F7", "0,1"],
+     ["2", "5", "1", "0", "1", "0", "3", "0", "0", "4", "0", "0", "6", "0", "2"],
+     "49c2fca634f46e943e4d8bed2ef45f3d5d9418916ffb5f7c4a217dde75a0aea8"),
+    (["A2", "Q", "720720,1"], ["3", "-1", "0", "2", "0", "1", "0", "-2"],
+     "46c3d7d3617bb07a464c0d79ae68622f7d00293baab081080e5a9ed834ac4b7d"),
+    (["A4", "Q", "0,1"],
+     ["1", "-2", "3", "1", "0", "1", "0", "0", "2", "0", "0", "0", "0", "-1",
+      "1", "0", "0", "3", "0", "0", "0", "0", "1", "0"],
+     "1d0dc5142e30c9c8bedba33263247ce8145af0a0515861a415dbac7278259c23"),
+]
+
+
+@pytest.mark.parametrize("args,coeffs,digest", ENGEL_SOLVE_DIGESTS,
+                         ids=["A2-F5-E1", "A3-F7-E2", "A2-Q-720720", "A4-Q-E2"])
+def test_engel_solve_pinned_bytes(tmp_path, capsys, args, coeffs, digest):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"basis": "chevalley", "coeffs": coeffs}))
+    algebra, field, engel = args
+    code, out = run(capsys, ["engel-solve", "--algebra", algebra, "--field", field,
+                             "--coeffs", engel, "--target", str(target)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_identity_answers_at_once(capsys):
     # randomized mode reads the degree off the tensor expansion, not the
     # Lyndon normal form, so the 9-variable chain takes no time
@@ -303,6 +332,49 @@ def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert json.loads(out) == {"error": "Engel solver produced an invalid solution",
                                "kind": "InternalError"}
+
+
+def _file_error(capsys, argv, kind):
+    code, out = run(capsys, argv)
+    err = json.loads(out)
+    assert code == 2 and err["kind"] == kind and set(err) == {"error", "kind"}
+
+
+def test_unreadable_target_is_usage_error(tmp_path, capsys):
+    _file_error(capsys, ["engel-solve", "--algebra", "A2", "--field", "F5",
+                         "--coeffs", "1", "--target", str(tmp_path / "none.json")],
+                "FileNotFoundError")
+
+
+def test_unreadable_triples_is_usage_error(tmp_path, capsys):
+    _file_error(capsys, ["witness", "--triples", str(tmp_path / "none.json")],
+                "FileNotFoundError")
+
+
+def test_unreadable_poly_file_is_usage_error(tmp_path, capsys):
+    _file_error(capsys, ["parse", "--poly", "@" + str(tmp_path)],
+                "IsADirectoryError")
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    # --out is written before stdout, so stdout holds only the error JSON
+    _file_error(capsys, ["scan", "--poly", "X1", "--algebra", "A1", "--field", "F3",
+                         "--out", str(tmp_path / "missing" / "x.json")],
+                "FileNotFoundError")
+
+
+def test_central_probe_degree_count_is_budgeted(capsys, monkeypatch):
+    # A2/F3 has 3^8 = 6561 values of Y; the 7001 degrees exceed the budget
+    monkeypatch.setenv("LIEMAP_BUDGET", "7000")
+    argv = ["central-probe", "--algebra", "A2", "--field", "F3", "--m-from", "1"]
+    code, out = run(capsys, argv + ["--m-to", "7001"])
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "ScanBudgetError"
+    assert err["error"] == \
+        "probe needs 7001 Engel degrees > budget 7000; raise LIEMAP_BUDGET"
+    code, out = run(capsys, argv + ["--m-to", "12"])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+        "3ac34bd134bae39e878badb99044c8276cbf26bf3004c06e7230dced799ceac8"
 
 
 def test_out_file(tmp_path, capsys):
