@@ -3,7 +3,7 @@
 from .scalar import FpElement, PrimeField, Rationals, invert, make_field
 from .rootsystem import Root, RootSystem, build_root_system
 from .chevalley import (AlgElement, ChevalleyAlgebra, LieAutomorphism,
-                        RootAutomorphism, build_algebra, build_chevalley)
+                        build_algebra, build_chevalley)
 from .freelie import (EngelSpec, LiePoly, LyndonForm, engel_monomial, engel_spec,
                       evaluate, linear_part, make_engel, max_monomial_degree,
                       min_monomial_degree, normal_form, parse)

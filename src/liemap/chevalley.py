@@ -193,15 +193,32 @@ class AlgElement:
 
 
 class LieAutomorphism:
-    """Invertible bracket-preserving linear map, stored as an exact pair of
-    residue matrices (see linalg); `matrix` and `inv_matrix` give them in
-    the field's scalars."""
+    """The product x_{b_k}(t_k) .. x_{b_1}(t_1) of root elements, held as its
+    word ((b_1, t_1), .., (b_k, t_k)) of root coordinates and residues and
+    applied letter by letter from the cached divided powers.  `factors` is
+    what a report prints about it.  The residue matrices `res_matrix` and
+    `res_inv_matrix`, and `matrix` and `inv_matrix` in the field's scalars,
+    are computed from the word on demand."""
 
-    def __init__(self, alg, res_matrix, res_inv_matrix, factors=()):
+    def __init__(self, alg, word=(), factors=()):
         self.alg = alg
-        self.res_matrix = res_matrix
-        self.res_inv_matrix = res_inv_matrix
+        self.word = tuple(word)
         self.factors = tuple(factors)
+
+    def _times(self, v):
+        for coords, t in self.word:
+            v = self.alg._root_element_times(coords, t, v)
+        return v
+
+    @property
+    def res_matrix(self):
+        f = self.alg.field
+        cols = [self._times(e) for e in linalg.identity_matrix(f, self.alg.dim)]
+        return [list(row) for row in zip(*cols)]
+
+    @property
+    def res_inv_matrix(self):
+        return self.inverse().res_matrix
 
     @property
     def matrix(self):
@@ -214,35 +231,23 @@ class LieAutomorphism:
     def apply(self, x: AlgElement) -> AlgElement:
         if x.alg is not self.alg:
             raise ChevalleyError("element from a different algebra")
-        return AlgElement(self.alg, linalg.mat_vec(self.res_matrix, x.coeffs, self.alg.field))
+        return AlgElement(self.alg, self._times(x.coeffs))
 
     def inverse(self):
-        return LieAutomorphism(self.alg, self.res_inv_matrix, self.res_matrix,
-                               tuple(("inv",) + f for f in reversed(self.factors)))
+        red = self.alg.field.reduce
+        return LieAutomorphism(self.alg, ((c, red(-t)) for c, t in reversed(self.word)),
+                               (("inv",) + f for f in reversed(self.factors)))
 
     def compose(self, other):
         """self after other."""
         if other.alg is not self.alg:
             raise ChevalleyError("automorphisms of different algebras")
-        f = self.alg.field
-        return LieAutomorphism(
-            self.alg,
-            linalg.mat_mul(self.res_matrix, other.res_matrix, f),
-            linalg.mat_mul(other.res_inv_matrix, self.res_inv_matrix, f),
-            other.factors + self.factors)
-
-
-class RootAutomorphism(LieAutomorphism):
-    """x_beta(t) = exp(t ad e_beta) as an exact matrix."""
-
-    def __init__(self, alg, root, t, res_matrix, res_inv_matrix):
-        super().__init__(alg, res_matrix, res_inv_matrix, (("root", root.coords, t),))
-        self.root = root
-        self.t = t
+        return LieAutomorphism(self.alg, other.word + self.word,
+                               other.factors + self.factors)
 
 
 class ChevalleyAlgebra:
-    def __init__(self, rs: RootSystem, field, validate=True):
+    def __init__(self, rs: RootSystem, field):
         self.rs = rs
         self.field = field
         self.rank = rs.rank
@@ -273,8 +278,7 @@ class ChevalleyAlgebra:
         self._realization = None
         self._unit_roots = None
         self._powers = {}
-        if validate:
-            self._validate_jacobi()
+        self._validate_jacobi()
 
     # -- construction helpers -------------------------------------------
 
@@ -454,8 +458,7 @@ class ChevalleyAlgebra:
         return self.element(list(ts) + [0] * (self.dim - self.rank))
 
     def identity_automorphism(self):
-        m = linalg.identity_matrix(self.field, self.dim)
-        return LieAutomorphism(self, m, [row[:] for row in m])
+        return LieAutomorphism(self)
 
     def _divided_powers(self, coords):
         """Sparse N_k = ad(e_beta)^k / k! for k = 1, 2, .. while nonzero, so
@@ -477,26 +480,14 @@ class ChevalleyAlgebra:
             powers = self._powers[coords] = tuple(powers)
         return powers
 
-    def root_automorphism(self, root, t) -> RootAutomorphism:
-        """exp(t ad e_beta) = I + sum_k t^k N_k from the cached divided powers,
-        in every characteristic."""
-        coords = root.coords if hasattr(root, "coords") else tuple(root)
-        powers = self._divided_powers(coords)
+    def root_automorphism(self, root, t) -> LieAutomorphism:
+        """x_beta(t) = exp(t ad e_beta), the one-letter word; it acts as
+        I + sum_k t^k N_k from the cached divided powers, in every
+        characteristic."""
+        coords = self.rs.root(root.coords if hasattr(root, "coords") else root).coords
         f = self.field
         t = f.residue(t)
-
-        def expo(tt):
-            M = linalg.identity_matrix(f, self.dim)
-            tk = 1
-            for nk in powers:
-                tk = tk * tt
-                for j, col in nk:
-                    for i, c in col:
-                        M[i][j] += tk * c
-            return [f.reduce_row(row) for row in M]
-
-        return RootAutomorphism(self, self.rs.root(coords), f.lift(t), expo(t),
-                                expo(f.reduce(-t)))
+        return LieAutomorphism(self, ((coords, t),), (("root", coords, f.lift(t)),))
 
     def _root_element_times(self, coords, t, v):
         """x_beta(t) v = v + sum_k t^k N_k v on a residue vector."""
@@ -515,8 +506,8 @@ class ChevalleyAlgebra:
     def conjugate_into_U(self, l: AlgElement, seed=0, budget=4000):
         """Find (g, u) with u = g(l) having zero H-part.
 
-        g is a word in the root elements x_beta(t), built by _word_automorphism
-        on both paths.  Type A over characteristic != 2: deterministic
+        g is a word in the root elements x_beta(t) on both paths, and u is
+        that word applied to l.  Type A over characteristic != 2: deterministic
         diagonal elimination on the sl(n) matrix of l by moves I + t E_ab,
         each applied as the root element it is.  Other types: seeded
         randomized root-element words over finite fields, with exact
@@ -542,16 +533,6 @@ class ChevalleyAlgebra:
             self._realization = realize_chevalley(self)
         return self._realization
 
-    def _word_automorphism(self, word, factors=None):
-        """x_{b_k}(t_k) .. x_{b_1}(t_1) for word [(b_1, t_1), ..], recording
-        `factors` instead of its ("root", b, t) factors when given."""
-        g = self.identity_automorphism()
-        for b, t in word:
-            g = self.root_automorphism(b, t).compose(g)
-        if factors is not None:
-            g.factors = tuple(factors)
-        return g
-
     def _conjugate_into_U_type_A(self, l):
         """Each move I + t E_ab of _zero_diagonal acts as Ad(I + t E_ab) =
         x_beta(t / c), where the realization sends e_beta to c E_ab."""
@@ -569,15 +550,15 @@ class ChevalleyAlgebra:
         for _, a, b, t in factors:
             coords, cinv = self._unit_roots[(a, b)]
             word.append((coords, f.reduce(f.residue(t) * cinv)))
-        g = self._word_automorphism(word, factors)
+        g = LieAutomorphism(self, word, factors)
         u = g.apply(l)
         assert not any(u.h_part), "type A diagonal elimination failed"
         return g, u
 
     def _conjugate_into_U_randomized(self, l, seed, budget):
         """Replay the seeded words of 2|R+| root elements x_beta(t) on the
-        coefficient vector of l.  Only the first word that clears the H-part
-        is built as an automorphism matrix, and checked against the vector."""
+        coefficient vector of l, and return the first word that clears the
+        H-part with the vector it left."""
         rng = random.Random(seed)
         f = self.field
         p = f.modulus
@@ -596,14 +577,10 @@ class ChevalleyAlgebra:
                 b = roots[rng.randrange(len(roots))]
                 t = rng.randrange(1, p)
                 v = self._root_element_times(b.coords, t, v)
-                word.append((b, t))
+                word.append((b.coords, t))
             if not any(v[: self.rank]):
-                g = self._word_automorphism(word)
-                u = g.apply(l)
-                if list(u.coeffs) != v:
-                    raise AssertionError(
-                        "root-element word disagrees with its automorphism matrix")
-                return g, u
+                factors = (("root", c, f.lift(t)) for c, t in word)
+                return LieAutomorphism(self, word, factors), AlgElement(self, v)
         raise ConjugationBudgetError(
             "randomized conjugation exhausted budget=%d (seed=%d); "
             "retry with a larger --budget" % (budget, seed))

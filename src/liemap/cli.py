@@ -37,10 +37,6 @@ def _emit(obj, out_path=None):
     sys.stdout.write(text)
 
 
-def _field(spec):
-    return make_field(spec)
-
-
 def _algebra_label(label):
     m = re.fullmatch(r"([A-Ga-g])(\d+)", label.strip())
     if not m:
@@ -51,10 +47,12 @@ def _algebra_label(label):
 def _poly_arg(text):
     if text.startswith("@"):
         path = text[1:]
-        if os.path.exists(path):
+        # a path with a directory part is always a file, so a missing one
+        # fails as a file; a bare name is a fixture unless such a file exists
+        if os.path.dirname(path) or os.path.exists(path):
             with open(path) as fh:
                 return parse(fh.read().strip())
-        return fixtures.load_poly(os.path.basename(path))
+        return fixtures.load_poly(path)
     return parse(text)
 
 
@@ -75,7 +73,7 @@ def _check_expect(args, obj, key):
 
 
 def cmd_roots(args):
-    field = _field(args.field) if args.field else None
+    field = make_field(args.field) if args.field else None
     rs = build_root_system(args.type, args.rank, field)
     obj = {
         "schema": "liemap/roots/v1",
@@ -91,7 +89,7 @@ def cmd_roots(args):
 
 
 def cmd_algebra(args):
-    field = _field(args.field)
+    field = make_field(args.field)
     alg = build_algebra(args.type, args.rank, field)
     obj = {
         "schema": "liemap/algebra/v1",
@@ -132,7 +130,7 @@ def _frac(q: Fraction) -> str:
 
 
 def cmd_identity(args):
-    field = _field(args.field)
+    field = make_field(args.field)
     P = _poly_arg(args.poly)
     verdict = maps.is_identity_sl2(P, field, mode=args.mode, seed=args.seed,
                                    trials=args.trials, grid=args.grid)
@@ -146,7 +144,7 @@ def cmd_identity(args):
 
 
 def cmd_witness(args):
-    field = _field(args.field)
+    field = make_field(args.field)
     P = _poly_arg(args.poly) if args.poly else fixtures.load_poly("razmyslov_bracket")
     if args.fixtures:
         realization, t1, t2 = fixtures.load_witness_triples(args.fixtures, field)
@@ -154,8 +152,6 @@ def cmd_witness(args):
             raise ValueError("fixture %s is for realization %s"
                              % (args.fixtures, realization))
     else:
-        if not args.triples:
-            raise ValueError("need --fixtures or --triples")
         with open(args.triples) as fh:
             data = json.load(fh)
         realization = data["realization"]
@@ -170,7 +166,7 @@ def cmd_witness(args):
 
 
 def cmd_witness_search(args):
-    field = _field(args.field)
+    field = make_field(args.field)
     P = _poly_arg(args.poly)
     res = maps.dominance_witness_search(P, args.realization, field,
                                         budget=args.budget, seed=args.seed)
@@ -182,16 +178,13 @@ def cmd_witness_search(args):
 
 
 def cmd_engel_solve(args):
-    field = _field(args.field)
+    field = make_field(args.field)
     t, r = _algebra_label(args.algebra)
     alg = build_algebra(t, r, field)
     coeffs = [Fraction(c) for c in args.coeffs.split(",")]
     _, spec = make_engel(coeffs)
-    if args.target:
-        with open(args.target) as fh:
-            target = alg.element_from_json(json.load(fh))
-    else:
-        raise ValueError("need --target FILE (a chevalley-basis JSON element)")
+    with open(args.target) as fh:
+        target = alg.element_from_json(json.load(fh))
     sol = maps.engel_solve(alg, spec, target, seed=args.seed, budget=args.budget)
     obj = {"schema": "liemap/engel-solve/v1", "algebra": maps.algebra_id(alg),
            "field": str(field), "coeffs": [_frac(c) for c in spec.coeffs],
@@ -202,7 +195,7 @@ def cmd_engel_solve(args):
 
 
 def cmd_scan(args):
-    field = _field(args.field)
+    field = make_field(args.field)
     t, r = _algebra_label(args.algebra)
     alg = build_algebra(t, r, field)
     P = _poly_arg(args.poly)
@@ -226,7 +219,7 @@ def cmd_scan(args):
 
 
 def cmd_central_probe(args):
-    field = _field(args.field)
+    field = make_field(args.field)
     t, r = _algebra_label(args.algebra)
     alg = build_algebra(t, r, field)
     rep = maps.central_image_probe(alg, range(args.m_from, args.m_to + 1),
@@ -238,7 +231,7 @@ def cmd_central_probe(args):
 
 
 def cmd_example48(args):
-    field = _field(args.field)
+    field = make_field(args.field)
     alg = build_algebra("A", 1, field)
     vals = [field.parse_scalar(v) for v in (args.a, args.b, args.c, args.d)]
     a, b, c, d = vals
@@ -304,8 +297,9 @@ def build_parser():
     p = sub.add_parser("witness", help="check a dominancy witness pair")
     p.add_argument("--poly", help="defaults to the bundled degree-10 polynomial")
     p.add_argument("--realization", choices=["sl3", "so5"])
-    p.add_argument("--fixtures", choices=sorted(fixtures.WITNESS_FIXTURES))
-    p.add_argument("--triples", help="JSON file with realization/triple1/triple2")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--fixtures", choices=sorted(fixtures.WITNESS_FIXTURES))
+    src.add_argument("--triples", help="JSON file with realization/triple1/triple2")
     p.add_argument("--field", default="Q")
     p.add_argument("--expect")
     common(p)
@@ -325,7 +319,8 @@ def build_parser():
     p.add_argument("--algebra", required=True, help="e.g. A2")
     p.add_argument("--field", required=True)
     p.add_argument("--coeffs", required=True, help="a_1,...,a_m")
-    p.add_argument("--target", help="JSON file holding the target element")
+    p.add_argument("--target", required=True,
+                   help="JSON file holding the target element")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=4000)
     common(p)

@@ -24,8 +24,8 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chevalley import (AlgElement, CentralElementError, ChevalleyAlgebra,
                         build_algebra)
@@ -209,8 +209,7 @@ class Sl2Vec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     result: str                      # identity | not_identity | probably_identity
     mode: str                        # exact_symbolic | randomized | degree_shortcut
     witness: list | None = None      # list of (e, f, h) coordinate triples
@@ -347,8 +346,7 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WitnessVerdict:
+class WitnessVerdict(NamedTuple):
     result: str                     # confirmed | not_separated | undefined
     value1: MatrixElement | None = None
     value2: MatrixElement | None = None
@@ -417,8 +415,7 @@ def _random_matrix(realization, field, rng, span):
     raise MapsError("unknown realization %r" % realization)
 
 
-@dataclass
-class WitnessSearchResult:
+class WitnessSearchResult(NamedTuple):
     status: str                      # confirmed | exhausted
     triple1: list | None = None
     triple2: list | None = None
@@ -477,8 +474,7 @@ def _excluded_for_engel(alg: ChevalleyAlgebra) -> bool:
     return False
 
 
-@dataclass
-class EngelSolution:
+class EngelSolution(NamedTuple):
     X: AlgElement
     Y: AlgElement
     certificate: str
@@ -746,8 +742,7 @@ def _map_chunks(worker, n, workers, *common):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ImageReport:
+class ImageReport(NamedTuple):
     """Certified image summary.  hit_counts gives the number of distinct
     attained elements per class (zero / central_nonzero / noncentral);
     central_hits and preimage_samples carry preimages that are re-evaluated
@@ -1058,8 +1053,7 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CentralProbeReport:
+class CentralProbeReport(NamedTuple):
     algebra: str
     field: str
     m_range: list

@@ -16,8 +16,8 @@ m1 = deg f2, m2 = deg f1, and compared only by cross-multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .chevalley import AlgElement, ChevalleyAlgebra, _neg
@@ -211,8 +211,7 @@ def char_poly(X: MatrixElement):
     return out
 
 
-@dataclass
-class InvariantPair:
+class InvariantPair(NamedTuple):
     """Characteristic-polynomial invariants with the projective theta pair."""
 
     f1: object

@@ -15,7 +15,7 @@ The stored Cartan matrix uses the pairing convention
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 SUPPORTED_RANKS = {
@@ -80,8 +80,7 @@ def _is_c_family(type_label: str, rank: int) -> bool:
     return type_label == "C" or (type_label, rank) in (("A", 1), ("B", 2))
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """A root in simple-root integer coordinates."""
 
     coords: tuple

@@ -211,6 +211,42 @@ def test_root_automorphism_matches_dense_series():
                 assert g.factors == (("root", b.coords, t),)
 
 
+def _dense_word(alg, word):
+    """Oracle: x_{b_k}(t_k) .. x_{b_1}(t_1) for the word ((b_1, t_1), ..) as
+    the product of its letters' dense series, in residues."""
+    f = alg.field
+    M = linalg.identity_matrix(f, alg.dim)
+    for coords, t in word:
+        E = _dense_exponential(alg, alg.ad_matrix(alg.e_element(coords)), t)
+        M = linalg.mat_mul([[f.residue(x) for x in row] for row in E], M, f)
+    return M
+
+
+@pytest.mark.parametrize("type_label,rank,spec", [
+    ("B", 2, "F5"), ("G", 2, "F7"), ("A", 3, "F3")])
+def test_word_matrices_match_dense_series(type_label, rank, spec):
+    # an automorphism is its root-element word: the matrix derived from the
+    # word is the product of the letters' dense series, and the matrix of
+    # the inverse word inverts it
+    field = make_field(spec)
+    alg = build_algebra(type_label, rank, field)
+    eye = linalg.identity_matrix(field, alg.dim)
+    roots, p = alg.rs.roots, field.modulus
+    rng = random.Random(23)
+    for length in (0, 1, 2, 5, 8):
+        word = [(roots[rng.randrange(len(roots))].coords,
+                 field.from_int(rng.randrange(1, p))) for _ in range(length)]
+        g = alg.identity_automorphism()
+        for coords, t in word:
+            g = alg.root_automorphism(coords, t).compose(g)
+        assert g.factors == tuple(("root", c, t) for c, t in word)
+        assert g.res_matrix == _dense_word(alg, word)
+        assert linalg.mat_mul(g.res_inv_matrix, g.res_matrix, field) == eye
+        x = random_element(alg, rng)
+        assert g.apply(x).coeffs == tuple(linalg.mat_vec(g.res_matrix, x.coeffs, field))
+        assert g.inverse().apply(g.apply(x)) == x
+
+
 def _integral_series(type_label, rank, coords, t, p):
     """Oracle: sum_k t^k ad(e_beta)^k / k! by dense matrix powers on the Q
     algebra of the same type, each entry checked integral and reduced mod p."""
@@ -400,6 +436,12 @@ def test_conjugate_into_U_randomized_pinned_words():
         ((-1, -1), 4), ((0, 1), 2), ((-1, -2), 1), ((0, -1), 2)])
     assert u == alg.element_from_ints([0, 0, 3, 2, 2, 2, 1, 3, 1, 4])
     assert g.apply(l) == u and g.inverse().apply(u) == l
+    # the matrices derived from each pinned word are the dense products
+    eye = linalg.identity_matrix(F5, alg.dim)
+    for seed, l in ((2, alg.h_element(0) + alg.e_element((0, 1))), (0, l)):
+        g, _ = alg.conjugate_into_U(l, seed=seed)
+        assert g.res_matrix == _dense_word(alg, [(c, t) for _, c, t in g.factors])
+        assert linalg.mat_mul(g.res_inv_matrix, g.res_matrix, F5) == eye
 
 
 def test_conjugate_into_U_randomized_error_order():

@@ -11,6 +11,7 @@ import pytest
 
 import liemap
 from liemap.cli import main
+from liemap.fixtures import fixture_text, load_poly
 
 
 def run(capsys, argv):
@@ -354,6 +355,48 @@ def test_unreadable_triples_is_usage_error(tmp_path, capsys):
 def test_unreadable_poly_file_is_usage_error(tmp_path, capsys):
     _file_error(capsys, ["parse", "--poly", "@" + str(tmp_path)],
                 "IsADirectoryError")
+
+
+def test_poly_path_with_directory_part_is_a_file(tmp_path, capsys, monkeypatch):
+    # a missing file is reported as one, even when its name is a fixture's
+    _file_error(capsys, ["parse", "--poly", "@" + str(tmp_path / "x.lie")],
+                "FileNotFoundError")
+    monkeypatch.chdir(tmp_path)
+    _file_error(capsys, ["parse", "--poly", "@sub/filippov.lie"], "FileNotFoundError")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "filippov.lie").write_text("[X1,X2]\n")
+    code, out = run(capsys, ["parse", "--poly", "@sub/filippov.lie"])
+    assert code == 0 and json.loads(out)["pretty"] == "[X1,X2]"
+
+
+def test_poly_bare_name_is_a_fixture(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, ["parse", "--poly", "@filippov.lie"])
+    assert code == 0
+    assert json.loads(out)["pretty"] == load_poly("filippov").pretty()
+    # a file of that name in the working directory is read instead
+    (tmp_path / "filippov.lie").write_text("[X1,X2]\n")
+    code, out = run(capsys, ["parse", "--poly", "@filippov.lie"])
+    assert code == 0 and json.loads(out)["pretty"] == "[X1,X2]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["engel-solve", "--algebra", "A2", "--field", "F5", "--coeffs", "1"],
+    ["witness", "--realization", "sl3"],
+    ["witness", "--fixtures", "paper-a2", "--triples", "triples.json"],
+], ids=["engel-solve-no-target", "witness-no-source", "witness-two-sources"])
+def test_missing_or_conflicting_argument_is_usage_error(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
+def test_witness_triples_file_matches_fixture(tmp_path, capsys):
+    path = tmp_path / "triples.json"
+    path.write_text(fixture_text("paper_a2.json"))
+    code, out = run(capsys, ["witness", "--triples", str(path)])
+    assert code == 0
+    assert out == run(capsys, ["witness", "--fixtures", "paper-a2"])[1]
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

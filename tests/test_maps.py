@@ -322,6 +322,31 @@ def test_engel_solve_random_batch():
             assert sol.certificate and sol.trace["h"]
 
 
+def test_engel_solve_multiplies_no_matrices(monkeypatch):
+    # the conjugator is applied as its root-element word, on the type-A
+    # elimination (A2/F5, A3/F7, A2/Q) and the randomized search (B2/F5)
+    algs = [build_algebra(t, r, f)
+            for t, r, f in (("A", 2, F5), ("A", 3, F7), ("A", 2, Q), ("B", 2, F5))]
+    for alg in algs:
+        # built once per algebra, and checked there by matrix products
+        alg._get_realization()
+
+    def no_mat_mul(*args):
+        raise AssertionError("engel_solve multiplied two matrices")
+
+    monkeypatch.setattr(linalg, "mat_mul", no_mat_mul)
+    rng = random.Random(31)
+    for alg in algs:
+        for coeffs in ([1], [0, 1]):
+            P, spec = make_engel(coeffs)
+            for _ in range(3):
+                x = random_nonzero_element(alg, rng)
+                if alg.is_central(x):
+                    continue
+                sol = maps.engel_solve(alg, spec, x)
+                assert evaluate(P, [sol.X, sol.Y]) == x and sol.certificate
+
+
 def test_engel_solve_generalized_on_F7():
     # |K| = 7 is below the sufficient bound m|R| = 12, yet a good h exists
     rng = random.Random(78)

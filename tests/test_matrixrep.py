@@ -44,6 +44,23 @@ def test_so5_shape_validation_and_closure():
     bad = [[1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(4)]
     with pytest.raises(MatrixRepError):
         MatrixElement("so5", [[Q.from_int(v) for v in r] for r in bad], Q)
+    # one entry off the shape breaks exactly one block rule
+    for (i, j), rule in (((0, 0), r"\(0,0\) entry"), ((1, 0), r"-c\^t block"),
+                         ((3, 0), r"-b\^t block"), ((1, 3), "n block"),
+                         ((2, 3), "n block"), ((3, 1), "p block"),
+                         ((3, 2), "p block"), ((1, 1), r"-m\^t block")):
+        rows = [[0] * 5 for _ in range(5)]
+        rows[i][j] = 1
+        with pytest.raises(MatrixRepError, match="so5 shape: " + rule):
+            matrix_from_ints("so5", rows, Q)
+    for realization, rows, message in (
+            ("so5", [[0] * 5 for _ in range(4)], "not square"),
+            ("so5", [[0] * 3 for _ in range(3)], "so5 elements are 5x5"),
+            ("sl3", [[0, 0], [0, 0]], "size mismatch for sl3"),
+            ("sl3", [[1, 0, 0], [0, 0, 0], [0, 0, 0]], r"sl\(3\) element must be traceless"),
+            ("gl3", [[0] * 3 for _ in range(3)], "unknown realization")):
+        with pytest.raises(MatrixRepError, match=message):
+            matrix_from_ints(realization, rows, Q)
     for _ in range(100):
         X = _rand_so5(rng, Q)
         Y = _rand_so5(rng, Q)
