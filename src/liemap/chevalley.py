@@ -8,8 +8,7 @@ non-simple positive root xi, the special pair (gamma, delta) with gamma
 minimal in the (height, lex) order gets N_{gamma,delta} = p+1 > 0, and every
 other constant is forced by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
 Jacobi identity.  The construction-time Jacobi sweep is the oracle that
-checks the table: on every basis triple up to rank 4, on a strided sample of
-about 2000 triples above.
+checks the table on every basis triple.
 
 Elements hold their coefficients as residues (ints in [0, p) over F_p,
 Fractions over Q; see scalar.py): ChevalleyAlgebra.element converts scalars,
@@ -52,21 +51,9 @@ def _neg(c):
 
 def _structure_constants(rs: RootSystem):
     """Integer constants N_{a,b} for every pair of roots with a+b a root."""
-    pos = sorted((b.coords for b in rs.positive_roots), key=lambda c: (sum(c), c))
+    pos = [b.coords for b in rs.positive_roots]       # (height, lex) order
     order = {c: i for i, c in enumerate(pos)}
-    pos_set = set(pos)
     special = {}
-
-    def chain_p(a, b):
-        p = 0
-        cur = tuple(y - x for x, y in zip(a, b))
-        while cur in pos_set or _neg(cur) in pos_set:
-            p += 1
-            cur = tuple(y - x for x, y in zip(a, cur))
-        return p
-
-    def is_root(c):
-        return c in pos_set or _neg(c) in pos_set
 
     def nlook(u, v):
         """N_{u,v} as a Fraction during reduction; exact and integral in the end."""
@@ -90,20 +77,19 @@ def _structure_constants(rs: RootSystem):
         pairs = []
         for a in pos:
             b = tuple(x - y for x, y in zip(xi, a))
-            if b in pos_set and order[a] < order[b]:
+            if b in order and order[a] < order[b]:
                 pairs.append((a, b))
-        pairs.sort(key=lambda ab: order[ab[0]])
         g, d = pairs[0]
-        special[(g, d)] = chain_p(g, d) + 1
+        special[(g, d)] = rs.chain_down_length(rs.root(g), rs.root(d)) + 1
         for a, b in pairs[1:]:
             # Jacobi on (e_g, e_{-a}, e_{-b}); the e_{-d} coefficient gives
             #   N_{-a,-b} N_{g,-xi} + N_{-b,g} N_{-a,g-b} + N_{g,-a} N_{-b,g-a} = 0.
             acc = Fraction(0)
             gb = tuple(x - y for x, y in zip(g, b))
-            if is_root(gb):
+            if rs.contains(gb):
                 acc += nlook(_neg(b), g) * nlook(_neg(a), gb)
             ga = tuple(x - y for x, y in zip(g, a))
-            if is_root(ga):
+            if rs.contains(ga):
                 acc += nlook(g, _neg(a)) * nlook(_neg(b), ga)
             denom = nlook(g, _neg(xi))
             val = acc / denom
@@ -114,7 +100,7 @@ def _structure_constants(rs: RootSystem):
     for a in rs.roots:
         for b in rs.roots:
             s = tuple(x + y for x, y in zip(a.coords, b.coords))
-            if is_root(s):
+            if rs.contains(s):
                 v = nlook(a.coords, b.coords)
                 assert v.denominator == 1
                 n_table[(a.coords, b.coords)] = int(v)
@@ -251,11 +237,10 @@ class ChevalleyAlgebra:
         self.rs = rs
         self.field = field
         self.rank = rs.rank
-        pos_sorted = sorted(rs.positive_roots, key=lambda b: (b.height, b.coords))
-        self.pos_order = pos_sorted
+        self.pos_order = rs.positive_roots           # (height, lex) order
         self.basis = [("h", i) for i in range(rs.rank)]
-        self.basis += [("e", b.coords) for b in pos_sorted]
-        self.basis += [("e", _neg(b.coords)) for b in pos_sorted]
+        self.basis += [("e", b.coords) for b in rs.positive_roots]
+        self.basis += [("e", _neg(b.coords)) for b in rs.positive_roots]
         self.dim = len(self.basis)
         self._eidx = {lbl[1]: i for i, lbl in enumerate(self.basis) if lbl[0] == "e"}
 
@@ -301,11 +286,8 @@ class ChevalleyAlgebra:
 
     def _validate_jacobi(self):
         n, T, red = self.dim, self.bracket_table, self.field.reduce
-        triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
-                   for k in range(j + 1, n)]
-        if self.rank > 4:
-            stride = max(1, len(triples) // 2000)
-            triples = triples[::stride]
+        triples = ((i, j, k) for i in range(n) for j in range(i + 1, n)
+                   for k in range(j + 1, n))
         for (i, j, k) in triples:
             acc = {}
             for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import fixtures, maps
 from .chevalley import ChevalleyError, build_algebra
-from .freelie import ParseError, engel_spec, make_engel, normal_form, parse
+from .freelie import ParseError, _frac_str, engel_spec, make_engel, normal_form, parse
 from .matrixrep import MatrixRepError, matrix_from_json
 from .rootsystem import RootSystemError, build_root_system
 from .scalar import FieldSpecError, make_field
@@ -115,18 +115,14 @@ def cmd_parse(args):
         "pretty": P.pretty(),
         "arity": P.arity,
         "is_zero": nf.is_zero(),
-        "normal_form": {"".join(str(c) for c in w): _frac(c)
+        "normal_form": {"".join(str(c) for c in w): _frac_str(c)
                         for w, c in sorted(nf.coeffs.items())},
     }
     if not nf.is_zero():
         obj["min_monomial_degree"] = nf.min_degree()
-    obj["linear_part"] = [_frac(c) for c in nf.linear_coefficients(P.arity)]
+    obj["linear_part"] = [_frac_str(c) for c in nf.linear_coefficients(P.arity)]
     _emit(obj, args.out)
     return 0
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
 def cmd_identity(args):
@@ -187,7 +183,7 @@ def cmd_engel_solve(args):
         target = alg.element_from_json(json.load(fh))
     sol = maps.engel_solve(alg, spec, target, seed=args.seed, budget=args.budget)
     obj = {"schema": "liemap/engel-solve/v1", "algebra": maps.algebra_id(alg),
-           "field": str(field), "coeffs": [_frac(c) for c in spec.coeffs],
+           "field": str(field), "coeffs": [_frac_str(c) for c in spec.coeffs],
            "target": target.to_json()}
     obj.update(sol.to_json())
     _emit(obj, args.out)

@@ -93,12 +93,6 @@ class LiePoly:
     def pretty(self):
         return _print_node(self.node)
 
-    def evaluate(self, assignment):
-        return evaluate(self, assignment)
-
-    def normal_form(self):
-        return normal_form(self)
-
     def __eq__(self, o):
         return isinstance(o, LiePoly) and o.node == self.node and o.nvars == self.nvars
 

@@ -463,15 +463,10 @@ EXCLUDED_COMBINATIONS = "A1, B_r, C_r (char 2) and G2 (char 3)"
 
 
 def _excluded_for_engel(alg: ChevalleyAlgebra) -> bool:
-    # A_1/B_r/C_r in char 2, G_2 in char 3; the C-family cases are already
-    # rejected at build time, B_r (r >= 3) arrives here.
-    ch = alg.field.characteristic
-    t, r = alg.rs.key
-    if ch == 2 and (t in ("B", "C") or (t, r) == ("A", 1)):
-        return True
-    if ch == 3 and t == "G":
-        return True
-    return False
+    # A_1, B_2 and C_r in char 2 are rejected when the root system is built,
+    # so of EXCLUDED_COMBINATIONS only B_r (r >= 3) in char 2 and G_2 in
+    # char 3 arrive here.
+    return (alg.field.characteristic, alg.rs.type_label) in ((2, "B"), (3, "G"))
 
 
 class EngelSolution(NamedTuple):
@@ -766,18 +761,7 @@ class ImageReport(NamedTuple):
     workers: int = 1
 
     def to_json(self):
-        return {
-            "algebra": self.algebra, "field": self.field, "poly": self.poly,
-            "mode": self.mode, "dim": self.dim, "arity": self.arity,
-            "total_elements": self.total_elements, "domain_size": self.domain_size,
-            "attained_count": self.attained_count,
-            "contains_zero": self.contains_zero,
-            "contains_all_noncentral": self.contains_all_noncentral,
-            "hit_counts": self.hit_counts, "central_hits": self.central_hits,
-            "missed_sample": self.missed_sample,
-            "preimage_samples": self.preimage_samples,
-            "workers": self.workers,
-        }
+        return self._asdict()
 
 
 def _scan_chunk(args):
@@ -891,8 +875,8 @@ def _build_report(alg, P, mode_json, image, preimages, domain_size, workers):
     """The report on the attained indices `image` (a set or dict).  It
     prints a preimage for every nonzero central index and the 8 least, and
     preimages(printed) maps each printed index to its assignment index."""
-    p = alg.field.modulus
-    N = p ** alg.dim
+    p, dim = alg.field.modulus, alg.dim
+    N = p ** dim
     central = _central_indices(alg)
     order = sorted(image)
     hits = [v for v in order if v and v in central]
@@ -901,21 +885,11 @@ def _build_report(alg, P, mode_json, image, preimages, domain_size, workers):
     hit_zero = 0 in image
     n_noncentral = len(image) - len(hits) - hit_zero
 
-    def elem_json(v):
-        return alg.element_from_ints(_decode(v, p, alg.dim)).to_json()
-
     def entry(v):
-        a_idx = found[v]
-        out = []
-        for _ in range(P.nvars):
-            a_idx, e_idx = divmod(a_idx, N)
-            out.append(elem_json(e_idx))
-        xs = [alg.element_from_json(e) for e in out]
-        assert _encode(evaluate(P, xs).coeffs, p) == v, \
-            "stored preimage fails re-evaluation"
-        return {"element": elem_json(v), "preimage": out}
+        return _certified_entry(alg, P, v, [_decode(found[v] // N ** k % N, p, dim)
+                                            for k in range(P.nvars)])
 
-    missed = [elem_json(v) for v in
+    missed = [alg.element_from_ints(_decode(v, p, dim)).to_json() for v in
               itertools.islice((v for v in range(N) if v not in image), 10)]
     return ImageReport(
         algebra=algebra_id(alg), field=str(alg.field), poly=P.pretty(),
@@ -927,6 +901,18 @@ def _build_report(alg, P, mode_json, image, preimages, domain_size, workers):
                     "central_nonzero": len(hits), "noncentral": n_noncentral},
         central_hits=[entry(v) for v in hits], missed_sample=missed,
         preimage_samples=[entry(v) for v in order[:8]], workers=workers)
+
+
+def _certified_entry(alg, P, v, assignment):
+    """The printed {"element", "preimage"} entry for the index v and its
+    preimage, a list of residue vectors, certified by evaluating P on the
+    printed JSON."""
+    p = alg.field.modulus
+    preimage = [alg.element_from_ints(x).to_json() for x in assignment]
+    value = evaluate(P, [alg.element_from_json(e) for e in preimage])
+    assert _encode(value.coeffs, p) == v, "stored preimage fails re-evaluation"
+    return {"element": alg.element_from_ints(_decode(v, p, alg.dim)).to_json(),
+            "preimage": preimage}
 
 
 # -- exact linear-fiber engine for Engel maps --------------------------------
@@ -955,24 +941,6 @@ def _scaling_representatives(p, dim):
     return itertools.chain((0,), *(range(p ** k, 2 * p ** k) for k in range(dim)))
 
 
-def _column_preimages(M, basis, field):
-    """x_i with M x_i = u_i for the echelon rows u_i of M's column space,
-    each the one `linalg.solve(M, u_i)` returns, from one elimination of
-    [M | basis^T]."""
-    m = len(M[0])
-    R, pivots = linalg.rref([row + [u[i] for u in basis]
-                             for i, row in enumerate(M)], field)
-    assert all(c < m for c in pivots), "echelon row outside the column space"
-    xs = []
-    for j, u in enumerate(basis):
-        x = [0] * m
-        for r, c in enumerate(pivots):
-            x[c] = R[r][m + j]
-        assert linalg.mat_vec(M, x, field) == u, "column preimage fails M x = u"
-        xs.append(x)
-    return xs
-
-
 def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
                      budget=None) -> ImageReport:
     """Exact image of a generalized Engel map, decided on one Y per orbit.
@@ -989,10 +957,8 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     until every orbit is.  Phase 2 credits each element the report prints
     to the first Y of the walk in index order (one Y per F_p^* class for a
     monomial g) whose column space holds it, with the preimage
-    `linalg.solve` gives there: one elimination per new column space
-    yields preimages x_i of its echelon rows u_i, and v gets sum
-    v[pivot_i] x_i.  It stops once each has its Y.  The image is the
-    brute-force scan's (validated on small cases).  The scan runs
+    `linalg.solve` gives there.  It stops once each has its Y.  The image
+    is the brute-force scan's (validated on small cases).  The scan runs
     in-process; `workers` is recorded only.  The labels cover all p^dim
     elements, which `budget` (default LIEMAP_BUDGET) caps.
     """
@@ -1033,11 +999,10 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
             seen.add(key)
             inside = [v for v, vec in pending.items()
                       if linalg.in_row_space(basis, pivots, vec, field)]
-            xs = _column_preimages(M, basis, field) if inside else []
             for v in inside:
-                vec, x = pending.pop(v), [0] * dim
-                for c, xi in zip(pivots, xs):
-                    x = [(a + vec[c] * b) % p for a, b in zip(x, xi)]
+                x = linalg.solve(M, pending.pop(v), field)
+                if x is None:  # an AssertionError (exit 3) under -O as well
+                    raise AssertionError("column preimage fails M x = v")
                 found[v] = _encode(x, p) + N * y_idx
         assert not pending, "orbit image and preimage walk disagree"
         return found
@@ -1070,23 +1035,21 @@ class CentralProbeReport(NamedTuple):
 
 def _orbit_generators(alg: ChevalleyAlgebra):
     """x_{+-alpha_i}(1) - I for the 2 rank simple root elements, as sparse
-    residue columns (column j, ((row i, residue), ..)), summed from the
-    cached divided powers.  Over F_p they generate the group the x_beta(t)
-    generate: x_a(t) = x_a(1)^t, and the simple reflections
-    x_a(1) x_-a(-1) x_a(1) carry the simple roots to every root."""
+    residue columns (column j, ((row i, residue), ..)) for the nonzero
+    columns, column j read off x_{+-alpha_i}(1) e_j.  Over F_p they generate
+    the group the x_beta(t) generate: x_a(t) = x_a(1)^t, and the simple
+    reflections x_a(1) x_-a(-1) x_a(1) carry the simple roots to every
+    root."""
     p = alg.field.modulus
+    eye = linalg.identity_matrix(alg.field, alg.dim)
     gens = []
     for a in alg.rs.simple_roots:
         for coords in (a.coords, (-a).coords):
-            cols = {}
-            for nk in alg._divided_powers(coords):
-                for j, col in nk:
-                    acc = cols.setdefault(j, {})
-                    for i, c in col:
-                        acc[i] = acc.get(i, 0) + c
-            gens.append(tuple((j, tuple((i, c % p) for i, c in sorted(col.items())
-                                        if c % p))
-                              for j, col in sorted(cols.items())))
+            cols = ((j, [(x - y) % p for x, y in
+                         zip(alg._root_element_times(coords, 1, e), e)])
+                    for j, e in enumerate(eye))
+            gens.append(tuple((j, tuple((i, c) for i, c in enumerate(col) if c))
+                              for j, col in cols if any(col)))
     return gens
 
 
@@ -1216,21 +1179,10 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
                     if (m, c_idx) not in hits:
                         hits[(m, c_idx)] = (y_idx, linalg.solve(M, c, field))
 
-    table = {}
-    for m in ms:
-        entries = []
-        for (mm, c_idx), (y_idx, x) in sorted(hits.items()):
-            if mm != m:
-                continue
-            X = alg.element_from_ints(list(x))
-            Y = alg.element_from_ints(_decode(y_idx, p, dim))
-            val = evaluate(engel_monomial(m), [X, Y])
-            assert _encode(val.coeffs, p) == c_idx, \
-                "probe preimage fails re-evaluation"
-            entries.append({"element": alg.element_from_ints(
-                                _decode(c_idx, p, dim)).to_json(),
-                            "preimage": [X.to_json(), Y.to_json()]})
-        table[m] = entries
+    table = {m: [] for m in ms}
+    for (m, c_idx), (y_idx, x) in sorted(hits.items()):
+        table[m].append(_certified_entry(alg, engel_monomial(m), c_idx,
+                                         [x, _decode(y_idx, p, dim)]))
     m0 = None
     for m in ms:
         if all(not table[m2] for m2 in ms if m2 >= m):

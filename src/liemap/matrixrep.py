@@ -340,9 +340,8 @@ def _fill_composite_images(alg, images, n):
     """Extend generator images to all root vectors by bracketing upward in
     height, dividing by the known structure constants."""
     f = alg.field
-    by_height = sorted(alg.pos_order, key=lambda b: (b.height, b.coords))
     simple_coords = [s.coords for s in alg.rs.simple_roots]
-    for b in by_height:
+    for b in alg.pos_order:                          # (height, lex) order
         if b.height == 1:
             continue
         for sign in (1, -1):

@@ -335,6 +335,18 @@ def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
                                "kind": "InternalError"}
 
 
+def test_engel_scan_unsolvable_preimage_exit_3(capsys, monkeypatch):
+    # an element credited to a column space that solve cannot reach is an
+    # internal error (exit 3), not a TypeError
+    from liemap import linalg
+    monkeypatch.setattr(linalg, "solve", lambda A, b, field: None)
+    code, out = run(capsys, ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A1",
+                             "--field", "F3", "--budget", "100"])
+    assert code == 3
+    assert json.loads(out) == {"error": "column preimage fails M x = v",
+                               "kind": "InternalError"}
+
+
 def _file_error(capsys, argv, kind):
     code, out = run(capsys, argv)
     err = json.loads(out)
@@ -458,6 +470,18 @@ def test_budget_env_must_be_positive_integer(capsys, monkeypatch, value, mode):
     assert "LIEMAP_BUDGET" in err["error"]
 
 
+def test_engel_solve_excluded_in_characteristic_2(tmp_path, capsys):
+    # B_r (r >= 3) is the char-2 exclusion that reaches the solver: A1, B2
+    # and C_r are rejected when the root system is built
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"basis": "chevalley", "coeffs": ["1"] + ["0"] * 20}))
+    code, out = run(capsys, ["engel-solve", "--algebra", "B3", "--field", "F2",
+                             "--coeffs", "0,1", "--target", str(target)])
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "EngelSolveError"
+    assert liemap.maps.EXCLUDED_COMBINATIONS in err["error"]
+
+
 def test_python_m_liemap_matches_cli_main(capsys):
     argv = ["roots", "--type", "A", "--rank", "1"]
     src = os.path.dirname(os.path.dirname(liemap.__file__))
@@ -468,3 +492,16 @@ def test_python_m_liemap_matches_cli_main(capsys):
     code, out = run(capsys, argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+def test_run_module_main_matches_cli_main(capsys, monkeypatch):
+    # liemap/__main__.py run in-process, as `python -m liemap` runs it
+    import runpy
+    argv = ["roots", "--type", "A", "--rank", "2"]
+    monkeypatch.setattr(sys, "argv", ["liemap"] + argv)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("liemap", run_name="__main__", alter_sys=True)
+    module_out = capsys.readouterr().out
+    code, out = run(capsys, argv)
+    assert exit_info.value.code == code == 0
+    assert module_out == out

@@ -903,6 +903,24 @@ def test_orbit_labels_partition(type_label, rank, spec, n_orbits):
     assert [size for _, _, size in reps] == [labels.count(k) for k in range(n_orbits)]
 
 
+@pytest.mark.parametrize("type_label,rank,spec", [
+    ("A", 2, "F3"), ("B", 2, "F3"), ("G", 2, "F2"), ("A", 3, "F2")])
+def test_orbit_generators_are_simple_root_elements_minus_identity(type_label, rank,
+                                                                   spec):
+    # oracle: the columns of root_automorphism(+-alpha_i, 1).res_matrix - I,
+    # in the generators' sparse form (nonzero columns and entries only)
+    alg = build_algebra(type_label, rank, make_field(spec))
+    p, dim = alg.field.modulus, alg.dim
+    roots = [b for a in alg.rs.simple_roots for b in (a, -a)]
+    gens = maps._orbit_generators(alg)
+    assert len(gens) == len(roots)
+    for gen, b in zip(gens, roots):
+        M = alg.root_automorphism(b, 1).res_matrix
+        cols = [[(M[i][j] - (i == j)) % p for i in range(dim)] for j in range(dim)]
+        assert gen == tuple((j, tuple((i, c) for i, c in enumerate(col) if c))
+                            for j, col in enumerate(cols) if any(col))
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=8, max_size=8),
        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 2)), max_size=4),

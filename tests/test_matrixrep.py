@@ -189,6 +189,23 @@ def test_realize_round_trip():
             commutator(real.to_matrix(x), real.to_matrix(y))
 
 
+def test_sum_node_evaluates_on_matrices():
+    # a Sum node adds and scales matrices: the sl(3) value is the image of
+    # the value in the Chevalley basis
+    from helpers import random_element
+    from liemap.freelie import evaluate, parse
+    alg = build_algebra("A", 2, Q)
+    real = realize_chevalley(alg)
+    P = parse("[X1,X2] - 2*[[X1,X2],X1]")
+    rng = random.Random(12)
+    for _ in range(10):
+        xs = [random_element(alg, rng) for _ in range(2)]
+        X, Y = [real.to_matrix(x) for x in xs]
+        assert evaluate(P, [X, Y]) == real.to_matrix(evaluate(P, xs))
+        assert X - Y == X + (-Y) == real.to_matrix(xs[0] - xs[1])
+        assert -X == real.to_matrix(-xs[0])
+
+
 def test_conjugation_invariance_sl3():
     rng = random.Random(100)
     from liemap.maps import _random_matrix

@@ -3,7 +3,10 @@ by name; a name that no longer resolves would break `run.py --trace 1`."""
 
 import ast
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -31,3 +34,18 @@ def test_traced_names_resolve_in_liemap():
         if cls is not None:
             owner = getattr(owner, cls, None)
         assert callable(getattr(owner, attr, None)), (mod, cls, attr)
+
+
+def test_benchmark_gate_digests_hold():
+    # perfbench/child.py gate digests the stdout of ROADMAP's fixed CLI
+    # invocations; each must exit 0 with the digest the pool records
+    perfbench = os.path.dirname(TRACER)
+    proc = subprocess.run([sys.executable, os.path.join(perfbench, "child.py"), "gate"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    gate = json.loads(proc.stdout.strip().splitlines()[-1])
+    with open(os.path.join(perfbench, "data", "pool.json")) as fh:
+        expected = json.load(fh)["gate"]
+    assert len(expected) == 7 and set(gate) == set(expected)
+    for name, digest in expected.items():
+        assert gate[name] == {"rc": 0, "digest": digest}, name
