@@ -7,13 +7,17 @@ Structure-constant signs follow the extraspecial-pair convention: for each
 non-simple positive root xi, the special pair (gamma, delta) with gamma
 minimal in the (height, lex) order gets N_{gamma,delta} = p+1 > 0, and every
 other constant is forced by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
-Jacobi identity.  The construction-time Jacobi sweep is the oracle that
-checks the table on every basis triple.
+Jacobi identity.  The tables depend on the root system only, so they are
+built once per root system and shared by every field; the Jacobi sweep
+over Z there is the oracle that checks them on every basis triple.
 
 Elements hold their coefficients as residues (ints in [0, p) over F_p,
-Fractions over Q; see scalar.py): ChevalleyAlgebra.element converts scalars,
-the bracket runs on the integer table bracket_table and reduces once, and
-AlgElement.to_json formats the result.
+Fractions over Q; see scalar.py): ChevalleyAlgebra.element converts scalars
+and AlgElement.to_json formats the result.  The bracket runs on ints: over
+Q each operand's denominators are cleared once (field.integral_rows), the
+products with the integer table bracket_table are summed as ints, and each
+coordinate is divided back once; over F_p the residues are summed and
+reduced once.
 """
 
 from __future__ import annotations
@@ -243,60 +247,14 @@ class ChevalleyAlgebra:
         self.basis += [("e", _neg(b.coords)) for b in rs.positive_roots]
         self.dim = len(self.basis)
         self._eidx = {lbl[1]: i for i, lbl in enumerate(self.basis) if lbl[0] == "e"}
-
-        self.n_table = _structure_constants(rs)
-        self.q_table = {}
-        for b in rs.roots:
-            for g in rs.roots:
-                self.q_table[(b.coords, g.coords)] = rs.pairing(g.coords, b.coords)
-
         # bracket_table[i][j]: sparse integer coefficients (k, n) of [b_i, b_j],
         # read by the bracket and ad_matrix here and by the scan kernel in maps.py
-        self.bracket_table = [[()] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                sp = self._pair_bracket(i, j)
-                self.bracket_table[i][j] = sp
-                self.bracket_table[j][i] = tuple((k, -n) for k, n in sp)
+        self.n_table, self.q_table, self.bracket_table = _integer_tables(self)
 
         self._center = None
         self._realization = None
         self._unit_roots = None
         self._powers = {}
-        self._validate_jacobi()
-
-    # -- construction helpers -------------------------------------------
-
-    def _pair_bracket(self, i, j):
-        """Sparse integer coefficients of [b_i, b_j] for i < j."""
-        ti, tj = self.basis[i], self.basis[j]
-        if ti[0] == "h" and tj[0] == "h":
-            return ()
-        if ti[0] == "h":
-            q = self.rs.pairing(tj[1], self.rs.simple_roots[ti[1]].coords)
-            return ((j, q),) if q else ()
-        a, b = ti[1], tj[1]
-        s = tuple(x + y for x, y in zip(a, b))
-        if all(x == 0 for x in s):
-            co = self.rs.coroot_coords(a)
-            return tuple((k, c) for k, c in enumerate(co) if c)
-        if self.rs.contains(s):
-            return ((self._eidx[s], self.n_table[(a, b)]),)
-        return ()
-
-    def _validate_jacobi(self):
-        n, T, red = self.dim, self.bracket_table, self.field.reduce
-        triples = ((i, j, k) for i in range(n) for j in range(i + 1, n)
-                   for k in range(j + 1, n))
-        for (i, j, k) in triples:
-            acc = {}
-            for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                for t, a in T[x][y]:
-                    for s, b in T[t][z]:
-                        acc[s] = acc.get(s, 0) + a * b
-            if any(red(v) for v in acc.values()):
-                raise AssertionError(
-                    "Jacobi identity fails on basis triple %r" % ((i, j, k),))
 
     # -- public operations ------------------------------------------------
 
@@ -331,10 +289,12 @@ class ChevalleyAlgebra:
         return self.element([self.field.parse_scalar(s) for s in obj["coeffs"]])
 
     def bracket(self, x: AlgElement, y: AlgElement) -> AlgElement:
-        T = self.bracket_table
-        ys = [(j, c) for j, c in enumerate(y.coeffs) if c]
-        out = [self.field.residue(0)] * self.dim
-        for i, ci in enumerate(x.coeffs):
+        f, T = self.field, self.bracket_table
+        (xs,), dx = f.integral_rows((x.coeffs,))
+        (ys,), dy = f.integral_rows((y.coeffs,))
+        ys = [(j, c) for j, c in enumerate(ys) if c]
+        out = [0] * self.dim
+        for i, ci in enumerate(xs):
             if ci:
                 Ti = T[i]
                 for j, cj in ys:
@@ -343,7 +303,7 @@ class ChevalleyAlgebra:
                         c = ci * cj
                         for k, n in ent:
                             out[k] += c * n
-        return AlgElement(self, self.field.reduce_row(out))
+        return AlgElement(self, f.from_integral_row(out, dx * dy))
 
     def ad_matrix(self, x: AlgElement):
         """Residue matrix of y -> [x, y] in the fixed basis: column j is
@@ -667,6 +627,66 @@ def _zero_diagonal(M, field):
         i, j = found
         elem(j, i, red(-t * field.inv(M[i][j])))
     raise AssertionError("diagonal elimination did not converge")
+
+
+_Z_TABLES = {}
+
+
+def _integer_tables(alg):
+    """(n_table, q_table, bracket_table) over Z, built and checked by the
+    Jacobi sweep once per root system, which fixes the basis and the
+    constants; every field's algebra shares them."""
+    rs = alg.rs
+    tables = _Z_TABLES.get(rs.key)
+    if tables is None:
+        n_table = _structure_constants(rs)
+        q_table = {(b.coords, g.coords): rs.pairing(g.coords, b.coords)
+                   for b in rs.roots for g in rs.roots}
+        T = [[()] * alg.dim for _ in range(alg.dim)]
+        for i in range(alg.dim):
+            for j in range(i + 1, alg.dim):
+                sp = _pair_bracket(alg, n_table, i, j)
+                T[i][j] = sp
+                T[j][i] = tuple((k, -n) for k, n in sp)
+        _validate_jacobi(T)
+        tables = _Z_TABLES[rs.key] = (n_table, q_table, T)
+    return tables
+
+
+def _pair_bracket(alg, n_table, i, j):
+    """Sparse integer coefficients of [b_i, b_j] for i < j."""
+    rs = alg.rs
+    ti, tj = alg.basis[i], alg.basis[j]
+    if ti[0] == "h" and tj[0] == "h":
+        return ()
+    if ti[0] == "h":
+        q = rs.pairing(tj[1], rs.simple_roots[ti[1]].coords)
+        return ((j, q),) if q else ()
+    a, b = ti[1], tj[1]
+    s = tuple(x + y for x, y in zip(a, b))
+    if all(x == 0 for x in s):
+        co = rs.coroot_coords(a)
+        return tuple((k, c) for k, c in enumerate(co) if c)
+    if rs.contains(s):
+        return ((alg._eidx[s], n_table[(a, b)]),)
+    return ()
+
+
+def _validate_jacobi(T):
+    """The Jacobi identity over Z on every basis triple; an identity over Z
+    holds mod every p."""
+    n = len(T)
+    triples = ((i, j, k) for i in range(n) for j in range(i + 1, n)
+               for k in range(j + 1, n))
+    for (i, j, k) in triples:
+        acc = {}
+        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, a in T[x][y]:
+                for s, b in T[t][z]:
+                    acc[s] = acc.get(s, 0) + a * b
+        if any(acc.values()):
+            raise AssertionError(
+                "Jacobi identity fails on basis triple %r" % ((i, j, k),))
 
 
 _Z_POWERS = {}

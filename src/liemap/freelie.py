@@ -47,17 +47,25 @@ class Var:
 
 
 class Br:
-    __slots__ = ("left", "right")
+    """A bracket node.  Its hash is computed once, from its children's, so
+    that keying a dict by nodes (evaluate's memo) costs O(1) per lookup."""
+
+    __slots__ = ("left", "right", "_hash")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self._hash = hash(("b", left, right))
+
+    def __reduce__(self):
+        # string hashes differ between interpreters: rebuild, never copy, _hash
+        return Br, (self.left, self.right)
 
     def __eq__(self, o):
         return isinstance(o, Br) and o.left == self.left and o.right == self.right
 
     def __hash__(self):
-        return hash(("b", self.left, self.right))
+        return self._hash
 
     def __repr__(self):
         return "[%r,%r]" % (self.left, self.right)
@@ -254,58 +262,85 @@ def _frac_str(q: Fraction) -> str:
 
 def evaluate(P: LiePoly, assignment):
     """Evaluate in any algebra whose elements provide __add__, .bracket, and
-    .scale_rational(Fraction)."""
+    .scale_rational(Fraction).  Each distinct bracket subterm is evaluated
+    once: nodes compare structurally, so equal subterms built separately
+    share one value."""
     xs = list(assignment)
     if len(xs) != P.nvars:
         raise ValueError("expected %d arguments, got %d" % (P.nvars, len(xs)))
+    return _evaluate(P.node, xs, {})
 
-    def ev(node):
-        if isinstance(node, Var):
-            return xs[node.index - 1]
-        if isinstance(node, Br):
-            return ev(node.left).bracket(ev(node.right))
-        if isinstance(node, Sum):
-            acc = xs[0].scale_rational(Fraction(0))
-            for c, n in node.terms:
-                acc = acc + ev(n).scale_rational(c)
-            return acc
-        raise TypeError(node)
 
-    return ev(P.node)
+def _evaluate(node, xs, memo):
+    """The value of node at xs; memo maps each bracket node seen to its
+    value.  A plain function, not a closure over memo: a self-referencing
+    closure would keep memo's values alive until the cyclic collector ran."""
+    if isinstance(node, Var):
+        return xs[node.index - 1]
+    if isinstance(node, Br):
+        val = memo.get(node)
+        if val is None:
+            val = memo[node] = _evaluate(node.left, xs, memo).bracket(
+                _evaluate(node.right, xs, memo))
+        return val
+    if isinstance(node, Sum):
+        acc = xs[0].scale_rational(Fraction(0))
+        for c, n in node.terms:
+            acc = acc + _evaluate(n, xs, memo).scale_rational(c)
+        return acc
+    raise TypeError(node)
 
 
 # -- Lyndon normal form -------------------------------------------------------
 
 
 def _tensor_expand(node):
-    """Expansion in the tensor algebra: word tuple -> Fraction."""
+    """Expansion in the tensor algebra: word tuple -> nonzero coefficient,
+    an int below brackets of variables and a Fraction once a Sum scales it."""
     if isinstance(node, Var):
-        return {(node.index,): Fraction(1)}
+        return {(node.index,): 1}
     if isinstance(node, Br):
-        L = _tensor_expand(node.left)
-        R = _tensor_expand(node.right)
-        out = {}
-        for wa, ca in L.items():
-            for wb, cb in R.items():
-                c = ca * cb
-                for w, s in ((wa + wb, c), (wb + wa, -c)):
-                    v = out.get(w, Fraction(0)) + s
-                    if v:
-                        out[w] = v
-                    elif w in out:
-                        del out[w]
-        return out
+        return _bracket_expand(_tensor_expand(node.left), _tensor_expand(node.right))
     if isinstance(node, Sum):
         out = {}
         for c, n in node.terms:
             for w, cw in _tensor_expand(n).items():
-                v = out.get(w, Fraction(0)) + c * cw
+                v = out.get(w, 0) + c * cw
                 if v:
                     out[w] = v
                 elif w in out:
                     del out[w]
         return out
     raise TypeError(node)
+
+
+def _bracket_expand(L, R):
+    """The expansion of [a, b] = ab - ba from the expansions L of a and R of b."""
+    out = {}
+    for wa, ca in L.items():
+        for wb, cb in R.items():
+            c = ca * cb
+            for w, s in ((wa + wb, c), (wb + wa, -c)):
+                v = out.get(w, 0) + s
+                if v:
+                    out[w] = v
+                elif w in out:
+                    del out[w]
+    return out
+
+
+def _sigma_expand(w, cache):
+    """The expansion of sigma(w) = [sigma(u), sigma(v)] for the standard
+    factorization w = uv; the expansions of the factors, and of theirs, are
+    kept in cache."""
+    if len(w) == 1:
+        return {w: 1}
+    sides = []
+    for x in standard_factorization(w):
+        if x not in cache:
+            cache[x] = _sigma_expand(x, cache)
+        sides.append(cache[x])
+    return _bracket_expand(*sides)
 
 
 def is_lyndon(w) -> bool:
@@ -357,29 +392,31 @@ class LyndonForm:
 
 
 def normal_form(P: LiePoly) -> LyndonForm:
+    """Straighten on integers: the expansion is scaled by the lcm d of its
+    denominators, each sigma(w) expands with int coefficients and the
+    coefficient 1 on w, so every step stays integral; divide by d at the
+    end."""
     tensor = _tensor_expand(P.node)
+    d = lcm(*[c.denominator for c in tensor.values()])
     by_len = {}
     for w, c in tensor.items():
-        by_len.setdefault(len(w), {})[w] = c
+        by_len.setdefault(len(w), {})[w] = c.numerator * (d // c.denominator)
     out = {}
-    sigma_cache = {}
+    factors = {}
     for n, comp in sorted(by_len.items()):
         while comp:
             w = min(comp)
             assert is_lyndon(w), "least word of a Lie element must be Lyndon"
-            c = comp.pop(w)
-            out[w] = out.get(w, Fraction(0)) + c
-            if w not in sigma_cache:
-                sigma_cache[w] = _tensor_expand(lyndon_bracketing(w))
-            for ww, cw in sigma_cache[w].items():
+            c = out[w] = comp.pop(w)
+            for ww, cw in _sigma_expand(w, factors).items():
                 if ww == w:
                     continue
-                v = comp.get(ww, Fraction(0)) - c * cw
+                v = comp.get(ww, 0) - c * cw
                 if v:
                     comp[ww] = v
                 elif ww in comp:
                     del comp[ww]
-    return LyndonForm(out)
+    return LyndonForm({w: Fraction(c, d) for w, c in out.items()})
 
 
 def expansion(P: LiePoly) -> dict:
@@ -388,7 +425,7 @@ def expansion(P: LiePoly) -> dict:
     agree, so this is empty iff the normal form is zero, and its word
     lengths, letters and one-letter coefficients are the normal form's
     monomial degrees, variables and linear part."""
-    return _tensor_expand(P.node)
+    return {w: Fraction(c) for w, c in _tensor_expand(P.node).items()}
 
 
 def linear_part(P: LiePoly) -> tuple:
@@ -454,12 +491,13 @@ class EngelSpec:
             g = g[1:]
         roots = {Fraction(0)}
         if g:
-            c0, lead = abs(g[0]), abs(g[-1])
+            c0, lead, n = abs(g[0]), abs(g[-1]), len(g) - 1
             for p in _divisors(c0):
                 for q in _divisors(lead):
-                    for cand in (Fraction(p, q), Fraction(-p, q)):
-                        if not sum(c * cand ** i for i, c in enumerate(g)):
-                            roots.add(cand)
+                    for a in (p, -p):
+                        # g(a/q) = 0 iff q^n g(a/q) = sum g_i a^i q^(n-i) = 0
+                        if not sum(c * a ** i * q ** (n - i) for i, c in enumerate(g)):
+                            roots.add(Fraction(a, q))
         return sorted(roots)
 
     def is_plain_engel(self) -> bool:

@@ -3,10 +3,12 @@
 Matrices are lists of rows of residues: ints in [0, p) over F_p, Fractions
 over Q (``field.residue`` converts a scalar, ``field.lift`` converts back).
 The field descriptor supplies the residue arithmetic: the reduction of a sum
-of products, the pivot inverse and the row updates.  Pivoting is
-deterministic (first nonzero row) and ``rref`` returns the reduced row
-echelon form, which is unique for the row space, so every result is
-reproducible.
+of products, the pivot inverse and the row updates.  ``mat_mul`` runs on
+ints: over Q it clears each matrix's denominators once, sums int products
+and divides back once per entry; over F_p it sums residues and reduces once
+per row.  Pivoting is deterministic (first nonzero row) and ``rref`` returns
+the reduced row echelon form, which is unique for the row space, so every
+result is reproducible.
 """
 
 from __future__ import annotations
@@ -26,18 +28,21 @@ def identity_matrix(field, n):
 
 
 def mat_mul(A, B, field):
-    """A B, accumulating each row over the nonzero entries of A's row."""
-    zero = field.residue(0)
+    """A B on ints, accumulating each row over the nonzero entries of A's
+    row, with one denominator per matrix (see field.integral_rows)."""
+    A, dA = field.integral_rows(A)
+    B, dB = field.integral_rows(B)
+    d = dA * dB
     m = len(B[0])
     out = []
     for Ai in A:
-        acc = [zero] * m
+        acc = [0] * m
         for a, Bk in zip(Ai, B):
             if a:
                 for j, b in enumerate(Bk):
                     if b:
                         acc[j] += a * b
-        out.append(field.reduce_row(acc))
+        out.append(field.from_integral_row(acc, d))
     return out
 
 

@@ -12,12 +12,17 @@ residues, meaning ints in [0, p) over F_p and Fractions over Q.  Each field
 descriptor converts scalars to residues (``residue``) and back (``lift``)
 and supplies the residue arithmetic: ``reduce`` and ``reduce_row`` for sums
 of products, ``inv`` for pivots, and the row updates ``scale_row`` and
-``sub_row``.
+``sub_row``.  Sums of products run on plain ints: ``integral_rows`` turns
+residue rows into int rows and one denominator d (over Q the lcm of their
+denominators, over F_p the residues themselves and d = 1), and
+``from_integral_row`` turns an int row of products back into residues
+(n / d over Q, n mod p over F_p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class FieldSpecError(ValueError):
@@ -138,6 +143,9 @@ class FpElement:
         return str(self.val)
 
 
+_ZERO = Fraction(0)
+
+
 class Rationals:
     """Field descriptor for Q."""
 
@@ -182,6 +190,15 @@ class Rationals:
 
     def reduce_row(self, row):
         return row
+
+    def integral_rows(self, rows):
+        """(int rows, d) with rows = int rows / d, d the lcm of the
+        denominators."""
+        d = lcm(*[x.denominator for row in rows for x in row])
+        return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+    def from_integral_row(self, ints, d):
+        return [Fraction(n, d) if n else _ZERO for n in ints]
 
     def inv(self, r):
         return Fraction(1) / r
@@ -262,6 +279,12 @@ class PrimeField:
     def reduce_row(self, row):
         p = self.modulus
         return [x % p for x in row]
+
+    def integral_rows(self, rows):
+        return rows, 1
+
+    def from_integral_row(self, ints, d):
+        return self.reduce_row(ints)
 
     def inv(self, r) -> int:
         if r % self.modulus == 0:

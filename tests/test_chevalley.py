@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +13,7 @@ from liemap import linalg
 from liemap.chevalley import (CentralElementError, ChevalleyError,
                               ConjugationBudgetError,
                               ConjugationUnsupportedError, FieldTooSmallError,
-                              build_algebra)
+                              _validate_jacobi, build_algebra)
 from liemap.matrixrep import matrix_from_ints, realize_chevalley
 from liemap.scalar import make_field
 
@@ -506,3 +508,58 @@ def test_algebra_mismatch_rejected():
     b = build_algebra("A", 2, F7)
     with pytest.raises(ChevalleyError):
         a.basis_element(0) + b.basis_element(0)
+
+
+def test_integer_tables_are_shared_across_fields():
+    # the structure constants depend on the root system only: built and
+    # Jacobi-checked once over Z, then read by every field's algebra
+    algs = [build_algebra("A", 2, f) for f in (F5, F7, Q)]
+    for attr in ("bracket_table", "n_table", "q_table"):
+        assert len({id(getattr(a, attr)) for a in algs}) == 1, attr
+
+
+def test_jacobi_sweep_runs_over_the_integers():
+    T = [list(row) for row in build_algebra("A", 2, F5).bracket_table]
+    _validate_jacobi(T)
+    # basis 2, 3 are e_{a2}, e_{a1}, whose bracket is N e_{a1+a2} with N = 1;
+    # N = 6 is the same table mod 5, so a sweep mod 5 would pass, but the
+    # identity fails over Z
+    (k, n), = T[2][3]
+    T[2][3], T[3][2] = ((k, n + 5),), ((k, -n - 5),)
+    with pytest.raises(AssertionError, match="Jacobi"):
+        _validate_jacobi(T)
+
+
+# sha256 (first 16 hex digits) of structure_json(), dumped with sorted keys,
+# over Q, F3, F5 and F7 in turn
+STRUCTURE_DIGESTS = {
+    ("A", 1): "fe8e24d29155011e",
+    ("A", 2): "c354beb4195e4eba",
+    ("A", 3): "9bf1fa9f4bb28bd4",
+    ("A", 4): "564f8d79842d58ee",
+    ("A", 5): "e279437b9b111c24",
+    ("A", 6): "57d721c7adcd0958",
+    ("A", 7): "590e25a835406e30",
+    ("A", 8): "db412e7d36cacbb3",
+    ("B", 2): "dc8b7b49dda7d008",
+    ("B", 3): "b27d5cbf22ccb401",
+    ("B", 4): "837fcb09fa79203d",
+    ("C", 2): "e4d23e3d5c775c5c",
+    ("C", 3): "a2414ba26dedd221",
+    ("C", 4): "940f73cad2d0e80a",
+    ("D", 3): "b998d1581dcb9b6a",
+    ("D", 4): "8a2f2a01b3f2bc8e",
+    ("G", 2): "906ddc77d9c43394",
+}
+
+
+def test_structure_json_bytes_are_pinned():
+    from liemap.rootsystem import SUPPORTED_RANKS
+    assert set(STRUCTURE_DIGESTS) == {(t, r) for t, rs in SUPPORTED_RANKS.items()
+                                      for r in rs}
+    for (t, r), want in STRUCTURE_DIGESTS.items():
+        h = hashlib.sha256()
+        for f in (Q, F3, F5, F7):
+            h.update(json.dumps(build_algebra(t, r, f).structure_json(),
+                                sort_keys=True).encode())
+        assert h.hexdigest()[:16] == want, (t, r)

@@ -258,3 +258,80 @@ def test_multihomogeneity():
         for l, k in zip(lams, multideg):
             factor = factor * l ** k
         assert evaluate(P, scaled) == evaluate(P, xs).scale(factor)
+
+
+def _distinct_brackets(node, seen):
+    if isinstance(node, Br):
+        seen.add(node)
+        _distinct_brackets(node.left, seen)
+        _distinct_brackets(node.right, seen)
+    elif isinstance(node, Sum):
+        for _, n in node.terms:
+            _distinct_brackets(n, seen)
+    return seen
+
+
+def test_evaluate_brackets_each_distinct_subterm_once(monkeypatch):
+    # [[X1,X2],X3] occurs twice, as two separately parsed nodes
+    P = parse("[[X1,X2],X3] + [[[X1,X2],X3],X1]")
+    assert len(_distinct_brackets(P.node, set())) == 3
+    from liemap.chevalley import ChevalleyAlgebra
+    alg = build_algebra("A", 2, Q)
+    rng = random.Random(7)
+    xs = [alg.element([Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                       for _ in range(alg.dim)]) for _ in range(3)]
+    calls = []
+    bracket = ChevalleyAlgebra.bracket
+
+    def counted(self, x, y):
+        calls.append(1)
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(ChevalleyAlgebra, "bracket", counted)
+    value = evaluate(P, xs)
+    assert len(calls) == 3
+    assert value == evaluate(normal_form(P).to_lie_poly(3), xs)
+    X1, X2, X3 = xs
+    X12_3 = X1.bracket(X2).bracket(X3)
+    assert value == X12_3 + X12_3.bracket(X1)
+
+
+def _rational_roots_reference(spec, bound=20):
+    """0 and every +-p/q with p, q <= bound at which f vanishes, evaluated in
+    Fraction arithmetic."""
+    fc = spec.f_coefficients()
+    cands = {Fraction(0)} | {Fraction(s * p, q) for s in (1, -1)
+                             for p in range(1, bound + 1) for q in range(1, bound + 1)}
+    return sorted(t for t in cands if not sum(c * t ** i for i, c in enumerate(fc)))
+
+
+@pytest.mark.parametrize("coeffs,roots", [
+    # f = -6t + 5t^2 + 6t^3 = t (3t - 2)(2t + 3)
+    ((6, 5, -6), (Fraction(-3, 2), 0, Fraction(2, 3))),
+    # half of that f, with a non-integral coefficient
+    ((3, Fraction(5, 2), -3), (Fraction(-3, 2), 0, Fraction(2, 3))),
+    # f = t (4t^2 - 9)(5t - 1) = 9t - 45t^2 - 4t^3 + 20t^4
+    ((-9, -45, 4, 20), (Fraction(-3, 2), 0, Fraction(1, 5), Fraction(3, 2))),
+])
+def test_rational_roots_non_monic(coeffs, roots):
+    spec = EngelSpec(coeffs)
+    assert spec.roots_in(Q) == list(roots) == _rational_roots_reference(spec)
+
+
+def test_bracket_hash_survives_pickling_across_interpreters():
+    # Br caches its hash, which mixes in string hashes; a node pickled by an
+    # interpreter with another hash seed must hash like a fresh one here
+    import os
+    import pickle
+    import subprocess
+    import sys
+    code = ("import pickle, sys; from liemap.freelie import parse; "
+            "sys.stdout.buffer.write(pickle.dumps(parse('[[X1,X2],X3]').node))")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    blob = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, check=True, timeout=60).stdout
+    node = pickle.loads(blob)
+    fresh = parse("[[X1,X2],X3]").node
+    assert node == fresh and hash(node) == hash(fresh)
+    assert {fresh: 1}.get(node) == 1

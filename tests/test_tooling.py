@@ -49,3 +49,26 @@ def test_benchmark_gate_digests_hold():
     assert len(expected) == 7 and set(gate) == set(expected)
     for name, digest in expected.items():
         assert gate[name] == {"rc": 0, "digest": digest}, name
+
+
+# What `import liemap` loads beyond a bare interpreter.  peak_rss_mb counts
+# every loaded module, so adding one must be a visible edit here.
+IMPORTED_MODULES = {
+    "__future__", "_blake2", "_decimal", "_hashlib", "_json", "decimal",
+    "fractions", "hashlib", "json", "json.decoder", "json.encoder",
+    "json.scanner", "liemap", "liemap.chevalley", "liemap.freelie",
+    "liemap.linalg", "liemap.maps", "liemap.matrixrep", "liemap.rootsystem",
+    "liemap.scalar", "numbers",
+}
+
+
+def test_import_loads_no_new_modules():
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src")
+    code = ("import sys; before = set(sys.modules); import liemap; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "liemap.scalar" in loaded
+    assert loaded <= IMPORTED_MODULES, sorted(loaded - IMPORTED_MODULES)
