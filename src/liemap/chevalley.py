@@ -284,9 +284,12 @@ class ChevalleyAlgebra:
         return self.basis_element(self._eidx[tuple(coords)])
 
     def element_from_json(self, obj):
-        if obj.get("basis") != "chevalley":
+        if not isinstance(obj, dict) or obj.get("basis") != "chevalley":
             raise ChevalleyError("expected chevalley basis encoding")
-        return self.element([self.field.parse_scalar(s) for s in obj["coeffs"]])
+        coeffs = obj.get("coeffs")
+        if not isinstance(coeffs, list) or not all(isinstance(s, str) for s in coeffs):
+            raise ChevalleyError("chevalley coeffs must be a list of strings")
+        return self.element([self.field.parse_scalar(s) for s in coeffs])
 
     def bracket(self, x: AlgElement, y: AlgElement) -> AlgElement:
         f, T = self.field, self.bracket_table
@@ -372,7 +375,7 @@ class ChevalleyAlgebra:
             return True
 
         if f.characteristic == 0:
-            bound = 1
+            bound = 0
             while bound < 10 * len(self.rs.roots) * (len(avoid_set) + 1) + 10:
                 for ts in _lattice_points(bound, self.rank):
                     if good(ts):
@@ -556,9 +559,6 @@ def _lattice_points(bound, rank):
     """Points of [0, bound]^rank with some coordinate equal to bound (so each
     bound visits only new points), in lex order."""
     import itertools
-    if bound == 1:
-        yield from itertools.product(range(2), repeat=rank)
-        return
     for ts in itertools.product(range(bound + 1), repeat=rank):
         if max(ts) == bound:
             yield ts

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import fixtures, maps
 from .chevalley import ChevalleyError, build_algebra
 from .freelie import ParseError, _frac_str, engel_spec, make_engel, normal_form, parse
-from .matrixrep import MatrixRepError, matrix_from_json
+from .matrixrep import MatrixRepError, triples_from_json
 from .rootsystem import RootSystemError, build_root_system
 from .scalar import FieldSpecError, make_field
 
@@ -149,10 +149,7 @@ def cmd_witness(args):
                              % (args.fixtures, realization))
     else:
         with open(args.triples) as fh:
-            data = json.load(fh)
-        realization = data["realization"]
-        t1 = [matrix_from_json(m, field) for m in data["triple1"]]
-        t2 = [matrix_from_json(m, field) for m in data["triple2"]]
+            realization, t1, t2 = triples_from_json(json.load(fh), field)
     verdict = maps.dominance_witness_check(P, t1, t2)
     obj = {"schema": "liemap/witness/v1", "poly": P.pretty(),
            "realization": realization}

@@ -6,7 +6,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .freelie import LiePoly, parse
-from .matrixrep import matrix_from_json
+from .matrixrep import triples_from_json
 
 POLY_FIXTURES = ("filippov", "razmyslov", "razmyslov_bracket", "example48")
 WITNESS_FIXTURES = {"paper-a2": "paper_a2.json", "paper-b2": "paper_b2.json"}
@@ -30,7 +30,4 @@ def load_witness_triples(key: str, field):
     if key not in WITNESS_FIXTURES:
         raise KeyError("unknown witness fixture %r (have: %s)"
                        % (key, ", ".join(sorted(WITNESS_FIXTURES))))
-    data = json.loads(fixture_text(WITNESS_FIXTURES[key]))
-    t1 = [matrix_from_json(m, field) for m in data["triple1"]]
-    t2 = [matrix_from_json(m, field) for m in data["triple2"]]
-    return data["realization"], t1, t2
+    return triples_from_json(json.loads(fixture_text(WITNESS_FIXTURES[key])), field)

@@ -9,10 +9,15 @@ Grammar (whitespace insignificant; a leading sign is also accepted):
 
 Coefficients are integers or rationals "a/b" and always live over Q; they are
 mapped into the target field at evaluation time, so one AST serves every
-field.  Normal forms use the Lyndon-word basis for the variable order
-X1 < X2 < ..., computed by straightening in the tensor algebra: the lex-least
-word of a homogeneous Lie element is a Lyndon word, and subtracting its
-bracketed Lyndon monomial strictly raises that least word.
+field.  Nesting is bounded by MAX_NESTING.  P acts as the substitution
+homomorphism X_i -> x_i, and one tree walk (walk) computes it in every
+target, each caller supplying its bracket and linear combination: algebra
+elements (evaluate), the tensor algebra (_tensor_expand) and the scan
+kernel's blocks of F_p assignments (maps._block_kernel).  Normal forms use
+the Lyndon-word basis for the variable order X1 < X2 < ..., computed by
+straightening in the tensor algebra: the lex-least word of a homogeneous
+Lie element is a Lyndon word, and subtracting its bracketed Lyndon monomial
+strictly raises that least word.
 """
 
 from __future__ import annotations
@@ -20,6 +25,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import isqrt, lcm
+
+
+# The deepest nesting of brackets and parentheses a polynomial may have, and
+# the most terms of an Engel sum (E_m nests m brackets).  The parser and a
+# walk over the tree each take up to three frames per level, so 200 levels
+# stay clear of Python's default recursion limit of 1000.
+MAX_NESTING = 200
 
 
 class ParseError(ValueError):
@@ -160,6 +172,7 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -210,17 +223,18 @@ class _Parser:
         t = self.next()
         if t[0] == "var":
             return Var(t[1])
+        if t[0] not in "[(":
+            raise ParseError("expected a variable, '[' or '('", t[2])
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nesting deeper than %d levels" % MAX_NESTING, t[2])
+        node = self.parse_poly()
         if t[0] == "[":
-            left = self.parse_poly()
             self.expect(",")
-            right = self.parse_poly()
-            self.expect("]")
-            return Br(left, right)
-        if t[0] == "(":
-            inner = self.parse_poly()
-            self.expect(")")
-            return inner
-        raise ParseError("expected a variable, '[' or '('", t[2])
+            node = Br(node, self.parse_poly())
+        self.expect("]" if t[0] == "[" else ")")
+        self.depth -= 1
+        return node
 
 
 def parse(text: str, nvars=None) -> LiePoly:
@@ -260,35 +274,46 @@ def _frac_str(q: Fraction) -> str:
 # -- evaluation ---------------------------------------------------------------
 
 
-def evaluate(P: LiePoly, assignment):
-    """Evaluate in any algebra whose elements provide __add__, .bracket, and
-    .scale_rational(Fraction).  Each distinct bracket subterm is evaluated
-    once: nodes compare structurally, so equal subterms built separately
-    share one value."""
-    xs = list(assignment)
-    if len(xs) != P.nvars:
-        raise ValueError("expected %d arguments, got %d" % (P.nvars, len(xs)))
-    return _evaluate(P.node, xs, {})
-
-
-def _evaluate(node, xs, memo):
-    """The value of node at xs; memo maps each bracket node seen to its
-    value.  A plain function, not a closure over memo: a self-referencing
-    closure would keep memo's values alive until the cyclic collector ran."""
+def walk(node, xs, bracket, combine, memo):
+    """The value of node under the substitution X_i -> xs[i - 1]: the one
+    recursion that evaluates a polynomial.  A bracket node's value is
+    bracket(left, right), kept in memo by node, so that equal subterms
+    (nodes compare structurally) are evaluated once; a Sum node's value is
+    combine([(c, value), ..]) over its terms.  A plain function, not a
+    closure over memo: a self-referencing closure would keep memo's values
+    alive until the cyclic collector ran."""
     if isinstance(node, Var):
         return xs[node.index - 1]
     if isinstance(node, Br):
         val = memo.get(node)
         if val is None:
-            val = memo[node] = _evaluate(node.left, xs, memo).bracket(
-                _evaluate(node.right, xs, memo))
+            val = memo[node] = bracket(walk(node.left, xs, bracket, combine, memo),
+                                       walk(node.right, xs, bracket, combine, memo))
         return val
     if isinstance(node, Sum):
-        acc = xs[0].scale_rational(Fraction(0))
-        for c, n in node.terms:
-            acc = acc + _evaluate(n, xs, memo).scale_rational(c)
-        return acc
+        return combine([(c, walk(n, xs, bracket, combine, memo)) for c, n in node.terms])
     raise TypeError(node)
+
+
+def evaluate(P: LiePoly, assignment):
+    """Evaluate in any algebra whose elements provide __add__, .bracket, and
+    .scale_rational(Fraction), by walk: each distinct bracket subterm is
+    evaluated once."""
+    xs = list(assignment)
+    if len(xs) != P.nvars:
+        raise ValueError("expected %d arguments, got %d" % (P.nvars, len(xs)))
+
+    def combine(terms):
+        if not terms:
+            return xs[0].scale_rational(Fraction(0))
+        values = [v if c == 1 else v.scale_rational(c) for c, v in terms]
+        return sum(values[1:], values[0])
+
+    return walk(P.node, xs, _element_bracket, combine, {})
+
+
+def _element_bracket(a, b):
+    return a.bracket(b)
 
 
 # -- Lyndon normal form -------------------------------------------------------
@@ -296,22 +321,22 @@ def _evaluate(node, xs, memo):
 
 def _tensor_expand(node):
     """Expansion in the tensor algebra: word tuple -> nonzero coefficient,
-    an int below brackets of variables and a Fraction once a Sum scales it."""
-    if isinstance(node, Var):
-        return {(node.index,): 1}
-    if isinstance(node, Br):
-        return _bracket_expand(_tensor_expand(node.left), _tensor_expand(node.right))
-    if isinstance(node, Sum):
-        out = {}
-        for c, n in node.terms:
-            for w, cw in _tensor_expand(n).items():
-                v = out.get(w, 0) + c * cw
-                if v:
-                    out[w] = v
-                elif w in out:
-                    del out[w]
-        return out
-    raise TypeError(node)
+    an int below brackets of variables and a Fraction once a Sum scales it.
+    Each distinct bracket subterm is expanded once."""
+    xs = [{(i,): 1} for i in range(1, max_var(node) + 1)]
+    return walk(node, xs, _bracket_expand, _expansion_sum, {})
+
+
+def _expansion_sum(terms):
+    out = {}
+    for c, expanded in terms:
+        for w, cw in expanded.items():
+            v = out.get(w, 0) + c * cw
+            if v:
+                out[w] = v
+            elif w in out:
+                del out[w]
+    return out
 
 
 def _bracket_expand(L, R):
@@ -460,6 +485,9 @@ class EngelSpec:
         cs = tuple(Fraction(c) for c in coeffs)
         if not cs or not cs[-1]:
             raise ValueError("Engel coefficients must be nonempty with a_m != 0")
+        if len(cs) > MAX_NESTING:
+            raise ValueError("at most %d Engel coefficients (E_m nests m brackets)"
+                             % MAX_NESTING)
         self.coeffs = cs
         self.m = len(cs)
         self.degree = self.m + 1

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 from .chevalley import (AlgElement, CentralElementError, ChevalleyAlgebra,
                         build_algebra)
-from .freelie import (EngelSpec, LiePoly, Br, Sum, Var, engel_monomial,
-                      evaluate, expansion, make_engel, parse)
+from .freelie import (EngelSpec, LiePoly, engel_monomial, evaluate, expansion,
+                      make_engel, parse, walk)
 from . import linalg
 from .matrixrep import MatrixElement, theta_separates, char_invariants
 from .scalar import PrimeField
@@ -560,9 +560,10 @@ def _weigh(terms):
     return acc
 
 
-def _lanes(terms, p, n, offset=0):
-    """The column offset + sum of c * col over the (c, col) terms, on n
-    lanes and reduced mod p; None stands for the zero column."""
+def _lanes(terms, p, offset=0, n=0):
+    """The column offset + sum of c * col over the (c, col) terms, reduced
+    mod p; None stands for the zero column.  n, the lane count, is read only
+    for a nonzero offset with no terms."""
     if len(terms) == 1:
         (a, u), = terms
         return [(a * x + offset) % p for x in u]
@@ -580,29 +581,38 @@ def _digit_columns(elems, p, dim):
     return [[e // w % p for e in elems] for w in [p ** k for k in range(dim)]]
 
 
-def _block_kernel(P: LiePoly, alg: ChevalleyAlgebra, batched):
+def _block_kernel(P: LiePoly, alg: ChevalleyAlgebra):
     """P on a block of n assignments at once, as a function (xs, n) -> codes.
 
-    xs[i - 1] is X_i: for i in `batched` its dim coordinate columns of n
-    lanes (one lane per assignment), otherwise an AlgElement shared by
-    every lane.  A node's value is held the same way: an AlgElement when
-    no batched variable occurs below it, columns (None for a zero column)
-    otherwise.  A bracket with one constant side is a linear map, its
-    ad_matrix built once per block and applied lane-wise; a bracket of two
-    batched sides takes lane-wise products over the nonzero bracket_table
-    entries, [u, v] = sum over i < j of [b_i, b_j] (u_i v_j - u_j v_i).
-    Every Br and Sum node reduces mod p once.  The result is the index
-    (_encode) of P's value on each lane.
+    xs[i - 1] is X_i: either its dim coordinate columns of n lanes (one lane
+    per assignment), or an AlgElement shared by every lane.  freelie.walk
+    evaluates P on xs with a lane bracket and a lane sum, and every value is
+    held the same way: an AlgElement when no batched variable occurs below
+    it, columns (None for a zero column) otherwise.  A bracket with one
+    constant side is a linear map, its ad_matrix built once per block and
+    applied lane-wise; a bracket of two batched sides takes lane-wise
+    products over the nonzero bracket_table entries, [u, v] = sum over
+    i < j of [b_i, b_j] (u_i v_j - u_j v_i).  Every bracket and sum reduces
+    mod p once, and a subterm that occurs more than once is evaluated once
+    per block.  The result is the index (_encode) of P's value on each lane.
     """
-    p, dim, T = alg.field.modulus, alg.dim, alg.bracket_table
+    field = alg.field
+    p, dim, T = field.modulus, alg.dim, alg.bracket_table
     pairs = [(i, j, T[i][j]) for i in range(dim) for j in range(i + 1, dim)
              if T[i][j]]
+    weights = [p ** k for k in range(dim)]
 
-    def linear(M, vs, n):
+    def linear(M, vs):
         return [_lanes([(c, vs[j]) for j, c in enumerate(row)
-                        if c and vs[j] is not None], p, n) for row in M]
+                        if c and vs[j] is not None], p) for row in M]
 
-    def batched_bracket(us, vs, n):
+    def bracket(us, vs):
+        if isinstance(us, AlgElement):
+            if isinstance(vs, AlgElement):
+                return us.bracket(vs)
+            return linear(alg.ad_matrix(us), vs)
+        if isinstance(vs, AlgElement):      # [u, v] = ad(-v) u
+            return linear(alg.ad_matrix(-vs), us)
         terms = [[] for _ in range(dim)]
         for i, j, entries in pairs:
             ui, uj, vi, vj = us[i], us[j], vs[i], vs[j]
@@ -617,71 +627,31 @@ def _block_kernel(P: LiePoly, alg: ChevalleyAlgebra, batched):
                 continue
             for k, m in entries:
                 terms[k].append((m, w))
-        return [_lanes(t, p, n) for t in terms]
-
-    compiled = {}       # subtree -> (batched?, evaluator)
-    memo = {}           # evaluator's slot -> its value on the current block
-
-    def compile_node(node):
-        """(batched?, evaluator (xs, n) -> value) for the node; a subtree
-        that occurs more than once is evaluated once per block."""
-        if node not in compiled:
-            b, f = compile_new(node)
-            if not isinstance(node, Var):
-                f = functools.partial(recall, len(compiled), f)
-            compiled[node] = b, f
-        return compiled[node]
-
-    def recall(slot, f, xs, n):
-        if slot not in memo:
-            memo[slot] = f(xs, n)
-        return memo[slot]
-
-    def compile_new(node):
-        if isinstance(node, Var):
-            i = node.index - 1
-            return node.index in batched, lambda xs, n: xs[i]
-        if isinstance(node, Br):
-            lb, left = compile_node(node.left)
-            rb, right = compile_node(node.right)
-            if lb and rb:
-                return True, lambda xs, n: batched_bracket(left(xs, n), right(xs, n), n)
-            if lb:      # [u, v] = ad(-v) u
-                return True, lambda xs, n: linear(alg.ad_matrix(-right(xs, n)),
-                                                  left(xs, n), n)
-            if rb:
-                return True, lambda xs, n: linear(alg.ad_matrix(left(xs, n)),
-                                                  right(xs, n), n)
-            return False, lambda xs, n: left(xs, n).bracket(right(xs, n))
-        if isinstance(node, Sum):
-            parts = [(c, *compile_node(t)) for c, t in
-                     ((alg.field.residue(c), t) for c, t in node.terms) if c]
-            sum_batched = any(b for _, b, _ in parts)
-
-            def total(xs, n):
-                offset = [0] * dim
-                terms = [[] for _ in range(dim)]
-                for c, b, f in parts:
-                    if b:
-                        for t, x in zip(terms, f(xs, n)):
-                            if x is not None:
-                                t.append((c, x))
-                    else:
-                        for k, x in enumerate(f(xs, n).coeffs):
-                            offset[k] += c * x
-                if not sum_batched:
-                    return AlgElement(alg, alg.field.reduce_row(offset))
-                return [_lanes(t, p, n, o) for t, o in zip(terms, offset)]
-            return sum_batched, total
-        raise TypeError(node)
-
-    root_batched, root = compile_node(P.node)
-    weights = [p ** k for k in range(dim)]
+        return [_lanes(t, p) for t in terms]
 
     def codes(xs, n):
-        memo.clear()
-        val = root(xs, n)
-        if not root_batched:
+        def total(parts):
+            offset = [0] * dim
+            terms = [[] for _ in range(dim)]
+            batched = False
+            for c, v in parts:
+                c = field.residue(c)
+                if not c:
+                    continue
+                if isinstance(v, AlgElement):
+                    for k, x in enumerate(v.coeffs):
+                        offset[k] += c * x
+                else:
+                    batched = True
+                    for t, x in zip(terms, v):
+                        if x is not None:
+                            t.append((c, x))
+            if not batched:
+                return AlgElement(alg, field.reduce_row(offset))
+            return [_lanes(t, p, o, n) for t, o in zip(terms, offset)]
+
+        val = walk(P.node, xs, bracket, total, {})
+        if isinstance(val, AlgElement):
             return [_encode(val.coeffs, p)] * n
         terms = [(w, col) for w, col in zip(weights, val) if col is not None]
         return _weigh(terms) if terms else [0] * n
@@ -781,6 +751,7 @@ def _scan_chunk(args):
     P = parse(poly_text)
     dim, d = alg.dim, P.nvars
     N = p ** dim
+    kernel = _block_kernel(P, alg)
     attained = {}
 
     def merge(codes, indices):
@@ -789,7 +760,6 @@ def _scan_chunk(args):
             attained[v] = first[v]
 
     if mode_seed is None:
-        kernel = _block_kernel(P, alg, {1})
         x1_key = x1_cols = None
         lo = start
         while lo < end:
@@ -807,7 +777,6 @@ def _scan_chunk(args):
     else:
         rng = random.Random(mode_seed)
         drawn = sorted([rng.randrange(N ** d) for _ in range(end)][start:])
-        kernel = _block_kernel(P, alg, set(range(1, d + 1)))
         for lo in range(0, len(drawn), _BLOCK_LANES):
             block = drawn[lo:lo + _BLOCK_LANES]
             xs = [_digit_columns([a // w % N for a in block], p, dim)

@@ -134,10 +134,24 @@ class MatrixElement:
 
 
 def matrix_from_json(obj, field, validate=True):
-    if obj.get("basis") != "matrix":
+    if not isinstance(obj, dict) or obj.get("basis") != "matrix":
         raise MatrixRepError("expected matrix encoding")
-    rows = [[field.parse_scalar(x) for x in r] for r in obj["rows"]]
-    return MatrixElement(obj["realization"], rows, field, validate=validate)
+    realization, rows = obj.get("realization"), obj.get("rows")
+    if not isinstance(realization, str) or not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(isinstance(x, str) for x in r) for r in rows):
+        raise MatrixRepError("a matrix needs a realization string and rows of strings")
+    rows = [[field.parse_scalar(x) for x in r] for r in rows]
+    return MatrixElement(realization, rows, field, validate=validate)
+
+
+def triples_from_json(data, field):
+    """(realization, triple1, triple2) from a witness document."""
+    if not isinstance(data, dict) or not isinstance(data.get("realization"), str) \
+            or not all(isinstance(data.get(k), list) for k in ("triple1", "triple2")):
+        raise MatrixRepError("a witness document needs a realization string "
+                             "and the lists triple1 and triple2")
+    return (data["realization"], [matrix_from_json(m, field) for m in data["triple1"]],
+            [matrix_from_json(m, field) for m in data["triple2"]])
 
 
 def matrix_from_ints(realization, rows, field, validate=True):
@@ -389,26 +403,15 @@ def _realize_B2(alg: ChevalleyAlgebra) -> Realization:
 
     a1 = alg.rs.simple_roots[0].coords
     a2 = alg.rs.simple_roots[1].coords
-    candidates = []
-    for c, cp in ((1, -2), (-1, 2), (2, -1), (-2, 1)):
-        for s1 in (1, -1):
-            candidates.append((c, cp, s1))
-    last_err = None
-    for c, cp, s1 in candidates:
-        images = {0: diag(0, 1, -1, -1, 1), 1: diag(0, 0, 2, 0, -2)}
-        images[alg._eidx[a1]] = _sparse_matrix(f, n, (1, 2, s1), (4, 3, -s1))
-        images[alg._eidx[_neg(a1)]] = _sparse_matrix(f, n, (2, 1, s1), (3, 4, -s1))
-        images[alg._eidx[a2]] = _sparse_matrix(f, n, (0, 4, c), (2, 0, -c))
-        images[alg._eidx[_neg(a2)]] = _sparse_matrix(f, n, (0, 2, cp), (4, 0, -cp))
-        full = dict(images)
-        for k in range(alg.dim):
-            full.setdefault(k, None)
-        try:
-            full = _fill_composite_images(alg, full, n)
-            return Realization(alg, "so5", [full[k] for k in range(alg.dim)])
-        except MatrixRepError as e:
-            last_err = e
-    raise MatrixRepError("no so5 generator assignment verified: %s" % last_err)
+    # one generator assignment, checked on every basis pair by Realization
+    images = {k: None for k in range(alg.dim)}
+    images.update({0: diag(0, 1, -1, -1, 1), 1: diag(0, 0, 2, 0, -2)})
+    images[alg._eidx[a1]] = _sparse_matrix(f, n, (1, 2, 1), (4, 3, -1))
+    images[alg._eidx[_neg(a1)]] = _sparse_matrix(f, n, (2, 1, 1), (3, 4, -1))
+    images[alg._eidx[a2]] = _sparse_matrix(f, n, (0, 4, 1), (2, 0, -1))
+    images[alg._eidx[_neg(a2)]] = _sparse_matrix(f, n, (0, 2, -2), (4, 0, 2))
+    images = _fill_composite_images(alg, images, n)
+    return Realization(alg, "so5", [images[k] for k in range(alg.dim)])
 
 
 def realize_chevalley(alg: ChevalleyAlgebra) -> Realization:

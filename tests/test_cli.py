@@ -411,6 +411,58 @@ def test_witness_triples_file_matches_fixture(tmp_path, capsys):
     assert out == run(capsys, ["witness", "--fixtures", "paper-a2"])[1]
 
 
+_A2F5_TARGET = {"basis": "chevalley", "coeffs": ["1", "2", "0", "0", "3", "0", "1", "0"]}
+_SL3_DIAG = {"basis": "matrix", "realization": "sl3",
+             "rows": [[1, 0, 0], [0, -1, 0], [0, 0, 0]]}
+
+
+def _error_json(capsys, argv, kind):
+    code, out = run(capsys, argv)
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == kind and set(err) == {"error", "kind"}
+
+
+@pytest.mark.parametrize("command,doc,kind", [
+    ("engel-solve", _A2F5_TARGET["coeffs"], "ChevalleyError"),
+    ("engel-solve", dict(_A2F5_TARGET, coeffs=[1, 2, 0, 0, 3, 0, 1, 0]), "ChevalleyError"),
+    ("engel-solve", {"basis": "chevalley"}, "ChevalleyError"),
+    ("witness", [], "MatrixRepError"),
+    ("witness", {"realization": "sl3", "triple1": [_SL3_DIAG] * 3,
+                 "triple2": [_SL3_DIAG] * 3}, "MatrixRepError"),
+], ids=["target-list", "target-int-coeffs", "target-no-coeffs", "triples-list",
+        "triples-int-rows"])
+def test_malformed_input_file_is_error_json(tmp_path, capsys, command, doc, kind):
+    # the shape is checked at the boundary: no input format beyond strings
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {"engel-solve": ["engel-solve", "--algebra", "A2", "--field", "F5",
+                            "--coeffs", "0,1", "--target"],
+            "witness": ["witness", "--triples"]}[command]
+    _error_json(capsys, argv + [str(path)], kind)
+
+
+def test_nesting_bound_from_the_cli(tmp_path, capsys):
+    from liemap.freelie import MAX_NESTING
+
+    def engel(m):
+        return "[" * m + "X1,X2]" + ",X2]" * (m - 1)
+
+    code, out = run(capsys, ["parse", "--poly", engel(MAX_NESTING)])
+    assert code == 0
+    assert json.loads(out)["normal_form"] == {"1" + "2" * MAX_NESTING: "1"}
+    for text in (engel(MAX_NESTING + 1), "(" * 3000 + "X1" + ")" * 3000):
+        _error_json(capsys, ["parse", "--poly", text], "ParseError")
+    deep = tmp_path / "deep.lie"
+    deep.write_text("[" * 600 + "X1,X2]" + ",X1]" * 599)
+    _error_json(capsys, ["identity", "--poly", "@" + str(deep)], "ParseError")
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(_A2F5_TARGET))
+    for m in (MAX_NESTING + 1, 1200):
+        _error_json(capsys, ["engel-solve", "--algebra", "A2", "--field", "F5",
+                             "--coeffs", ",".join(["0"] * (m - 1) + ["1"]),
+                             "--target", str(target)], "ValueError")
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     # --out is written before stdout, so stdout holds only the error JSON
     _file_error(capsys, ["scan", "--poly", "X1", "--algebra", "A1", "--field", "F3",

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_element, random_monomial, random_poly
 from liemap.chevalley import build_algebra
-from liemap.freelie import (Br, EngelSpec, LiePoly, ParseError, Sum, Var,
-                            _divisors, engel_monomial, engel_spec, evaluate,
-                            expansion,
+from liemap.freelie import (MAX_NESTING, Br, EngelSpec, LiePoly, LyndonForm,
+                            ParseError, Sum, Var, _divisors, engel_monomial,
+                            engel_spec, evaluate, expansion,
                             linear_part, make_engel, max_monomial_degree,
                             min_monomial_degree, normal_form, parse)
 from liemap.scalar import make_field
@@ -294,6 +294,81 @@ def test_evaluate_brackets_each_distinct_subterm_once(monkeypatch):
     X1, X2, X3 = xs
     X12_3 = X1.bracket(X2).bracket(X3)
     assert value == X12_3 + X12_3.bracket(X1)
+
+
+def test_tensor_expansion_expands_each_distinct_subterm_once(monkeypatch):
+    from liemap import freelie
+    P = parse("[[X1,X2],X3] + [[[X1,X2],X3],X1]")
+    calls = []
+    expand = freelie._bracket_expand
+
+    def counted(L, R):
+        calls.append(1)
+        return expand(L, R)
+
+    monkeypatch.setattr(freelie, "_bracket_expand", counted)
+    words = expansion(P)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert words == expansion(normal_form(P).to_lie_poly(3))
+    X12_3 = {(1, 2, 3): 1, (2, 1, 3): -1, (3, 1, 2): -1, (3, 2, 1): 1}
+    assert {w: c for w, c in words.items() if len(w) == 3} == X12_3
+
+
+def test_empty_sum_evaluates_to_zero():
+    # LyndonForm({}) is the one source of a Sum with no terms
+    from liemap.maps import Sl2Vec
+    from liemap.matrixrep import realize_chevalley
+    P = LyndonForm({}).to_lie_poly(2)
+    assert P.node == Sum(())
+    rng = random.Random(5)
+    for field in (Q, make_field("F5")):
+        alg = build_algebra("A", 2, field)
+        xs = [random_element(alg, rng) for _ in range(2)]
+        assert evaluate(P, xs) == alg.zero()
+    real = realize_chevalley(build_algebra("A", 2, Q))
+    value = evaluate(P, [real.to_matrix(random_element(real.alg, rng)) for _ in range(2)])
+    assert value.realization == "sl3" and value.is_zero()
+    triples = [Sl2Vec(*(Q.from_int(v) for v in t), Q) for t in ((1, 2, 3), (-1, 0, 5))]
+    assert evaluate(P, triples).is_zero()
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_nesting_past_the_bound_is_refused(depth):
+    # refused at the opening bracket or parenthesis one level past the bound
+    engel = "[" * depth + "X1,X2]" + ",X2]" * (depth - 1)    # E_depth
+    for text in ("(" * depth + "X1" + ")" * depth, engel):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert e.value.position == MAX_NESTING
+        assert "nesting deeper than %d" % MAX_NESTING in str(e.value)
+
+
+def test_engel_monomial_at_the_nesting_bound():
+    # E_m = sum_k (-1)^k C(m, k) Y^k X Y^(m-k) in the tensor algebra
+    from math import comb
+    m = MAX_NESTING
+    P = engel_monomial(m)
+    assert P.pretty() == "[" * m + "X1,X2]" + ",X2]" * (m - 1)
+    assert parse(P.pretty()) == P
+    assert parse("(" * m + "X1" + ")" * m).node == Var(1)
+    assert expansion(P) == {(2,) * k + (1,) + (2,) * (m - k): (-1) ** k * comb(m, k)
+                            for k in range(m + 1)}
+    assert normal_form(P) == LyndonForm({(1,) + (2,) * m: Fraction(1)})
+    assert make_engel([0] * (m - 1) + [1])[0] == P
+    alg = build_algebra("A", 1, Q)
+    rng = random.Random(9)
+    X, Y = random_element(alg, rng), random_element(alg, rng)
+    value = X
+    for _ in range(m):
+        value = value.bracket(Y)
+    assert evaluate(P, [X, Y]) == value
+
+
+def test_engel_spec_refuses_more_coefficients_than_the_bound():
+    assert EngelSpec([1] * MAX_NESTING).m == MAX_NESTING
+    with pytest.raises(ValueError, match="at most %d Engel coefficients" % MAX_NESTING):
+        EngelSpec([1] * (MAX_NESTING + 1))
 
 
 def _rational_roots_reference(spec, bound=20):

@@ -15,8 +15,8 @@ from liemap import linalg, maps
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
-from liemap.freelie import (Br, LiePoly, Sum, Var, engel_monomial, evaluate,
-                            make_engel, normal_form, parse)
+from liemap.freelie import (MAX_NESTING, Br, LiePoly, Sum, Var, engel_monomial,
+                            evaluate, make_engel, normal_form, parse)
 from liemap.scalar import make_field
 
 Q = make_field("Q")
@@ -583,6 +583,7 @@ def _reference_attained(alg, P, indices):
 @example((("A", 2, 2), "1/2*[X1,X2] + 2*[[X1,X2],X1] + X2", 3, 300, None, 7))
 @example((("B", 2, 3), "1/2*[[X1,X2],X3] - 3*X1 + [X2,X1]", 1, 4500, 5, 4096))
 @example((("A", 1, 3), "-3/2*[X1,[X2,X1]] + 3*X3", 5, 19_000, None, 4096))
+@example((("A", 1, 3), "3*(1/3*X1) + [X1,X2]", 0, 500, None, 4096))
 def test_scan_chunk_matches_element_evaluation(case):
     """The block kernel's attained map equals the element bracket's on
     chunk bounds off multiples of N and across block boundaries."""
@@ -605,6 +606,16 @@ def test_scan_chunk_matches_element_evaluation(case):
                 maps._scan_chunk(args)
             return
         assert maps._scan_chunk(args) == expected
+
+
+def test_sampled_scan_at_the_nesting_bound():
+    # E_m nests m brackets; the deepest the parser accepts still scans
+    P = engel_monomial(MAX_NESTING)
+    alg = build_algebra("A", 1, make_field("F3"))
+    rng = random.Random(5)
+    indices = [rng.randrange(27 ** 2) for _ in range(60)]
+    assert maps._scan_chunk((0, 60, "A", 1, 3, P.pretty(), 5)) == \
+        _reference_attained(alg, P, indices)
 
 
 # coefficient lists of length 1-4 with a nonzero last entry, which may still

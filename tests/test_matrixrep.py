@@ -105,6 +105,28 @@ def test_invariant_homogeneity():
             assert b.f2 == lam ** d2 * a.f2
 
 
+# sha256 of the so(5) images of the B2 Chevalley basis, recorded when the
+# realization still searched eight generator sign assignments
+B2_IMAGE_DIGESTS = {
+    "Q": "5f505900f734917538c502aca1475cc573833e0c4fdd087cf1e03b81123333b1",
+    "F3": "753f85d7a0c4add3939a26269065401498a9d32ab87e7596b2ad28fb435ece63",
+    "F5": "6572da4c10a6d5f03146fc6e1ea80b8611171e6d58a9d1394bec70bba4ba9915",
+    "F7": "32725f4a364a85daf57c7a5df8f59505bb464c8430da2091b68fe7c7c2e0e48c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(B2_IMAGE_DIGESTS))
+def test_b2_realization_images_are_pinned(name):
+    import hashlib
+    import json
+    f = make_field(name)
+    real = realize_chevalley(build_algebra("B", 2, f))
+    text = json.dumps([[[f.format_scalar(f.lift(x)) for x in row] for row in B]
+                       for B in real.images])
+    assert real.tag == "so5"
+    assert hashlib.sha256(text.encode()).hexdigest() == B2_IMAGE_DIGESTS[name]
+
+
 def test_so5_shape_space_dimension_is_10():
     # the 10 realization images are independent and span every shaped matrix
     alg = build_algebra("B", 2, Q)

@@ -72,3 +72,17 @@ def test_import_loads_no_new_modules():
     loaded = set(proc.stdout.split())
     assert "liemap.scalar" in loaded
     assert loaded <= IMPORTED_MODULES, sorted(loaded - IMPORTED_MODULES)
+
+
+def test_only_freelie_walks_the_tree():
+    # freelie.walk is the one recursion that evaluates a polynomial: a module
+    # that needs the node classes is about to grow a second one
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "freelie.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not imported & {"Var", "Br", "Sum"}, name
