@@ -9,7 +9,9 @@ minimal in the (height, lex) order gets N_{gamma,delta} = p+1 > 0, and every
 other constant is forced by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
 Jacobi identity.  The tables depend on the root system only, so they are
 built once per root system and shared by every field; the Jacobi sweep
-over Z there is the oracle that checks them on every basis triple.
+over Z there is the oracle that checks them on every basis triple.  They,
+beta(h) and the regular-element search look up the root datum (beta(h_i),
+(beta, beta), coroots) that the RootSystem tabulates.
 
 Elements hold their coefficients as residues (ints in [0, p) over F_p,
 Fractions over Q; see scalar.py): ChevalleyAlgebra.element converts scalars
@@ -17,11 +19,13 @@ and AlgElement.to_json formats the result.  The bracket runs on ints: over
 Q each operand's denominators are cleared once (field.integral_rows), the
 products with the integer table bracket_table are summed as ints, and each
 coordinate is divided back once; over F_p the residues are summed and
-reduced once.
+reduced once.  The Engel solve path holds residues only, down to the
+scalars of a conjugator's factors.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -72,8 +76,8 @@ def _structure_constants(rs: RootSystem):
             return -nlook(v, u)
         c = tuple(x + y for x, y in zip(u, v))
         if sum(c) > 0:
-            return Fraction(rs.inner(c, c), rs.inner(u, u)) * nlook(v, _neg(c))
-        return Fraction(rs.inner(c, c), rs.inner(v, v)) * nlook(_neg(c), u)
+            return Fraction(rs.length[c], rs.length[u]) * nlook(v, _neg(c))
+        return Fraction(rs.length[c], rs.length[v]) * nlook(_neg(c), u)
 
     for xi in pos:
         if sum(xi) == 1:
@@ -185,10 +189,10 @@ class AlgElement:
 class LieAutomorphism:
     """The product x_{b_k}(t_k) .. x_{b_1}(t_1) of root elements, held as its
     word ((b_1, t_1), .., (b_k, t_k)) of root coordinates and residues and
-    applied letter by letter from the cached divided powers.  `factors` is
-    what a report prints about it.  The residue matrices `res_matrix` and
-    `res_inv_matrix`, and `matrix` and `inv_matrix` in the field's scalars,
-    are computed from the word on demand."""
+    applied letter by letter from the cached divided powers.  `factors`,
+    with residue scalars, is what a report prints about it.  The residue
+    matrices `res_matrix` and `res_inv_matrix`, and `matrix` and `inv_matrix`
+    in the field's scalars, are computed from the word on demand."""
 
     def __init__(self, alg, word=(), factors=()):
         self.alg = alg
@@ -350,12 +354,10 @@ class ChevalleyAlgebra:
         return linalg.in_row_space(R, pivots, x.coeffs, self.field)
 
     def beta_value(self, coords, h: AlgElement):
-        """beta(h), as a residue, for h given by its H-part (U-part of h is
-        ignored)."""
-        f = self.field
-        return f.reduce(sum((c * self.rs.pairing(coords, s.coords)
-                             for c, s in zip(h.coeffs, self.rs.simple_roots)),
-                            f.residue(0)))
+        """beta(h) = sum_i t_i beta(h_i) for h = sum_i t_i h_i + (U-part,
+        ignored), as a residue."""
+        values = self.rs.h_values[coords]
+        return self.field.reduce(sum(t * v for t, v in zip(h.coeffs, values)))
 
     def find_regular(self, avoid):
         """Deterministic lattice search for h in H with beta(h) outside `avoid`
@@ -364,11 +366,10 @@ class ChevalleyAlgebra:
         f = self.field
         red = f.reduce
         avoid_set = {f.residue(v) for v in avoid}
-        pairings = [[self.rs.pairing(b.coords, self.rs.simple_roots[i].coords)
-                     for i in range(self.rank)] for b in self.rs.positive_roots]
+        values = [self.rs.h_values[b.coords] for b in self.rs.positive_roots]
 
         def good(ts):
-            for row in pairings:
+            for row in values:
                 acc = red(sum(t * q for t, q in zip(ts, row)))
                 if acc in avoid_set or red(-acc) in avoid_set:
                     return False
@@ -384,7 +385,6 @@ class ChevalleyAlgebra:
             raise AssertionError("rational lattice search failed unexpectedly")
 
         p = f.modulus
-        import itertools
         for ts in itertools.product(range(p), repeat=self.rank):
             if good(ts):
                 return self._h_from(ts)
@@ -430,9 +430,8 @@ class ChevalleyAlgebra:
         I + sum_k t^k N_k from the cached divided powers, in every
         characteristic."""
         coords = self.rs.root(root.coords if hasattr(root, "coords") else root).coords
-        f = self.field
-        t = f.residue(t)
-        return LieAutomorphism(self, ((coords, t),), (("root", coords, f.lift(t)),))
+        t = self.field.residue(t)
+        return LieAutomorphism(self, ((coords, t),), (("root", coords, t),))
 
     def _root_element_times(self, coords, t, v):
         """x_beta(t) v = v + sum_k t^k N_k v on a residue vector."""
@@ -494,7 +493,7 @@ class ChevalleyAlgebra:
         word = []
         for _, a, b, t in factors:
             coords, cinv = self._unit_roots[(a, b)]
-            word.append((coords, f.reduce(f.residue(t) * cinv)))
+            word.append((coords, f.reduce(t * cinv)))
         g = LieAutomorphism(self, word, factors)
         u = g.apply(l)
         assert not any(u.h_part), "type A diagonal elimination failed"
@@ -524,7 +523,7 @@ class ChevalleyAlgebra:
                 v = self._root_element_times(b.coords, t, v)
                 word.append((b.coords, t))
             if not any(v[: self.rank]):
-                factors = (("root", c, f.lift(t)) for c, t in word)
+                factors = (("root", c, t) for c, t in word)
                 return LieAutomorphism(self, word, factors), AlgElement(self, v)
         raise ConjugationBudgetError(
             "randomized conjugation exhausted budget=%d (seed=%d); "
@@ -558,7 +557,6 @@ class ChevalleyAlgebra:
 def _lattice_points(bound, rank):
     """Points of [0, bound]^rank with some coordinate equal to bound (so each
     bound visits only new points), in lex order."""
-    import itertools
     for ts in itertools.product(range(bound + 1), repeat=rank):
         if max(ts) == bound:
             yield ts
@@ -569,7 +567,7 @@ def _zero_diagonal(M, field):
     (mutated in place) to zero diagonal using elementary conjugations
     M <- (I + t E_ab) M (I - t E_ab).
 
-    Returns the moves as factors ("elem", a, b, t), first move first.
+    Returns the moves ("elem", a, b, t), t a residue, first move first.
     Requires characteristic != 2.
     """
     n = len(M)
@@ -580,7 +578,7 @@ def _zero_diagonal(M, field):
         M[a] = field.sub_row(M[a], -t, M[b])
         for i in range(n):
             M[i][b] = red(M[i][b] - t * M[i][a])
-        factors.append(("elem", a, b, field.lift(t)))
+        factors.append(("elem", a, b, t))
 
     def transfer(a, b, delta):
         # Move `delta` onto m_aa (and off m_bb); needs m_aa != m_bb.
@@ -645,8 +643,7 @@ def _integer_tables(alg):
         T = [[()] * alg.dim for _ in range(alg.dim)]
         for i in range(alg.dim):
             for j in range(i + 1, alg.dim):
-                sp = _pair_bracket(alg, n_table, i, j)
-                T[i][j] = sp
+                sp = T[i][j] = _pair_bracket(alg, n_table, i, j)
                 T[j][i] = tuple((k, -n) for k, n in sp)
         _validate_jacobi(T)
         tables = _Z_TABLES[rs.key] = (n_table, q_table, T)
@@ -660,13 +657,12 @@ def _pair_bracket(alg, n_table, i, j):
     if ti[0] == "h" and tj[0] == "h":
         return ()
     if ti[0] == "h":
-        q = rs.pairing(tj[1], rs.simple_roots[ti[1]].coords)
+        q = rs.h_values[tj[1]][ti[1]]
         return ((j, q),) if q else ()
     a, b = ti[1], tj[1]
     s = tuple(x + y for x, y in zip(a, b))
     if all(x == 0 for x in s):
-        co = rs.coroot_coords(a)
-        return tuple((k, c) for k, c in enumerate(co) if c)
+        return tuple((k, c) for k, c in enumerate(rs.coroot[a]) if c)
     if rs.contains(s):
         return ((alg._eidx[s], n_table[(a, b)]),)
     return ()

@@ -194,10 +194,14 @@ def cmd_scan(args):
     P = _poly_arg(args.poly)
     spec = None
     if args.mode == "exhaustive" and field.characteristic and P.nvars == 2:
-        # brute force would exceed the budget, the Engel engine fits it
-        N = field.modulus ** alg.dim
-        if N <= maps.scan_budget(args.budget) < N * N:
+        N, budget = field.modulus ** alg.dim, maps.scan_budget(args.budget)
+        if budget < N * N:
+            # brute force would exceed the budget: the Engel engine labels N elements
             spec = engel_spec(P)
+            if spec is not None and N > budget:
+                raise maps.ScanBudgetError(
+                    "exhaustive scan needs %d evaluations > budget %d; as an Engel sum "
+                    "P needs %d element labels (LIEMAP_BUDGET >= %d)" % (N * N, budget, N, N))
     if spec is not None:
         rep = maps.engel_image_scan(alg, spec, workers=args.workers,
                                     budget=args.budget)

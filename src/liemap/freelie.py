@@ -498,19 +498,18 @@ class EngelSpec:
                                       enumerate(self.coeffs, start=1)])
 
     def f_value(self, t, field):
-        acc = field.zero()
-        power = field.one()
-        for c in self.f_coefficients():
-            if c:
-                acc = acc + field.from_rational(c) * power
-            power = power * t
+        """f(t) = sum a_i s^i, s = -t, by Horner's rule on residues."""
+        s = field.reduce(-t)
+        acc = 0
+        for a in reversed(self.coeffs):
+            acc = field.reduce((acc + field.residue(a)) * s)
         return acc
 
     def roots_in(self, field):
-        """All roots of f in the field: exhaustive over F_p, rational-root
-        enumeration over Q.  Always contains 0."""
+        """All roots of f in the field, as residues: exhaustive over F_p,
+        rational-root enumeration over Q.  Always contains 0."""
         if field.characteristic:
-            return [x for x in field.elements() if not self.f_value(x, field)]
+            return [x for x in range(field.modulus) if not self.f_value(x, field)]
         fc = self.f_coefficients()
         # f = t * g; rational roots of g have p | const(g), q | lead(g)
         den = lcm(*(c.denominator for c in fc))
@@ -544,7 +543,9 @@ def _divisors(n):
 
 
 def engel_monomial(m: int) -> LiePoly:
-    """E_m(X, Y) = [[..[X,Y],Y]..,Y] with m brackets."""
+    """E_m(X, Y) = [[..[X,Y],Y]..,Y] with m brackets, 1 <= m <= MAX_NESTING."""
+    if not 1 <= m <= MAX_NESTING:
+        raise ValueError("E_m needs 1 <= m <= %d, got m = %d" % (MAX_NESTING, m))
     node = Br(Var(1), Var(2))
     for _ in range(m - 1):
         node = Br(node, Var(2))

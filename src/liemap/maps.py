@@ -1,8 +1,5 @@
 """High-level algorithms on Chevalley algebras.
 
-* identity testing in sl(2): exact symbolic evaluation at generic elements,
-  a degree-below-5 shortcut, and seeded randomized testing,
-* dominancy witness checks and searches via the projective theta separator,
 * the constructive Engel solver (regular element + conjugation into U +
   eigenvalue division), with exact re-evaluation certificates,
 * exhaustive / sampled finite-field image scans with worker partitioning,
@@ -24,37 +21,18 @@ import itertools
 import json
 import os
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from .chevalley import (AlgElement, CentralElementError, ChevalleyAlgebra,
                         build_algebra)
-from .freelie import (EngelSpec, LiePoly, engel_monomial, evaluate, expansion,
-                      make_engel, parse, walk)
+from .errors import (CostGuardError, InvalidBudgetError,  # noqa: F401 (re-export)
+                     InvalidSampleCountError, MapsError, ScanBudgetError)
+from .freelie import EngelSpec, LiePoly, engel_monomial, evaluate, make_engel, parse, walk
 from . import linalg
-from .matrixrep import MatrixElement, theta_separates, char_invariants
+from .matrixrep import (WitnessSearchResult, WitnessVerdict,  # noqa: F401 (re-export)
+                        dominance_witness_check, dominance_witness_search)
 from .scalar import PrimeField
-
-
-class MapsError(ValueError):
-    pass
-
-
-class CostGuardError(MapsError):
-    """Exact mode refused: arity or degree beyond the configured guard."""
-
-
-class ScanBudgetError(MapsError):
-    """Exhaustive enumeration would exceed the configured budget."""
-
-
-class InvalidBudgetError(MapsError):
-    """A scan budget (LIEMAP_BUDGET or a budget argument) that is not a
-    positive integer."""
-
-
-class InvalidSampleCountError(MapsError):
-    """A sampled scan's sample_count below 1."""
+from .sl2 import IdentityVerdict, is_identity_sl2  # noqa: F401 (re-export)
 
 
 DEFAULT_SCAN_BUDGET = 2_000_000
@@ -86,368 +64,6 @@ def _canonical(obj) -> str:
 
 def algebra_id(alg: ChevalleyAlgebra) -> str:
     return "%s%d/%s" % (alg.rs.type_label, alg.rs.rank, alg.field)
-
-
-# ---------------------------------------------------------------------------
-# multivariate polynomials and symbolic sl(2) elements
-# ---------------------------------------------------------------------------
-
-
-class MPoly:
-    """Sparse multivariate polynomial with exact field coefficients."""
-
-    __slots__ = ("coeffs", "nvars")
-
-    def __init__(self, coeffs, nvars):
-        self.coeffs = {m: c for m, c in coeffs.items() if c}
-        self.nvars = nvars
-
-    @staticmethod
-    def variable(i, nvars, field):
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return MPoly({mono: field.one()}, nvars)
-
-    @staticmethod
-    def zero(nvars):
-        return MPoly({}, nvars)
-
-    def __add__(self, o):
-        out = dict(self.coeffs)
-        for m, c in o.coeffs.items():
-            v = out.get(m)
-            v = c if v is None else v + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return MPoly(out, self.nvars)
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __neg__(self):
-        return MPoly({m: -c for m, c in self.coeffs.items()}, self.nvars)
-
-    def __mul__(self, o):
-        if not isinstance(o, MPoly):
-            return MPoly({m: c * o for m, c in self.coeffs.items()}, self.nvars)
-        out = {}
-        for ma, ca in self.coeffs.items():
-            for mb, cb in o.coeffs.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                v = out.get(m)
-                prod = ca * cb
-                v = prod if v is None else v + prod
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return MPoly(out, self.nvars)
-
-    def __rmul__(self, o):
-        return MPoly({m: o * c for m, c in self.coeffs.items()}, self.nvars)
-
-    def substitute(self, i, v):
-        """The polynomial with variable i set to the scalar v."""
-        out = {}
-        for m, c in self.coeffs.items():
-            k = m[:i] + (0,) + m[i + 1:]
-            out[k] = out.get(k, 0) + c * v ** m[i]
-        return MPoly(out, self.nvars)
-
-    def folded(self, p):
-        """The polynomial with every exponent e >= 1 reduced to 1 + (e-1) %
-        (p-1): by x^p = x the same function on F_p^n, and, all exponents
-        being below p, zero iff that function is (Combinatorial
-        Nullstellensatz)."""
-        out = {}
-        for m, c in self.coeffs.items():
-            k = tuple(e and 1 + (e - 1) % (p - 1) for e in m)
-            out[k] = out.get(k, 0) + c
-        return MPoly(out, self.nvars)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, o):
-        return isinstance(o, MPoly) and o.coeffs == self.coeffs
-
-    def __repr__(self):
-        return "MPoly(%r)" % (self.coeffs,)
-
-
-class Sl2Vec:
-    """sl(2) element with coordinates (e, f, h); coordinates may be plain
-    scalars or MPoly values.  Supports the evaluate() protocol."""
-
-    __slots__ = ("e", "f", "h", "field")
-
-    def __init__(self, e, f, h, field):
-        self.e, self.f, self.h = e, f, h
-        self.field = field
-
-    def __add__(self, o):
-        return Sl2Vec(self.e + o.e, self.f + o.f, self.h + o.h, self.field)
-
-    def scale_rational(self, q):
-        c = self.field.from_rational(Fraction(q))
-        return Sl2Vec(c * self.e, c * self.f, c * self.h, self.field)
-
-    def bracket(self, o):
-        two = self.field.from_int(2)
-        e = two * (self.h * o.e - self.e * o.h)
-        f = -two * (self.h * o.f - self.f * o.h)
-        h = self.e * o.f - self.f * o.e
-        return Sl2Vec(e, f, h, self.field)
-
-    def is_zero(self):
-        return not (self.e or self.f or self.h)
-
-
-# ---------------------------------------------------------------------------
-# identity testing in sl(2)
-# ---------------------------------------------------------------------------
-
-
-class IdentityVerdict(NamedTuple):
-    result: str                      # identity | not_identity | probably_identity
-    mode: str                        # exact_symbolic | randomized | degree_shortcut
-    witness: list | None = None      # list of (e, f, h) coordinate triples
-    witness_value: object = None
-    failure_bound: Fraction | None = None
-    trials: int | None = None
-
-    def to_json(self, field):
-        out = {"result": self.result, "mode": self.mode}
-        if self.witness is not None:
-            out["witness"] = [[field.format_scalar(c) for c in triple]
-                              for triple in self.witness]
-            out["witness_value"] = [field.format_scalar(c) for c in self.witness_value]
-        if self.failure_bound is not None:
-            out["failure_bound"] = "%d/%d" % (self.failure_bound.numerator,
-                                              self.failure_bound.denominator)
-        if self.trials is not None:
-            out["trials"] = self.trials
-        return out
-
-
-def _sl2_value(P, triples, field):
-    """P at the sl(2) elements with these (e, f, h) field scalars."""
-    return evaluate(P, [Sl2Vec(*t, field) for t in triples])
-
-
-def _symbolic_value(P, field, symbolic):
-    """P at sl(2) elements whose coordinates are indeterminates (variable
-    3(i-1)+k for coordinate k of X_i) for the X_i with i in `symbolic`, and
-    zero for the other X_i.  Over F_p the coordinate polynomials are folded
-    (MPoly.folded), so they are zero iff P vanishes on sl(2, F_p)^d."""
-    nsym = 3 * P.nvars
-    zero = MPoly.zero(nsym)
-    val = evaluate(P, [Sl2Vec(*[MPoly.variable(3 * i + k, nsym, field)
-                                if i + 1 in symbolic else zero for k in range(3)],
-                              field) for i in range(P.nvars)])
-    if field.characteristic:
-        p = field.modulus
-        val = Sl2Vec(val.e.folded(p), val.f.folded(p), val.h.folded(p), field)
-    return val
-
-
-def _greedy_witness(P, val, field, deg):
-    """The least point, in lex order of its 3d coordinates, of the grid
-    {0, .., max(2, deg + 1)}^{3d} (F_p^{3d} over F_p) at which P is nonzero,
-    read off the nonzero symbolic value `val` of P: each coordinate in turn
-    takes the least grid value that leaves some coordinate polynomial
-    nonzero.  One always exists: a variable occurs in `val` in degree below
-    the number of grid values (at most deg(P) over Q, below p once folded
-    over F_p), so a nonzero polynomial cannot vanish on all of them."""
-    if field.characteristic:
-        grid = field.elements()
-    else:
-        grid = [Fraction(v) for v in range(max(3, deg + 2))]
-    polys = [val.e, val.f, val.h]
-    point = []
-    for i in range(3 * P.nvars):
-        for v in grid:
-            sub = [q.substitute(i, v) for q in polys]
-            if any(sub):
-                break
-        else:
-            raise AssertionError("no grid value keeps a nonzero polynomial nonzero")
-        polys = sub
-        point.append(v)
-    triples = [tuple(point[3 * i: 3 * i + 3]) for i in range(P.nvars)]
-    value = _sl2_value(P, triples, field)
-    assert not value.is_zero(), "greedy witness fails re-evaluation"
-    return triples, value
-
-
-def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
-                    trials=8, grid=2 ** 20) -> IdentityVerdict:
-    """Decide whether P vanishes identically on sl(2, K).
-
-    The zero-ness, degrees and variables of P are read off its expansion in
-    the tensor algebra.  Exact mode evaluates P at symbolic elements (3
-    indeterminates per variable of P) and tests the coordinate polynomials
-    for zero; refused for arity > 4 or degree > 12.  Over F_p they are
-    folded first (x^p = x), and by the Combinatorial Nullstellensatz the
-    folded polynomials are zero iff P vanishes on sl(2, F_p)^d, so the
-    verdict is exact there too.  Over Q a P of least degree below 5 is never
-    an identity, and that degree shortcut takes the same path without the
-    cost guard.  A not_identity witness is the lex-least point of a fixed
-    grid at which P is nonzero, read off the symbolic value
-    (_greedy_witness).  Randomized mode: seeded integer-grid sampling with
-    per-trial failure bound deg(P)/grid.
-    """
-    if field.characteristic == 2:
-        raise MapsError("sl(2) identity testing requires characteristic != 2")
-    words = expansion(P)
-    if not words:
-        return IdentityVerdict(result="identity", mode="exact_symbolic")
-    deg = max(map(len, words))
-    shortcut = field.characteristic == 0 and min(map(len, words)) < 5
-
-    if shortcut or mode == "exact":
-        if not shortcut and (P.nvars > 4 or deg > 12):
-            raise CostGuardError(
-                "exact mode refused: arity %d > 4 or degree %d > 12"
-                % (P.nvars, deg))
-        val = _symbolic_value(P, field, {i for w in words for i in w})
-        if val.is_zero():
-            return IdentityVerdict(result="identity", mode="exact_symbolic")
-        triples, wval = _greedy_witness(P, val, field, deg)
-        return IdentityVerdict(
-            result="not_identity",
-            mode="degree_shortcut" if shortcut else "exact_symbolic",
-            witness=triples, witness_value=(wval.e, wval.f, wval.h))
-
-    if mode != "randomized":
-        raise MapsError("unknown mode %r" % mode)
-    rng = random.Random(seed)
-    # the effective grid is clipped by the field size, and so is the bound
-    eff_grid = grid if field.characteristic == 0 else min(grid, field.modulus)
-    if deg >= eff_grid:
-        raise MapsError(
-            "randomized mode needs a grid larger than deg(P) = %d" % deg)
-    for _ in range(trials):
-        triples = [tuple(field.from_int(rng.randrange(eff_grid)) for _ in range(3))
-                   for _ in range(P.nvars)]
-        val = _sl2_value(P, triples, field)
-        if not val.is_zero():
-            return IdentityVerdict(result="not_identity", mode="randomized",
-                                   witness=triples,
-                                   witness_value=(val.e, val.f, val.h))
-    bound = Fraction(deg, eff_grid) ** trials
-    return IdentityVerdict(result="probably_identity", mode="randomized",
-                           failure_bound=bound, trials=trials)
-
-
-# ---------------------------------------------------------------------------
-# dominancy witnesses
-# ---------------------------------------------------------------------------
-
-
-class WitnessVerdict(NamedTuple):
-    result: str                     # confirmed | not_separated | undefined
-    value1: MatrixElement | None = None
-    value2: MatrixElement | None = None
-    detail: str = ""
-
-    def to_json(self):
-        out = {"result": self.result}
-        if self.detail:
-            out["detail"] = self.detail
-        for name, v in (("value1", self.value1), ("value2", self.value2)):
-            if v is not None:
-                out[name] = v.to_json()
-                if not v.is_zero():
-                    out[name + "_theta"] = char_invariants(v).to_json(v.field)
-        return out
-
-
-def dominance_witness_check(P: LiePoly, triple1, triple2) -> WitnessVerdict:
-    """confirmed iff theta exactly separates P(triple1) from P(triple2)."""
-    for t in (triple1, triple2):
-        if len(t) != P.nvars:
-            raise MapsError("assignment arity mismatch")
-    D1 = evaluate(P, list(triple1))
-    D2 = evaluate(P, list(triple2))
-    if D1.is_zero() or D2.is_zero():
-        which = "first" if D1.is_zero() else "second"
-        if D1.is_zero() and D2.is_zero():
-            which = "both"
-        return WitnessVerdict(result="undefined", value1=D1, value2=D2,
-                              detail="P vanishes on the %s assignment" % which)
-    sep = theta_separates(D1, D2)
-    if sep == "separated":
-        return WitnessVerdict(result="confirmed", value1=D1, value2=D2)
-    if sep == "equal":
-        return WitnessVerdict(result="not_separated", value1=D1, value2=D2)
-    return WitnessVerdict(result="undefined", value1=D1, value2=D2,
-                          detail="theta pair is (0:0) on some value")
-
-
-def _random_matrix(realization, field, rng, span):
-    if realization.startswith("sl"):
-        n = int(realization[2:])
-        rows = [[field.from_int(rng.randint(-span, span)) for _ in range(n)]
-                for _ in range(n)]
-        acc = field.zero()
-        for i in range(n - 1):
-            acc = acc + rows[i][i]
-        rows[n - 1][n - 1] = -acc
-        return MatrixElement(realization, rows, field, validate=False)
-    if realization == "so5":
-        z = field.zero()
-        b = [field.from_int(rng.randint(-span, span)) for _ in range(2)]
-        c = [field.from_int(rng.randint(-span, span)) for _ in range(2)]
-        m = [[field.from_int(rng.randint(-span, span)) for _ in range(2)]
-             for _ in range(2)]
-        nval = field.from_int(rng.randint(-span, span))
-        pval = field.from_int(rng.randint(-span, span))
-        rows = [
-            [z, b[0], b[1], c[0], c[1]],
-            [-c[0], m[0][0], m[0][1], z, nval],
-            [-c[1], m[1][0], m[1][1], -nval, z],
-            [-b[0], z, pval, -m[0][0], -m[1][0]],
-            [-b[1], -pval, z, -m[0][1], -m[1][1]],
-        ]
-        return MatrixElement("so5", rows, field)
-    raise MapsError("unknown realization %r" % realization)
-
-
-class WitnessSearchResult(NamedTuple):
-    status: str                      # confirmed | exhausted
-    triple1: list | None = None
-    triple2: list | None = None
-    attempts: int = 0
-    seed: int = 0
-
-    def to_json(self):
-        out = {"status": self.status, "attempts": self.attempts, "seed": self.seed}
-        if self.triple1 is not None:
-            out["triple1"] = [m.to_json() for m in self.triple1]
-            out["triple2"] = [m.to_json() for m in self.triple2]
-        return out
-
-
-def dominance_witness_search(P: LiePoly, realization, field, budget=10000,
-                             seed=0) -> WitnessSearchResult:
-    """Seeded random search for a confirmed witness pair; entries start in
-    [-10, 10] and widen to [-100, 100] for the second half of the budget.
-    Exhaustion is inconclusive, not a disproof."""
-    if realization not in ("sl3", "so5"):
-        raise MapsError("witness search supports sl3 and so5 only")
-    rng = random.Random(seed)
-    d = P.nvars
-    for attempt in range(1, budget + 1):
-        span = 10 if attempt <= budget / 2 else 100
-        t1 = [_random_matrix(realization, field, rng, span) for _ in range(d)]
-        t2 = [_random_matrix(realization, field, rng, span) for _ in range(d)]
-        v = dominance_witness_check(P, t1, t2)
-        if v.result == "confirmed":
-            return WitnessSearchResult(status="confirmed", triple1=t1, triple2=t2,
-                                       attempts=attempt, seed=seed)
-    return WitnessSearchResult(status="exhausted", attempts=budget, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +119,8 @@ def engel_solve(alg: ChevalleyAlgebra, spec: EngelSpec, target: AlgElement,
         raise CentralElementError(
             "nonzero central targets can be unattainable; refusing")
 
-    S = spec.roots_in(alg.field)
+    field = alg.field
+    S = spec.roots_in(field)
     h = alg.find_regular(S)
     g, u = alg.conjugate_into_U(target, seed=seed, budget=budget)
     conj_desc = [[f[0]] + [str(x) for x in f[1:]] for f in g.factors]
@@ -512,13 +129,13 @@ def engel_solve(alg: ChevalleyAlgebra, spec: EngelSpec, target: AlgElement,
     for k in range(alg.rank, alg.dim):
         c = u.coeffs[k]
         if c:
-            beta = alg.basis[k][1]
-            coeffs[k] = c / spec.f_value(alg.beta_value(beta, h), alg.field)
+            fv = spec.f_value(alg.beta_value(alg.basis[k][1], h), field)
+            coeffs[k] = field.reduce(c * field.inv(fv))
     X = alg.element(coeffs)
     ginv = g.inverse()
     Xs, Ys = ginv.apply(X), ginv.apply(h)
     trace = {
-        "avoid": [alg.field.format_scalar(s) for s in S],
+        "avoid": [field.format_scalar(s) for s in S],
         "h": h.to_json(),
         "conjugator": conj_desc,
         "seed": seed,

@@ -12,15 +12,21 @@ The invariant pair (f1, f2) collects characteristic-polynomial coefficients:
 for sl(3), chi(t) = t^3 + f1 t + f2; for so(5), chi(t) = t^5 + f1 t^3 + f2 t.
 The separator theta is kept projectively as (f1^m1 : f2^m2) with
 m1 = deg f2, m2 = deg f1, and compared only by cross-multiplication.
+Dominancy witnesses are pairs of assignments whose values under P theta
+separates; dominance_witness_check confirms one, dominance_witness_search
+looks for one by seeded random sampling.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
 from .chevalley import AlgElement, ChevalleyAlgebra, _neg
+from .errors import MapsError
+from .freelie import LiePoly, evaluate
 
 
 class MatrixRepError(ValueError):
@@ -424,3 +430,107 @@ def realize_chevalley(alg: ChevalleyAlgebra) -> Realization:
         return _realize_B2(alg)
     raise MatrixRepError("no matrix realization for %s_%d"
                          % (alg.rs.type_label, alg.rs.rank))
+
+
+class WitnessVerdict(NamedTuple):
+    result: str                     # confirmed | not_separated | undefined
+    value1: MatrixElement | None = None
+    value2: MatrixElement | None = None
+    detail: str = ""
+
+    def to_json(self):
+        out = {"result": self.result}
+        if self.detail:
+            out["detail"] = self.detail
+        for name, v in (("value1", self.value1), ("value2", self.value2)):
+            if v is not None:
+                out[name] = v.to_json()
+                if not v.is_zero():
+                    out[name + "_theta"] = char_invariants(v).to_json(v.field)
+        return out
+
+
+def dominance_witness_check(P: LiePoly, triple1, triple2) -> WitnessVerdict:
+    """confirmed iff theta exactly separates P(triple1) from P(triple2)."""
+    for t in (triple1, triple2):
+        if len(t) != P.nvars:
+            raise MapsError("assignment arity mismatch")
+    D1 = evaluate(P, list(triple1))
+    D2 = evaluate(P, list(triple2))
+    if D1.is_zero() or D2.is_zero():
+        which = "first" if D1.is_zero() else "second"
+        if D1.is_zero() and D2.is_zero():
+            which = "both"
+        return WitnessVerdict(result="undefined", value1=D1, value2=D2,
+                              detail="P vanishes on the %s assignment" % which)
+    sep = theta_separates(D1, D2)
+    if sep == "separated":
+        return WitnessVerdict(result="confirmed", value1=D1, value2=D2)
+    if sep == "equal":
+        return WitnessVerdict(result="not_separated", value1=D1, value2=D2)
+    return WitnessVerdict(result="undefined", value1=D1, value2=D2,
+                          detail="theta pair is (0:0) on some value")
+
+
+def _random_matrix(realization, field, rng, span):
+    if realization.startswith("sl"):
+        n = int(realization[2:])
+        rows = [[field.from_int(rng.randint(-span, span)) for _ in range(n)]
+                for _ in range(n)]
+        acc = field.zero()
+        for i in range(n - 1):
+            acc = acc + rows[i][i]
+        rows[n - 1][n - 1] = -acc
+        return MatrixElement(realization, rows, field, validate=False)
+    if realization == "so5":
+        z = field.zero()
+        b = [field.from_int(rng.randint(-span, span)) for _ in range(2)]
+        c = [field.from_int(rng.randint(-span, span)) for _ in range(2)]
+        m = [[field.from_int(rng.randint(-span, span)) for _ in range(2)]
+             for _ in range(2)]
+        nval = field.from_int(rng.randint(-span, span))
+        pval = field.from_int(rng.randint(-span, span))
+        rows = [
+            [z, b[0], b[1], c[0], c[1]],
+            [-c[0], m[0][0], m[0][1], z, nval],
+            [-c[1], m[1][0], m[1][1], -nval, z],
+            [-b[0], z, pval, -m[0][0], -m[1][0]],
+            [-b[1], -pval, z, -m[0][1], -m[1][1]],
+        ]
+        return MatrixElement("so5", rows, field)
+    raise MapsError("unknown realization %r" % realization)
+
+
+class WitnessSearchResult(NamedTuple):
+    status: str                      # confirmed | exhausted
+    triple1: list | None = None
+    triple2: list | None = None
+    attempts: int = 0
+    seed: int = 0
+
+    def to_json(self):
+        out = {"status": self.status, "attempts": self.attempts, "seed": self.seed}
+        if self.triple1 is not None:
+            out["triple1"] = [m.to_json() for m in self.triple1]
+            out["triple2"] = [m.to_json() for m in self.triple2]
+        return out
+
+
+def dominance_witness_search(P: LiePoly, realization, field, budget=10000,
+                             seed=0) -> WitnessSearchResult:
+    """Seeded random search for a confirmed witness pair; entries start in
+    [-10, 10] and widen to [-100, 100] for the second half of the budget.
+    Exhaustion is inconclusive, not a disproof."""
+    if realization not in ("sl3", "so5"):
+        raise MapsError("witness search supports sl3 and so5 only")
+    rng = random.Random(seed)
+    d = P.nvars
+    for attempt in range(1, budget + 1):
+        span = 10 if attempt <= budget / 2 else 100
+        t1 = [_random_matrix(realization, field, rng, span) for _ in range(d)]
+        t2 = [_random_matrix(realization, field, rng, span) for _ in range(d)]
+        v = dominance_witness_check(P, t1, t2)
+        if v.result == "confirmed":
+            return WitnessSearchResult(status="confirmed", triple1=t1, triple2=t2,
+                                       attempts=attempt, seed=seed)
+    return WitnessSearchResult(status="exhausted", attempts=budget, seed=seed)

@@ -11,6 +11,10 @@ integer arithmetic.  Simple roots are numbered as in Bourbaki:
 
 The stored Cartan matrix uses the pairing convention
 ``cartan[i][j] = <alpha_i, alpha_j^vee> = 2(alpha_i,alpha_j)/(alpha_j,alpha_j)``.
+
+The root datum (each root's values beta(h_i) = <beta, alpha_i^vee>, read off
+the Cartan matrix, its length and its coroot) is tabulated once per system;
+every reader looks it up, and only that build reads the Gram form.
 """
 
 from __future__ import annotations
@@ -75,6 +79,12 @@ def _gram(type_label: str, rank: int):
     return G
 
 
+def _exact(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    assert rem == 0, "non-integral root datum entry"
+    return q
+
+
 def _is_c_family(type_label: str, rank: int) -> bool:
     # C_1 = A_1 and C_2 = B_2.
     return type_label == "C" or (type_label, rank) in (("A", 1), ("B", 2))
@@ -102,7 +112,9 @@ class Root(NamedTuple):
 
 
 class RootSystem:
-    """Complete root datum: roots, Cartan matrix, heights, Weyl generators."""
+    """Complete root datum: roots, Cartan matrix, heights, Weyl generators, and
+    per root coordinates the tables h_values (beta(h_1), .., beta(h_r)),
+    length ((beta, beta)) and coroot (c with beta^vee = sum_j c_j alpha_j^vee)."""
 
     def __init__(self, type_label, rank, gram, cartan, positive_coords):
         self.type_label = type_label
@@ -115,6 +127,16 @@ class RootSystem:
         unit = lambda i: tuple(1 if j == i else 0 for j in range(rank))
         self.simple_roots = [Root(unit(i), self.key) for i in range(rank)]
         self._index = {b.coords: i for i, b in enumerate(self.roots)}
+        diag = [gram[j][j] for j in range(rank)]
+        self.h_values, self.length, self.coroot = {}, {}, {}
+        for b in self.roots:
+            c = b.coords
+            hv = self.h_values[c] = tuple(sum(x * row[i] for x, row in zip(c, cartan))
+                                          for i in range(rank))
+            # (beta, beta) = sum_j beta_j (beta, alpha_j), with
+            # (beta, alpha_j) = beta(h_j) (alpha_j, alpha_j) / 2
+            bb = self.length[c] = sum(x * v * d for x, v, d in zip(c, hv, diag)) // 2
+            self.coroot[c] = tuple(_exact(x * d, bb) for x, d in zip(c, diag))
         self.weyl_generators = [self._reflection_permutation(i) for i in range(rank)]
 
     # -- basic queries -------------------------------------------------
@@ -128,43 +150,20 @@ class RootSystem:
             raise KeyError("not a root: %r" % (c,))
         return self.roots[self._index[c]]
 
-    def inner(self, a, b) -> int:
-        """(a, b) under the Gram form, integer exact."""
-        G = self.gram
-        return sum(a[i] * G[i][j] * b[j] for i in range(self.rank) for j in range(self.rank))
-
     def pairing(self, beta, gamma) -> int:
-        """<beta, gamma^vee> = 2(beta,gamma)/(gamma,gamma); always an integer."""
-        num = 2 * self.inner(beta, gamma)
-        den = self.inner(gamma, gamma)
-        q, rem = divmod(num, den)
-        assert rem == 0, "non-integral Cartan pairing"
-        return q
-
-    def coroot_coords(self, beta) -> tuple:
-        """Integer coordinates c with beta^vee = sum_j c_j alpha_j^vee."""
-        bb = self.inner(beta, beta)
-        out = []
-        for j, b in enumerate(beta):
-            num = b * self.gram[j][j]
-            q, rem = divmod(num, bb)
-            assert rem == 0, "non-integral coroot coordinate"
-            out.append(q)
-        return tuple(out)
+        """<beta, gamma^vee> = 2(beta,gamma)/(gamma,gamma) for roots: beta's
+        values on the alpha_j^vee weighted by gamma^vee's coordinates."""
+        return sum(v * c for v, c in zip(self.h_values[beta], self.coroot[gamma]))
 
     # -- reflections & Weyl orbit ---------------------------------------
 
-    def reflect_coords(self, coords, i):
-        """Simple reflection s_i applied to a root-lattice vector."""
-        k = sum(coords[j] * self.cartan_matrix[j][i] for j in range(self.rank))
-        out = list(coords)
-        out[i] -= k
-        return tuple(out)
-
     def _reflection_permutation(self, i):
+        """s_i(beta) = beta - beta(h_i) alpha_i, as a permutation of root indices."""
         perm = []
         for b in self.roots:
-            perm.append(self._index[self.reflect_coords(b.coords, i)])
+            out = list(b.coords)
+            out[i] -= self.h_values[b.coords][i]
+            perm.append(self._index[tuple(out)])
         return tuple(perm)
 
     def weyl_orbit(self, h_coords):
@@ -236,13 +235,7 @@ def build_root_system(type_label: str, rank: int, field_hint=None) -> RootSystem
             "%s_%d is of type C in characteristic 2 and is rejected" % (type_label, rank))
 
     G = _gram(type_label, rank)
-    cartan = [[0] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            num = 2 * G[i][j]
-            q, rem = divmod(num, G[j][j])
-            assert rem == 0
-            cartan[i][j] = q
+    cartan = [[_exact(2 * G[i][j], G[j][j]) for j in range(rank)] for i in range(rank)]
 
     # Generate positive roots height by height via root strings:
     # q = p - <beta, alpha_j^vee> counts the steps remaining upward.

@@ -244,10 +244,7 @@ class PrimeField:
         return FpElement(n, self.modulus)
 
     def from_rational(self, q: Fraction):
-        if q.denominator % self.modulus == 0:
-            raise ZeroDivisionError(
-                "denominator %d not invertible mod %d" % (q.denominator, self.modulus))
-        return FpElement(q.numerator * pow(q.denominator, -1, self.modulus), self.modulus)
+        return FpElement(self.residue(q), self.modulus)
 
     def parse_scalar(self, text: str):
         return FpElement(int(text.strip()), self.modulus)
@@ -267,7 +264,11 @@ class PrimeField:
                 raise ValueError("mixed moduli: %d vs %d" % (x.p, self.modulus))
             return x.val
         if isinstance(x, Fraction):
-            return self.from_rational(x).val
+            p = self.modulus
+            if x.denominator % p == 0:
+                raise ZeroDivisionError(
+                    "denominator %d not invertible mod %d" % (x.denominator, p))
+            return x.numerator * pow(x.denominator, -1, p) % p
         return x % self.modulus
 
     def lift(self, r) -> FpElement:

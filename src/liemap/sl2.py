@@ -1,0 +1,255 @@
+"""Identity testing in sl(2): exact symbolic evaluation at generic elements
+(MPoly coordinates in an Sl2Vec), a degree-below-5 shortcut, and seeded
+randomized testing."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import NamedTuple
+
+from .errors import CostGuardError, MapsError
+from .freelie import LiePoly, evaluate, expansion
+
+
+class MPoly:
+    """Sparse multivariate polynomial with exact field coefficients."""
+
+    __slots__ = ("coeffs", "nvars")
+
+    def __init__(self, coeffs, nvars):
+        self.coeffs = {m: c for m, c in coeffs.items() if c}
+        self.nvars = nvars
+
+    @staticmethod
+    def variable(i, nvars, field):
+        mono = tuple(1 if j == i else 0 for j in range(nvars))
+        return MPoly({mono: field.one()}, nvars)
+
+    @staticmethod
+    def zero(nvars):
+        return MPoly({}, nvars)
+
+    def __add__(self, o):
+        out = dict(self.coeffs)
+        for m, c in o.coeffs.items():
+            v = out.get(m)
+            v = c if v is None else v + c
+            if v:
+                out[m] = v
+            elif m in out:
+                del out[m]
+        return MPoly(out, self.nvars)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __neg__(self):
+        return MPoly({m: -c for m, c in self.coeffs.items()}, self.nvars)
+
+    def __mul__(self, o):
+        if not isinstance(o, MPoly):
+            return MPoly({m: c * o for m, c in self.coeffs.items()}, self.nvars)
+        out = {}
+        for ma, ca in self.coeffs.items():
+            for mb, cb in o.coeffs.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                v = out.get(m)
+                prod = ca * cb
+                v = prod if v is None else v + prod
+                if v:
+                    out[m] = v
+                elif m in out:
+                    del out[m]
+        return MPoly(out, self.nvars)
+
+    def __rmul__(self, o):
+        return MPoly({m: o * c for m, c in self.coeffs.items()}, self.nvars)
+
+    def substitute(self, i, v):
+        """The polynomial with variable i set to the scalar v."""
+        out = {}
+        for m, c in self.coeffs.items():
+            k = m[:i] + (0,) + m[i + 1:]
+            out[k] = out.get(k, 0) + c * v ** m[i]
+        return MPoly(out, self.nvars)
+
+    def folded(self, p):
+        """The polynomial with every exponent e >= 1 reduced to 1 + (e-1) %
+        (p-1): by x^p = x the same function on F_p^n, and, all exponents
+        being below p, zero iff that function is (Combinatorial
+        Nullstellensatz)."""
+        out = {}
+        for m, c in self.coeffs.items():
+            k = tuple(e and 1 + (e - 1) % (p - 1) for e in m)
+            out[k] = out.get(k, 0) + c
+        return MPoly(out, self.nvars)
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, o):
+        return isinstance(o, MPoly) and o.coeffs == self.coeffs
+
+    def __repr__(self):
+        return "MPoly(%r)" % (self.coeffs,)
+
+
+class Sl2Vec:
+    """sl(2) element with coordinates (e, f, h); coordinates may be plain
+    scalars or MPoly values.  Supports the evaluate() protocol."""
+
+    __slots__ = ("e", "f", "h", "field")
+
+    def __init__(self, e, f, h, field):
+        self.e, self.f, self.h = e, f, h
+        self.field = field
+
+    def __add__(self, o):
+        return Sl2Vec(self.e + o.e, self.f + o.f, self.h + o.h, self.field)
+
+    def scale_rational(self, q):
+        c = self.field.from_rational(Fraction(q))
+        return Sl2Vec(c * self.e, c * self.f, c * self.h, self.field)
+
+    def bracket(self, o):
+        two = self.field.from_int(2)
+        e = two * (self.h * o.e - self.e * o.h)
+        f = -two * (self.h * o.f - self.f * o.h)
+        h = self.e * o.f - self.f * o.e
+        return Sl2Vec(e, f, h, self.field)
+
+    def is_zero(self):
+        return not (self.e or self.f or self.h)
+
+
+class IdentityVerdict(NamedTuple):
+    result: str                      # identity | not_identity | probably_identity
+    mode: str                        # exact_symbolic | randomized | degree_shortcut
+    witness: list | None = None      # list of (e, f, h) coordinate triples
+    witness_value: object = None
+    failure_bound: Fraction | None = None
+    trials: int | None = None
+
+    def to_json(self, field):
+        out = {"result": self.result, "mode": self.mode}
+        if self.witness is not None:
+            out["witness"] = [[field.format_scalar(c) for c in triple]
+                              for triple in self.witness]
+            out["witness_value"] = [field.format_scalar(c) for c in self.witness_value]
+        if self.failure_bound is not None:
+            out["failure_bound"] = "%d/%d" % (self.failure_bound.numerator,
+                                              self.failure_bound.denominator)
+        if self.trials is not None:
+            out["trials"] = self.trials
+        return out
+
+
+def _sl2_value(P, triples, field):
+    """P at the sl(2) elements with these (e, f, h) field scalars."""
+    return evaluate(P, [Sl2Vec(*t, field) for t in triples])
+
+
+def _symbolic_value(P, field, symbolic):
+    """P at sl(2) elements whose coordinates are indeterminates (variable
+    3(i-1)+k for coordinate k of X_i) for the X_i with i in `symbolic`, and
+    zero for the other X_i.  Over F_p the coordinate polynomials are folded
+    (MPoly.folded), so they are zero iff P vanishes on sl(2, F_p)^d."""
+    nsym = 3 * P.nvars
+    zero = MPoly.zero(nsym)
+    val = evaluate(P, [Sl2Vec(*[MPoly.variable(3 * i + k, nsym, field)
+                                if i + 1 in symbolic else zero for k in range(3)],
+                              field) for i in range(P.nvars)])
+    if field.characteristic:
+        p = field.modulus
+        val = Sl2Vec(val.e.folded(p), val.f.folded(p), val.h.folded(p), field)
+    return val
+
+
+def _greedy_witness(P, val, field, deg):
+    """The least point, in lex order of its 3d coordinates, of the grid
+    {0, .., max(2, deg + 1)}^{3d} (F_p^{3d} over F_p) at which P is nonzero,
+    read off the nonzero symbolic value `val` of P: each coordinate in turn
+    takes the least grid value that leaves some coordinate polynomial
+    nonzero.  One always exists: a variable occurs in `val` in degree below
+    the number of grid values (at most deg(P) over Q, below p once folded
+    over F_p), so a nonzero polynomial cannot vanish on all of them."""
+    if field.characteristic:
+        grid = field.elements()
+    else:
+        grid = [Fraction(v) for v in range(max(3, deg + 2))]
+    polys = [val.e, val.f, val.h]
+    point = []
+    for i in range(3 * P.nvars):
+        for v in grid:
+            sub = [q.substitute(i, v) for q in polys]
+            if any(sub):
+                break
+        else:
+            raise AssertionError("no grid value keeps a nonzero polynomial nonzero")
+        polys = sub
+        point.append(v)
+    triples = [tuple(point[3 * i: 3 * i + 3]) for i in range(P.nvars)]
+    value = _sl2_value(P, triples, field)
+    assert not value.is_zero(), "greedy witness fails re-evaluation"
+    return triples, value
+
+
+def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
+                    trials=8, grid=2 ** 20) -> IdentityVerdict:
+    """Decide whether P vanishes identically on sl(2, K).
+
+    The zero-ness, degrees and variables of P are read off its expansion in
+    the tensor algebra.  Exact mode evaluates P at symbolic elements (3
+    indeterminates per variable of P) and tests the coordinate polynomials
+    for zero; refused for arity > 4 or degree > 12.  Over F_p they are
+    folded first (x^p = x), and by the Combinatorial Nullstellensatz the
+    folded polynomials are zero iff P vanishes on sl(2, F_p)^d, so the
+    verdict is exact there too.  Over Q a P of least degree below 5 is never
+    an identity, and that degree shortcut takes the same path without the
+    cost guard.  A not_identity witness is the lex-least point of a fixed
+    grid at which P is nonzero, read off the symbolic value
+    (_greedy_witness).  Randomized mode: seeded integer-grid sampling with
+    per-trial failure bound deg(P)/grid.
+    """
+    if field.characteristic == 2:
+        raise MapsError("sl(2) identity testing requires characteristic != 2")
+    words = expansion(P)
+    if not words:
+        return IdentityVerdict(result="identity", mode="exact_symbolic")
+    deg = max(map(len, words))
+    shortcut = field.characteristic == 0 and min(map(len, words)) < 5
+
+    if shortcut or mode == "exact":
+        if not shortcut and (P.nvars > 4 or deg > 12):
+            raise CostGuardError(
+                "exact mode refused: arity %d > 4 or degree %d > 12"
+                % (P.nvars, deg))
+        val = _symbolic_value(P, field, {i for w in words for i in w})
+        if val.is_zero():
+            return IdentityVerdict(result="identity", mode="exact_symbolic")
+        triples, wval = _greedy_witness(P, val, field, deg)
+        return IdentityVerdict(
+            result="not_identity",
+            mode="degree_shortcut" if shortcut else "exact_symbolic",
+            witness=triples, witness_value=(wval.e, wval.f, wval.h))
+
+    if mode != "randomized":
+        raise MapsError("unknown mode %r" % mode)
+    rng = random.Random(seed)
+    # the effective grid is clipped by the field size, and so is the bound
+    eff_grid = grid if field.characteristic == 0 else min(grid, field.modulus)
+    if deg >= eff_grid:
+        raise MapsError(
+            "randomized mode needs a grid larger than deg(P) = %d" % deg)
+    for _ in range(trials):
+        triples = [tuple(field.from_int(rng.randrange(eff_grid)) for _ in range(3))
+                   for _ in range(P.nvars)]
+        val = _sl2_value(P, triples, field)
+        if not val.is_zero():
+            return IdentityVerdict(result="not_identity", mode="randomized",
+                                   witness=triples,
+                                   witness_value=(val.e, val.f, val.h))
+    bound = Fraction(deg, eff_grid) ** trials
+    return IdentityVerdict(result="probably_identity", mode="randomized",
+                           failure_bound=bound, trials=trials)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from liemap import linalg
 from liemap.chevalley import _zero_diagonal
 from liemap.freelie import Br, LiePoly, Sum, Var
-from liemap.maps import _sl2_value
+from liemap.sl2 import _sl2_value
 
 
 def random_element(alg, rng):

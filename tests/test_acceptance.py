@@ -201,7 +201,7 @@ def test_criterion_9_invariance_suite():
     t0 = time.perf_counter()
     from liemap import linalg
     from liemap.matrixrep import MatrixElement
-    from liemap.maps import _random_matrix
+    from liemap.matrixrep import _random_matrix
     rng = random.Random(424242)
     # sl3: 100 random exact conjugations
     done = 0

@@ -210,6 +210,22 @@ def test_scan_past_budget_keeps_brute_force_refusal(capsys, argv):
     assert err["error"].startswith("exhaustive scan needs")
 
 
+def test_scan_past_budget_names_the_engel_need(capsys):
+    # G2/F3: brute force needs (3^14)^2 evaluations, the Engel engine labels
+    # the 3^14 elements; neither fits the default budget, and the refusal
+    # says which budget would answer
+    code, out = run(capsys, ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "G2",
+                             "--field", "F3"])
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "ScanBudgetError"
+    assert err["error"].startswith("exhaustive scan needs 22876792454961 evaluations")
+    assert "needs 4782969 element labels" in err["error"]
+    code, out = run(capsys, ["scan", "--poly", "[[X1,X2],X1]", "--algebra", "G2",
+                             "--field", "F3"])
+    err = json.loads(out)
+    assert code == 1 and "element labels" not in err["error"]
+
+
 def test_scan_sampled_stays_brute_force(capsys):
     code, out = run(capsys, ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A2",
                              "--field", "F3", "--mode", "sampled", "--seed", "1",

@@ -317,7 +317,7 @@ def test_tensor_expansion_expands_each_distinct_subterm_once(monkeypatch):
 
 def test_empty_sum_evaluates_to_zero():
     # LyndonForm({}) is the one source of a Sum with no terms
-    from liemap.maps import Sl2Vec
+    from liemap.sl2 import Sl2Vec
     from liemap.matrixrep import realize_chevalley
     P = LyndonForm({}).to_lie_poly(2)
     assert P.node == Sum(())
@@ -363,6 +363,14 @@ def test_engel_monomial_at_the_nesting_bound():
     for _ in range(m):
         value = value.bracket(Y)
     assert evaluate(P, [X, Y]) == value
+
+
+@pytest.mark.parametrize("m", [0, -3, MAX_NESTING + 1, 3000])
+def test_engel_monomial_outside_the_bound_is_refused(m):
+    # E_0 and E_-3 would be [X1,X2]; E_3000 would print into a RecursionError
+    with pytest.raises(ValueError, match="1 <= m <= %d" % MAX_NESTING):
+        engel_monomial(m)
+    assert engel_monomial(1).pretty() == "[X1,X2]"
 
 
 def test_engel_spec_refuses_more_coefficients_than_the_bound():

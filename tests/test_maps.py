@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import grid_witness, random_element, random_nonzero_element, random_poly
-from liemap import linalg, maps
+from liemap import linalg, maps, scalar
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
@@ -40,7 +40,7 @@ def test_identity_degree10():
 
 
 def test_identity_engel_rejected_with_witness():
-    from liemap.maps import _sl2_value
+    from liemap.sl2 import _sl2_value
     for m in (2, 3):
         P = engel_monomial(m)
         v = maps.is_identity_sl2(P, Q)
@@ -81,7 +81,7 @@ def test_identity_randomized_bound_clipped_by_field():
 def test_identity_witness_from_symbolic_value():
     # the lex-order grid keeps the leading variables at zero, so brute force
     # takes minutes here; the witness is read off the symbolic value
-    from liemap.maps import _sl2_value
+    from liemap.sl2 import _sl2_value
     for text, how in (("[[X1,X2],[X3,X4]]", "degree_shortcut"),
                       ("[X1,X2] + 0*X9", "degree_shortcut"),
                       ("[X1,X2]+[X1,X3]+[X1,X4]+[X1,X5]", "degree_shortcut"),
@@ -110,7 +110,7 @@ def test_identity_greedy_witness_is_the_grid_witness():
 def test_identity_fp_greedy_witness():
     # over F_p the witness is read off the symbolic value too, and it is the
     # point the brute-force grid search finds
-    from liemap.maps import _sl2_value
+    from liemap.sl2 import _sl2_value
     cases = [(text, F) for F in (F5, F7)
              for text in ("[[X1,X2],X2]", "[X1,X2]", "[[[X1,X2],X2],X2]",
                           "[X1,X2]+[X2,X3]", "[[X1,X2],X3]")]
@@ -187,7 +187,7 @@ def test_identity_exact_fp_is_brute_force_vanishing(case):
 
 def test_identity_fp_degree_above_p_pinned():
     # deg 5 >= p: a witness beyond the first 300,000 grid points, found at once
-    from liemap.maps import _sl2_value
+    from liemap.sl2 import _sl2_value
     P = parse("[[[[X4,X3],X2],X1],X4]")
     v = maps.is_identity_sl2(P, F5, mode="exact")
     assert v.to_json(F5) == {"result": "not_identity", "mode": "exact_symbolic",
@@ -344,6 +344,34 @@ def test_engel_solve_multiplies_no_matrices(monkeypatch):
                 if alg.is_central(x):
                     continue
                 sol = maps.engel_solve(alg, spec, x)
+                assert evaluate(P, [sol.X, sol.Y]) == x and sol.certificate
+
+
+def test_engel_solve_builds_no_fp_elements(monkeypatch):
+    # the solve path holds residues: the roots of f, the regular h,
+    # f(beta(h)), the division and the conjugator's scalars
+    rng = random.Random(47)
+    cases = []
+    for t, r, f in (("A", 2, F5), ("A", 3, F7), ("B", 2, F5)):
+        alg = build_algebra(t, r, f)
+        targets = [random_nonzero_element(alg, rng) for _ in range(3)]
+        cases.append((alg, [x for x in targets if not alg.is_central(x)]))
+
+    def no_fp_element(self, *args):
+        raise AssertionError("the solve path built an FpElement")
+
+    monkeypatch.setattr(scalar.FpElement, "__init__", no_fp_element)
+    for alg, targets in cases:
+        p = alg.field.modulus
+        for coeffs in ([1], [0, 1]):
+            P, spec = make_engel(coeffs)
+            S = spec.roots_in(alg.field)
+            assert S == [0] and all(type(s) is int for s in S)
+            h = alg.find_regular(S)
+            assert all(0 != alg.beta_value(b.coords, h) < p for b in alg.rs.roots)
+            for x in targets:
+                sol = maps.engel_solve(alg, spec, x)
+                assert all(type(c) is int for c in sol.X.coeffs + sol.Y.coeffs)
                 assert evaluate(P, [sol.X, sol.Y]) == x and sol.certificate
 
 

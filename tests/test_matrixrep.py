@@ -17,7 +17,7 @@ F7 = make_field("F7")
 
 
 def _rand_so5(rng, field):
-    from liemap.maps import _random_matrix
+    from liemap.matrixrep import _random_matrix
     return _random_matrix("so5", field, rng, 9)
 
 
@@ -94,7 +94,7 @@ def test_char_invariants_so5():
 def test_invariant_homogeneity():
     # f1(lam X) = lam^2 f1(X); f2 scales by lam^(deg f2)
     rng = random.Random(6)
-    from liemap.maps import _random_matrix
+    from liemap.matrixrep import _random_matrix
     for realization, d2 in (("sl3", 3), ("so5", 4)):
         for _ in range(30):
             X = _random_matrix(realization, Q, rng, 7)
@@ -160,7 +160,7 @@ def test_theta_separates():
 
 def test_theta_scaling_invariance_random():
     rng = random.Random(12)
-    from liemap.maps import _random_matrix
+    from liemap.matrixrep import _random_matrix
     for _ in range(50):
         X = _random_matrix("sl3", Q, rng, 8)
         Y = _random_matrix("sl3", Q, rng, 8)
@@ -230,7 +230,7 @@ def test_sum_node_evaluates_on_matrices():
 
 def test_conjugation_invariance_sl3():
     rng = random.Random(100)
-    from liemap.maps import _random_matrix
+    from liemap.matrixrep import _random_matrix
     for _ in range(100):
         X = _random_matrix("sl3", Q, rng, 6)
         g = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]

@@ -69,6 +69,28 @@ def test_cartan_diagonal():
             assert rs.cartan_matrix[i][i] == 2
 
 
+def test_root_tables_match_the_definitions():
+    # oracle: the Gram form itself, (a, b) = sum a_i G_ij b_j
+    for t, r in ALL_SUPPORTED:
+        rs = build_root_system(t, r)
+        G = rs.gram
+
+        def form(a, b):
+            return sum(a[i] * G[i][j] * b[j] for i in range(r) for j in range(r))
+
+        for b in rs.roots:
+            bb = form(b.coords, b.coords)
+            assert rs.length[b.coords] == bb
+            assert [Fraction(rs.coroot[b.coords][j]) for j in range(r)] == \
+                [Fraction(b.coords[j] * G[j][j], bb) for j in range(r)]
+            assert list(rs.h_values[b.coords]) == \
+                [Fraction(2 * form(b.coords, s.coords), form(s.coords, s.coords))
+                 for s in rs.simple_roots]
+            for g in rs.roots:
+                assert rs.pairing(b.coords, g.coords) == \
+                    Fraction(2 * form(b.coords, g.coords), form(g.coords, g.coords))
+
+
 def test_simple_reflections_permute_roots():
     for t, r in [("A", 3), ("B", 3), ("G", 2), ("C", 3), ("D", 4)]:
         rs = build_root_system(t, r)

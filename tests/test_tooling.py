@@ -57,8 +57,8 @@ IMPORTED_MODULES = {
     "__future__", "_blake2", "_decimal", "_hashlib", "_json", "decimal",
     "fractions", "hashlib", "json", "json.decoder", "json.encoder",
     "json.scanner", "liemap", "liemap.chevalley", "liemap.freelie",
-    "liemap.linalg", "liemap.maps", "liemap.matrixrep", "liemap.rootsystem",
-    "liemap.scalar", "numbers",
+    "liemap.errors", "liemap.linalg", "liemap.maps", "liemap.matrixrep",
+    "liemap.rootsystem", "liemap.scalar", "liemap.sl2", "numbers",
 }
 
 
@@ -86,3 +86,19 @@ def test_only_freelie_walks_the_tree():
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         assert not imported & {"Var", "Br", "Sum"}, name
+
+
+def test_only_rootsystem_reads_the_gram_form():
+    # the root datum (beta(h_i), lengths, coroots) is tabulated once in
+    # rootsystem.py; a module that reads the Gram form is about to recompute it
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "rootsystem.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "gram", (name, node.lineno)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "inner", (name, node.lineno)
