@@ -252,7 +252,7 @@ class ChevalleyAlgebra:
         self.dim = len(self.basis)
         self._eidx = {lbl[1]: i for i, lbl in enumerate(self.basis) if lbl[0] == "e"}
         # bracket_table[i][j]: sparse integer coefficients (k, n) of [b_i, b_j],
-        # read by the bracket and ad_matrix here and by the scan kernel in maps.py
+        # read by the bracket and ad_matrix here and by the scan kernel in lanes.py
         self.n_table, self.q_table, self.bracket_table = _integer_tables(self)
 
         self._center = None

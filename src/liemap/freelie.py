@@ -13,7 +13,7 @@ field.  Nesting is bounded by MAX_NESTING.  P acts as the substitution
 homomorphism X_i -> x_i, and one tree walk (walk) computes it in every
 target, each caller supplying its bracket and linear combination: algebra
 elements (evaluate), the tensor algebra (_tensor_expand) and the scan
-kernel's blocks of F_p assignments (maps._block_kernel).  Normal forms use
+kernel's blocks of F_p assignments (lanes.block_kernel).  Normal forms use
 the Lyndon-word basis for the variable order X1 < X2 < ..., computed by
 straightening in the tensor algebra: the lex-least word of a homogeneous
 Lie element is a Lyndon word, and subtracting its bracketed Lyndon monomial

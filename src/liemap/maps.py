@@ -4,7 +4,9 @@
   eigenvalue division), with exact re-evaluation certificates,
 * exhaustive / sampled finite-field image scans with worker partitioning,
   which evaluate P on a block of assignments at once (every assignment is
-  still evaluated), plus an exact linear-fiber engine for (generalized)
+  still evaluated) with the kernel in `lanes`, loaded on first use (one
+  bytes column per coordinate and table arithmetic for p <= 13, lists of
+  ints above), plus an exact linear-fiber engine for (generalized)
   Engel maps, which are linear in the first argument: it decides the image
   on one Y per orbit of G x F_p^*, G the group generated by the root
   elements x_beta(t), and walks Y only for the printed preimages,
@@ -27,7 +29,7 @@ from .chevalley import (AlgElement, CentralElementError, ChevalleyAlgebra,
                         build_algebra)
 from .errors import (CostGuardError, InvalidBudgetError,  # noqa: F401 (re-export)
                      InvalidSampleCountError, MapsError, ScanBudgetError)
-from .freelie import EngelSpec, LiePoly, engel_monomial, evaluate, make_engel, parse, walk
+from .freelie import EngelSpec, LiePoly, engel_monomial, evaluate, make_engel, parse
 from . import linalg
 from .matrixrep import (WitnessSearchResult, WitnessVerdict,  # noqa: F401 (re-export)
                         dominance_witness_check, dominance_witness_search)
@@ -155,125 +157,13 @@ def _certify(alg, P, spec, X, Y, target, trace):
 
 
 # ---------------------------------------------------------------------------
-# integer vectors and the block scan kernel (finite fields)
+# integer vectors and the worker pool (finite fields); the block kernel is lanes.py
 # ---------------------------------------------------------------------------
 
 
 # Assignments evaluated together: a block holds each node's value as dim
 # columns of at most this many residues, whatever N = p^dim is.
 _BLOCK_LANES = 4096
-
-
-def _weigh(terms):
-    """Lane-wise sum of c * col over the (c, col) terms, unreduced."""
-    (a, u), *rest = terms
-    acc = u if a == 1 else [a * x for x in u]
-    for t in range(0, len(rest) - 1, 2):
-        (a, u), (b, v) = rest[t], rest[t + 1]
-        acc = [s + a * x + b * y for s, x, y in zip(acc, u, v)]
-    if len(rest) % 2:
-        a, u = rest[-1]
-        acc = [s + a * x for s, x in zip(acc, u)]
-    return acc
-
-
-def _lanes(terms, p, offset=0, n=0):
-    """The column offset + sum of c * col over the (c, col) terms, reduced
-    mod p; None stands for the zero column.  n, the lane count, is read only
-    for a nonzero offset with no terms."""
-    if len(terms) == 1:
-        (a, u), = terms
-        return [(a * x + offset) % p for x in u]
-    if len(terms) == 2:
-        (a, u), (b, v) = terms
-        return [(a * x + b * y + offset) % p for x, y in zip(u, v)]
-    if terms:
-        return [(s + offset) % p for s in _weigh(terms)]
-    offset %= p
-    return [offset] * n if offset else None
-
-
-def _digit_columns(elems, p, dim):
-    """The coordinate columns of the elements with these indices."""
-    return [[e // w % p for e in elems] for w in [p ** k for k in range(dim)]]
-
-
-def _block_kernel(P: LiePoly, alg: ChevalleyAlgebra):
-    """P on a block of n assignments at once, as a function (xs, n) -> codes.
-
-    xs[i - 1] is X_i: either its dim coordinate columns of n lanes (one lane
-    per assignment), or an AlgElement shared by every lane.  freelie.walk
-    evaluates P on xs with a lane bracket and a lane sum, and every value is
-    held the same way: an AlgElement when no batched variable occurs below
-    it, columns (None for a zero column) otherwise.  A bracket with one
-    constant side is a linear map, its ad_matrix built once per block and
-    applied lane-wise; a bracket of two batched sides takes lane-wise
-    products over the nonzero bracket_table entries, [u, v] = sum over
-    i < j of [b_i, b_j] (u_i v_j - u_j v_i).  Every bracket and sum reduces
-    mod p once, and a subterm that occurs more than once is evaluated once
-    per block.  The result is the index (_encode) of P's value on each lane.
-    """
-    field = alg.field
-    p, dim, T = field.modulus, alg.dim, alg.bracket_table
-    pairs = [(i, j, T[i][j]) for i in range(dim) for j in range(i + 1, dim)
-             if T[i][j]]
-    weights = [p ** k for k in range(dim)]
-
-    def linear(M, vs):
-        return [_lanes([(c, vs[j]) for j, c in enumerate(row)
-                        if c and vs[j] is not None], p) for row in M]
-
-    def bracket(us, vs):
-        if isinstance(us, AlgElement):
-            if isinstance(vs, AlgElement):
-                return us.bracket(vs)
-            return linear(alg.ad_matrix(us), vs)
-        if isinstance(vs, AlgElement):      # [u, v] = ad(-v) u
-            return linear(alg.ad_matrix(-vs), us)
-        terms = [[] for _ in range(dim)]
-        for i, j, entries in pairs:
-            ui, uj, vi, vj = us[i], us[j], vs[i], vs[j]
-            if ui is not None and vj is not None:
-                if uj is not None and vi is not None:
-                    w = [a * d - b * c for a, b, c, d in zip(ui, uj, vi, vj)]
-                else:
-                    w = [a * d for a, d in zip(ui, vj)]
-            elif uj is not None and vi is not None:
-                w = [-b * c for b, c in zip(uj, vi)]
-            else:
-                continue
-            for k, m in entries:
-                terms[k].append((m, w))
-        return [_lanes(t, p) for t in terms]
-
-    def codes(xs, n):
-        def total(parts):
-            offset = [0] * dim
-            terms = [[] for _ in range(dim)]
-            batched = False
-            for c, v in parts:
-                c = field.residue(c)
-                if not c:
-                    continue
-                if isinstance(v, AlgElement):
-                    for k, x in enumerate(v.coeffs):
-                        offset[k] += c * x
-                else:
-                    batched = True
-                    for t, x in zip(terms, v):
-                        if x is not None:
-                            t.append((c, x))
-            if not batched:
-                return AlgElement(alg, field.reduce_row(offset))
-            return [_lanes(t, p, o, n) for t, o in zip(terms, offset)]
-
-        val = walk(P.node, xs, bracket, total, {})
-        if isinstance(val, AlgElement):
-            return [_encode(val.coeffs, p)] * n
-        terms = [(w, col) for w, col in zip(weights, val) if col is not None]
-        return _weigh(terms) if terms else [0] * n
-
-    return codes
 
 
 def _decode(idx, p, dim):
@@ -309,12 +199,16 @@ def _central_indices(alg: ChevalleyAlgebra):
 
 def _map_chunks(worker, n, workers, *common):
     """worker((start, end) + common) for at most `workers` contiguous chunks
-    of the positions [0, n), in a forked pool when there is more than one."""
+    of the positions [0, n), in a forked pool when there is more than one.
+    The pool forks at most one process per chunk and per CPU this process
+    may run on; the chunks do not depend on that cap."""
     step = max(1, -(-n // workers) if workers > 1 else n)
     args = [(lo, min(n, lo + step)) + common for lo in range(0, n, step)]
     if len(args) > 1:
         import multiprocessing
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+        with multiprocessing.get_context("fork").Pool(min(len(args), cpus)) as pool:
             return pool.map(worker, args)
     return [worker(a) for a in args]
 
@@ -353,28 +247,35 @@ class ImageReport(NamedTuple):
 
 def _scan_chunk(args):
     """Worker: the least index of every value P takes on the assignment
-    indices [start, end), evaluated by _block_kernel a block at a time;
-    pure and order-free.
+    indices [start, end), evaluated by lanes.block_kernel a block at a
+    time on the column store for p (bytes for p <= 13); pure and
+    order-free.
 
     Exhaustive mode walks the indices a_idx = x1 + N (x2 + N (..)) in
     order, in blocks of at most _BLOCK_LANES that share X2..Xd, so only X1
     is batched.  Sampled mode takes its slice of one global seeded stream
     (so the merged result is independent of the worker count), sorted, and
     batches every variable.  Blocks come in increasing index order, so a
-    value keeps the first index that reaches it.
+    value, keyed by its coordinate tuple, keeps the first index that
+    reaches it; each distinct value is encoded once, at the end.
     """
+    from .lanes import block_kernel, column_store
     start, end, type_label, rank, p, poly_text, mode_seed = args
     alg = build_algebra(type_label, rank, PrimeField(p))
     P = parse(poly_text)
     dim, d = alg.dim, P.nvars
     N = p ** dim
-    kernel = _block_kernel(P, alg)
+    store = column_store(p)
+    kernel = block_kernel(P, alg, store)
     attained = {}
 
-    def merge(codes, indices):
-        first = dict(zip(reversed(codes), reversed(indices)))
-        for v in first.keys() - attained.keys():
-            attained[v] = first[v]
+    def merge(keys, indices):
+        # set.difference(dict) walks the block's values, not all attained
+        new = set(keys).difference(attained)
+        if new:
+            first = dict(zip(reversed(keys), reversed(indices)))
+            for v in new:
+                attained[v] = first[v]
 
     if mode_seed is None:
         x1_key = x1_cols = None
@@ -384,7 +285,7 @@ def _scan_chunk(args):
             x1 = lo % N
             if (x1, hi - lo) != x1_key:
                 x1_key = (x1, hi - lo)
-                x1_cols = _digit_columns(range(x1, x1 + hi - lo), p, dim)
+                x1_cols = store.digits(range(x1, x1 + hi - lo), dim)
             rest, xs = lo // N, [x1_cols]
             for _ in range(d - 1):
                 rest, e_idx = divmod(rest, N)
@@ -396,10 +297,10 @@ def _scan_chunk(args):
         drawn = sorted([rng.randrange(N ** d) for _ in range(end)][start:])
         for lo in range(0, len(drawn), _BLOCK_LANES):
             block = drawn[lo:lo + _BLOCK_LANES]
-            xs = [_digit_columns([a // w % N for a in block], p, dim)
-                  for w in [N ** i for i in range(d)]]
-            merge(kernel(xs, len(block)), block)
-    return attained
+            cols = store.digits(block, d * dim)     # a's digits are X1's, X2's, ..
+            merge(kernel([cols[i:i + dim] for i in range(0, d * dim, dim)], len(block)),
+                  block)
+    return {_encode(v, p): a_idx for v, a_idx in attained.items()}
 
 
 def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
@@ -408,9 +309,10 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
 
     exhaustive mode enumerates every assignment (the independent oracle used
     throughout the test suite); sampled mode draws seeded uniform assignments.
-    Every assignment is evaluated, a block at a time (_block_kernel): P's
-    tree is walked once per block of up to _BLOCK_LANES assignments, with
-    each value held as one column of residues per basis coordinate.  In
+    Every assignment is evaluated, a block at a time (lanes.block_kernel):
+    P's tree is walked once per block of up to _BLOCK_LANES assignments,
+    with each value held as one column of residues per basis coordinate, a
+    bytes object for p <= 13 (lanes.column_store).  In
     exhaustive mode a block shares X2..Xd, so brackets with them are linear
     maps built once per block.  Worker partitioning merges via minimum
     assignment index, so reports are bit-identical for any worker count.
@@ -445,6 +347,8 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     else:
         raise MapsError("unknown scan mode %r" % mode)
 
+    from .lanes import column_store
+    column_store(p)  # module and tables built once here, not in each forked worker
     parts = _map_chunks(_scan_chunk, njobs, workers, alg.rs.type_label,
                         alg.rs.rank, p, P.pretty(), mode_seed)
     attained = {}

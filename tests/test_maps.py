@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import operator
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import grid_witness, random_element, random_nonzero_element, random_poly
-from liemap import linalg, maps, scalar
+from liemap import lanes, linalg, maps, scalar
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
@@ -548,10 +549,12 @@ def test_scan_workers_bit_identical_inside_blocks():
     assert reports[0] == reports[1] == reports[2]
 
 
-# the scan kernel's oracle: (type, rank, p, sampled?) per algebra; the
-# coefficients include 1/2 and multiples of p, resolved once p is known
-_KERNEL_ALGEBRAS = [("A", 1, 3, False), ("A", 1, 5, False), ("A", 2, 2, False),
-                    ("B", 2, 3, True)]
+# the scan kernel's oracle: (type, rank, p, sampled?) per algebra, bytes
+# columns up to p = 13 and lists for F17; the coefficients include 1/2 and
+# multiples of p, resolved once p is known
+_KERNEL_ALGEBRAS = [("A", 1, 3, False), ("A", 1, 5, False), ("A", 1, 7, False),
+                    ("A", 2, 2, False), ("B", 2, 3, True), ("B", 2, 13, True),
+                    ("A", 1, 17, True)]
 _KERNEL_COEFFS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2), "p", "-2p", "p/2"]
 
 
@@ -605,6 +608,14 @@ def _reference_attained(alg, P, indices):
     return attained
 
 
+# over F13 a bytes lane sums at most K = 255 // 12 - 1 = 20 terms before it
+# is reduced: a sampled sum of 24 batched terms (rows past K), and X2
+# constant at (12, 12, 12) in three 12*X2 terms (offset 432 before reduction)
+_PAST_K_TERMS = " + ".join(["12*X1"] * 8 + ["12*[X1,X2]"] * 8 + ["11*X2"] * 8)
+_OFFSET_PAST_255 = "12*X2 + 12*X2 + 12*X2 + [X1,X2]"
+_OFFSET_START = 13 ** 3 * (13 ** 3 - 1) - 100
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(_kernel_cases())
 @example((("A", 1, 5), "[[[X1,X2],X1],[[X1,X2],X2]]", 117, 15_523, None, 4096))
@@ -612,6 +623,11 @@ def _reference_attained(alg, P, indices):
 @example((("B", 2, 3), "1/2*[[X1,X2],X3] - 3*X1 + [X2,X1]", 1, 4500, 5, 4096))
 @example((("A", 1, 3), "-3/2*[X1,[X2,X1]] + 3*X3", 5, 19_000, None, 4096))
 @example((("A", 1, 3), "3*(1/3*X1) + [X1,X2]", 0, 500, None, 4096))
+@example((("A", 1, 7), "[[[X1,X2],X1],[[X1,X2],X2]]", 200, 9_000, None, 4096))
+@example((("G", 2, 13), _PAST_K_TERMS, 0, 150, 7, 4096))
+@example((("A", 1, 13), _OFFSET_PAST_255, _OFFSET_START, _OFFSET_START + 2_400,
+          None, 4096))
+@example((("A", 1, 17), "[[X1,X2],X2] - 5*X1 + 1/2*[X2,[X1,X2]]", 0, 400, 3, 4096))
 def test_scan_chunk_matches_element_evaluation(case):
     """The block kernel's attained map equals the element bracket's on
     chunk bounds off multiples of N and across block boundaries."""
@@ -634,6 +650,83 @@ def test_scan_chunk_matches_element_evaluation(case):
                 maps._scan_chunk(args)
             return
         assert maps._scan_chunk(args) == expected
+
+
+def test_kernel_oracle_examples_pass_the_carry_bounds():
+    # the F13 examples above reach what a bytes lane must not carry: more
+    # than K terms in one sum, and a constant part above 255 before reduction
+    store = lanes.column_store(13)
+    seen = {"terms": 0, "offset": 0}
+    combine = store.combine
+
+    def recording(terms, offset, n):
+        seen["terms"] = max(seen["terms"], len(terms))
+        seen["offset"] = max(seen["offset"], offset)
+        return combine(terms, offset, n)
+
+    with mock.patch.object(store, "combine", recording):
+        maps._scan_chunk((0, 150, "G", 2, 13, _PAST_K_TERMS, 7))
+        maps._scan_chunk((_OFFSET_START, _OFFSET_START + 2_400, "A", 1, 13,
+                          _OFFSET_PAST_255, None))
+    assert seen["terms"] > store.run == 20
+    assert seen["offset"] > 255
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_byte_columns_match_list_columns(p):
+    # the bytes store's table arithmetic against plain ints, on sums of 0 to
+    # 3K + 2 terms with offsets up to 4 * 255 and on the digit split
+    store, ref = lanes.column_store(p), lanes._ListColumns(p)
+    assert isinstance(store, lanes._ByteColumns)
+    rng = random.Random(p)
+    n = 300
+    cols = [[rng.randrange(p) for _ in range(n)] for _ in range(3 * store.run + 2)]
+    for count in sorted({0, 1, 2, store.run, store.run + 1, 3 * store.run + 2}):
+        for offset in (0, 1, p, 4 * 255 + 1):
+            cs = [rng.randrange(1, p) for _ in range(count)]
+            got = store.combine([(c, bytes(u)) for c, u in zip(cs, cols)], offset, n)
+            want = ref.combine(list(zip(cs, cols)), offset, n)
+            assert (None if got is None else list(got)) == want
+    worst = bytes([p - 1]) * n      # every lane at its largest, as is the offset
+    for count in (store.run, store.run + 1, 3 * store.run + 2):
+        got = store.combine([(1, worst)] * count, p - 1, n)
+        assert list(got) == [(count + 1) * (p - 1) % p] * n
+    for u, v in zip(cols, cols[1:]):
+        assert list(store.product(bytes(u), bytes(v))) == [a * b % p for a, b in zip(u, v)]
+    ints = [rng.randrange(p ** 19) for _ in range(n)] + [0, p ** 19 - 1]
+    assert [list(c) for c in store.digits(ints, 19)] == ref.digits(ints, 19)
+
+
+def test_scan_pool_forks_at_most_one_process_per_cpu(monkeypatch):
+    # workers above the CPU count split the scan as before, in a pool capped
+    # at the CPUs; a recording pool runs the chunks in this process
+    import multiprocessing.pool
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes=None, *args, **kwargs):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+    alg = build_algebra("A", 1, F3)
+    P = engel_monomial(2)
+    wide = maps.image_scan(alg, P, workers=100_000).to_json()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert sizes == [min(27 ** 2, cpus)]
+    assert wide.pop("workers") == 100_000
+    one = maps.image_scan(alg, P, workers=1).to_json()
+    assert one.pop("workers") == 1
+    assert wide == one
+    assert sizes == [sizes[0]]      # one chunk: no pool
 
 
 def test_sampled_scan_at_the_nesting_bound():

@@ -102,3 +102,16 @@ def test_only_rootsystem_reads_the_gram_form():
                 assert node.attr != "gram", (name, node.lineno)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 assert node.func.attr != "inner", (name, node.lineno)
+
+
+def test_no_module_exceeds_32_kib():
+    # a run from a fresh checkout compiles liemap from source, and the
+    # largest compile() peak (+2.25 MB for a 32.7 KB module) sets the
+    # process's RSS floor; a module past this size is split, or its rarely
+    # used part moves to a module loaded on first use (as lanes.py is)
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            size = os.path.getsize(os.path.join(src, name))
+            assert size <= 32 * 1024, (name, size)
+
