@@ -13,14 +13,16 @@
 * the central-image probe measuring the least Engel degree with no nonzero
   central values, visiting one Y per orbit of G x F_p^* (10 orbits on
   sl(3, F_3), 20 on sl(4, F_2)).
+
+The orbits are labelled in `orbits`, which both engines load on first use.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 from typing import NamedTuple
@@ -425,12 +427,6 @@ def _engel_matrix(acoeffs, D, field):
     return M
 
 
-def _scaling_representatives(p, dim):
-    """Indices of the least vector of each class {cY : c in F_p^*}, in
-    increasing order: 0 and every index whose highest nonzero digit is 1."""
-    return itertools.chain((0,), *(range(p ** k, 2 * p ** k) for k in range(dim)))
-
-
 def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
                      budget=None) -> ImageReport:
     """Exact image of a generalized Engel map, decided on one Y per orbit.
@@ -439,7 +435,7 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     Y the values form the column space of g(D_Y).  For h in the group G the
     x_beta(t) generate, g(D_hY) = h g(D_Y) h^-1, and column spaces are
     closed under F_p^*, so the image is a union of the orbits of G x F_p^*
-    that _orbit_representatives labels (10 on sl(3, F_3)).
+    that orbits._orbit_representatives labels (10 on sl(3, F_3)).
 
     Phase 1 decides the image: the column space of g(D_Y) for each orbit's
     least Y, and for its multiples cY unless g is a monomial (then g(D_cY)
@@ -447,10 +443,14 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     until every orbit is.  Phase 2 credits each element the report prints
     to the first Y of the walk in index order (one Y per F_p^* class for a
     monomial g) whose column space holds it, with the preimage
-    `linalg.solve` gives there.  It stops once each has its Y.  The image
-    is the brute-force scan's (validated on small cases).  The scan runs
-    in-process; `workers` is recorded only.  The labels cover all p^dim
-    elements, which `budget` (default LIEMAP_BUDGET) caps.
+    `linalg.solve` gives there.  It stops once each has its Y.  Membership
+    is tested on annihilators (orbits.subspace_annihilators): an orbit
+    root's is read off the echelon form phase 1 built, and every other Y
+    takes its parent's along the labelling tree, since the column space of
+    hY is h times that of Y; g(D_Y) is built again only at a chosen Y.
+    The image is the brute-force scan's (validated on small cases).  The
+    scan runs in-process; `workers` is recorded only.  The labels cover all
+    p^dim elements, which `budget` (default LIEMAP_BUDGET) caps.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
@@ -461,34 +461,41 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
         raise ScanBudgetError(
             "Engel scan holds %d elements > budget %d; raise LIEMAP_BUDGET"
             % (N, budget))
+    from .orbits import (_orbit_representatives, _scaling_representatives,
+                         subspace_annihilators)
     acoeffs = [field.residue(c) for c in spec.coeffs]
     monomial = sum(1 for a in acoeffs if a) == 1
     reps, labels = _orbit_representatives(alg)
+    spaces = {}
 
-    def column_space(y):
-        M = _engel_matrix(acoeffs, alg.ad_matrix(-AlgElement(alg, y)), field)
-        return (M,) + _column_echelon(M, field)
+    def engel_matrix(y_idx):
+        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
+        return _engel_matrix(acoeffs, D, field)
+
+    def echelon(y_idx):
+        if y_idx not in spaces:
+            spaces[y_idx] = _column_echelon(engel_matrix(y_idx), field)
+        return spaces[y_idx]
 
     hit = set()
     for _, y, _ in reps:
         hit.update(labels[i] for c in ([1] if monomial else range(1, p))
                    for i in _span_indices(
-                       column_space([c * a % p for a in y])[1], p, dim))
+                       echelon(_encode([c * a % p for a in y], p))[0], p, dim))
         if len(hit) == len(reps):
             break
 
     def preimages(printed):
-        found, pending, seen = {}, {v: _decode(v, p, dim) for v in printed}, set()
+        annihilator = subspace_annihilators(alg, echelon, monomial)
+        found, pending = {}, {v: _decode(v, p, dim) for v in printed}
         for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
             if not pending:
                 break
-            M, basis, pivots = column_space(_decode(y_idx, p, dim))
-            key = tuple(_encode(u, p) for u in basis)
-            if key in seen:
-                continue
-            seen.add(key)
+            rows = annihilator(y_idx)
             inside = [v for v, vec in pending.items()
-                      if linalg.in_row_space(basis, pivots, vec, field)]
+                      if not any(sum(map(operator.mul, phi, vec)) % p for phi in rows)]
+            if inside:
+                M = engel_matrix(y_idx)
             for v in inside:
                 x = linalg.solve(M, pending.pop(v), field)
                 if x is None:  # an AssertionError (exit 3) under -O as well
@@ -523,85 +530,6 @@ class CentralProbeReport(NamedTuple):
                 "m0": self.m0, "workers": self.workers}
 
 
-def _orbit_generators(alg: ChevalleyAlgebra):
-    """x_{+-alpha_i}(1) - I for the 2 rank simple root elements, as sparse
-    residue columns (column j, ((row i, residue), ..)) for the nonzero
-    columns, column j read off x_{+-alpha_i}(1) e_j.  Over F_p they generate
-    the group the x_beta(t) generate: x_a(t) = x_a(1)^t, and the simple
-    reflections x_a(1) x_-a(-1) x_a(1) carry the simple roots to every
-    root."""
-    p = alg.field.modulus
-    eye = linalg.identity_matrix(alg.field, alg.dim)
-    gens = []
-    for a in alg.rs.simple_roots:
-        for coords in (a.coords, (-a).coords):
-            cols = ((j, [(x - y) % p for x, y in
-                         zip(alg._root_element_times(coords, 1, e), e)])
-                    for j, e in enumerate(eye))
-            gens.append(tuple((j, tuple((i, c) for i, c in enumerate(col) if c))
-                              for j, col in cols if any(col)))
-    return gens
-
-
-@functools.lru_cache(maxsize=None)
-def _orbit_representatives(alg: ChevalleyAlgebra):
-    """(reps, labels), once per algebra: reps lists (index, vector, orbit
-    size) for the least Y of each orbit of the group generated by the
-    x_beta(t) times F_p^*, in increasing index order, and labels, an
-    array('i') of length p^dim, holds each index's orbit number, its
-    position in reps.  sl(3, F_3) has 10 orbits, sl(4, F_2) 20.
-
-    The scaling representatives are walked in order and every labelled index
-    is skipped; an unlabelled Y is the least of its orbit, which is then
-    labelled by a search under _orbit_generators.  Each generator is applied
-    to each point found through its sparse columns, updating the index only
-    at the digits that change, and the point's c-multiples (c in F_p^*) are
-    labelled with it: the group is linear, so the labelled set is the whole
-    orbit once the search ends.  Callers share the result and must not
-    change it."""
-    from array import array  # an extension module: only this pass loads it
-    p, dim = alg.field.modulus, alg.dim
-    weights = [p ** k for k in range(dim)]
-    gens = _orbit_generators(alg)
-    labels = array("i", [-1]) * p ** dim
-    reps = []
-
-    def mark(idx, vec):
-        labels[idx] = len(reps)
-        for c in range(2, p):
-            labels[sum(c * x % p * w for x, w in zip(vec, weights) if x)] = len(reps)
-
-    for y_idx in _scaling_representatives(p, dim):
-        if labels[y_idx] >= 0:
-            continue
-        y = _decode(y_idx, p, dim)
-        mark(y_idx, y)
-        stack, size = [(y_idx, y)], 1
-        while stack:
-            idx, u = stack.pop()
-            for gen in gens:
-                delta = {}
-                for j, col in gen:
-                    x = u[j]
-                    if x:
-                        for i, c in col:
-                            delta[i] = delta.get(i, 0) + c * x
-                n, v = idx, None
-                for i, dx in delta.items():
-                    d = (u[i] + dx) % p
-                    if d != u[i]:
-                        if v is None:
-                            v = list(u)
-                        n += (d - u[i]) * weights[i]
-                        v[i] = d
-                if v is not None and labels[n] < 0:
-                    mark(n, v)
-                    stack.append((n, v))
-                    size += 1
-        reps.append((y_idx, y, size * (p - 1) if y_idx else 1))
-    return reps, labels
-
-
 def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralProbeReport:
     """Which Engel degrees m attain nonzero central values, exhaustively.
 
@@ -611,7 +539,7 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
     fixes every central c; D_cY^m = c^m D_Y^m has the same column space.  So
     the Y hitting c at degree m form a union of orbits of that group times
     F_p^*, and only the least Y of each orbit is visited
-    (_orbit_representatives), which keeps every least hitting Y and its
+    (orbits._orbit_representatives), which keeps every least hitting Y and its
     preimage.
 
     For each visited Y the central targets are tested against the echelon
@@ -649,6 +577,7 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
         raise MapsError("central probe is meaningless for a trivial centre")
 
     max_m = max(ms)
+    from .orbits import _orbit_representatives
     hits = {}
     for y_idx, y, _ in _orbit_representatives(alg)[0]:
         D = alg.ad_matrix(-AlgElement(alg, y))

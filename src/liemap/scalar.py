@@ -44,6 +44,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _fraction_residue(q: Fraction, p: int) -> int:
+    """The residue of q mod p; a denominator divisible by p is a
+    ZeroDivisionError that names it."""
+    if q.denominator % p == 0:
+        raise ZeroDivisionError(
+            "denominator %d not invertible mod %d" % (q.denominator, p))
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
 class FpElement:
     """Residue modulo a prime p, always stored in canonical form [0, p).
 
@@ -65,9 +74,7 @@ class FpElement:
         if isinstance(other, int):
             return other % self.p
         if isinstance(other, Fraction):
-            if other.denominator == 1:
-                return other.numerator % self.p
-            return (other.numerator * pow(other.denominator, -1, self.p)) % self.p
+            return _fraction_residue(other, self.p)
         return None
 
     def __add__(self, other):
@@ -264,11 +271,7 @@ class PrimeField:
                 raise ValueError("mixed moduli: %d vs %d" % (x.p, self.modulus))
             return x.val
         if isinstance(x, Fraction):
-            p = self.modulus
-            if x.denominator % p == 0:
-                raise ZeroDivisionError(
-                    "denominator %d not invertible mod %d" % (x.denominator, p))
-            return x.numerator * pow(x.denominator, -1, p) % p
+            return _fraction_residue(x, self.modulus)
         return x % self.modulus
 
     def lift(self, r) -> FpElement:

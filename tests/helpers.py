@@ -1,12 +1,13 @@
 """Shared test utilities: seeded random elements and polynomials, the
-brute-force sl(2) witness oracle and the type-A similarity oracle."""
+brute-force sl(2) witness oracle, the type-A similarity oracle and the
+column-space walk that credits the Engel scan's printed preimages."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from liemap import linalg
-from liemap.chevalley import _zero_diagonal
+from liemap import linalg, maps
+from liemap.chevalley import AlgElement, _zero_diagonal
 from liemap.freelie import Br, LiePoly, Sum, Var
 from liemap.sl2 import _sl2_value
 
@@ -90,3 +91,38 @@ def similarity_conjugator(alg, l):
     mat = [list(row) for row in zip(*cols)]
     inv = [list(row) for row in zip(*inv_cols)]
     return mat, inv, tuple(factors), linalg.mat_vec(mat, l.coeffs, f)
+
+
+def engel_preimages_oracle(alg, spec):
+    """preimages(printed) as engel_image_scan credits them, by building the
+    column space of g(D_Y) for every Y: each printed index goes to the first
+    Y in index order (one Y per F_p^* class, the least, for a monomial g)
+    whose column space holds it, with the preimage linalg.solve gives
+    there, encoded as x + N y."""
+    field, p, dim = alg.field, alg.field.modulus, alg.dim
+    N = p ** dim
+    acoeffs = [field.residue(c) for c in spec.coeffs]
+    monomial = sum(1 for a in acoeffs if a) == 1
+
+    def preimages(printed):
+        found, pending, seen = {}, {v: maps._decode(v, p, dim) for v in printed}, set()
+        for y_idx in range(N):
+            y = maps._decode(y_idx, p, dim)
+            if not pending:
+                break
+            if monomial and y_idx and y[max(k for k in range(dim) if y[k])] != 1:
+                continue
+            M = maps._engel_matrix(acoeffs, alg.ad_matrix(-AlgElement(alg, y)), field)
+            basis, pivots = maps._column_echelon(M, field)
+            key = tuple(maps._encode(u, p) for u in basis)
+            if key in seen:
+                continue
+            seen.add(key)
+            for v in [v for v, vec in pending.items()
+                      if linalg.in_row_space(basis, pivots, vec, field)]:
+                x = linalg.solve(M, pending.pop(v), field)
+                found[v] = maps._encode(x, p) + N * y_idx
+        assert not pending
+        return found
+
+    return preimages

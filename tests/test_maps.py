@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import grid_witness, random_element, random_nonzero_element, random_poly
-from liemap import lanes, linalg, maps, scalar
+from liemap import lanes, linalg, maps, orbits, scalar
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
@@ -1012,7 +1012,7 @@ def _union_find_roots(type_label, rank, spec):
     ("A", 1, "F5", 4), ("A", 2, "F3", 10), ("A", 3, "F2", 20)])
 def test_orbit_representatives_match_union_find(type_label, rank, spec, n_orbits):
     alg = build_algebra(type_label, rank, make_field(spec))
-    reps, _ = maps._orbit_representatives(alg)
+    reps, _ = orbits._orbit_representatives(alg)
     for y_idx, y, _ in reps:
         assert y == maps._decode(y_idx, alg.field.modulus, alg.dim)
     assert {y_idx: size for y_idx, _, size in reps} == \
@@ -1027,7 +1027,7 @@ def test_orbit_labels_partition(type_label, rank, spec, n_orbits):
     # one label in range per index, the labels' classes are the union-find
     # orbits, and each class's least index and size are its representative's
     alg = build_algebra(type_label, rank, make_field(spec))
-    reps, labels = maps._orbit_representatives(alg)
+    reps, labels = orbits._orbit_representatives(alg)
     assert len(labels) == alg.field.modulus ** alg.dim and len(reps) == n_orbits
     assert set(labels) == set(range(n_orbits))
     roots = _union_find_roots(type_label, rank, spec)
@@ -1044,7 +1044,7 @@ def test_orbit_generators_are_simple_root_elements_minus_identity(type_label, ra
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
     roots = [b for a in alg.rs.simple_roots for b in (a, -a)]
-    gens = maps._orbit_generators(alg)
+    gens = orbits._orbit_generators(alg)
     assert len(gens) == len(roots)
     for gen, b in zip(gens, roots):
         M = alg.root_automorphism(b, 1).res_matrix

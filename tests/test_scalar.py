@@ -79,3 +79,14 @@ def test_text_encoding_round_trip():
 def test_mixed_moduli_rejected():
     with pytest.raises(ValueError):
         FpElement(1, 5) + FpElement(1, 7)
+
+
+def test_fraction_with_a_multiple_of_p_below_is_one_error():
+    # FpElement arithmetic and the field descriptor reduce a Fraction through
+    # the same residue helper, so both refuse 1/3 mod 3 the same way
+    for convert in (lambda q: FpElement(1, 3) + q, lambda q: q * FpElement(1, 3),
+                    PrimeField(3).residue, make_field("F3").from_rational):
+        with pytest.raises(ZeroDivisionError, match=r"^denominator 6 not invertible mod 3$"):
+            convert(Fraction(1, 6))
+    assert FpElement(1, 5) + Fraction(1, 2) == FpElement(4, 5)
+    assert FpElement(1, 5) + Fraction(7) == FpElement(3, 5)
