@@ -539,8 +539,8 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
     fixes every central c; D_cY^m = c^m D_Y^m has the same column space.  So
     the Y hitting c at degree m form a union of orbits of that group times
     F_p^*, and only the least Y of each orbit is visited
-    (orbits._orbit_representatives), which keeps every least hitting Y and its
-    preimage.
+    (orbits._orbit_representatives), which keeps every least hitting Y and
+    its preimage.
 
     For each visited Y the central targets are tested against the echelon
     form of the column space of D_Y^m, and only a hit is solved for its
