@@ -15,12 +15,16 @@ beta(h) and the regular-element search look up the root datum (beta(h_i),
 
 Elements hold their coefficients as residues (ints in [0, p) over F_p,
 Fractions over Q; see scalar.py): ChevalleyAlgebra.element converts scalars
-and AlgElement.to_json formats the result.  The bracket runs on ints: over
-Q each operand's denominators are cleared once (field.integral_rows), the
-products with the integer table bracket_table are summed as ints, and each
-coordinate is divided back once; over F_p the residues are summed and
-reduced once.  The Engel solve path holds residues only, down to the
-scalars of a conjugator's factors.
+and AlgElement.to_json formats the result.  The bracket runs on ints, in
+one core (_bracket_rows): for each nonzero x_i it visits only the columns j
+whose table entry bracket_table[i][j] is nonempty, read from a column index
+built next to the table.  Over Q each operand's denominators are cleared
+once (field.integral_rows) and each coordinate is divided back once; over
+F_p the residues are summed and reduced once.  freelie.evaluate keeps P's
+node values in that integer form throughout (AlgElement.integer_rows): an
+int row with one denominator, in lowest terms, over Q, and a reduced int
+row over F_p; residues are rebuilt once, at the root.  The Engel solve path
+holds residues only, down to the scalars of a conjugator's factors.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .rootsystem import RootSystem, build_root_system  # noqa: F401 (re-export convenience)
@@ -154,6 +159,15 @@ class AlgElement:
         self._check(other)
         return self.alg.bracket(self, other)
 
+    def integer_rows(self, xs):
+        """freelie.evaluate's integer-row hook: (the values of xs as integer
+        rows, their bracket, their linear combination, the element of a
+        value), with every element of xs in this element's algebra."""
+        alg = self.alg
+        if not all(isinstance(x, AlgElement) and x.alg is alg for x in xs):
+            raise ChevalleyError("elements from different algebras")
+        return [alg.to_row(x) for x in xs], alg.row_bracket, alg.row_combine, alg.from_row
+
     def is_zero(self):
         return not any(self.coeffs)
 
@@ -252,8 +266,11 @@ class ChevalleyAlgebra:
         self.dim = len(self.basis)
         self._eidx = {lbl[1]: i for i, lbl in enumerate(self.basis) if lbl[0] == "e"}
         # bracket_table[i][j]: sparse integer coefficients (k, n) of [b_i, b_j],
-        # read by the bracket and ad_matrix here and by the scan kernel in lanes.py
-        self.n_table, self.q_table, self.bracket_table = _integer_tables(self)
+        # read by the bracket and ad_matrix here and by the scan kernel in
+        # lanes.py; _table_cols[i]: the triples (j, k, n) over its nonempty
+        # entries bracket_table[i][j], in increasing j
+        self.n_table, self.q_table, self.bracket_table, self._table_cols = \
+            _integer_tables(self)
 
         self._center = None
         self._realization = None
@@ -296,21 +313,50 @@ class ChevalleyAlgebra:
         return self.element([self.field.parse_scalar(s) for s in coeffs])
 
     def bracket(self, x: AlgElement, y: AlgElement) -> AlgElement:
-        f, T = self.field, self.bracket_table
+        f = self.field
         (xs,), dx = f.integral_rows((x.coeffs,))
         (ys,), dy = f.integral_rows((y.coeffs,))
-        ys = [(j, c) for j, c in enumerate(ys) if c]
+        return AlgElement(self, f.from_integral_row(self._bracket_rows(xs, ys), dx * dy))
+
+    def _bracket_rows(self, xs, ys):
+        """The int row of [x, y] from int rows xs and ys of x and y: the one
+        integer bracket core, shared by bracket and row_bracket.  For each
+        nonzero xs[i] it visits only the columns j of _table_cols[i]."""
         out = [0] * self.dim
-        for i, ci in enumerate(xs):
+        for ci, cols in zip(xs, self._table_cols):
             if ci:
-                Ti = T[i]
-                for j, cj in ys:
-                    ent = Ti[j]
-                    if ent:
-                        c = ci * cj
-                        for k, n in ent:
-                            out[k] += c * n
-        return AlgElement(self, f.from_integral_row(out, dx * dy))
+                for j, k, n in cols:
+                    cj = ys[j]
+                    if cj:
+                        out[k] += ci * cj * n
+        return out
+
+    # -- integer rows: the values of freelie.evaluate ----------------------
+
+    def to_row(self, x: AlgElement):
+        """x as (int row, d) with x = row / d in lowest terms (d = 1 over F_p)."""
+        (ints,), d = self.field.integral_rows((x.coeffs,))
+        return ints, d
+
+    def from_row(self, value) -> AlgElement:
+        return AlgElement(self, self.field.from_integral_row(*value))
+
+    def row_bracket(self, a, b):
+        (xs, dx), (ys, dy) = a, b
+        return self.field.normal_row(self._bracket_rows(xs, ys), dx * dy)
+
+    def row_combine(self, terms):
+        """sum c * value over terms [(c, value), ..], c rational, on one
+        common denominator, normalised once."""
+        f = self.field
+        scaled = [(f.integral_scalar(c), v) for c, v in terms]
+        d = lcm(*[den * dv for (_, den), (_, dv) in scaled])
+        out = [0] * self.dim
+        for (num, den), (ints, dv) in scaled:
+            m = num * (d // (den * dv))
+            if m:
+                out = [o + m * n for o, n in zip(out, ints)]
+        return f.normal_row(out, d)
 
     def ad_matrix(self, x: AlgElement):
         """Residue matrix of y -> [x, y] in the fixed basis: column j is
@@ -326,18 +372,26 @@ class ChevalleyAlgebra:
 
     def _center_echelon(self):
         """The centre, the kernel of x -> ([x, b_j])_j, in residues:
-        (kernel basis, its reduced echelon rows, their pivot columns)."""
+        (kernel basis, its reduced echelon rows, their pivot columns).  The
+        system has one row x -> coefficient k of [x, b_j] per (j, k); rows
+        with equal integer entries are kept once (1,560 rows become 232 on
+        A8), which leaves the row space, and so the kernel, unchanged."""
         if self._center is None:
             f = self.field
             zero = f.residue(0)
-            rows = []
+            keys = {}
             for j in range(self.dim):
-                # row block: x -> coefficient k of [x, b_j]
                 block = {}
                 for i in range(self.dim):
                     for k, n in self.bracket_table[i][j]:
-                        block.setdefault(k, [zero] * self.dim)[i] = f.residue(n)
-                rows.extend(block.values())
+                        block.setdefault(k, []).append((i, n))
+                keys.update(dict.fromkeys(map(tuple, block.values())))
+            rows = []
+            for key in keys:
+                row = [zero] * self.dim
+                for i, n in key:
+                    row[i] = f.residue(n)
+                rows.append(row)
             if not rows:
                 rows = linalg.zero_matrix(f, 1, self.dim)
             basis = linalg.kernel_basis(rows, f)
@@ -631,9 +685,9 @@ _Z_TABLES = {}
 
 
 def _integer_tables(alg):
-    """(n_table, q_table, bracket_table) over Z, built and checked by the
-    Jacobi sweep once per root system, which fixes the basis and the
-    constants; every field's algebra shares them."""
+    """(n_table, q_table, bracket_table, its nonzero-column index) over Z,
+    built and checked by the Jacobi sweep once per root system, which fixes
+    the basis and the constants; every field's algebra shares them."""
     rs = alg.rs
     tables = _Z_TABLES.get(rs.key)
     if tables is None:
@@ -646,7 +700,9 @@ def _integer_tables(alg):
                 sp = T[i][j] = _pair_bracket(alg, n_table, i, j)
                 T[j][i] = tuple((k, -n) for k, n in sp)
         _validate_jacobi(T)
-        tables = _Z_TABLES[rs.key] = (n_table, q_table, T)
+        cols = tuple(tuple((j, k, n) for j, ent in enumerate(row) for k, n in ent)
+                     for row in T)
+        tables = _Z_TABLES[rs.key] = (n_table, q_table, T, cols)
     return tables
 
 

@@ -12,8 +12,9 @@ mapped into the target field at evaluation time, so one AST serves every
 field.  Nesting is bounded by MAX_NESTING.  P acts as the substitution
 homomorphism X_i -> x_i, and one tree walk (walk) computes it in every
 target, each caller supplying its bracket and linear combination: algebra
-elements (evaluate), the tensor algebra (_tensor_expand) and the scan
-kernel's blocks of F_p assignments (lanes.block_kernel).  Normal forms use
+elements (evaluate, on integer rows for Chevalley-algebra elements), the
+tensor algebra (_tensor_expand) and the scan kernel's blocks of F_p
+assignments (lanes.block_kernel).  Normal forms use
 the Lyndon-word basis for the variable order X1 < X2 < ..., computed by
 straightening in the tensor algebra: the lex-least word of a homogeneous
 Lie element is a Lyndon word, and subtracting its bracketed Lyndon monomial
@@ -296,12 +297,19 @@ def walk(node, xs, bracket, combine, memo):
 
 
 def evaluate(P: LiePoly, assignment):
-    """Evaluate in any algebra whose elements provide __add__, .bracket, and
-    .scale_rational(Fraction), by walk: each distinct bracket subterm is
-    evaluated once."""
+    """Evaluate by walk, so that each distinct bracket subterm is evaluated
+    once.  Elements with the integer-row hook integer_rows (AlgElement)
+    pass it the assignment and get back (values, bracket, combine, finish):
+    the walk runs on those values, and finish turns the root's value into
+    an element.  Other elements (Sl2Vec, MatrixElement) provide __add__,
+    .bracket and .scale_rational(Fraction)."""
     xs = list(assignment)
     if len(xs) != P.nvars:
         raise ValueError("expected %d arguments, got %d" % (P.nvars, len(xs)))
+    hook = getattr(xs[0], "integer_rows", None) if xs else None
+    if hook is not None:
+        values, bracket, combine, finish = hook(xs)
+        return finish(walk(P.node, values, bracket, combine, {}))
 
     def combine(terms):
         if not terms:

@@ -201,34 +201,36 @@ def char_poly(X: MatrixElement):
     n = len(X.rows)
     P = [[([-X.rows[i][j], one] if i == j else [-X.rows[i][j]])
           for j in range(n)] for i in range(n)]
-    memo = {}
+    out = _det(tuple(range(n)), P, n, {}, zero, one)
+    return out + [zero] * (n + 1 - len(out))
 
-    def det(cols):
-        if not cols:
-            return [one]
-        key = cols
-        if key in memo:
-            return memo[key]
-        r = n - len(cols)
-        acc = [zero]
-        for pos, j in enumerate(cols):
-            entry = P[r][j]
-            if len(entry) == 1 and not entry[0]:
-                continue
-            sub = det(tuple(c for c in cols if c != j))
-            term = _poly_mul(entry, sub, zero)
-            if pos % 2:
-                term = [-t for t in term]
-            if len(acc) < len(term):
-                acc = acc + [zero] * (len(term) - len(acc))
-            for k, t in enumerate(term):
-                acc[k] = acc[k] + t
-        memo[key] = acc
-        return acc
 
-    out = det(tuple(range(n)))
-    out = out + [zero] * (n + 1 - len(out))
-    return out
+def _det(cols, P, n, memo, zero, one):
+    """The determinant of P's last len(cols) rows on the columns cols, a
+    polynomial in t, by Laplace expansion along the first of those rows;
+    minors are kept in memo.  A plain function, not a closure over memo: a
+    self-referencing closure would keep memo's values alive until the
+    cyclic collector ran."""
+    if not cols:
+        return [one]
+    if cols in memo:
+        return memo[cols]
+    r = n - len(cols)
+    acc = [zero]
+    for pos, j in enumerate(cols):
+        entry = P[r][j]
+        if len(entry) == 1 and not entry[0]:
+            continue
+        sub = _det(tuple(c for c in cols if c != j), P, n, memo, zero, one)
+        term = _poly_mul(entry, sub, zero)
+        if pos % 2:
+            term = [-t for t in term]
+        if len(acc) < len(term):
+            acc = acc + [zero] * (len(term) - len(acc))
+        for k, t in enumerate(term):
+            acc[k] = acc[k] + t
+    memo[cols] = acc
+    return acc
 
 
 class InvariantPair(NamedTuple):

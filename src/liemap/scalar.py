@@ -16,13 +16,16 @@ of products, ``inv`` for pivots, and the row updates ``scale_row`` and
 residue rows into int rows and one denominator d (over Q the lcm of their
 denominators, over F_p the residues themselves and d = 1), and
 ``from_integral_row`` turns an int row of products back into residues
-(n / d over Q, n mod p over F_p).
+(n / d over Q, n mod p over F_p).  A value kept in that form between steps
+is brought back to it by ``normal_row`` (over Q the row and d divided by
+their gcd, over F_p the row reduced), and ``integral_scalar`` gives a
+rational scalar as such a pair (n, d).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class FieldSpecError(ValueError):
@@ -207,6 +210,18 @@ class Rationals:
     def from_integral_row(self, ints, d):
         return [Fraction(n, d) if n else _ZERO for n in ints]
 
+    def normal_row(self, ints, d):
+        """(ints, d) divided by their gcd, so that d > 0 is the least
+        denominator of the row ints / d."""
+        g = gcd(d, *ints)
+        if g == 1:
+            return ints, d
+        return [n // g for n in ints], d // g
+
+    def integral_scalar(self, q):
+        q = self.residue(q)
+        return q.numerator, q.denominator
+
     def inv(self, r):
         return Fraction(1) / r
 
@@ -289,6 +304,12 @@ class PrimeField:
 
     def from_integral_row(self, ints, d):
         return self.reduce_row(ints)
+
+    def normal_row(self, ints, d):
+        return self.reduce_row(ints), 1
+
+    def integral_scalar(self, q):
+        return self.residue(q), 1
 
     def inv(self, r) -> int:
         if r % self.modulus == 0:

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from liemap import linalg
 from liemap.chevalley import build_algebra
-from liemap.matrixrep import (MatrixElement, MatrixRepError, char_invariants,
+from liemap.matrixrep import (MatrixElement, MatrixRepError, char_invariants, char_poly,
                               commutator, matrix_from_ints, matrix_from_json,
                               realize_chevalley, theta_separates)
 from liemap.fixtures import load_witness_triples
@@ -89,6 +90,21 @@ def test_char_invariants_so5():
     inv = char_invariants(X)
     assert (inv.deg_f1, inv.deg_f2) == (2, 4)
     # chi(-t) = -chi(t) for so5: checked by construction via vanishing coeffs
+
+
+def test_char_poly_leaves_no_garbage_cycles():
+    # the memo of minors is freed by reference counting when char_poly
+    # returns, not left in a cycle for the cyclic collector
+    X = _rand_so5(random.Random(4), Q)
+    gc.collect()
+    gc.disable()
+    try:
+        coeffs = char_poly(X)
+        collected = gc.collect()
+    finally:
+        gc.enable()
+    assert collected == 0
+    assert len(coeffs) == 6 and coeffs[5] == 1
 
 
 def test_invariant_homogeneity():
