@@ -136,10 +136,6 @@ def evaluations(draw):
     return alg, draw(nodes(4, leaf=False)), xs
 
 
-def element_bracket(a, b):
-    return a.bracket(b)
-
-
 def element_combine(terms, alg):
     return sum((v.scale_rational(c) for c, v in terms), alg.zero())
 
