@@ -203,7 +203,7 @@ class AlgElement:
 class LieAutomorphism:
     """The product x_{b_k}(t_k) .. x_{b_1}(t_1) of root elements, held as its
     word ((b_1, t_1), .., (b_k, t_k)) of root coordinates and residues and
-    applied letter by letter from the cached divided powers.  `factors`,
+    applied letter by letter from the integral divided powers.  `factors`,
     with residue scalars, is what a report prints about it.  The residue
     matrices `res_matrix` and `res_inv_matrix`, and `matrix` and `inv_matrix`
     in the field's scalars, are computed from the word on demand."""
@@ -275,7 +275,6 @@ class ChevalleyAlgebra:
         self._center = None
         self._realization = None
         self._unit_roots = None
-        self._powers = {}
 
     # -- public operations ------------------------------------------------
 
@@ -318,17 +317,17 @@ class ChevalleyAlgebra:
         (ys,), dy = f.integral_rows((y.coeffs,))
         return AlgElement(self, f.from_integral_row(self._bracket_rows(xs, ys), dx * dy))
 
-    def _bracket_rows(self, xs, ys):
-        """The int row of [x, y] from int rows xs and ys of x and y: the one
-        integer bracket core, shared by bracket and row_bracket.  For each
-        nonzero xs[i] it visits only the columns j of _table_cols[i]."""
-        out = [0] * self.dim
+    def _bracket_rows(self, xs, ys, zero=0):
+        """The row of [x, y] from rows xs and ys over a ring with this zero:
+        the one bracket core, of bracket, row_bracket and sl2's symbolic
+        walk.  For each nonzero xs[i] it visits only _table_cols[i]."""
+        out = [zero] * self.dim
         for ci, cols in zip(xs, self._table_cols):
             if ci:
                 for j, k, n in cols:
                     cj = ys[j]
                     if cj:
-                        out[k] += ci * cj * n
+                        out[k] += ci * (cj * n)
         return out
 
     # -- integer rows: the values of freelie.evaluate ----------------------
@@ -360,14 +359,13 @@ class ChevalleyAlgebra:
 
     def ad_matrix(self, x: AlgElement):
         """Residue matrix of y -> [x, y] in the fixed basis: column j is
-        [x, b_j], read off bracket_table.  The Engel engines in maps.py call
+        [x, b_j], read off _table_cols.  The Engel engines in maps.py call
         it on -Y for D_Y = [., Y]."""
         M = [[self.field.residue(0)] * self.dim for _ in range(self.dim)]
-        for i, c in enumerate(x.coeffs):
+        for c, cols in zip(x.coeffs, self._table_cols):
             if c:
-                for j, ent in enumerate(self.bracket_table[i]):
-                    for k, n in ent:
-                        M[k][j] += c * n
+                for j, k, n in cols:
+                    M[k][j] += c * n
         return [self.field.reduce_row(row) for row in M]
 
     def _center_echelon(self):
@@ -459,46 +457,27 @@ class ChevalleyAlgebra:
     def identity_automorphism(self):
         return LieAutomorphism(self)
 
-    def _divided_powers(self, coords):
-        """Sparse N_k = ad(e_beta)^k / k! for k = 1, 2, .. while nonzero, so
-        that x_beta(t) = I + sum_k t^k N_k (Carter, Simple Groups of Lie
-        Type, ch. 4).  The N_k are integral on the Chevalley basis (Kostant's
-        Z-form): they are computed once per root system over Z
-        (_integral_divided_powers) and reduced into this field once per
-        root, so they hold in every characteristic.  Each N_k is a tuple of
-        (column j, ((row i, residue), ..)) pairs; an N_k that vanishes in
-        the field stays in place as () so that position k-1 holds N_k."""
-        powers = self._powers.get(coords)
-        if powers is None:
-            res = self.field.residue
-            coords = self.rs.root(coords).coords
-            powers = []
-            for nk in _integral_divided_powers(self, coords):
-                cols = ((j, tuple((i, res(n)) for i, n in col if res(n))) for j, col in nk)
-                powers.append(tuple((j, col) for j, col in cols if col))
-            powers = self._powers[coords] = tuple(powers)
-        return powers
-
     def root_automorphism(self, root, t) -> LieAutomorphism:
         """x_beta(t) = exp(t ad e_beta), the one-letter word; it acts as
-        I + sum_k t^k N_k from the cached divided powers, in every
+        I + sum_k t^k N_k from the integral divided powers, in every
         characteristic."""
         coords = self.rs.root(root.coords if hasattr(root, "coords") else root).coords
         t = self.field.residue(t)
         return LieAutomorphism(self, ((coords, t),), (("root", coords, t),))
 
     def _root_element_times(self, coords, t, v):
-        """x_beta(t) v = v + sum_k t^k N_k v on a residue vector."""
+        """x_beta(t) v = v + sum_k t^k N_k v on a residue vector, with the
+        integral N_k read in place and the sum reduced once."""
         out = list(v)
         tk = 1
-        for nk in self._divided_powers(coords):
+        for nk in _integral_divided_powers(self, coords):
             tk = tk * t
             for j, col in nk:
                 x = v[j]
                 if x:
                     x = tk * x
-                    for i, c in col:
-                        out[i] += c * x
+                    for i, n in col:
+                        out[i] += n * x
         return self.field.reduce_row(out)
 
     def conjugate_into_U(self, l: AlgElement, seed=0, budget=4000):
@@ -745,10 +724,11 @@ _Z_POWERS = {}
 
 
 def _integral_divided_powers(alg, coords):
-    """N_k = ad(e_beta)^k / k! over Z from the integer bracket_table, as
-    tuples of (column j, ((row i, n), ..)); computed once per root system,
-    which fixes the basis and the table.  N_k = ad(e_beta) N_{k-1} / k, and
-    every division by k is checked to be exact."""
+    """N_k = ad(e_beta)^k / k!, so that x_beta(t) = I + sum_k t^k N_k
+    (Carter, Simple Groups of Lie Type, ch. 4), as tuples of (column j,
+    ((row i, n), ..)).  Integral on the Chevalley basis (Kostant's Z-form),
+    they serve every field; computed once per root system as
+    N_k = ad(e_beta) N_{k-1} / k, each division by k checked exact."""
     key = (alg.rs.key, coords)
     powers = _Z_POWERS.get(key)
     if powers is None:
@@ -799,6 +779,7 @@ def build_chevalley(rs: RootSystem, field) -> ChevalleyAlgebra:
 
 
 def build_algebra(type_label: str, rank: int, field) -> ChevalleyAlgebra:
-    """Convenience: root system + algebra in one call."""
-    rs = build_root_system(type_label, rank, field)
-    return build_chevalley(rs, field)
+    """Convenience: root system + algebra in one call (a cached algebra
+    builds no root system)."""
+    alg = _ALGEBRA_CACHE.get(((type_label.upper(), rank), field))
+    return alg or build_chevalley(build_root_system(type_label, rank, field), field)

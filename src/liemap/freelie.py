@@ -301,8 +301,8 @@ def evaluate(P: LiePoly, assignment):
     once.  Elements with the integer-row hook integer_rows (AlgElement)
     pass it the assignment and get back (values, bracket, combine, finish):
     the walk runs on those values, and finish turns the root's value into
-    an element.  Other elements (Sl2Vec, MatrixElement) provide __add__,
-    .bracket and .scale_rational(Fraction)."""
+    an element.  Other elements (MatrixElement) provide __add__, .bracket
+    and .scale_rational(Fraction)."""
     xs = list(assignment)
     if len(xs) != P.nvars:
         raise ValueError("expected %d arguments, got %d" % (P.nvars, len(xs)))

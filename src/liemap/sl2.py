@@ -1,6 +1,9 @@
 """Identity testing in sl(2): exact symbolic evaluation at generic elements
-(MPoly coordinates in an Sl2Vec), a degree-below-5 shortcut, and seeded
-randomized testing."""
+(rows of MPoly coordinates), a degree-below-5 shortcut, and seeded
+randomized testing.  sl(2) is the Chevalley algebra of type A_1, with basis
+(h, e, f) and [h, e] = 2e, [h, f] = -2f, [e, f] = h: numeric points are A_1
+elements, and polynomial rows are bracketed by A_1's table.  Points and
+values are written as (e, f, h) coordinate tuples."""
 
 from __future__ import annotations
 
@@ -8,8 +11,9 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+from .chevalley import build_algebra
 from .errors import CostGuardError, MapsError
-from .freelie import LiePoly, evaluate, expansion
+from .freelie import LiePoly, evaluate, expansion, walk
 
 
 class MPoly:
@@ -31,6 +35,8 @@ class MPoly:
         return MPoly({}, nvars)
 
     def __add__(self, o):
+        if not self.coeffs:     # no MPoly is mutated, so 0 + o may be o itself
+            return o
         out = dict(self.coeffs)
         for m, c in o.coeffs.items():
             v = out.get(m)
@@ -95,34 +101,6 @@ class MPoly:
         return "MPoly(%r)" % (self.coeffs,)
 
 
-class Sl2Vec:
-    """sl(2) element with coordinates (e, f, h); coordinates may be plain
-    scalars or MPoly values.  Supports the evaluate() protocol."""
-
-    __slots__ = ("e", "f", "h", "field")
-
-    def __init__(self, e, f, h, field):
-        self.e, self.f, self.h = e, f, h
-        self.field = field
-
-    def __add__(self, o):
-        return Sl2Vec(self.e + o.e, self.f + o.f, self.h + o.h, self.field)
-
-    def scale_rational(self, q):
-        c = self.field.from_rational(Fraction(q))
-        return Sl2Vec(c * self.e, c * self.f, c * self.h, self.field)
-
-    def bracket(self, o):
-        two = self.field.from_int(2)
-        e = two * (self.h * o.e - self.e * o.h)
-        f = -two * (self.h * o.f - self.f * o.h)
-        h = self.e * o.f - self.f * o.e
-        return Sl2Vec(e, f, h, self.field)
-
-    def is_zero(self):
-        return not (self.e or self.f or self.h)
-
-
 class IdentityVerdict(NamedTuple):
     result: str                      # identity | not_identity | probably_identity
     mode: str                        # exact_symbolic | randomized | degree_shortcut
@@ -146,24 +124,36 @@ class IdentityVerdict(NamedTuple):
 
 
 def _sl2_value(P, triples, field):
-    """P at the sl(2) elements with these (e, f, h) field scalars."""
-    return evaluate(P, [Sl2Vec(*t, field) for t in triples])
+    """P at the sl(2) elements with these (e, f, h) field scalars, as an
+    (e, f, h) tuple of residues, evaluated on A_1 over integer rows."""
+    alg = build_algebra("A", 1, field)
+    h, e, f = evaluate(P, [alg.element((h, e, f)) for e, f, h in triples]).coeffs
+    return e, f, h
 
 
 def _symbolic_value(P, field, symbolic):
     """P at sl(2) elements whose coordinates are indeterminates (variable
-    3(i-1)+k for coordinate k of X_i) for the X_i with i in `symbolic`, and
-    zero for the other X_i.  Over F_p the coordinate polynomials are folded
-    (MPoly.folded), so they are zero iff P vanishes on sl(2, F_p)^d."""
+    3(i-1)+k for coordinate k of X_i in (e, f, h) order) for the X_i with i
+    in `symbolic`, and zero for the other X_i, as an (e, f, h) tuple of
+    MPoly, walked on rows in A_1's basis order (h, e, f).  Over F_p the
+    polynomials are folded (MPoly.folded), so they are zero iff P vanishes
+    on sl(2, F_p)^d."""
+    alg = build_algebra("A", 1, field)
     nsym = 3 * P.nvars
     zero = MPoly.zero(nsym)
-    val = evaluate(P, [Sl2Vec(*[MPoly.variable(3 * i + k, nsym, field)
-                                if i + 1 in symbolic else zero for k in range(3)],
-                              field) for i in range(P.nvars)])
+    rows = [[MPoly.variable(3 * i + k, nsym, field) if i + 1 in symbolic else zero
+             for k in (2, 0, 1)] for i in range(P.nvars)]
+
+    def combine(terms):
+        scaled = [r if c == 1 else [field.from_rational(c) * x for x in r]
+                  for c, r in terms]
+        return [sum(q, zero) for q in zip(*scaled)] or [zero] * 3
+
+    h, e, f = walk(P.node, rows, lambda a, b: alg._bracket_rows(a, b, zero),
+                   combine, {})
     if field.characteristic:
-        p = field.modulus
-        val = Sl2Vec(val.e.folded(p), val.f.folded(p), val.h.folded(p), field)
-    return val
+        return tuple(q.folded(field.modulus) for q in (e, f, h))
+    return e, f, h
 
 
 def _greedy_witness(P, val, field, deg):
@@ -178,7 +168,7 @@ def _greedy_witness(P, val, field, deg):
         grid = field.elements()
     else:
         grid = [Fraction(v) for v in range(max(3, deg + 2))]
-    polys = [val.e, val.f, val.h]
+    polys = list(val)
     point = []
     for i in range(3 * P.nvars):
         for v in grid:
@@ -191,7 +181,7 @@ def _greedy_witness(P, val, field, deg):
         point.append(v)
     triples = [tuple(point[3 * i: 3 * i + 3]) for i in range(P.nvars)]
     value = _sl2_value(P, triples, field)
-    assert not value.is_zero(), "greedy witness fails re-evaluation"
+    assert any(value), "greedy witness fails re-evaluation"
     return triples, value
 
 
@@ -226,13 +216,13 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
                 "exact mode refused: arity %d > 4 or degree %d > 12"
                 % (P.nvars, deg))
         val = _symbolic_value(P, field, {i for w in words for i in w})
-        if val.is_zero():
+        if not any(val):
             return IdentityVerdict(result="identity", mode="exact_symbolic")
         triples, wval = _greedy_witness(P, val, field, deg)
         return IdentityVerdict(
             result="not_identity",
             mode="degree_shortcut" if shortcut else "exact_symbolic",
-            witness=triples, witness_value=(wval.e, wval.f, wval.h))
+            witness=triples, witness_value=wval)
 
     if mode != "randomized":
         raise MapsError("unknown mode %r" % mode)
@@ -246,10 +236,9 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
         triples = [tuple(field.from_int(rng.randrange(eff_grid)) for _ in range(3))
                    for _ in range(P.nvars)]
         val = _sl2_value(P, triples, field)
-        if not val.is_zero():
+        if any(val):
             return IdentityVerdict(result="not_identity", mode="randomized",
-                                   witness=triples,
-                                   witness_value=(val.e, val.f, val.h))
+                                   witness=triples, witness_value=val)
     bound = Fraction(deg, eff_grid) ** trials
     return IdentityVerdict(result="probably_identity", mode="randomized",
                            failure_bound=bound, trials=trials)

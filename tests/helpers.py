@@ -50,8 +50,8 @@ def random_poly(rng, nvars=3, max_degree=5, max_terms=4):
 def grid_witness(P, field, deg):
     """Brute force: the first point, in lex order of its 3d coordinates, of
     the grid {0, .., max(2, deg + 1)}^{3d} (F_p^{3d} over F_p) at which P is
-    nonzero on sl(2), with P's value there; (None, None) if P vanishes on
-    the whole grid."""
+    nonzero on sl(2), with P's (e, f, h) value there; (None, None) if P
+    vanishes on the whole grid."""
     if field.characteristic:
         values = field.elements()
     else:
@@ -60,7 +60,7 @@ def grid_witness(P, field, deg):
     for flat in itertools.product(values, repeat=3 * d):
         triples = [tuple(flat[3 * i: 3 * i + 3]) for i in range(d)]
         val = _sl2_value(P, triples, field)
-        if not val.is_zero():
+        if any(val):
             return triples, val
     return None, None
 

@@ -198,19 +198,32 @@ def _dense_exponential(alg, A, t):
 
 
 def test_root_automorphism_matches_dense_series():
-    for t_, r, field in (("B", 2, F5), ("G", 2, F7)):
+    # where k! is invertible, against the dense series in the field itself
+    for t_, r, field, ts in (("B", 2, F5, (1, 2, 4)), ("G", 2, F7, (1, 2, 6)),
+                             ("B", 2, Q, (1, 2, -1, Fraction(1, 2))),
+                             ("G", 2, Q, (1, 2, -1, Fraction(-3, 2)))):
         alg = build_algebra(t_, r, field)
         eye = linalg.identity_matrix(field, alg.dim)
-        p = field.modulus
         for b in alg.rs.roots:
             A = alg.ad_matrix(alg.e_element(b.coords))
-            for tv in (1, 2, p - 1):
-                t = field.from_int(tv)
+            for tv in ts:
+                t = field.from_rational(Fraction(tv))
                 g = alg.root_automorphism(b, t)
                 assert g.matrix == _dense_exponential(alg, A, t)
                 assert g.inv_matrix == _dense_exponential(alg, A, -t)
                 assert linalg.mat_mul(g.res_inv_matrix, g.res_matrix, field) == eye
                 assert g.factors == (("root", b.coords, t),)
+    # in characteristic 2 and 3, for every t in F_p, against the Q series at
+    # the integer t, which is integral (Kostant's Z-form), reduced mod p
+    for t_, r, spec in (("A", 3, "F2"), ("B", 2, "F3"), ("G", 2, "F2"), ("G", 2, "F3")):
+        field = make_field(spec)
+        alg = build_algebra(t_, r, field)
+        p = field.modulus
+        for b in alg.rs.roots:
+            for tv in range(p):
+                g = alg.root_automorphism(b, tv)
+                assert g.res_matrix == _integral_series(t_, r, b.coords, tv, p)
+                assert g.res_inv_matrix == _integral_series(t_, r, b.coords, -tv, p)
 
 
 def _dense_word(alg, word):

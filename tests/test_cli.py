@@ -143,6 +143,28 @@ def test_engel_solve_pinned_bytes(tmp_path, capsys, args, coeffs, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout sha256 of `identity --mode randomized`, recorded while sl(2) points
+# were evaluated by a hand-written sl(2) bracket, before they became A_1
+# elements: a not_identity witness over Q and over F7, and a
+# probably_identity verdict over Q
+IDENTITY_RANDOMIZED_DIGESTS = [
+    (["--poly", "[[[[[X1,X2],X2],X2],X2],X2]"],
+     "65a0d1e4154710137545196f675c6fa54dad233df3ba093686935786db003c4a"),
+    (["--poly", "[[[[X1,X2],X2],X2],X2]", "--field", "F7"],
+     "3cc14951be356fa12f00d1dd8d2d3ea297d4bfa367531d0b246750676afdf9a5"),
+    (["--poly", "@razmyslov_bracket.lie"],
+     "9de21ab384d2101b2854f0e7aff514d6928f359a95322d162908c18e8ca46bcf"),
+]
+
+
+@pytest.mark.parametrize("args,digest", IDENTITY_RANDOMIZED_DIGESTS,
+                         ids=["E5-Q", "E4-F7", "razmyslov_bracket-Q"])
+def test_identity_randomized_pinned_bytes(capsys, args, digest):
+    code, out = run(capsys, ["identity", "--mode", "randomized", "--seed", "3"] + args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_identity_answers_at_once(capsys):
     # randomized mode reads the degree off the tensor expansion, not the
     # Lyndon normal form, so the 9-variable chain takes no time

@@ -318,7 +318,6 @@ def test_tensor_expansion_expands_each_distinct_subterm_once(monkeypatch):
 
 def test_empty_sum_evaluates_to_zero():
     # LyndonForm({}) is the one source of a Sum with no terms
-    from liemap.sl2 import Sl2Vec
     from liemap.matrixrep import realize_chevalley
     P = LyndonForm({}).to_lie_poly(2)
     assert P.node == Sum(())
@@ -330,8 +329,10 @@ def test_empty_sum_evaluates_to_zero():
     real = realize_chevalley(build_algebra("A", 2, Q))
     value = evaluate(P, [real.to_matrix(random_element(real.alg, rng)) for _ in range(2)])
     assert value.realization == "sl3" and value.is_zero()
-    triples = [Sl2Vec(*(Q.from_int(v) for v in t), Q) for t in ((1, 2, 3), (-1, 0, 5))]
-    assert evaluate(P, triples).is_zero()
+    # sl(2) points, (e, f, h) = (1, 2, 3) and (-1, 0, 5), as A_1 elements
+    a1 = build_algebra("A", 1, Q)
+    points = [a1.element((h, e, f)) for e, f, h in ((1, 2, 3), (-1, 0, 5))]
+    assert evaluate(P, points) == a1.zero()
 
 
 @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])

@@ -49,8 +49,8 @@ def test_identity_engel_rejected_with_witness():
         assert v.witness is not None
         # the witness re-evaluates to a nonzero value, independently
         val = _sl2_value(P, v.witness, Q)
-        assert not val.is_zero()
-        assert (val.e, val.f, val.h) == tuple(v.witness_value)
+        assert any(val)
+        assert val == tuple(v.witness_value)
 
 
 def test_identity_randomized():
@@ -91,8 +91,8 @@ def test_identity_witness_from_symbolic_value():
         v = maps.is_identity_sl2(P, Q, mode="exact")
         assert v.result == "not_identity" and v.mode == how
         val = _sl2_value(P, v.witness, Q)
-        assert not val.is_zero()
-        assert (val.e, val.f, val.h) == tuple(v.witness_value)
+        assert any(val)
+        assert val == tuple(v.witness_value)
 
 
 def test_identity_greedy_witness_is_the_grid_witness():
@@ -105,7 +105,7 @@ def test_identity_greedy_witness_is_the_grid_witness():
         v = maps.is_identity_sl2(P, Q, mode="exact")
         triples, val = grid_witness(P, Q, deg)
         assert v.witness == triples
-        assert tuple(v.witness_value) == (val.e, val.f, val.h)
+        assert tuple(v.witness_value) == val
 
 
 def test_identity_fp_greedy_witness():
@@ -124,15 +124,15 @@ def test_identity_fp_greedy_witness():
         assert v.result == "not_identity" and v.mode == "exact_symbolic"
         triples, val = grid_witness(P, F, deg)
         assert v.witness == triples
-        assert tuple(v.witness_value) == (val.e, val.f, val.h)
+        assert tuple(v.witness_value) == val
     # 5^12 and 7^12 grid points, where brute force is slow: found at once
     for F in (F5, F7):
         P = parse("[[X1,X2],[X3,X4]]")
         v = maps.is_identity_sl2(P, F, mode="exact")
         assert v.result == "not_identity" and v.mode == "exact_symbolic"
         val = _sl2_value(P, v.witness, F)
-        assert not val.is_zero()
-        assert (val.e, val.f, val.h) == tuple(v.witness_value)
+        assert any(val)
+        assert val == tuple(v.witness_value)
 
 
 def test_identity_exact_not_identity_pinned():
@@ -183,7 +183,29 @@ def test_identity_exact_fp_is_brute_force_vanishing(case):
     else:
         assert v.result == "not_identity" and v.mode == "exact_symbolic"
         assert v.witness == triples
-        assert tuple(v.witness_value) == (val.e, val.f, val.h)
+        assert tuple(v.witness_value) == val
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from([Q, F5, F7]), st.integers(0, 2 ** 32))
+def test_symbolic_value_is_the_numeric_value(field, seed):
+    """The (e, f, h) polynomials of the symbolic walk on MPoly rows, taken at
+    a point, are P's value there on the integer-row route: the two routes
+    agree, and so do their (h, e, f) and (e, f, h) orders."""
+    from liemap.sl2 import _sl2_value, _symbolic_value
+    rng = random.Random(seed)
+    P = random_poly(rng, nvars=3, max_degree=5)
+    nsym = 3 * P.nvars
+    if field.characteristic:
+        point = [field.from_int(rng.randrange(field.modulus)) for _ in range(nsym)]
+    else:
+        point = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nsym)]
+    polys = _symbolic_value(P, field, set(range(1, P.nvars + 1)))
+    for i, v in enumerate(point):
+        polys = [q.substitute(i, v) for q in polys]
+    at_point = tuple(q.coeffs.get((0,) * nsym, 0) for q in polys)
+    triples = [tuple(point[3 * i: 3 * i + 3]) for i in range(P.nvars)]
+    assert at_point == _sl2_value(P, triples, field)
 
 
 def test_identity_fp_degree_above_p_pinned():
@@ -196,7 +218,7 @@ def test_identity_fp_degree_above_p_pinned():
                                          ["0", "0", "1"], ["0", "1", "1"]],
                              "witness_value": ["0", "1", "0"]}
     val = _sl2_value(P, v.witness, F5)
-    assert not val.is_zero() and (val.e, val.f, val.h) == tuple(v.witness_value)
+    assert any(val) and val == tuple(v.witness_value)
 
 
 # -- dominancy witnesses -----------------------------------------------------

@@ -104,6 +104,20 @@ def test_only_rootsystem_reads_the_gram_form():
                 assert node.func.attr != "inner", (name, node.lineno)
 
 
+def test_sl2_keeps_no_bracket_of_its_own():
+    # sl(2) is A_1: its brackets come from A_1's integer table through
+    # ChevalleyAlgebra._bracket_rows, so a class in sl2 with a bracket
+    # method is a second, hand-written copy of that structure
+    path = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap",
+                        "sl2.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            assert "bracket" not in methods, node.name
+
+
 def test_no_module_exceeds_32_kib():
     # a run from a fresh checkout compiles liemap from source, and the
     # largest compile() peak (+2.25 MB for a 32.7 KB module) sets the
