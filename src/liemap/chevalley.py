@@ -29,13 +29,14 @@ holds residues only, down to the scalars of a conjugator's factors.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from operator import mul
 
 from . import linalg
 from .rootsystem import RootSystem, build_root_system  # noqa: F401 (re-export convenience)
+from .scalar import row_combine
 
 
 class ChevalleyError(ValueError):
@@ -166,7 +167,8 @@ class AlgElement:
         alg = self.alg
         if not all(isinstance(x, AlgElement) and x.alg is alg for x in xs):
             raise ChevalleyError("elements from different algebras")
-        return [alg.to_row(x) for x in xs], alg.row_bracket, alg.row_combine, alg.from_row
+        return ([alg.to_row(x) for x in xs], alg.row_bracket,
+                partial(row_combine, alg.field, alg.dim), alg.from_row)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -268,11 +270,13 @@ class ChevalleyAlgebra:
         # bracket_table[i][j]: sparse integer coefficients (k, n) of [b_i, b_j],
         # read by the bracket and ad_matrix here and by the scan kernel in
         # lanes.py; _table_cols[i]: the triples (j, k, n) over its nonempty
-        # entries bracket_table[i][j], in increasing j
-        self.n_table, self.q_table, self.bracket_table, self._table_cols = \
-            _integer_tables(self)
+        # entries bracket_table[i][j], in increasing j; _z_powers: the
+        # integral divided powers of each root, by coordinates, filled on use
+        (self.n_table, self.q_table, self.bracket_table, self._table_cols,
+         self._z_powers) = _integer_tables(self)
 
         self._center = None
+        self._regular_checks = None
         self._realization = None
         self._unit_roots = None
 
@@ -344,19 +348,6 @@ class ChevalleyAlgebra:
         (xs, dx), (ys, dy) = a, b
         return self.field.normal_row(self._bracket_rows(xs, ys), dx * dy)
 
-    def row_combine(self, terms):
-        """sum c * value over terms [(c, value), ..], c rational, on one
-        common denominator, normalised once."""
-        f = self.field
-        scaled = [(f.integral_scalar(c), v) for c, v in terms]
-        d = lcm(*[den * dv for (_, den), (_, dv) in scaled])
-        out = [0] * self.dim
-        for (num, den), (ints, dv) in scaled:
-            m = num * (d // (den * dv))
-            if m:
-                out = [o + m * n for o, n in zip(out, ints)]
-        return f.normal_row(out, d)
-
     def ad_matrix(self, x: AlgElement):
         """Residue matrix of y -> [x, y] in the fixed basis: column j is
         [x, b_j], read off _table_cols.  The Engel engines in maps.py call
@@ -413,33 +404,36 @@ class ChevalleyAlgebra:
 
     def find_regular(self, avoid):
         """Deterministic lattice search for h in H with beta(h) outside `avoid`
-        for every root beta.  The sufficient size bound |K| > |avoid||R| is a
-        guarantee, not a gate: any witness found is returned."""
+        for every root beta: the lex-least such point of F_p^rank over F_p,
+        and over Q the lex-least one of the first box [0, b]^rank that has
+        one, which has some coordinate equal to b (_lex_least_regular).  The
+        sufficient size bound |K| > |avoid||R| is a guarantee, not a gate:
+        any witness found is returned."""
         f = self.field
         red = f.reduce
         avoid_set = {f.residue(v) for v in avoid}
-        values = [self.rs.h_values[b.coords] for b in self.rs.positive_roots]
-
-        def good(ts):
-            for row in values:
-                acc = red(sum(t * q for t, q in zip(ts, row)))
-                if acc in avoid_set or red(-acc) in avoid_set:
-                    return False
-            return True
+        bad = avoid_set | {red(-v) for v in avoid_set}
+        if self._regular_checks is None:
+            # [k]: the rows (beta(h_i))_i, under red, of the positive roots
+            # whose last nonzero coordinate is k, checked once t_k is fixed
+            self._regular_checks = [[] for _ in range(self.rank)]
+            for b in self.rs.positive_roots:
+                row = [red(q) for q in self.rs.h_values[b.coords]]
+                last = max((i for i, q in enumerate(row) if q), default=0)
+                self._regular_checks[last].append(row)
+        checks = self._regular_checks
 
         if f.characteristic == 0:
-            bound = 0
-            while bound < 10 * len(self.rs.roots) * (len(avoid_set) + 1) + 10:
-                for ts in _lattice_points(bound, self.rank):
-                    if good(ts):
-                        return self._h_from(ts)
-                bound += 1
+            for top in range(10 * len(self.rs.roots) * (len(avoid_set) + 1) + 10):
+                ts = _lex_least_regular(checks, bad, top, red, True)
+                if ts is not None:
+                    return self._h_from(ts)
             raise AssertionError("rational lattice search failed unexpectedly")
 
         p = f.modulus
-        for ts in itertools.product(range(p), repeat=self.rank):
-            if good(ts):
-                return self._h_from(ts)
+        ts = _lex_least_regular(checks, bad, p - 1, red)
+        if ts is not None:
+            return self._h_from(ts)
         bound = len(avoid_set) * len(self.rs.roots)
         if p > bound:
             # the sufficient bound held, so exhaustion is a bug, not a
@@ -468,9 +462,12 @@ class ChevalleyAlgebra:
     def _root_element_times(self, coords, t, v):
         """x_beta(t) v = v + sum_k t^k N_k v on a residue vector, with the
         integral N_k read in place and the sum reduced once."""
+        powers = self._z_powers.get(coords)
+        if powers is None:
+            powers = _integral_divided_powers(self, coords)
         out = list(v)
         tk = 1
-        for nk in _integral_divided_powers(self, coords):
+        for nk in powers:
             tk = tk * t
             for j, col in nk:
                 x = v[j]
@@ -587,12 +584,34 @@ class ChevalleyAlgebra:
             self.rs.type_label, self.rank, self.field, self.dim)
 
 
-def _lattice_points(bound, rank):
-    """Points of [0, bound]^rank with some coordinate equal to bound (so each
-    bound visits only new points), in lex order."""
-    for ts in itertools.product(range(bound + 1), repeat=rank):
-        if max(ts) == bound:
-            yield ts
+def _lex_least_regular(checks, bad, top, red, reach_top=False):
+    """The lex-least ts in {0, .., top}^rank, rank = len(checks), with some
+    t_i = top if reach_top, and red(sum_i t_i q_i) outside `bad` for every
+    row q of every checks[k]; None if there is none.  A depth-first search
+    in lex order that checks the rows checks[k] as soon as t_k is fixed, so
+    a prefix that already fails some row is never extended."""
+    rank = len(checks)
+    ts = []
+    t = 0
+    while True:
+        if t > top:                      # no value fits here: backtrack
+            if not ts:
+                return None
+            t = ts.pop() + 1
+            continue
+        ts.append(t)
+        k = len(ts)
+        for row in checks[k - 1]:
+            if red(sum(map(mul, ts, row))) in bad:
+                t = ts.pop() + 1
+                break
+        else:
+            if k < rank:
+                t = 0
+            elif not reach_top or top in ts:
+                return ts
+            else:
+                t = ts.pop() + 1
 
 
 def _zero_diagonal(M, field):
@@ -664,9 +683,10 @@ _Z_TABLES = {}
 
 
 def _integer_tables(alg):
-    """(n_table, q_table, bracket_table, its nonzero-column index) over Z,
-    built and checked by the Jacobi sweep once per root system, which fixes
-    the basis and the constants; every field's algebra shares them."""
+    """(n_table, q_table, bracket_table, its nonzero-column index, the table
+    of integral divided powers) over Z, built and checked by the Jacobi
+    sweep once per root system, which fixes the basis and the constants;
+    every field's algebra shares them."""
     rs = alg.rs
     tables = _Z_TABLES.get(rs.key)
     if tables is None:
@@ -681,7 +701,7 @@ def _integer_tables(alg):
         _validate_jacobi(T)
         cols = tuple(tuple((j, k, n) for j, ent in enumerate(row) for k, n in ent)
                      for row in T)
-        tables = _Z_TABLES[rs.key] = (n_table, q_table, T, cols)
+        tables = _Z_TABLES[rs.key] = (n_table, q_table, T, cols, {})
     return tables
 
 
@@ -720,44 +740,39 @@ def _validate_jacobi(T):
                 "Jacobi identity fails on basis triple %r" % ((i, j, k),))
 
 
-_Z_POWERS = {}
-
-
 def _integral_divided_powers(alg, coords):
     """N_k = ad(e_beta)^k / k!, so that x_beta(t) = I + sum_k t^k N_k
     (Carter, Simple Groups of Lie Type, ch. 4), as tuples of (column j,
     ((row i, n), ..)).  Integral on the Chevalley basis (Kostant's Z-form),
-    they serve every field; computed once per root system as
-    N_k = ad(e_beta) N_{k-1} / k, each division by k checked exact."""
-    key = (alg.rs.key, coords)
-    powers = _Z_POWERS.get(key)
-    if powers is None:
-        row = alg.bracket_table[alg._eidx[coords]]
-        cols = [{j: 1} for j in range(alg.dim)]
-        powers = []
-        for k in range(1, 6):
-            nxt = []
-            for col in cols:
-                acc = {}
-                for j, x in col.items():
-                    for i, n in row[j]:
-                        acc[i] = acc.get(i, 0) + n * x
-                out = {}
-                for i, x in acc.items():
-                    q, r = divmod(x, k)
-                    assert r == 0, "ad(e_beta)^%d / %d! is not integral" % (k, k)
-                    if q:
-                        out[i] = q
-                nxt.append(out)
-            cols = nxt
-            nk = tuple((j, tuple(sorted(col.items())))
-                       for j, col in enumerate(cols) if col)
-            if not nk:
-                break
-            powers.append(nk)
-        else:
-            raise AssertionError("ad e_beta not nilpotent of index <= 5")
-        powers = _Z_POWERS[key] = tuple(powers)
+    they serve every field; computed once per root system, into the table
+    alg._z_powers, as N_k = ad(e_beta) N_{k-1} / k, each division by k
+    checked exact."""
+    row = alg.bracket_table[alg._eidx[coords]]
+    cols = [{j: 1} for j in range(alg.dim)]
+    powers = []
+    for k in range(1, 6):
+        nxt = []
+        for col in cols:
+            acc = {}
+            for j, x in col.items():
+                for i, n in row[j]:
+                    acc[i] = acc.get(i, 0) + n * x
+            out = {}
+            for i, x in acc.items():
+                q, r = divmod(x, k)
+                assert r == 0, "ad(e_beta)^%d / %d! is not integral" % (k, k)
+                if q:
+                    out[i] = q
+            nxt.append(out)
+        cols = nxt
+        nk = tuple((j, tuple(sorted(col.items())))
+                   for j, col in enumerate(cols) if col)
+        if not nk:
+            break
+        powers.append(nk)
+    else:
+        raise AssertionError("ad e_beta not nilpotent of index <= 5")
+    powers = alg._z_powers[coords] = tuple(powers)
     return powers
 
 

@@ -12,7 +12,7 @@ mapped into the target field at evaluation time, so one AST serves every
 field.  Nesting is bounded by MAX_NESTING.  P acts as the substitution
 homomorphism X_i -> x_i, and one tree walk (walk) computes it in every
 target, each caller supplying its bracket and linear combination: algebra
-elements (evaluate, on integer rows for Chevalley-algebra elements), the
+and matrix elements (evaluate, on their integer rows), the
 tensor algebra (_tensor_expand) and the scan kernel's blocks of F_p
 assignments (lanes.block_kernel).  Normal forms use
 the Lyndon-word basis for the variable order X1 < X2 < ..., computed by
@@ -122,13 +122,20 @@ class LiePoly:
 
 
 def max_var(node) -> int:
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Br):
-        return max(max_var(node.left), max_var(node.right))
-    if isinstance(node, Sum):
-        return max((max_var(n) for _, n in node.terms), default=0)
-    raise TypeError(node)
+    """The largest variable index in node (0 if none), found without
+    recursion, so that a tree of any depth is accepted."""
+    top, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            top = max(top, node.index)
+        elif isinstance(node, Br):
+            stack += (node.left, node.right)
+        elif isinstance(node, Sum):
+            stack += (n for _, n in node.terms)
+        else:
+            raise TypeError(node)
+    return top
 
 
 # -- parsing ------------------------------------------------------------------
@@ -248,24 +255,33 @@ def parse(text: str, nvars=None) -> LiePoly:
 
 
 def _print_node(node) -> str:
-    if isinstance(node, Var):
-        return "X%d" % node.index
-    if isinstance(node, Br):
-        return "[%s,%s]" % (_print_node(node.left), _print_node(node.right))
-    if isinstance(node, Sum):
-        parts = []
-        for i, (c, n) in enumerate(node.terms):
-            body = _print_node(n)
-            if isinstance(n, Sum):
-                body = "(%s)" % body
-            mag = abs(c)
-            piece = body if mag == 1 else "%s*%s" % (_frac_str(mag), body)
-            if i == 0:
-                parts.append(piece if c >= 0 else "-" + piece)
-            else:
-                parts.append(("+ " if c >= 0 else "- ") + piece)
-        return " ".join(parts) if parts else "0*X1"
-    raise TypeError(node)
+    """The text of node, built from a stack of nodes and literal pieces
+    rather than by recursion, so that a tree of any depth prints: a node is
+    replaced on the stack by its pieces, pushed in reverse."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Var):
+            out.append("X%d" % node.index)
+        elif isinstance(node, Br):
+            stack += ("]", node.right, ",", node.left, "[")
+        elif isinstance(node, Sum):
+            pieces = []
+            for i, (c, n) in enumerate(node.terms):
+                if i:
+                    pieces.append(" + " if c >= 0 else " - ")
+                elif c < 0:
+                    pieces.append("-")
+                mag = abs(c)
+                if mag != 1:
+                    pieces.append(_frac_str(mag) + "*")
+                pieces += ("(", n, ")") if isinstance(n, Sum) else (n,)
+            stack += reversed(pieces or ["0*X1"])
+        else:
+            raise TypeError(node)
+    return "".join(out)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -298,30 +314,15 @@ def walk(node, xs, bracket, combine, memo):
 
 def evaluate(P: LiePoly, assignment):
     """Evaluate by walk, so that each distinct bracket subterm is evaluated
-    once.  Elements with the integer-row hook integer_rows (AlgElement)
-    pass it the assignment and get back (values, bracket, combine, finish):
-    the walk runs on those values, and finish turns the root's value into
-    an element.  Other elements (MatrixElement) provide __add__, .bracket
-    and .scale_rational(Fraction)."""
+    once, on integer rows.  The first element's hook integer_rows
+    (AlgElement, MatrixElement) checks the assignment and turns it into
+    (values, bracket, combine, finish): the walk runs on those values, and
+    finish turns the root's value into an element."""
     xs = list(assignment)
     if len(xs) != P.nvars:
         raise ValueError("expected %d arguments, got %d" % (P.nvars, len(xs)))
-    hook = getattr(xs[0], "integer_rows", None) if xs else None
-    if hook is not None:
-        values, bracket, combine, finish = hook(xs)
-        return finish(walk(P.node, values, bracket, combine, {}))
-
-    def combine(terms):
-        if not terms:
-            return xs[0].scale_rational(Fraction(0))
-        values = [v if c == 1 else v.scale_rational(c) for c, v in terms]
-        return sum(values[1:], values[0])
-
-    return walk(P.node, xs, _element_bracket, combine, {})
-
-
-def _element_bracket(a, b):
-    return a.bracket(b)
+    values, bracket, combine, finish = xs[0].integer_rows(xs)
+    return finish(walk(P.node, values, bracket, combine, {}))
 
 
 # -- Lyndon normal form -------------------------------------------------------

@@ -15,18 +15,30 @@ m1 = deg f2, m2 = deg f1, and compared only by cross-multiplication.
 Dominancy witnesses are pairs of assignments whose values under P theta
 separates; dominance_witness_check confirms one, dominance_witness_search
 looks for one by seeded random sampling.
+
+Rows hold the field's public scalars, but the arithmetic runs on ints.  A
+matrix is read as a flat n^2 int row with one denominator, X = A / d
+(MatrixElement.to_row; d = 1 over F_p), and one core, _commutator_rows,
+computes AB - BA on such rows for commutator, for freelie.evaluate (the hook
+MatrixElement.integer_rows, which keeps every node's value in that form and
+rebuilds the matrix once, at the root) and for the realizations' checks.
+char_poly runs the memoised Laplace expansion on ints as
+det(d t I - A) = d^n det(tI - X) and divides by d^n once.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
 from .chevalley import AlgElement, ChevalleyAlgebra, _neg
 from .errors import MapsError
 from .freelie import LiePoly, evaluate
+from .scalar import row_combine
 
 
 class MatrixRepError(ValueError):
@@ -120,6 +132,37 @@ class MatrixElement:
     def bracket(self, other):
         return commutator(self, other)
 
+    def integer_rows(self, xs):
+        """freelie.evaluate's integer-row hook (see AlgElement.integer_rows):
+        (the matrices of xs as integer rows, their commutator, their linear
+        combination, the matrix of a value), with every element of xs of
+        this element's realization and field."""
+        for x in xs:
+            self._check(x)
+        f, n = self.field, len(self.rows)
+
+        def bracket(a, b):
+            (ra, da), (rb, db) = a, b
+            return f.normal_row(_commutator_rows(ra, rb, n), da * db)
+
+        return ([x.to_row() for x in xs], bracket, partial(row_combine, f, n * n),
+                self.from_row)
+
+    def to_row(self):
+        """The matrix as (flat n^2 int row, d) with rows = row / d, d the lcm
+        of the denominators (d = 1 over F_p)."""
+        f = self.field
+        (ints,), d = f.integral_rows(([f.residue(x) for r in self.rows for x in r],))
+        return ints, d
+
+    def from_row(self, value):
+        """The matrix of this realization and field with flat row ints / d."""
+        f = self.field
+        n = len(self.rows)
+        entries = [f.lift(x) for x in f.from_integral_row(*value)]
+        return MatrixElement(self.realization, [entries[i:i + n] for i in range(0, n * n, n)],
+                             f, validate=False)
+
     def is_zero(self):
         return not any(any(r) for r in self.rows)
 
@@ -167,68 +210,83 @@ def matrix_from_ints(realization, rows, field, validate=True):
 
 def commutator(X: MatrixElement, Y: MatrixElement) -> MatrixElement:
     X._check(Y)
-    f = X.field
-    rows = _commutator([[f.residue(x) for x in r] for r in X.rows],
-                       [[f.residue(x) for x in r] for r in Y.rows], f)
-    return MatrixElement(X.realization, [[f.lift(x) for x in r] for r in rows],
-                         f, validate=False)
+    (xs, dx), (ys, dy) = X.to_row(), Y.to_row()
+    return X.from_row((_commutator_rows(xs, ys, len(X.rows)), dx * dy))
 
 
 def _commutator(A, B, field):
-    """AB - BA on residue matrices."""
-    AB = linalg.mat_mul(A, B, field)
-    BA = linalg.mat_mul(B, A, field)
-    return [field.reduce_row([a - b for a, b in zip(ra, rb)]) for ra, rb in zip(AB, BA)]
+    """AB - BA on residue matrices, by the integer core."""
+    n = len(A)
+    (a, b), d = field.integral_rows(([x for r in A for x in r], [x for r in B for x in r]))
+    row = field.from_integral_row(_commutator_rows(a, b, n), d * d)
+    return [row[i:i + n] for i in range(0, n * n, n)]
+
+
+def _commutator_rows(a, b, n):
+    """AB - BA on flat n x n int rows: the one commutator core, of
+    commutator, evaluate and the realizations' checks.  Entry (i, j) is one
+    dot product of row i of (A | B) with column j of (B | -A); a zero row of
+    (A | B), common in the sparse realization images, is skipped."""
+    right = [b[j::n] + [-x for x in a[j::n]] for j in range(n)]
+    zero = [0] * n
+    out = []
+    for i in range(0, n * n, n):
+        left = a[i:i + n] + b[i:i + n]
+        out += [sum(map(mul, left, r)) for r in right] if any(left) else zero
+    return out
 
 
 # -- characteristic invariants ----------------------------------------------
 
 
-def _poly_mul(p, q, zero):
-    out = [zero] * (len(p) + len(q) - 1)
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
                 if b:
-                    out[i + j] = out[i + j] + a * b
+                    out[i + j] += a * b
     return out
 
 
 def char_poly(X: MatrixElement):
-    """Exact coefficients of det(tI - X), low degree first."""
+    """Exact coefficients of det(tI - X), low degree first, as the field's
+    public scalars.  X's denominators are cleared once, X = A / d with A an
+    int matrix, and the Laplace expansion runs on ints as
+    det(d t I - A) = d^n det(tI - X): coefficient k is c_k / d^n."""
     field = X.field
-    zero, one = field.zero(), field.one()
     n = len(X.rows)
-    P = [[([-X.rows[i][j], one] if i == j else [-X.rows[i][j]])
+    A, d = X.to_row()
+    P = [[([-A[i * n + j], d] if i == j else [-A[i * n + j]])
           for j in range(n)] for i in range(n)]
-    out = _det(tuple(range(n)), P, n, {}, zero, one)
-    return out + [zero] * (n + 1 - len(out))
+    out = _det(tuple(range(n)), P, n, {})
+    return [field.lift(x) for x in field.from_integral_row(out, d ** n)]
 
 
-def _det(cols, P, n, memo, zero, one):
+def _det(cols, P, n, memo):
     """The determinant of P's last len(cols) rows on the columns cols, a
-    polynomial in t, by Laplace expansion along the first of those rows;
-    minors are kept in memo.  A plain function, not a closure over memo: a
-    self-referencing closure would keep memo's values alive until the
-    cyclic collector ran."""
+    polynomial in t with int coefficients, by Laplace expansion along the
+    first of those rows; minors are kept in memo.  A plain function, not a
+    closure over memo: a self-referencing closure would keep memo's values
+    alive until the cyclic collector ran."""
     if not cols:
-        return [one]
+        return [1]
     if cols in memo:
         return memo[cols]
     r = n - len(cols)
-    acc = [zero]
+    acc = [0]
     for pos, j in enumerate(cols):
         entry = P[r][j]
         if len(entry) == 1 and not entry[0]:
             continue
-        sub = _det(tuple(c for c in cols if c != j), P, n, memo, zero, one)
-        term = _poly_mul(entry, sub, zero)
+        sub = _det(tuple(c for c in cols if c != j), P, n, memo)
+        term = _poly_mul(entry, sub)
         if pos % 2:
             term = [-t for t in term]
         if len(acc) < len(term):
-            acc = acc + [zero] * (len(term) - len(acc))
+            acc += [0] * (len(term) - len(acc))
         for k, t in enumerate(term):
-            acc[k] = acc[k] + t
+            acc[k] += t
     memo[cols] = acc
     return acc
 

@@ -18,8 +18,9 @@ denominators, over F_p the residues themselves and d = 1), and
 ``from_integral_row`` turns an int row of products back into residues
 (n / d over Q, n mod p over F_p).  A value kept in that form between steps
 is brought back to it by ``normal_row`` (over Q the row and d divided by
-their gcd, over F_p the row reduced), and ``integral_scalar`` gives a
-rational scalar as such a pair (n, d).
+their gcd, over F_p the row reduced), ``integral_scalar`` gives a
+rational scalar as such a pair (n, d), and ``row_combine`` takes rational
+linear combinations of such values.
 """
 
 from __future__ import annotations
@@ -336,6 +337,20 @@ class PrimeField:
 
     def __str__(self):
         return "F%d" % self.modulus
+
+
+def row_combine(field, size, terms):
+    """sum c * value over terms [(c, (ints, d)), ..] of int rows of this size,
+    c rational: the linear combination of integer-row values, on one common
+    denominator, normalised once."""
+    scaled = [(field.integral_scalar(c), v) for c, v in terms]
+    d = lcm(*[den * dv for (_, den), (_, dv) in scaled])
+    out = [0] * size
+    for (num, den), (ints, dv) in scaled:
+        m = num * (d // (den * dv))
+        if m:
+            out = [o + m * n for o, n in zip(out, ints)]
+    return field.normal_row(out, d)
 
 
 def make_field(spec: str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 from typing import NamedTuple
 
 from .chevalley import build_algebra
@@ -17,7 +18,8 @@ from .freelie import LiePoly, evaluate, expansion, walk
 
 
 class MPoly:
-    """Sparse multivariate polynomial with exact field coefficients."""
+    """Sparse multivariate polynomial with exact coefficients: field scalars,
+    or ints over Q while they are integral."""
 
     __slots__ = ("coeffs", "nvars")
 
@@ -25,10 +27,20 @@ class MPoly:
         self.coeffs = {m: c for m, c in coeffs.items() if c}
         self.nvars = nvars
 
+    @classmethod
+    def _nonzero(cls, coeffs, nvars):
+        """The polynomial with the dict coeffs, taken as it is: the trusted
+        path for callers whose coefficients are already all nonzero."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        out.nvars = nvars
+        return out
+
     @staticmethod
-    def variable(i, nvars, field):
+    def variable(i, nvars, one):
+        """Variable i, with the coefficient one."""
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return MPoly({mono: field.one()}, nvars)
+        return MPoly({mono: one}, nvars)
 
     @staticmethod
     def zero(nvars):
@@ -45,13 +57,13 @@ class MPoly:
                 out[m] = v
             elif m in out:
                 del out[m]
-        return MPoly(out, self.nvars)
+        return MPoly._nonzero(out, self.nvars)
 
     def __sub__(self, o):
         return self + (-o)
 
     def __neg__(self):
-        return MPoly({m: -c for m, c in self.coeffs.items()}, self.nvars)
+        return MPoly._nonzero({m: -c for m, c in self.coeffs.items()}, self.nvars)
 
     def __mul__(self, o):
         if not isinstance(o, MPoly):
@@ -59,7 +71,7 @@ class MPoly:
         out = {}
         for ma, ca in self.coeffs.items():
             for mb, cb in o.coeffs.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = tuple(map(add, ma, mb))
                 v = out.get(m)
                 prod = ca * cb
                 v = prod if v is None else v + prod
@@ -67,7 +79,7 @@ class MPoly:
                     out[m] = v
                 elif m in out:
                     del out[m]
-        return MPoly(out, self.nvars)
+        return MPoly._nonzero(out, self.nvars)
 
     def __rmul__(self, o):
         return MPoly({m: o * c for m, c in self.coeffs.items()}, self.nvars)
@@ -141,7 +153,10 @@ def _symbolic_value(P, field, symbolic):
     alg = build_algebra("A", 1, field)
     nsym = 3 * P.nvars
     zero = MPoly.zero(nsym)
-    rows = [[MPoly.variable(3 * i + k, nsym, field) if i + 1 in symbolic else zero
+    # over Q the coefficients are ints until a non-integral coefficient of P
+    # scales them, which keeps most of the walk off Fraction arithmetic
+    one = field.one() if field.characteristic else 1
+    rows = [[MPoly.variable(3 * i + k, nsym, one) if i + 1 in symbolic else zero
              for k in (2, 0, 1)] for i in range(P.nvars)]
 
     def combine(terms):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,55 @@ def test_find_regular():
     for b in alg7.rs.roots:
         v = alg7.beta_value(b.coords, h7)
         assert v != F7.zero() and v != F7.one()
+
+
+def _product_search(alg, avoid):
+    """The point find_regular returns, by walking points in lex order: over
+    F_p all of F_p^rank, over Q the points of [0, b]^rank with some
+    coordinate equal to b, for b = 0, 1, ..; None if F_p^rank has none."""
+    f = alg.field
+    bad = {f.residue(v) for v in avoid}
+    bad |= {f.reduce(-v) for v in bad}
+    rows = [alg.rs.h_values[b.coords] for b in alg.rs.positive_roots]
+    boxes = [f.modulus - 1] if f.characteristic else range(100)
+    for top in boxes:
+        for ts in itertools.product(range(top + 1), repeat=alg.rank):
+            if (f.characteristic or max(ts) == top) and all(
+                    f.reduce(sum(t * q for t, q in zip(ts, row))) not in bad for row in rows):
+                return list(ts)
+    return None
+
+
+@pytest.mark.parametrize("t,r,fs", [("A", 3, "F5"), ("B", 2, "F5"), ("C", 3, "F7"),
+                                    ("D", 4, "F7"), ("G", 2, "F7"), ("A", 2, "F3"),
+                                    ("B", 2, "F3"), ("G", 2, "F3"), ("A", 3, "Q"),
+                                    ("B", 3, "Q"), ("C", 3, "Q"), ("D", 4, "Q"),
+                                    ("G", 2, "Q")])
+def test_find_regular_is_the_lex_least_regular_point(t, r, fs):
+    # the depth-first search returns the point the walk in lex order meets
+    # first, and over F_p runs out exactly when the walk does
+    f = make_field(fs)
+    alg = build_algebra(t, r, f)
+    p = f.characteristic
+    avoids = [[0], [1], [0, 1], [2, 3], [1, -1]]
+    avoids += [list(range(p - 2)), list(range(p))] if p else [[0, 1, 2, 3]]
+    for avoid in avoids:
+        expected = _product_search(alg, avoid)
+        if expected is None:
+            with pytest.raises((FieldTooSmallError, AssertionError)):
+                alg.find_regular(avoid)
+        else:
+            h = alg.find_regular(avoid)
+            assert list(h.coeffs) == expected + [0] * (alg.dim - r)
+
+
+def test_find_regular_on_a8_over_q_answers_at_once():
+    # the walk over the boxes [0, b]^8 visits more than 8^8 points first
+    alg = build_algebra("A", 8, Q)
+    start = time.perf_counter()
+    h = alg.find_regular([0, 1])
+    assert time.perf_counter() - start < 5
+    assert list(h.coeffs[:8]) == [0, 2, 0, 4, 0, 6, 0, 8]
 
 
 def test_root_automorphism_basics():
@@ -527,7 +577,7 @@ def test_integer_tables_are_shared_across_fields():
     # the structure constants depend on the root system only: built and
     # Jacobi-checked once over Z, then read by every field's algebra
     algs = [build_algebra("A", 2, f) for f in (F5, F7, Q)]
-    for attr in ("bracket_table", "n_table", "q_table"):
+    for attr in ("bracket_table", "n_table", "q_table", "_z_powers"):
         assert len({id(getattr(a, attr)) for a in algs}) == 1, attr
 
 

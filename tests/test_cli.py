@@ -114,6 +114,23 @@ def test_engel_solve_large_rational_coefficient(tmp_path, capsys):
     validate(obj)
 
 
+def test_engel_solve_high_rank_answers_at_once(tmp_path, capsys):
+    # the regular element is the lex-least point of F_19^8, which a walk over
+    # every point in lex order reaches only after about 5 * 10^7 points
+    coeffs = ["0"] * 80
+    coeffs[8] = "1"                      # e_{alpha_1}
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"basis": "chevalley", "coeffs": coeffs}))
+    start = time.perf_counter()
+    code, out = run(capsys, ["engel-solve", "--algebra", "A8", "--field", "F19",
+                             "--coeffs", "1", "--target", str(target)])
+    assert time.perf_counter() - start < 1
+    obj = json.loads(out)
+    assert code == 0 and obj["certificate"]
+    assert obj["trace"]["h"]["coeffs"][:8] == ["0", "1", "0", "2", "0", "3", "0", "4"]
+    validate(obj)
+
+
 # stdout sha256 of engel-solve runs, recorded before the type-A conjugator
 # became a root-element word
 ENGEL_SOLVE_DIGESTS = [

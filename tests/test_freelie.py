@@ -367,6 +367,23 @@ def test_engel_monomial_at_the_nesting_bound():
     assert evaluate(P, [X, Y]) == value
 
 
+def test_printing_a_tree_deeper_than_the_nesting_bound():
+    # a tree built from nodes in Python is not bounded by MAX_NESTING; it
+    # prints, and reads its arity, without recursion
+    depth = 5000
+    node = Var(1)
+    for i in range(depth):
+        node = Br(node, Var(2 + i % 2))
+    P = LiePoly(node)
+    text = P.pretty()
+    assert P.nvars == 3
+    assert text == "[" * depth + "X1," + ",".join("X%d]" % (2 + i % 2) for i in range(depth))
+    deep_sum = Var(1)
+    for _ in range(depth):
+        deep_sum = Sum(((Fraction(-1, 2), deep_sum),))
+    assert LiePoly(deep_sum).pretty() == "-1/2*(" * (depth - 1) + "-1/2*X1" + ")" * (depth - 1)
+
+
 @pytest.mark.parametrize("m", [0, -3, MAX_NESTING + 1, 3000])
 def test_engel_monomial_outside_the_bound_is_refused(m):
     # E_0 and E_-3 would be [X1,X2]; E_3000 would print into a RecursionError

@@ -279,3 +279,132 @@ def test_conjugation_invariance_so5_via_automorphisms():
 def test_matrix_json_round_trip():
     X = matrix_from_ints("sl3", [[3, 1, 0], [1, -1, 1], [0, 1, -2]], Q)
     assert matrix_from_json(X.to_json(), Q) == X
+
+
+# -- the integer-row paths against the field-scalar oracles ---------------------
+
+
+def _scalar_commutator(X, Y):
+    """AB - BA by the schoolbook product on the field's public scalars."""
+    n, z = len(X.rows), X.field.zero()
+    A, B = X.rows, Y.rows
+
+    def prod(A, B, i, j):
+        return sum((A[i][k] * B[k][j] for k in range(n)), z)
+
+    return MatrixElement(X.realization, [[prod(A, B, i, j) - prod(B, A, i, j)
+                                          for j in range(n)] for i in range(n)],
+                         X.field, validate=False)
+
+
+def _element_walk(P, xs):
+    """P on matrices by the element protocol: the schoolbook commutator,
+    + and scale_rational."""
+    from liemap.freelie import walk
+
+    def combine(terms):
+        if not terms:
+            return xs[0].scale_rational(0)
+        values = [v if c == 1 else v.scale_rational(c) for c, v in terms]
+        return sum(values[1:], values[0])
+
+    return walk(P.node, xs, _scalar_commutator, combine, {})
+
+
+def _scalar_char_poly(X):
+    """det(tI - X) by Laplace expansion along the first row, on the field's
+    public scalars, low degree first."""
+    f = X.field
+    zero, one = f.zero(), f.one()
+
+    def mul(p, q):
+        out = [zero] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] = out[i + j] + a * b
+        return out
+
+    def det(M):
+        if not M:
+            return [one]
+        acc = [zero] * (len(M) + 1)
+        for j, entry in enumerate(M[0]):
+            minor = [row[:j] + row[j + 1:] for row in M[1:]]
+            for k, c in enumerate(mul(entry, det(minor))):
+                acc[k] = acc[k] - c if j % 2 else acc[k] + c
+        return acc
+
+    n = len(X.rows)
+    return det([[[-X.rows[i][j], one] if i == j else [-X.rows[i][j]]
+                 for j in range(n)] for i in range(n)])
+
+
+def _random_realized(alg, rng, count):
+    """count matrices of alg's realization from random coefficients: over Q
+    rationals with assorted denominators, over F_p all residues."""
+    real = realize_chevalley(alg)
+    f = alg.field
+    out = []
+    for _ in range(count):
+        if f.characteristic:
+            coeffs = [rng.randrange(f.modulus) for _ in range(alg.dim)]
+        else:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 6)))
+                      for _ in range(alg.dim)]
+        out.append(real.to_matrix(alg.element(coeffs)))
+    return out
+
+
+ORACLE_ALGEBRAS = [(t, r, f) for t, r in (("A", 2), ("A", 3), ("B", 2))
+                   for f in ("Q", "F5", "F7")]
+
+
+@pytest.mark.parametrize("t,r,fs", ORACLE_ALGEBRAS,
+                         ids=["%s%d-%s" % c for c in ORACLE_ALGEBRAS])
+def test_matrix_evaluation_matches_the_element_walk(t, r, fs):
+    from liemap.fixtures import load_poly
+    from liemap.freelie import engel_monomial, evaluate, parse
+    alg = build_algebra(t, r, make_field(fs))
+    polys = [load_poly("razmyslov_bracket"), engel_monomial(3),
+             parse("1/2*[X1,X2] - 3/4*[[X1,X2],X3] + 5/3*X3 + [[X3,X1],X1]")]
+    rng = random.Random("%s%d/%s" % (t, r, fs))
+    for _ in range(6):
+        xs = _random_realized(alg, rng, 3)
+        X, Y = xs[:2]
+        assert commutator(X, Y) == _scalar_commutator(X, Y)
+        for P in polys:
+            args = xs[:P.nvars]
+            value = evaluate(P, args)
+            assert value == _element_walk(P, args)
+            assert value.realization == X.realization and value.field == X.field
+            for row in value.rows:
+                for x in row:
+                    assert type(x) is type(alg.field.one())
+
+
+@pytest.mark.parametrize("t,r,fs", ORACLE_ALGEBRAS,
+                         ids=["%s%d-%s" % c for c in ORACLE_ALGEBRAS])
+def test_char_poly_matches_the_scalar_laplace_expansion(t, r, fs):
+    alg = build_algebra(t, r, make_field(fs))
+    one = alg.field.one()
+    rng = random.Random(31)
+    for X in _random_realized(alg, rng, 12) + [realize_chevalley(alg).to_matrix(alg.zero())]:
+        coeffs = char_poly(X)
+        assert coeffs == _scalar_char_poly(X)
+        assert all(type(c) is type(one) for c in coeffs) and coeffs[-1] == one
+
+
+def test_evaluate_rejects_mixed_realizations_and_fields():
+    from liemap.freelie import evaluate, parse
+    P = parse("[X1,X2]")
+    rng = random.Random(3)
+    sl3_q, = _random_realized(build_algebra("A", 2, Q), rng, 1)
+    sl3_f5, = _random_realized(build_algebra("A", 2, F5), rng, 1)
+    so5_q, = _random_realized(build_algebra("B", 2, Q), rng, 1)
+    element = build_algebra("A", 2, Q).basis_element(3)
+    for xs in ([sl3_q, so5_q], [sl3_q, sl3_f5], [sl3_f5, sl3_q], [sl3_q, element]):
+        with pytest.raises(MatrixRepError, match="realization/shape mismatch"):
+            evaluate(P, xs)
+    # the whole assignment is checked, used by P or not
+    with pytest.raises(MatrixRepError, match="realization/shape mismatch"):
+        evaluate(parse("[X1,X2]", nvars=3), [sl3_q, sl3_q, so5_q])
