@@ -9,7 +9,9 @@ Grammar (whitespace insignificant; a leading sign is also accepted):
 
 Coefficients are integers or rationals "a/b" and always live over Q; they are
 mapped into the target field at evaluation time, so one AST serves every
-field.  Nesting is bounded by MAX_NESTING.  P acts as the substitution
+field.  Nesting is bounded by MAX_NESTING; a tree built from nodes in Python
+past it, deeper than the recursion limit, makes evaluate and normal_form
+raise NestingError.  P acts as the substitution
 homomorphism X_i -> x_i, and one tree walk (walk) computes it in every
 target, each caller supplying its bracket and linear combination: algebra
 and matrix elements (evaluate, on their integer rows), the
@@ -39,6 +41,15 @@ class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__("%s (at offset %d)" % (message, position))
         self.position = position
+
+
+class NestingError(ValueError):
+    """A tree, built from nodes in Python past the parser's MAX_NESTING,
+    nested deeper than the walk can follow."""
+
+
+_TOO_DEEP = ("the polynomial's tree is nested deeper than Python's recursion "
+             "limit; parsed polynomials nest at most %d levels" % MAX_NESTING)
 
 
 class Var:
@@ -322,7 +333,10 @@ def evaluate(P: LiePoly, assignment):
     if len(xs) != P.nvars:
         raise ValueError("expected %d arguments, got %d" % (P.nvars, len(xs)))
     values, bracket, combine, finish = xs[0].integer_rows(xs)
-    return finish(walk(P.node, values, bracket, combine, {}))
+    try:
+        return finish(walk(P.node, values, bracket, combine, {}))
+    except RecursionError:
+        raise NestingError(_TOO_DEEP) from None
 
 
 # -- Lyndon normal form -------------------------------------------------------
@@ -430,7 +444,10 @@ def normal_form(P: LiePoly) -> LyndonForm:
     denominators, each sigma(w) expands with int coefficients and the
     coefficient 1 on w, so every step stays integral; divide by d at the
     end."""
-    tensor = _tensor_expand(P.node)
+    try:
+        tensor = _tensor_expand(P.node)
+    except RecursionError:
+        raise NestingError(_TOO_DEEP) from None
     d = lcm(*[c.denominator for c in tensor.values()])
     by_len = {}
     for w, c in tensor.items():

@@ -20,16 +20,26 @@ node.  One column store, chosen by p in column_store, holds the columns:
   mod p once per sum.
 
 The kernel (block_kernel) walks the tree with freelie.walk and is the same
-for both stores.  Importing liemap does not load this module; the scans
-import it on first use.
+for both stores.  It returns each lane's value as its int code sum_k c_k
+p^k (the scan's element index), which the store reads off the columns
+(codes): on bytes, up to p^dim <= 256^8, by summing digits into byte lanes
+and reading lanes of 1, 2, 4 or 8 bytes as machine ints; on lists and past
+8 bytes, column by column.  The scan keys its attained values by these
+codes.  Importing liemap does not load this module; the scans import it on
+first use.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 
 from .chevalley import AlgElement
 from .freelie import walk
+
+
+# (bytes, memoryview format) of the machine ints that lane codes are read as
+_LANE_KINDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 
 class _ByteColumns:
@@ -83,6 +93,30 @@ class _ByteColumns:
             left -= 1
         return acc.to_bytes(n, "little").translate(mod)
 
+    def codes(self, cols, n):
+        """The lane codes sum col_k p^k of these columns (None reads as 0).
+        Each group of `pack` columns sums, lane by lane, to one byte; the
+        groups are spread into lanes of 1, 2, 4 or 8 bytes, the least that
+        holds p^dim, and added times p^(pack g) as one big int, which
+        memoryview.cast reads as machine ints.  Past 8 bytes, by Horner."""
+        p, pack, dim = self.p, self.pack, len(cols)
+        top = p ** dim
+        if top > 1 << 64:
+            return _horner(cols, n, p)
+        width, kind = next(wk for wk in _LANE_KINDS if top <= 1 << 8 * wk[0])
+        order = sys.byteorder if width > 1 else "little"
+        low = 0 if order == "little" else width - 1
+        total = 0
+        for g in range(0, dim, pack):
+            acc = sum(int.from_bytes(col, "little") * p ** t
+                      for t, col in enumerate(cols[g:g + pack]) if col is not None)
+            if width > 1:
+                lanes = bytearray(n * width)
+                lanes[low::width] = acc.to_bytes(n, "little")
+                acc = int.from_bytes(lanes, order)
+            total += acc * p ** g
+        return memoryview(total.to_bytes(n * width, order)).cast(kind).tolist()
+
 
 class _ListColumns:
     """Columns as lists of ints, p > 13."""
@@ -122,6 +156,19 @@ class _ListColumns:
             acc = [s + a * x for s, x in zip(acc, u)]
         return [(s + offset) % p for s in acc]
 
+    def codes(self, cols, n):
+        """As _ByteColumns.codes, on lists."""
+        return _horner(cols, n, self.p)
+
+
+def _horner(cols, n, p):
+    """The lane codes sum col_k p^k of these n-lane columns (None reads as
+    0), combined column by column."""
+    out = [0] * n
+    for col in reversed(cols):
+        out = [c * p for c in out] if col is None else [c * p + x for c, x in zip(out, col)]
+    return out
+
 
 @functools.lru_cache(maxsize=None)
 def column_store(p):
@@ -130,7 +177,7 @@ def column_store(p):
 
 
 def block_kernel(P, alg, store):
-    """P on a block of n assignments at once, as a function (xs, n) -> keys.
+    """P on a block of n assignments at once, as a function (xs, n) -> codes.
 
     xs[i - 1] is X_i: either its dim coordinate columns of n lanes (one lane
     per assignment), or an AlgElement shared by every lane.  freelie.walk
@@ -143,8 +190,8 @@ def block_kernel(P, alg, store):
     bracket_table entries, [u, v] = sum over i < j of [b_i, b_j] (u_i v_j -
     u_j v_i), an entry m giving u_j v_i the coefficient p - m.  Every bracket and
     sum reduces mod p, and a subterm that occurs more than once is
-    evaluated once per block.  The result lists the coordinate tuple of P's
-    value on each lane.
+    evaluated once per block.  The result lists the code sum_k c_k p^k of
+    P's value c on each lane (store.codes).
     """
     field, p, dim = alg.field, alg.field.modulus, alg.dim
     # (i, j, [(k, m mod p), ..]) for the nonzero entries of [b_i, b_j], i < j
@@ -156,7 +203,7 @@ def block_kernel(P, alg, store):
                 pairs.append((i, j, ent))
     combine, product = store.combine, store.product
 
-    def keys(xs, n):
+    def codes(xs, n):
         ads = {}
 
         def linear(x, vs, sign):
@@ -210,8 +257,7 @@ def block_kernel(P, alg, store):
 
         val = walk(P.node, xs, bracket, total, {})
         if isinstance(val, AlgElement):
-            return [tuple(val.coeffs)] * n
-        zero = store.column([0] * n)
-        return list(zip(*[zero if col is None else col for col in val]))
+            return _horner([[c] for c in val.coeffs], 1, p) * n
+        return store.codes(val, n)
 
-    return keys
+    return codes

@@ -2,7 +2,8 @@
 
 * the constructive Engel solver (regular element + conjugation into U +
   eigenvalue division), with exact re-evaluation certificates,
-* exhaustive / sampled finite-field image scans with worker partitioning,
+* exhaustive / sampled finite-field image scans with worker partitioning
+  (this process plus forked children, at most one process per usable CPU),
   which evaluate P on a block of assignments at once (every assignment is
   still evaluated) with the kernel in `lanes`, loaded on first use (one
   bytes column per coordinate and table arithmetic for p <= 13, lists of
@@ -159,7 +160,8 @@ def _certify(alg, P, spec, X, Y, target, trace):
 
 
 # ---------------------------------------------------------------------------
-# integer vectors and the worker pool (finite fields); the block kernel is lanes.py
+# integer vectors and the scan's workers: this process runs one share of the
+# chunks, forked children the rest (finite fields); the block kernel is lanes.py
 # ---------------------------------------------------------------------------
 
 
@@ -199,20 +201,90 @@ def _central_indices(alg: ChevalleyAlgebra):
                              alg.field.modulus, alg.dim))
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_chunks(worker, n, workers, *common):
-    """worker((start, end) + common) for at most `workers` contiguous chunks
-    of the positions [0, n), in a forked pool when there is more than one.
-    The pool forks at most one process per chunk and per CPU this process
-    may run on; the chunks do not depend on that cap."""
+    """[worker((start, end) + common) for each chunk], the positions [0, n)
+    cut into at most `workers` contiguous chunks whatever the CPU count.
+
+    Chunk j runs in process j mod k, k = min(#chunks, usable CPUs).
+    Process 0 is this one; processes 1..k-1 are forked children, each of
+    which runs its chunks in order up to the first that raises, sends back
+    one pickled (results, exception or None) over a pipe and leaves through
+    os._exit.  The results are read in chunk order, so the exception
+    raised is that of the least failing chunk, with its own type, as in one
+    process.  A child that ends without sending its results raises
+    ChildProcessError.  Every child is reaped on every path; one whose
+    results are no longer needed is killed first."""
     step = max(1, -(-n // workers) if workers > 1 else n)
     args = [(lo, min(n, lo + step)) + common for lo in range(0, n, step)]
-    if len(args) > 1:
-        import multiprocessing
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-            else os.cpu_count() or 1
-        with multiprocessing.get_context("fork").Pool(min(len(args), cpus)) as pool:
-            return pool.map(worker, args)
-    return [worker(a) for a in args]
+    k = min(len(args), _usable_cpus())
+    if k < 2:
+        return [worker(a) for a in args]
+    import pickle
+    import signal
+
+    def run(chunks):
+        done = []
+        try:
+            for a in chunks:
+                done.append(worker(a))
+        except Exception as e:
+            return done, e
+        return done, None
+
+    children = {}       # process index -> (pid, read end, or None once closed)
+    outcomes = {}       # process index -> (results, exception or None)
+
+    def collect(j):
+        pid, r = children[j]
+        with os.fdopen(r, "rb") as fh:
+            children[j] = (pid, None)
+            data = fh.read()
+        _, status = os.waitpid(pid, 0)
+        del children[j]
+        if not data:
+            raise ChildProcessError("scan worker %d ended without a result "
+                                    "(wait status %d)" % (pid, status))
+        return pickle.loads(data)
+
+    try:
+        for j in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if not pid:
+                status = 1
+                try:
+                    os.close(r)
+                    data = pickle.dumps(run(args[j::k]))    # all or nothing
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[j] = (pid, r)
+        outcomes[0] = run(args[0::k])
+        results = []
+        for i in range(len(args)):
+            if i % k not in outcomes:
+                outcomes[i % k] = collect(i % k)
+            done, error = outcomes[i % k]
+            if i // k == len(done):
+                raise error
+            results.append(done[i // k])
+        return results
+    finally:
+        for pid, r in children.values():
+            if r is not None:
+                os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +330,8 @@ def _scan_chunk(args):
     is batched.  Sampled mode takes its slice of one global seeded stream
     (so the merged result is independent of the worker count), sorted, and
     batches every variable.  Blocks come in increasing index order, so a
-    value, keyed by its coordinate tuple, keeps the first index that
-    reaches it; each distinct value is encoded once, at the end.
+    value, keyed by its index (the kernel's lane code), keeps the first
+    assignment index that reaches it.
     """
     from .lanes import block_kernel, column_store
     start, end, type_label, rank, p, poly_text, mode_seed = args
@@ -295,14 +367,25 @@ def _scan_chunk(args):
             merge(kernel(xs, hi - lo), range(lo, hi))
             lo = hi
     else:
-        rng = random.Random(mode_seed)
-        drawn = sorted([rng.randrange(N ** d) for _ in range(end)][start:])
+        drawn = sorted(_draws(mode_seed, N ** d, end)[start:])
         for lo in range(0, len(drawn), _BLOCK_LANES):
             block = drawn[lo:lo + _BLOCK_LANES]
             cols = store.digits(block, d * dim)     # a's digits are X1's, X2's, ..
             merge(kernel([cols[i:i + dim] for i in range(0, d * dim, dim)], len(block)),
                   block)
-    return {_encode(v, p): a_idx for v, a_idx in attained.items()}
+    return attained
+
+
+def _draws(seed, n, count):
+    """[rng.randrange(n) for _ in range(count)] for rng = random.Random(seed):
+    CPython's own rejection loop for randrange(n), written out."""
+    bits, draw, out = n.bit_length(), random.Random(seed).getrandbits, []
+    for _ in range(count):
+        r = draw(bits)
+        while r >= n:
+            r = draw(bits)
+        out.append(r)
+    return out
 
 
 def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import liemap
+from liemap import maps
 from liemap.cli import main
 from liemap.fixtures import fixture_text, load_poly
 
@@ -363,6 +364,39 @@ def test_nonpositive_count_is_usage_error(argv):
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpus"])
+def test_scan_worker_error_is_the_same_for_any_worker_count(capsys, monkeypatch, cpus):
+    # 1/2 has no residue mod 2: every chunk raises, in this process or in a
+    # forked child, and the error JSON does not depend on where
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    outs = {run(capsys, ["scan", "--poly", "1/2*[X1,X2]", "--algebra", "A2",
+                         "--field", "F2", "--workers", w]) for w in ("1", "2")}
+    (code, out), = outs
+    assert code == 1 and json.loads(out) == {
+        "error": "denominator 2 not invertible mod 2", "kind": "ZeroDivisionError"}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_worker_that_dies_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    chunk = maps._scan_chunk
+
+    def die_in_the_child(args):
+        if args[0]:
+            os._exit(1)
+        return chunk(args)
+
+    monkeypatch.setattr(maps, "_scan_chunk", die_in_the_child)
+    code, out = run(capsys, ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A1",
+                             "--field", "F3", "--workers", "2"])
+    err = json.loads(out)
+    assert code == 2 and err["kind"] == "ChildProcessError"
+    assert "ended without a result" in err["error"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_semantic_error_exit_1(capsys):

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import random_element, random_monomial, random_poly
 from liemap.chevalley import build_algebra
 from liemap.freelie import (MAX_NESTING, Br, EngelSpec, LiePoly, LyndonForm,
-                            ParseError, Sum, Var, _divisors, engel_monomial,
-                            engel_spec, evaluate, expansion,
+                            NestingError, ParseError, Sum, Var, _divisors,
+                            engel_monomial, engel_spec, evaluate, expansion,
                             linear_part, make_engel, max_monomial_degree,
                             min_monomial_degree, normal_form, parse)
 from liemap.scalar import make_field
@@ -382,6 +382,22 @@ def test_printing_a_tree_deeper_than_the_nesting_bound():
     for _ in range(depth):
         deep_sum = Sum(((Fraction(-1, 2), deep_sum),))
     assert LiePoly(deep_sum).pretty() == "-1/2*(" * (depth - 1) + "-1/2*X1" + ")" * (depth - 1)
+
+
+def test_walking_a_tree_deeper_than_the_recursion_limit_is_refused():
+    # evaluate and normal_form recurse; on a 2,000-deep left-normed bracket
+    # they raise NestingError, not RecursionError
+    node = Var(1)
+    for _ in range(2000):
+        node = Br(node, Var(2))
+    P = LiePoly(node)
+    alg = build_algebra("A", 1, Q)
+    xs = [alg.element_from_ints([1, 0, 0]), alg.element_from_ints([0, 1, 1])]
+    with pytest.raises(NestingError, match="recursion limit"):
+        evaluate(P, xs)
+    with pytest.raises(NestingError, match="recursion limit"):
+        normal_form(P)
+    assert evaluate(engel_monomial(MAX_NESTING), xs) is not None
 
 
 @pytest.mark.parametrize("m", [0, -3, MAX_NESTING + 1, 3000])

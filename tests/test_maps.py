@@ -719,36 +719,138 @@ def test_byte_columns_match_list_columns(p):
     assert [list(c) for c in store.digits(ints, 19)] == ref.digits(ints, 19)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+def test_lane_codes_match_encode(p):
+    # every lane width (1, 2, 4 and 8 bytes) at both ends, the Horner
+    # fallback past 8 bytes, the list store above 13, and None columns
+    store = lanes.column_store(p)
+    rng = random.Random(p)
+    n = 50
+    dims = {1}
+    for w in (1, 2, 4, 8):
+        top = max(m for m in range(1, 70) if p ** m <= 256 ** w)
+        dims |= {top, top + 1}
+    for dim in sorted(dims):
+        ints = [[rng.randrange(p) for _ in range(n)] for _ in range(dim)]
+        for k in range(dim):
+            ints[k][0] = p - 1          # the largest code on lane 0
+        cols = [store.column(c) for c in ints]
+        want = [maps._encode(v, p) for v in zip(*ints)]
+        assert want[0] == p ** dim - 1
+        assert store.codes(cols, n) == want
+        holes = [None if k % 3 == 1 else c for k, c in enumerate(cols)]
+        zero = [0] * n
+        want = [maps._encode(v, p) for v in
+                zip(*[zero if c is None else c for c in holes])]
+        assert store.codes(holes, n) == want
+        assert store.codes([None] * dim, n) == [0] * n
+
+
+def _fork_counter(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_scan_pool_forks_at_most_one_process_per_cpu(monkeypatch):
-    # workers above the CPU count split the scan as before, in a pool capped
-    # at the CPUs; a recording pool runs the chunks in this process
-    import multiprocessing.pool
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes=None, *args, **kwargs):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(multiprocessing.pool, "Pool", RecordingPool)
+    # workers above the CPU count split the scan as before; this process
+    # runs one share of the chunks and forks one child per further CPU
     alg = build_algebra("A", 1, F3)
     P = engel_monomial(2)
-    wide = maps.image_scan(alg, P, workers=100_000).to_json()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert sizes == [min(27 ** 2, cpus)]
-    assert wide.pop("workers") == 100_000
     one = maps.image_scan(alg, P, workers=1).to_json()
     assert one.pop("workers") == 1
+    forks = _fork_counter(monkeypatch)
+    wide = maps.image_scan(alg, P, workers=100_000).to_json()
+    assert len(forks) == min(27 ** 2, maps._usable_cpus()) - 1
+    assert wide.pop("workers") == 100_000
     assert wide == one
-    assert sizes == [sizes[0]]      # one chunk: no pool
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    del forks[:]
+    single = maps.image_scan(alg, P, workers=100_000).to_json()
+    assert forks == []
+    assert single.pop("workers") == 100_000
+    assert single == one
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _raise_past_the_first_chunk(args):
+    if args[0]:
+        raise KeyError("chunk %d" % args[0])
+    return args[0]
+
+
+def _exit_past_the_first_chunk(args):
+    if args[0]:
+        os._exit(1)
+    return args[0]
+
+
+def test_map_chunks_runs_one_share_here_and_forks_the_rest(monkeypatch):
+    _two_cpus(monkeypatch)
+    forks = _fork_counter(monkeypatch)
+    pid = os.getpid()
+    got = maps._map_chunks(lambda a: (a[:2], os.getpid() == pid), 10, 5)
+    assert got == [((lo, lo + 2), lo % 4 == 0) for lo in range(0, 10, 2)]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_map_chunks_reraises_a_child_exception(monkeypatch):
+    _two_cpus(monkeypatch)
+    with pytest.raises(KeyError, match="chunk 5"):
+        maps._map_chunks(_raise_past_the_first_chunk, 10, 2)
+    _assert_no_child_left()
+    # the least failing chunk decides, wherever it ran
+    with pytest.raises(KeyError, match="chunk 1"):
+        maps._map_chunks(_raise_past_the_first_chunk, 6, 6)
+    _assert_no_child_left()
+
+
+def test_map_chunks_names_a_child_that_sent_nothing(monkeypatch):
+    _two_cpus(monkeypatch)
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        maps._map_chunks(_exit_past_the_first_chunk, 10, 2)
+    _assert_no_child_left()
+
+
+def test_map_chunks_reaps_children_when_this_process_fails(monkeypatch):
+    _two_cpus(monkeypatch)
+
+    def fail_here(args):
+        if not args[0]:
+            raise ZeroDivisionError("chunk 0")
+        return args[0]
+
+    with pytest.raises(ZeroDivisionError, match="chunk 0"):
+        maps._map_chunks(fail_here, 10, 2)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2, 2 ** 9, 2 ** 9 + 1, 27 ** 2, 125 ** 2, 6561 ** 2,
+                               3 ** 30, 13 ** 30, 17 ** 9])
+def test_sampled_draws_are_randrange(n):
+    # the scan's inline rejection loop draws CPython's randrange stream; n
+    # runs over edge cases and the N^d of the sampled scans in these tests
+    for seed in (0, 5, 11):
+        rng = random.Random(seed)
+        assert maps._draws(seed, n, 300) == [rng.randrange(n) for _ in range(300)]
 
 
 def test_sampled_scan_at_the_nesting_bound():
@@ -843,13 +945,10 @@ def test_engel_linear_engine_pinned_rank_2(type_label, field_spec, coeffs, diges
 
 
 def test_engel_scan_opens_no_pool(monkeypatch):
-    import multiprocessing
-
     def refuse(*args, **kwargs):
-        raise AssertionError("the Engel scan opened a multiprocessing pool")
+        raise AssertionError("the Engel scan forked a worker")
 
-    monkeypatch.setattr(multiprocessing, "get_context", refuse)
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     alg = build_algebra("A", 2, F3)
     _, spec = make_engel([1, 1])
     rep = maps.engel_image_scan(alg, spec, workers=2)
@@ -1101,13 +1200,10 @@ def test_probe_column_space_equivariance(ycoeffs, word, m):
 
 
 def test_central_probe_opens_no_pool(monkeypatch):
-    import multiprocessing
-
     def refuse(*args, **kwargs):
-        raise AssertionError("the probe opened a multiprocessing pool")
+        raise AssertionError("the probe forked a worker")
 
-    monkeypatch.setattr(multiprocessing, "get_context", refuse)
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     alg = build_algebra("A", 2, F3)
     rep = maps.central_image_probe(alg, range(1, 4), workers=2)
     assert rep.m0 == 3 and rep.workers == 2
