@@ -51,7 +51,6 @@ class _ByteColumns:
         self.mul = [bytes(c * x % p for x in range(256)) for c in range(p)]
         self.prod = bytes(x // p * (x % p) % p for x in range(256))
         self.run = 255 // (p - 1) - 1
-        self.column = bytes
         self.pack = max(h for h in range(1, 9) if p ** h <= 256)
         self.digit = [bytes(x // p ** t % p for x in range(256))
                       for t in range(self.pack)]
@@ -123,7 +122,6 @@ class _ListColumns:
 
     def __init__(self, p):
         self.p = p
-        self.column = list
 
     def digits(self, ints, m):
         """As _ByteColumns.digits, on lists."""

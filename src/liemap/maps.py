@@ -256,7 +256,12 @@ def _map_chunks(worker, n, workers, *common):
     try:
         for j in range(1, k):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
             if not pid:
                 status = 1
                 try:

@@ -734,7 +734,7 @@ def test_lane_codes_match_encode(p):
         ints = [[rng.randrange(p) for _ in range(n)] for _ in range(dim)]
         for k in range(dim):
             ints[k][0] = p - 1          # the largest code on lane 0
-        cols = [store.column(c) for c in ints]
+        cols = [bytes(c) if isinstance(store, lanes._ByteColumns) else c for c in ints]
         want = [maps._encode(v, p) for v in zip(*ints)]
         assert want[0] == p ** dim - 1
         assert store.codes(cols, n) == want
@@ -841,6 +841,26 @@ def test_map_chunks_reaps_children_when_this_process_fails(monkeypatch):
     with pytest.raises(ZeroDivisionError, match="chunk 0"):
         maps._map_chunks(fail_here, 10, 2)
     _assert_no_child_left()
+
+
+def test_map_chunks_reaps_the_children_when_a_fork_fails(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forks = _fork_counter(monkeypatch)
+    counting = os.fork
+
+    def fail_second():
+        if forks:
+            raise BlockingIOError("no more processes")
+        return counting()
+
+    monkeypatch.setattr(os, "fork", fail_second)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    with pytest.raises(BlockingIOError):
+        maps._map_chunks(lambda a: a[0], 9, 3)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
 
 
 @pytest.mark.parametrize("n", [1, 2, 2 ** 9, 2 ** 9 + 1, 27 ** 2, 125 ** 2, 6561 ** 2,
