@@ -160,8 +160,8 @@ def _certify(alg, P, spec, X, Y, target, trace):
 
 
 # ---------------------------------------------------------------------------
-# integer vectors and the scan's workers: this process runs one share of the
-# chunks, forked children the rest (finite fields); the block kernel is lanes.py
+# integer vectors and the scan's workers: this process runs the first chunk,
+# forked children the rest (finite fields); the block kernel is lanes.py
 # ---------------------------------------------------------------------------
 
 
@@ -210,51 +210,45 @@ def _usable_cpus():
 
 def _map_chunks(worker, n, workers, *common):
     """[worker((start, end) + common) for each chunk], the positions [0, n)
-    cut into at most `workers` contiguous chunks whatever the CPU count.
+    cut into k = min(workers, n, usable CPUs) contiguous chunks, one per
+    process.
 
-    Chunk j runs in process j mod k, k = min(#chunks, usable CPUs).
-    Process 0 is this one; processes 1..k-1 are forked children, each of
-    which runs its chunks in order up to the first that raises, sends back
-    one pickled (results, exception or None) over a pipe and leaves through
-    os._exit.  The results are read in chunk order, so the exception
-    raised is that of the least failing chunk, with its own type, as in one
-    process.  A child that ends without sending its results raises
-    ChildProcessError.  Every child is reaped on every path; one whose
-    results are no longer needed is killed first."""
-    step = max(1, -(-n // workers) if workers > 1 else n)
+    This process runs chunk 0; chunks 1..k-1 run in forked children, each
+    of which sends back one pickled (result, exception or None) over a
+    pipe and leaves through os._exit.  The children are read in chunk
+    order, so the exception raised is that of the least failing chunk,
+    with its own type.  An outcome that cannot be pickled and read back
+    comes as a RuntimeError naming it, and a child that ends without
+    sending one raises ChildProcessError.  Every child is reaped on every
+    path; one whose result is no longer needed is killed first."""
+    k = max(1, min(workers, n, _usable_cpus()))
+    step = -(-n // k)
     args = [(lo, min(n, lo + step)) + common for lo in range(0, n, step)]
-    k = min(len(args), _usable_cpus())
-    if k < 2:
+    if len(args) < 2:
         return [worker(a) for a in args]
     import pickle
     import signal
 
-    def run(chunks):
-        done = []
+    children = []       # [pid, read end or None once closed], in chunk order
+
+    def send(a, w):
         try:
-            for a in chunks:
-                done.append(worker(a))
+            out = worker(a), None
         except Exception as e:
-            return done, e
-        return done, None
-
-    children = {}       # process index -> (pid, read end, or None once closed)
-    outcomes = {}       # process index -> (results, exception or None)
-
-    def collect(j):
-        pid, r = children[j]
-        with os.fdopen(r, "rb") as fh:
-            children[j] = (pid, None)
-            data = fh.read()
-        _, status = os.waitpid(pid, 0)
-        del children[j]
-        if not data:
-            raise ChildProcessError("scan worker %d ended without a result "
-                                    "(wait status %d)" % (pid, status))
-        return pickle.loads(data)
+            out = None, e
+        try:
+            data = pickle.dumps(out)
+            if out[1] is not None:
+                pickle.loads(data)      # an exception that cannot be rebuilt
+        except Exception as e:
+            data = pickle.dumps((None, RuntimeError(
+                "scan worker outcome could not be sent: %r"
+                % (out[1] if out[1] is not None else e,))))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
 
     try:
-        for j in range(1, k):
+        for a in args[1:]:
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -266,30 +260,35 @@ def _map_chunks(worker, n, workers, *common):
                 status = 1
                 try:
                     os.close(r)
-                    data = pickle.dumps(run(args[j::k]))    # all or nothing
-                    with os.fdopen(w, "wb") as fh:
-                        fh.write(data)
+                    send(a, w)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(w)
-            children[j] = (pid, r)
-        outcomes[0] = run(args[0::k])
-        results = []
-        for i in range(len(args)):
-            if i % k not in outcomes:
-                outcomes[i % k] = collect(i % k)
-            done, error = outcomes[i % k]
-            if i // k == len(done):
+            children.append([pid, r])
+        results = [worker(args[0])]
+        for child in children:
+            pid, r = child
+            with os.fdopen(r, "rb") as fh:
+                child[1] = None
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            child[0] = None
+            if not data:
+                raise ChildProcessError("scan worker %d ended without a result "
+                                        "(wait status %d)" % (pid, status))
+            result, error = pickle.loads(data)
+            if error is not None:
                 raise error
-            results.append(done[i // k])
+            results.append(result)
         return results
     finally:
-        for pid, r in children.values():
+        for pid, r in children:
             if r is not None:
                 os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

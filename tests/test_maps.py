@@ -766,13 +766,14 @@ def _assert_no_child_left():
 
 
 def test_scan_pool_forks_at_most_one_process_per_cpu(monkeypatch):
-    # workers above the CPU count split the scan as before; this process
-    # runs one share of the chunks and forks one child per further CPU
+    # one chunk forks nothing; workers above the CPU count run one chunk
+    # here and fork one child per further CPU, with the same report bytes
     alg = build_algebra("A", 1, F3)
     P = engel_monomial(2)
-    one = maps.image_scan(alg, P, workers=1).to_json()
-    assert one.pop("workers") == 1
     forks = _fork_counter(monkeypatch)
+    one = maps.image_scan(alg, P, workers=1).to_json()
+    assert forks == []      # one chunk: no fork
+    assert one.pop("workers") == 1
     wide = maps.image_scan(alg, P, workers=100_000).to_json()
     assert len(forks) == min(27 ** 2, maps._usable_cpus()) - 1
     assert wide.pop("workers") == 100_000
@@ -802,12 +803,28 @@ def _exit_past_the_first_chunk(args):
     return args[0]
 
 
-def test_map_chunks_runs_one_share_here_and_forks_the_rest(monkeypatch):
-    _two_cpus(monkeypatch)
+def _three_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def test_map_chunks_runs_the_first_chunk_here_and_forks_the_rest(monkeypatch):
+    _three_cpus(monkeypatch)
     forks = _fork_counter(monkeypatch)
     pid = os.getpid()
-    got = maps._map_chunks(lambda a: (a[:2], os.getpid() == pid), 10, 5)
-    assert got == [((lo, lo + 2), lo % 4 == 0) for lo in range(0, 10, 2)]
+
+    def where(a):
+        return a[:2], os.getpid() == pid
+
+    # one contiguous chunk per process: min(workers, n, CPUs) of them
+    assert maps._map_chunks(where, 10, 5) == [((0, 4), True), ((4, 8), False),
+                                               ((8, 10), False)]
+    assert len(forks) == 2
+    del forks[:]
+    assert maps._map_chunks(where, 10, 2) == [((0, 5), True), ((5, 10), False)]
+    assert len(forks) == 1
+    del forks[:]
+    assert maps._map_chunks(where, 2, 5) == [((0, 1), True), ((1, 2), False)]
+    assert maps._map_chunks(where, 10, 1) == [((0, 10), True)]
     assert len(forks) == 1
     _assert_no_child_left()
 
@@ -817,9 +834,32 @@ def test_map_chunks_reraises_a_child_exception(monkeypatch):
     with pytest.raises(KeyError, match="chunk 5"):
         maps._map_chunks(_raise_past_the_first_chunk, 10, 2)
     _assert_no_child_left()
-    # the least failing chunk decides, wherever it ran
-    with pytest.raises(KeyError, match="chunk 1"):
+    # the least failing chunk decides: chunks (2, 4) and (4, 6) both raise
+    _three_cpus(monkeypatch)
+    with pytest.raises(KeyError, match="chunk 2"):
         maps._map_chunks(_raise_past_the_first_chunk, 6, 6)
+    _assert_no_child_left()
+
+
+class _Unrebuildable(Exception):
+    # pickles, but cannot be rebuilt from its args
+    def __init__(self, msg, code):
+        super().__init__(msg)
+
+
+def _raise_unrebuildable_past_the_first_chunk(args):
+    if args[0]:
+        raise _Unrebuildable("chunk %d" % args[0], 7)
+    return args[0]
+
+
+def test_map_chunks_names_an_outcome_that_cannot_be_sent(monkeypatch):
+    _two_cpus(monkeypatch)
+    with pytest.raises(RuntimeError, match="_Unrebuildable.*chunk 5"):
+        maps._map_chunks(_raise_unrebuildable_past_the_first_chunk, 10, 2)
+    _assert_no_child_left()
+    with pytest.raises(RuntimeError, match="could not be sent"):
+        maps._map_chunks(lambda a: (lambda: a) if a[0] else a[0], 10, 2)
     _assert_no_child_left()
 
 
@@ -844,7 +884,7 @@ def test_map_chunks_reaps_children_when_this_process_fails(monkeypatch):
 
 
 def test_map_chunks_reaps_the_children_when_a_fork_fails(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    _three_cpus(monkeypatch)
     forks = _fork_counter(monkeypatch)
     counting = os.fork
 
