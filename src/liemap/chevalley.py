@@ -9,7 +9,8 @@ minimal in the (height, lex) order gets N_{gamma,delta} = p+1 > 0, and every
 other constant is forced by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
 Jacobi identity.  The tables depend on the root system only, so they are
 built once per root system and shared by every field; the Jacobi sweep
-over Z there is the oracle that checks them on every basis triple.  They,
+over Z there checks them on every basis triple, summing only the nonzero
+terms (18,636 on A8).  They,
 beta(h) and the regular-element search look up the root datum (beta(h_i),
 (beta, beta), coroots) that the RootSystem tabulates.
 
@@ -17,8 +18,8 @@ Elements hold their coefficients as residues (ints in [0, p) over F_p,
 Fractions over Q; see scalar.py): ChevalleyAlgebra.element converts scalars
 and AlgElement.to_json formats the result.  The bracket runs on ints, in
 one core (_bracket_rows): for each nonzero x_i it visits only the columns j
-whose table entry bracket_table[i][j] is nonempty, read from a column index
-built next to the table.  Over Q each operand's denominators are cleared
+whose table entry bracket_table[i][j] is nonempty, read from the column
+index that the sweep builds.  Over Q each operand's denominators are cleared
 once (field.integral_rows) and each coordinate is divided back once; over
 F_p the residues are summed and reduced once.  freelie.evaluate keeps P's
 node values in that integer form throughout (AlgElement.integer_rows): an
@@ -35,7 +36,7 @@ from functools import partial
 from operator import mul
 
 from . import linalg
-from .rootsystem import RootSystem, build_root_system  # noqa: F401 (re-export convenience)
+from .rootsystem import RootSystem, build_root_system
 from .scalar import row_combine
 
 
@@ -267,11 +268,10 @@ class ChevalleyAlgebra:
         self.basis += [("e", _neg(b.coords)) for b in rs.positive_roots]
         self.dim = len(self.basis)
         self._eidx = {lbl[1]: i for i, lbl in enumerate(self.basis) if lbl[0] == "e"}
-        # bracket_table[i][j]: sparse integer coefficients (k, n) of [b_i, b_j],
-        # read by the bracket and ad_matrix here and by the scan kernel in
-        # lanes.py; _table_cols[i]: the triples (j, k, n) over its nonempty
-        # entries bracket_table[i][j], in increasing j; _z_powers: the
-        # integral divided powers of each root, by coordinates, filled on use
+        # bracket_table[i][j]: sparse integer coefficients (k, n) of [b_i, b_j];
+        # _table_cols[i]: the triples (j, k, n) over its nonempty entries
+        # bracket_table[i][j], in increasing j; _z_powers: the integral
+        # divided powers of each root, by coordinates, filled on use
         (self.n_table, self.q_table, self.bracket_table, self._table_cols,
          self._z_powers) = _integer_tables(self)
 
@@ -537,9 +537,9 @@ class ChevalleyAlgebra:
         f = self.field
         p = f.modulus
         if budget > 0 and p in (2, 3):
-            # The search keeps its domain, characteristic >= 5 (reported after
-            # an empty budget), although root automorphisms exist in every
-            # characteristic: engel-solve answers where it did and nowhere else.
+            # The search keeps its domain, characteristic >= 5, although root
+            # automorphisms exist in every characteristic, so that engel-solve
+            # answers where it did and nowhere else.
             raise ChevalleyError(
                 "the randomized conjugation search is limited to characteristic >= 5")
         roots = self.rs.roots
@@ -684,9 +684,8 @@ _Z_TABLES = {}
 
 def _integer_tables(alg):
     """(n_table, q_table, bracket_table, its nonzero-column index, the table
-    of integral divided powers) over Z, built and checked by the Jacobi
-    sweep once per root system, which fixes the basis and the constants;
-    every field's algebra shares them."""
+    of integral divided powers) over Z, built and Jacobi-checked once per
+    root system, which fixes the basis and the constants."""
     rs = alg.rs
     tables = _Z_TABLES.get(rs.key)
     if tables is None:
@@ -698,10 +697,7 @@ def _integer_tables(alg):
             for j in range(i + 1, alg.dim):
                 sp = T[i][j] = _pair_bracket(alg, n_table, i, j)
                 T[j][i] = tuple((k, -n) for k, n in sp)
-        _validate_jacobi(T)
-        cols = tuple(tuple((j, k, n) for j, ent in enumerate(row) for k, n in ent)
-                     for row in T)
-        tables = _Z_TABLES[rs.key] = (n_table, q_table, T, cols, {})
+        tables = _Z_TABLES[rs.key] = (n_table, q_table, T, _validate_jacobi(T), {})
     return tables
 
 
@@ -724,20 +720,49 @@ def _pair_bracket(alg, n_table, i, j):
 
 
 def _validate_jacobi(T):
-    """The Jacobi identity over Z on every basis triple; an identity over Z
-    holds mod every p."""
+    """Check the Jacobi identity over Z (so mod every p) on every basis
+    triple i < j < k, reading only the nonzero terms [[b_i, b_j], b_k],
+    [[b_j, b_k], b_i], [[b_k, b_i], b_j] through T's nonzero-column index,
+    which it returns.  Sums keyed by (j n + k) n + s are checked once per
+    i, so the least failing triple is named."""
     n = len(T)
-    triples = ((i, j, k) for i in range(n) for j in range(i + 1, n)
-               for k in range(j + 1, n))
-    for (i, j, k) in triples:
+    cols = tuple(tuple((j, k, m) for j, ent in enumerate(row) for k, m in ent)
+                 for row in T)
+    # into[y]: (x, t, a) for (t, a) in T[x][y]; made[t]: (x, y, a) for x < y
+    # and (t, a) in T[x][y]; both in decreasing x
+    into, made = [[] for _ in T], [[] for _ in T]
+    for x in range(n - 1, -1, -1):
+        for y, t, a in cols[x]:
+            into[y].append((x, t, a))
+            if x < y:
+                made[t].append((x, y, a))
+    for i in range(n):
         acc = {}
-        for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-            for t, a in T[x][y]:
-                for s, b in T[t][z]:
-                    acc[s] = acc.get(s, 0) + a * b
-        if any(acc.values()):
-            raise AssertionError(
-                "Jacobi identity fails on basis triple %r" % ((i, j, k),))
+        get = acc.get
+        for j, t, a in cols[i]:
+            if j > i:
+                for k, s, b in cols[t]:
+                    if k > j:
+                        key = (j * n + k) * n + s
+                        acc[key] = get(key, 0) + a * b
+        for t, s, b in into[i]:
+            for j, k, a in made[t]:
+                if j <= i:
+                    break
+                key = (j * n + k) * n + s
+                acc[key] = get(key, 0) + a * b
+        for k, t, a in into[i]:
+            if k <= i:
+                break
+            for j, s, b in cols[t]:
+                if i < j < k:
+                    key = (j * n + k) * n + s
+                    acc[key] = get(key, 0) + a * b
+        bad = [key for key, v in acc.items() if v]
+        if bad:
+            raise AssertionError("Jacobi identity fails on basis triple %r"
+                                 % ((i,) + divmod(min(bad) // n, n),))
+    return cols
 
 
 def _integral_divided_powers(alg, coords):

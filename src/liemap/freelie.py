@@ -86,7 +86,19 @@ class Br:
         return Br, (self.left, self.right)
 
     def __eq__(self, o):
-        return isinstance(o, Br) and o.left == self.left and o.right == self.right
+        # an explicit stack of node pairs, so that trees deeper than the
+        # recursion limit compare
+        stack = [(self, o)]
+        while stack:
+            x, y = stack.pop()
+            if not isinstance(y, Br):
+                return False
+            for a, b in ((x.left, y.left), (x.right, y.right)):
+                if isinstance(a, Br):
+                    stack.append((a, b))
+                elif a != b:
+                    return False
+        return True
 
     def __hash__(self):
         return self._hash

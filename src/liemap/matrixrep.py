@@ -397,13 +397,22 @@ class Realization:
         return AlgElement(self.alg, coords)
 
     def _verify(self):
+        """[phi(b_i), phi(b_j)] = phi([b_i, b_j]) for every i < j, on ints:
+        with every image cleared to an int row a_k = D A_k, the commutator
+        core gives D^2 [A_i, A_j], from which D c a_k is subtracted for each
+        (k, c) in bracket_table[i][j]; the difference, reduced once by the
+        field, must vanish."""
         alg = self.alg
         f = alg.field
-        for i in range(alg.dim):
+        rows, D = f.integral_rows([[x for r in B for x in r] for B in self.images])
+        nonzero = [[(p, D * v) for p, v in enumerate(a) if v] for a in rows]
+        for i, row in enumerate(alg.bracket_table):
             for j in range(i + 1, alg.dim):
-                lhs = _commutator(self.images[i], self.images[j], f)
-                bij = alg.bracket(alg.basis_element(i), alg.basis_element(j))
-                if lhs != self.combine(bij.coeffs):
+                diff = _commutator_rows(rows[i], rows[j], self.n)
+                for k, c in row[j]:
+                    for p, v in nonzero[k]:
+                        diff[p] -= c * v
+                if any(f.from_integral_row(diff, D * D)):
                     raise MatrixRepError(
                         "realization fails on basis pair (%d, %d)" % (i, j))
 

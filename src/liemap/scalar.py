@@ -227,7 +227,7 @@ class Rationals:
         return Fraction(1) / r
 
     def scale_row(self, row, c):
-        return [x * c for x in row]
+        return [x * c if x else x for x in row]
 
     def sub_row(self, row, c, piv):
         """row - c * piv."""

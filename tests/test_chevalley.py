@@ -593,6 +593,77 @@ def test_jacobi_sweep_runs_over_the_integers():
         _validate_jacobi(T)
 
 
+def _jacobi_by_triples(T):
+    """The triple-by-triple sweep that _validate_jacobi replaced: every
+    basis triple i < j < k in lex order, each cyclic term [[x, y], z] read
+    from T entry by entry.  The failure message, or None if all hold."""
+    n = len(T)
+    for i, j, k in itertools.combinations(range(n), 3):
+        acc = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, a in T[x][y]:
+                for s, b in T[t][z]:
+                    acc[s] = acc.get(s, 0) + a * b
+        if any(acc.values()):
+            return "Jacobi identity fails on basis triple %r" % ((i, j, k),)
+    return None
+
+
+def _jacobi_verdict(T):
+    try:
+        _validate_jacobi(T)
+    except AssertionError as e:
+        return str(e)
+    return None
+
+
+def _corrupt_table(T, rng, antisymmetric, relabel):
+    """A copy of T, with the basis relabelled by a random permutation if
+    relabel, in which one entry T[i][j] is changed by one coefficient; with
+    antisymmetric, T[j][i] follows as its negative, otherwise it is left as
+    it was (and one time in five the entry is on the diagonal, i = j)."""
+    n = len(T)
+    perm = list(range(n))
+    if relabel:
+        rng.shuffle(perm)
+    new = [[()] * n for _ in range(n)]
+    for i, row in enumerate(T):
+        for j, entry in enumerate(row):
+            new[perm[i]][perm[j]] = tuple(sorted((perm[k], c) for k, c in entry))
+    i, j = rng.sample(range(n), 2)
+    if not antisymmetric and rng.random() < 0.2:
+        j = i
+    entry = dict(new[i][j])
+    k = rng.randrange(n)
+    entry[k] = entry.get(k, 0) + rng.choice((-2, -1, 1, 2))
+    new[i][j] = tuple((k, c) for k, c in sorted(entry.items()) if c)
+    if antisymmetric:
+        new[j][i] = tuple((k, -c) for k, c in new[i][j])
+    return new
+
+
+def test_jacobi_sweep_matches_the_triple_loop_on_every_table():
+    from liemap.rootsystem import SUPPORTED_RANKS
+    for t, ranks in SUPPORTED_RANKS.items():
+        for r in ranks:
+            T = build_algebra(t, r, Q).bracket_table
+            assert _jacobi_verdict(T) is None and _jacobi_by_triples(T) is None
+
+
+@pytest.mark.parametrize("t,r", [("A", 4), ("B", 2), ("C", 3), ("G", 2)])
+def test_jacobi_sweep_matches_the_triple_loop_on_corrupted_tables(t, r):
+    T = build_algebra(t, r, Q).bracket_table
+    rng = random.Random(23 * r + ord(t))
+    failed = 0
+    for trial in range(60):
+        bad = _corrupt_table(T, rng, antisymmetric=trial % 2 == 0,
+                             relabel=trial % 4 >= 2)
+        verdict = _jacobi_by_triples(bad)
+        assert _jacobi_verdict(bad) == verdict, (trial, verdict)
+        failed += verdict is not None
+    assert failed >= 50
+
+
 # sha256 (first 16 hex digits) of structure_json(), dumped with sorted keys,
 # over Q, F3, F5 and F7 in turn
 STRUCTURE_DIGESTS = {

@@ -400,6 +400,24 @@ def test_walking_a_tree_deeper_than_the_recursion_limit_is_refused():
     assert evaluate(engel_monomial(MAX_NESTING), xs) is not None
 
 
+def test_comparing_trees_deeper_than_the_recursion_limit():
+    def left_normed(last):
+        node = Var(1)
+        for i in range(2000):
+            node = Br(node, Var(2 + i % 2))
+        return Br(node, last)
+
+    P, same = left_normed(Var(1)), left_normed(Var(1))
+    assert P is not same and P == same and LiePoly(P) == LiePoly(same)
+    assert P != left_normed(Var(2))
+    # a difference at the deepest leaf, below 2,000 equal levels
+    deep = Br(Var(2), Var(2))
+    for i in range(2000):
+        deep = Br(deep, Var(2 + i % 2))
+    assert Br(deep, Var(1)) != P and P != Br(deep, Var(1))
+    assert P != Var(1) and not P == Br(Var(1), Var(1))
+
+
 @pytest.mark.parametrize("m", [0, -3, MAX_NESTING + 1, 3000])
 def test_engel_monomial_outside_the_bound_is_refused(m):
     # E_0 and E_-3 would be [X1,X2]; E_3000 would print into a RecursionError

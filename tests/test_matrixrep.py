@@ -214,6 +214,49 @@ def test_realize_constructions_verify():
         realize_chevalley(build_algebra("A", 2, f2))
 
 
+def _first_failing_pair(alg, images):
+    """The Fraction loop that Realization._verify replaced: for each basis
+    pair i < j in order, [phi(b_i), phi(b_j)] by _commutator against the
+    combination of the images by the element bracket [b_i, b_j]."""
+    from liemap.matrixrep import _commutator
+    f = alg.field
+    n = len(images[0])
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            lhs = _commutator(images[i], images[j], f)
+            bij = alg.bracket(alg.basis_element(i), alg.basis_element(j))
+            rhs = linalg.zero_matrix(f, n, n)
+            for c, B in zip(bij.coeffs, images):
+                for r in range(n):
+                    for s in range(n):
+                        rhs[r][s] = f.reduce(rhs[r][s] + c * B[r][s])
+            if lhs != rhs:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("A", 3), ("B", 2)])
+@pytest.mark.parametrize("fs", ["Q", "F5", "F7"])
+def test_realization_check_names_the_failing_pair(t, r, fs):
+    from liemap.matrixrep import Realization
+    f = make_field(fs)
+    alg = build_algebra(t, r, f)
+    real = realize_chevalley(alg)
+    assert _first_failing_pair(alg, real.images) is None
+    rng = random.Random(len(fs) * 10 + r)
+    n = real.n
+    for _ in range(6):
+        images = [[list(row) for row in B] for B in real.images]
+        k, a, b = rng.randrange(alg.dim), rng.randrange(n), rng.randrange(n)
+        delta = f.residue(rng.choice((1, -1, 2, Fraction(1, 3))))
+        images[k][a][b] = f.reduce(images[k][a][b] + delta)
+        pair = _first_failing_pair(alg, images)
+        assert pair is not None
+        with pytest.raises(MatrixRepError,
+                           match=r"realization fails on basis pair \(%d, %d\)$" % pair):
+            Realization(alg, real.tag, images)
+
+
 def test_realize_round_trip():
     alg = build_algebra("A", 2, F5)
     real = realize_chevalley(alg)
