@@ -7,25 +7,22 @@ Structure-constant signs follow the extraspecial-pair convention: for each
 non-simple positive root xi, the special pair (gamma, delta) with gamma
 minimal in the (height, lex) order gets N_{gamma,delta} = p+1 > 0, and every
 other constant is forced by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
-Jacobi identity.  The tables depend on the root system only, so they are
-built once per root system and shared by every field; the Jacobi sweep
-over Z there checks them on every basis triple, summing only the nonzero
-terms (18,636 on A8).  They,
-beta(h) and the regular-element search look up the root datum (beta(h_i),
-(beta, beta), coroots) that the RootSystem tabulates.
+Jacobi identity.  The constants are derived on ints, each length ratio an
+exact division, and bracket_table is filled from them and the root datum
+(beta(h_i), (beta, beta), coroots) that the RootSystem tabulates.  These
+tables depend on the root system only: built once per root system, shared
+by every field, and checked there by a Jacobi sweep over Z on every basis
+triple that sums only the nonzero terms (18,636 on A8).  Over Q the centre
+is certified 0 by the rank of its int system mod one prime.
 
 Elements hold their coefficients as residues (ints in [0, p) over F_p,
-Fractions over Q; see scalar.py): ChevalleyAlgebra.element converts scalars
-and AlgElement.to_json formats the result.  The bracket runs on ints, in
-one core (_bracket_rows): for each nonzero x_i it visits only the columns j
-whose table entry bracket_table[i][j] is nonempty, read from the column
-index that the sweep builds.  Over Q each operand's denominators are cleared
-once (field.integral_rows) and each coordinate is divided back once; over
-F_p the residues are summed and reduced once.  freelie.evaluate keeps P's
-node values in that integer form throughout (AlgElement.integer_rows): an
-int row with one denominator, in lowest terms, over Q, and a reduced int
-row over F_p; residues are rebuilt once, at the root.  The Engel solve path
-holds residues only, down to the scalars of a conjugator's factors.
+Fractions over Q; see scalar.py).  The bracket runs on ints, in one core
+(_bracket_rows) that visits, for each nonzero x_i, only the nonempty
+entries bracket_table[i][j].  Over Q each operand's denominators are
+cleared once (field.integral_rows) and each coordinate is divided back
+once; over F_p the residues are summed and reduced once.  freelie.evaluate
+keeps node values in that integer form (AlgElement.integer_rows) and
+rebuilds residues once, at the root.
 """
 
 from __future__ import annotations
@@ -33,7 +30,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from operator import mul
+from itertools import permutations
+from operator import add, mul
 
 from . import linalg
 from .rootsystem import RootSystem, build_root_system
@@ -65,60 +63,67 @@ def _neg(c):
 
 
 def _structure_constants(rs: RootSystem):
-    """Integer constants N_{a,b} for every pair of roots with a+b a root."""
+    """Integer constants N_{a,b} for every pair of roots with a+b a root: the
+    positive pairs, found by int codes, then the triples {a, b, -a-b}."""
     pos = [b.coords for b in rs.positive_roots]       # (height, lex) order
     order = {c: i for i, c in enumerate(pos)}
+    length = rs.length
+    base = 2 * max(map(max, pos)) + 1     # sum c_i base^i: injective here
+    code = {c: sum(x * base ** i for i, x in enumerate(c)) for c in pos}
+    by_code = {k: c for c, k in code.items()}
     special = {}
+    n_table = {}                                      # also nlook's memo
 
     def nlook(u, v):
-        """N_{u,v} as a Fraction during reduction; exact and integral in the end."""
+        n = n_table.get((u, v))
+        if n is not None:
+            return n
         su, sv = sum(u) > 0, sum(v) > 0
         if su and sv:
-            if order[u] < order[v]:
-                return Fraction(special[(u, v)])
-            return -Fraction(special[(v, u)])
-        if not su and not sv:
-            return -nlook(_neg(u), _neg(v))
-        if not su:
-            return -nlook(v, u)
-        c = tuple(x + y for x, y in zip(u, v))
-        if sum(c) > 0:
-            return Fraction(rs.length[c], rs.length[u]) * nlook(v, _neg(c))
-        return Fraction(rs.length[c], rs.length[v]) * nlook(_neg(c), u)
+            n = special[(u, v)] if order[u] < order[v] else -special[(v, u)]
+        elif not su and not sv:
+            n = -nlook(_neg(u), _neg(v))
+        elif not su:
+            n = -nlook(v, u)
+        else:
+            c = tuple(x + y for x, y in zip(u, v))
+            if sum(c) > 0:
+                n, r = divmod(length[c] * nlook(v, _neg(c)), length[u])
+            else:
+                n, r = divmod(length[c] * nlook(_neg(c), u), length[v])
+            assert r == 0, "non-integral structure constant"
+        n_table[(u, v)] = n
+        return n
 
     for xi in pos:
         if sum(xi) == 1:
             continue
+        kx = code[xi]
         pairs = []
         for a in pos:
-            b = tuple(x - y for x, y in zip(xi, a))
-            if b in order and order[a] < order[b]:
+            b = by_code.get(kx - code[a])
+            if b is not None and order[a] < order[b]:
                 pairs.append((a, b))
         g, d = pairs[0]
         special[(g, d)] = rs.chain_down_length(rs.root(g), rs.root(d)) + 1
         for a, b in pairs[1:]:
             # Jacobi on (e_g, e_{-a}, e_{-b}); the e_{-d} coefficient gives
             #   N_{-a,-b} N_{g,-xi} + N_{-b,g} N_{-a,g-b} + N_{g,-a} N_{-b,g-a} = 0.
-            acc = Fraction(0)
+            acc = 0
             gb = tuple(x - y for x, y in zip(g, b))
             if rs.contains(gb):
                 acc += nlook(_neg(b), g) * nlook(_neg(a), gb)
             ga = tuple(x - y for x, y in zip(g, a))
             if rs.contains(ga):
                 acc += nlook(g, _neg(a)) * nlook(_neg(b), ga)
-            denom = nlook(g, _neg(xi))
-            val = acc / denom
-            assert val.denominator == 1 and val != 0
-            special[(a, b)] = int(val)
-
-    n_table = {}
-    for a in rs.roots:
-        for b in rs.roots:
-            s = tuple(x + y for x, y in zip(a.coords, b.coords))
-            if rs.contains(s):
-                v = nlook(a.coords, b.coords)
-                assert v.denominator == 1
-                n_table[(a.coords, b.coords)] = int(v)
+            val, r = divmod(acc, nlook(g, _neg(xi)))
+            assert r == 0 and val != 0, "non-integral structure constant"
+            special[(a, b)] = val
+    for a, b in special:
+        c = tuple(map(add, a, b))
+        for t in ((a, b, _neg(c)), (_neg(a), _neg(b), c)):
+            for u, v in permutations(t, 2):
+                nlook(u, v)
     return n_table
 
 
@@ -272,7 +277,7 @@ class ChevalleyAlgebra:
         # _table_cols[i]: the triples (j, k, n) over its nonempty entries
         # bracket_table[i][j], in increasing j; _z_powers: the integral
         # divided powers of each root, by coordinates, filled on use
-        (self.n_table, self.q_table, self.bracket_table, self._table_cols,
+        (self.n_table, self.bracket_table, self._table_cols,
          self._z_powers) = _integer_tables(self)
 
         self._center = None
@@ -362,24 +367,20 @@ class ChevalleyAlgebra:
     def _center_echelon(self):
         """The centre, the kernel of x -> ([x, b_j])_j, in residues:
         (kernel basis, its reduced echelon rows, their pivot columns).  The
-        system has one row x -> coefficient k of [x, b_j] per (j, k); rows
-        with equal integer entries are kept once (1,560 rows become 232 on
-        A8), which leaves the row space, and so the kernel, unchanged."""
+        system has one int row x -> coefficient k of [x, b_j] per (j, k),
+        each distinct row once (232 of 1,560 on A8)."""
         if self._center is None:
             f = self.field
-            zero = f.residue(0)
-            keys = {}
-            for j in range(self.dim):
-                block = {}
-                for i in range(self.dim):
-                    for k, n in self.bracket_table[i][j]:
-                        block.setdefault(k, []).append((i, n))
-                keys.update(dict.fromkeys(map(tuple, block.values())))
+            blocks = [{} for _ in range(self.dim)]
+            for i, cols in enumerate(self._table_cols):
+                for j, k, n in cols:
+                    blocks[j].setdefault(k, []).append((i, n))
+            keys = dict.fromkeys(tuple(v) for b in blocks for v in b.values())
             rows = []
             for key in keys:
-                row = [zero] * self.dim
+                row = [0] * self.dim
                 for i, n in key:
-                    row[i] = f.residue(n)
+                    row[i] = f.reduce(n)
                 rows.append(row)
             if not rows:
                 rows = linalg.zero_matrix(f, 1, self.dim)
@@ -559,6 +560,17 @@ class ChevalleyAlgebra:
             "randomized conjugation exhausted budget=%d (seed=%d); "
             "retry with a larger --budget" % (budget, seed))
 
+    @property
+    def q_table(self):
+        """<g, b^vee> keyed (b, g), built on first read per root system."""
+        rs = self.rs
+        q = _Q_TABLES.get(rs.key)
+        if q is None:
+            hv = rs.h_values
+            q = _Q_TABLES[rs.key] = {(b, g): sum(map(mul, hv[g], c))
+                                     for b, c in rs.coroot.items() for g in hv}
+        return q
+
     def structure_json(self):
         f = self.field
         table = {}
@@ -679,44 +691,29 @@ def _zero_diagonal(M, field):
     raise AssertionError("diagonal elimination did not converge")
 
 
-_Z_TABLES = {}
+_Z_TABLES, _Q_TABLES = {}, {}
 
 
 def _integer_tables(alg):
-    """(n_table, q_table, bracket_table, its nonzero-column index, the table
-    of integral divided powers) over Z, built and Jacobi-checked once per
-    root system, which fixes the basis and the constants."""
+    """(n_table, bracket_table, its nonzero-column index, the table of
+    integral divided powers) over Z, built from N and the root datum and
+    Jacobi-checked once per root system, which fixes the basis."""
     rs = alg.rs
     tables = _Z_TABLES.get(rs.key)
     if tables is None:
         n_table = _structure_constants(rs)
-        q_table = {(b.coords, g.coords): rs.pairing(g.coords, b.coords)
-                   for b in rs.roots for g in rs.roots}
+        eidx = alg._eidx
         T = [[()] * alg.dim for _ in range(alg.dim)]
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                sp = T[i][j] = _pair_bracket(alg, n_table, i, j)
-                T[j][i] = tuple((k, -n) for k, n in sp)
-        tables = _Z_TABLES[rs.key] = (n_table, q_table, T, _validate_jacobi(T), {})
+        for (a, b), n in n_table.items():
+            T[eidx[a]][eidx[b]] = ((eidx[tuple(map(add, a, b))], n),)
+        for b, j in eidx.items():
+            for i, q in enumerate(rs.h_values[b]):
+                if q:
+                    T[i][j], T[j][i] = ((j, q),), ((j, -q),)
+            # [e_b, e_{-b}] = h_b, by the coroot's coordinates
+            T[j][eidx[_neg(b)]] = tuple((k, c) for k, c in enumerate(rs.coroot[b]) if c)
+        tables = _Z_TABLES[rs.key] = (n_table, T, _validate_jacobi(T), {})
     return tables
-
-
-def _pair_bracket(alg, n_table, i, j):
-    """Sparse integer coefficients of [b_i, b_j] for i < j."""
-    rs = alg.rs
-    ti, tj = alg.basis[i], alg.basis[j]
-    if ti[0] == "h" and tj[0] == "h":
-        return ()
-    if ti[0] == "h":
-        q = rs.h_values[tj[1]][ti[1]]
-        return ((j, q),) if q else ()
-    a, b = ti[1], tj[1]
-    s = tuple(x + y for x, y in zip(a, b))
-    if all(x == 0 for x in s):
-        return tuple((k, c) for k, c in enumerate(rs.coroot[a]) if c)
-    if rs.contains(s):
-        return ((alg._eidx[s], n_table[(a, b)]),)
-    return ()
 
 
 def _validate_jacobi(T):

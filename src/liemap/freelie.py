@@ -455,7 +455,11 @@ def normal_form(P: LiePoly) -> LyndonForm:
     """Straighten on integers: the expansion is scaled by the lcm d of its
     denominators, each sigma(w) expands with int coefficients and the
     coefficient 1 on w, so every step stays integral; divide by d at the
-    end."""
+    end.  Each component's least word is popped from a heap that queues
+    every word once: sigma(w) - w holds only words greater than w, so a
+    popped word never comes back, and one that left the component is
+    skipped when it is popped."""
+    from heapq import heapify, heappop, heappush
     try:
         tensor = _tensor_expand(P.node)
     except RecursionError:
@@ -467,8 +471,13 @@ def normal_form(P: LiePoly) -> LyndonForm:
     out = {}
     factors = {}
     for n, comp in sorted(by_len.items()):
+        heap = list(comp)
+        heapify(heap)
+        queued = set(heap)
         while comp:
-            w = min(comp)
+            w = heappop(heap)
+            if w not in comp:
+                continue
             assert is_lyndon(w), "least word of a Lie element must be Lyndon"
             c = out[w] = comp.pop(w)
             for ww, cw in _sigma_expand(w, factors).items():
@@ -477,6 +486,9 @@ def normal_form(P: LiePoly) -> LyndonForm:
                 v = comp.get(ww, 0) - c * cw
                 if v:
                     comp[ww] = v
+                    if ww not in queued:
+                        queued.add(ww)
+                        heappush(heap, ww)
                 elif ww in comp:
                     del comp[ww]
     return LyndonForm({w: Fraction(c, d) for w, c in out.items()})

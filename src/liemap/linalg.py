@@ -8,7 +8,9 @@ ints: over Q it clears each matrix's denominators once, sums int products
 and divides back once per entry; over F_p it sums residues and reduces once
 per row.  Pivoting is deterministic (first nonzero row) and ``rref`` returns
 the reduced row echelon form, which is unique for the row space, so every
-result is reproducible.
+result is reproducible.  Over Q, ``kernel_basis`` also takes int rows, and
+certifies a trivial kernel by a sparse elimination mod one prime before it
+eliminates on Fractions.
 """
 
 from __future__ import annotations
@@ -100,9 +102,50 @@ def solve(A, b, field):
     return x
 
 
+# a prime: the rank of an int matrix mod p is at most its rank over Q
+CERTIFICATE_PRIME = 2 ** 31 - 1
+
+
+def _full_column_rank_mod_p(A, m):
+    """Whether the int matrix A has rank m mod CERTIFICATE_PRIME (False
+    if an entry is not an int).  Rows are kept sparse, and each is reduced
+    against the pivot rows found so far, until m pivots are found."""
+    p = CERTIFICATE_PRIME
+    pivots = {}                 # least column -> row, 1 there
+    for row in A:
+        r = {j: x for j, x in enumerate(row) if x}
+        if any(type(x) is not int for x in r.values()):
+            return False
+        r = {j: x % p for j, x in r.items() if x % p}
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {j: x * inv % p for j, x in r.items()}
+                break
+            x = r[c]
+            for j, y in piv.items():
+                v = (r.get(j, 0) - x * y) % p
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+        if len(pivots) == m:
+            return True
+    return False
+
+
 def kernel_basis(A, field):
-    """Basis of the exact null space of A (deterministic order)."""
+    """Basis of the exact null space of A (deterministic order).  Over Q,
+    where A may hold ints, a trivial kernel is certified first: full column
+    rank mod one prime proves it (_full_column_rank_mod_p).  Only when that
+    fails is A eliminated on Fractions."""
     m = len(A[0]) if A else 0
+    if field.characteristic == 0 and A:
+        if _full_column_rank_mod_p(A, m):
+            return []
+        A = [[field.residue(x) for x in row] for row in A]
     R, pivots = rref(A, field)
     pivset = set(pivots)
     basis = []

@@ -282,6 +282,8 @@ class PrimeField:
     # -- residues: ints in [0, p) ------------------------------------------
 
     def residue(self, x) -> int:
+        if type(x) is int:          # before the ABC check isinstance makes
+            return x % self.modulus
         if isinstance(x, FpElement):
             if x.p != self.modulus:
                 raise ValueError("mixed moduli: %d vs %d" % (x.p, self.modulus))

@@ -664,6 +664,117 @@ def test_jacobi_sweep_matches_the_triple_loop_on_corrupted_tables(t, r):
     assert failed >= 50
 
 
+def _structure_constants_by_fractions(rs):
+    """The derivation that chevalley._structure_constants replaced: N_{u,v}
+    as recursive Fraction products, then read for every pair of roots."""
+    neg = lambda c: tuple(-x for x in c)
+    pos = [b.coords for b in rs.positive_roots]
+    order = {c: i for i, c in enumerate(pos)}
+    special = {}
+
+    def nlook(u, v):
+        su, sv = sum(u) > 0, sum(v) > 0
+        if su and sv:
+            if order[u] < order[v]:
+                return Fraction(special[(u, v)])
+            return -Fraction(special[(v, u)])
+        if not su and not sv:
+            return -nlook(neg(u), neg(v))
+        if not su:
+            return -nlook(v, u)
+        c = tuple(x + y for x, y in zip(u, v))
+        if sum(c) > 0:
+            return Fraction(rs.length[c], rs.length[u]) * nlook(v, neg(c))
+        return Fraction(rs.length[c], rs.length[v]) * nlook(neg(c), u)
+
+    for xi in pos:
+        if sum(xi) == 1:
+            continue
+        pairs = []
+        for a in pos:
+            b = tuple(x - y for x, y in zip(xi, a))
+            if b in order and order[a] < order[b]:
+                pairs.append((a, b))
+        g, d = pairs[0]
+        special[(g, d)] = rs.chain_down_length(rs.root(g), rs.root(d)) + 1
+        for a, b in pairs[1:]:
+            acc = Fraction(0)
+            gb = tuple(x - y for x, y in zip(g, b))
+            if rs.contains(gb):
+                acc += nlook(neg(b), g) * nlook(neg(a), gb)
+            ga = tuple(x - y for x, y in zip(g, a))
+            if rs.contains(ga):
+                acc += nlook(g, neg(a)) * nlook(neg(b), ga)
+            val = acc / nlook(g, neg(xi))
+            assert val.denominator == 1 and val != 0
+            special[(a, b)] = int(val)
+
+    n_table = {}
+    for a in rs.roots:
+        for b in rs.roots:
+            s = tuple(x + y for x, y in zip(a.coords, b.coords))
+            if rs.contains(s):
+                v = nlook(a.coords, b.coords)
+                assert v.denominator == 1
+                n_table[(a.coords, b.coords)] = int(v)
+    return n_table
+
+
+def test_structure_constants_match_the_fraction_derivation():
+    from liemap.rootsystem import SUPPORTED_RANKS, build_root_system
+    for t, ranks in SUPPORTED_RANKS.items():
+        for r in ranks:
+            n_table = build_algebra(t, r, Q).n_table
+            assert n_table == _structure_constants_by_fractions(
+                build_root_system(t, r)), (t, r)
+            assert all(type(v) is int for v in n_table.values()), (t, r)
+
+
+def test_q_table_is_the_pairing_of_every_root_pair():
+    for t, r in (("A", 3), ("B", 3), ("G", 2)):
+        alg = build_algebra(t, r, F5)
+        rs = alg.rs
+        assert alg.q_table == {(b.coords, g.coords): rs.pairing(g.coords, b.coords)
+                               for b in rs.roots for g in rs.roots}
+
+
+# dimension of the centre over Q, F3, F5 and F7, as the Fraction elimination
+# of every row of the system found it before the mod-p certificate
+CENTRE_DIMENSIONS = {
+    ("A", 1): (0, 0, 0, 0), ("A", 2): (0, 1, 0, 0), ("A", 3): (0, 0, 0, 0),
+    ("A", 4): (0, 0, 1, 0), ("A", 5): (0, 1, 0, 0), ("A", 6): (0, 0, 0, 1),
+    ("A", 7): (0, 0, 0, 0), ("A", 8): (0, 1, 0, 0), ("B", 2): (0, 0, 0, 0),
+    ("B", 3): (0, 0, 0, 0), ("B", 4): (0, 0, 0, 0), ("C", 2): (0, 0, 0, 0),
+    ("C", 3): (0, 0, 0, 0), ("C", 4): (0, 0, 0, 0), ("D", 3): (0, 0, 0, 0),
+    ("D", 4): (0, 0, 0, 0), ("G", 2): (0, 0, 0, 0),
+}
+
+
+def test_centre_dimensions_are_pinned():
+    from liemap.rootsystem import SUPPORTED_RANKS
+    assert set(CENTRE_DIMENSIONS) == {(t, r) for t, rs in SUPPORTED_RANKS.items()
+                                      for r in rs}
+    for (t, r), want in CENTRE_DIMENSIONS.items():
+        got = tuple(len(build_algebra(t, r, f).center()) for f in (Q, F3, F5, F7))
+        assert got == want, (t, r)
+
+
+def test_centre_over_q_is_certified_without_fraction_elimination(monkeypatch):
+    from liemap.chevalley import ChevalleyAlgebra
+    from liemap.rootsystem import SUPPORTED_RANKS
+    rref = linalg.rref
+
+    def no_elimination(rows, field):
+        assert not rows, "the centre's system was eliminated on Fractions"
+        return rref(rows, field)
+
+    monkeypatch.setattr(linalg, "rref", no_elimination)
+    for t, ranks in SUPPORTED_RANKS.items():
+        for r in ranks:
+            alg = ChevalleyAlgebra(build_algebra(t, r, Q).rs, Q)
+            assert alg.center() == [] and not alg.is_central(alg.h_element(0))
+
+
 # sha256 (first 16 hex digits) of structure_json(), dumped with sorted keys,
 # over Q, F3, F5 and F7 in turn
 STRUCTURE_DIGESTS = {

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from liemap.freelie import (MAX_NESTING, Br, EngelSpec, LiePoly, LyndonForm,
                             engel_monomial, engel_spec, evaluate, expansion,
                             linear_part, make_engel, max_monomial_degree,
                             min_monomial_degree, normal_form, parse)
+from liemap.freelie import _sigma_expand, _tensor_expand, is_lyndon
 from liemap.scalar import make_field
 
 Q = make_field("Q")
@@ -150,6 +152,38 @@ def test_expansion_facts_match_normal_form(P):
     else:
         assert min_monomial_degree(P) == nf.min_degree()
         assert max_monomial_degree(P) == max(len(w) for w in nf.coeffs)
+
+
+def _normal_form_by_min(P):
+    """normal_form as it was before its heap: the least word of each
+    component found by min() over the whole component."""
+    tensor = _tensor_expand(P.node)
+    d = math.lcm(*[Fraction(c).denominator for c in tensor.values()])
+    by_len = {}
+    for w, c in tensor.items():
+        by_len.setdefault(len(w), {})[w] = int(Fraction(c) * d)
+    out, factors = {}, {}
+    for _, comp in sorted(by_len.items()):
+        while comp:
+            w = min(comp)
+            assert is_lyndon(w)
+            c = out[w] = comp.pop(w)
+            for ww, cw in _sigma_expand(w, factors).items():
+                if ww != w:
+                    v = comp.get(ww, 0) - c * cw
+                    if v:
+                        comp[ww] = v
+                    else:
+                        comp.pop(ww, None)
+    return {w: Fraction(c, d) for w, c in out.items()}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(lie_polys())
+@example(parse("[[[[[X1,X2],X3],X4],X5],X6]"))
+@example(parse("[[[X1,X2],[X3,X1]],[X2,X3]] - 2*[[X1,[X1,X2]],[X2,X1]]"))
+def test_normal_form_matches_the_min_loop(P):
+    assert normal_form(P).coeffs == _normal_form_by_min(P)
 
 
 def test_divisors_match_the_naive_loop():

@@ -8,7 +8,7 @@ textbook Gauss-Jordan elimination in FpElement arithmetic.
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liemap import linalg
 from liemap.scalar import make_field
@@ -154,3 +154,66 @@ def test_residues_agree_with_fp_elements(system, data):
     for v in linalg.kernel_basis(A, field):
         Lv = [lift(c) for c in v]
         assert not any(sum((a * c for a, c in zip(row, Lv)), field.zero()) for row in LA)
+
+
+P = linalg.CERTIFICATE_PRIME
+Q = FIELDS[3]
+
+
+def _kernel_by_fractions(A):
+    """kernel_basis over Q as it was before the mod-p certificate: a
+    Fraction elimination of every row."""
+    A = [[Fraction(x) for x in row] for row in A]
+    m = len(A[0])
+    R, pivots = linalg.rref(A, Q)
+    basis = []
+    for fc in range(m):
+        if fc not in pivots:
+            v = [Fraction(0)] * m
+            v[fc] = Fraction(1)
+            for r, c in enumerate(pivots):
+                v[c] = -R[r][fc]
+            basis.append(v)
+    return basis
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small int matrices, some with entries that are multiples of the
+    certificate prime, so that the rank can drop mod p only; some with
+    Fraction entries, which the certificate does not read."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.integers(-3, 3) | st.sampled_from((P, -P, 2 * P, 3 * P))
+    if draw(st.booleans()):
+        entry = entry | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return [[draw(entry) for _ in range(m)] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_matrices())
+@example([[P]])
+@example([[P, 0], [0, 1]])
+@example([[1, P], [2, 0]])
+@example([[P, 2 * P], [1, 2]])
+@example([[0, 0, 0]])
+def test_kernel_basis_over_q_matches_the_fraction_elimination(A):
+    basis = linalg.kernel_basis(A, Q)
+    assert basis == _kernel_by_fractions(A)
+    assert all(type(x) is Fraction for v in basis for x in v)
+    assert len(basis) == len(A[0]) - minor_rank(A, Q)
+
+
+def test_kernel_certificate_falls_back_when_the_rank_drops_mod_p(monkeypatch):
+    eliminated = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda A, field: eliminated.append(A) or rref(A, field))
+    # full column rank mod p: certified, no elimination
+    assert linalg.kernel_basis([[2, 0], [1, 3], [0, 0]], Q) == []
+    assert not eliminated
+    # rank 2 over Q, 1 mod p: the Fraction elimination decides
+    assert linalg.kernel_basis([[P, 0], [0, 1]], Q) == []
+    assert eliminated
+    assert linalg.kernel_basis([[P, P]], Q) == [[-1, 1]]
+    assert not linalg._full_column_rank_mod_p([[P, 0], [0, 1]], 2)
+    assert not linalg._full_column_rank_mod_p([[Fraction(1), 0], [0, 1]], 2)

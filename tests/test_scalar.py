@@ -90,3 +90,14 @@ def test_fraction_with_a_multiple_of_p_below_is_one_error():
             convert(Fraction(1, 6))
     assert FpElement(1, 5) + Fraction(1, 2) == FpElement(4, 5)
     assert FpElement(1, 5) + Fraction(7) == FpElement(3, 5)
+
+
+def test_prime_field_residue_of_ints_bools_and_scalars():
+    f = PrimeField(7)
+    ints = (-8, -1, 0, 6, 7, 50, 2 ** 70, -(2 ** 70))
+    assert [f.residue(x) for x in ints] == [x % 7 for x in ints]
+    assert all(type(f.residue(x)) is int for x in ints)
+    assert (f.residue(True), f.residue(False)) == (1, 0)
+    assert f.residue(FpElement(10, 7)) == 3 and f.residue(Fraction(1, 2)) == 4
+    with pytest.raises(ValueError, match="mixed moduli"):
+        f.residue(FpElement(1, 5))
