@@ -68,7 +68,7 @@ def _structure_constants(rs: RootSystem):
     pos = [b.coords for b in rs.positive_roots]       # (height, lex) order
     order = {c: i for i, c in enumerate(pos)}
     length = rs.length
-    base = 2 * max(map(max, pos)) + 1     # sum c_i base^i: injective here
+    base = 2 * max(map(max, pos)) + 1     # codes tell |c_i| < base/2 apart
     code = {c: sum(x * base ** i for i, x in enumerate(c)) for c in pos}
     by_code = {k: c for c, k in code.items()}
     special = {}

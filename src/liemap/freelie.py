@@ -459,7 +459,7 @@ def normal_form(P: LiePoly) -> LyndonForm:
     every word once: sigma(w) - w holds only words greater than w, so a
     popped word never comes back, and one that left the component is
     skipped when it is popped."""
-    from heapq import heapify, heappop, heappush
+    from heapq import heapify, heappop, heappush   # loaded on first use
     try:
         tensor = _tensor_expand(P.node)
     except RecursionError:

@@ -282,7 +282,7 @@ class PrimeField:
     # -- residues: ints in [0, p) ------------------------------------------
 
     def residue(self, x) -> int:
-        if type(x) is int:          # before the ABC check isinstance makes
+        if type(x) is int:  # skips isinstance's ABC check for Fraction
             return x % self.modulus
         if isinstance(x, FpElement):
             if x.p != self.modulus:

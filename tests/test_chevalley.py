@@ -730,14 +730,6 @@ def test_structure_constants_match_the_fraction_derivation():
             assert all(type(v) is int for v in n_table.values()), (t, r)
 
 
-def test_q_table_is_the_pairing_of_every_root_pair():
-    for t, r in (("A", 3), ("B", 3), ("G", 2)):
-        alg = build_algebra(t, r, F5)
-        rs = alg.rs
-        assert alg.q_table == {(b.coords, g.coords): rs.pairing(g.coords, b.coords)
-                               for b in rs.roots for g in rs.roots}
-
-
 # dimension of the centre over Q, F3, F5 and F7, as the Fraction elimination
 # of every row of the system found it before the mod-p certificate
 CENTRE_DIMENSIONS = {
