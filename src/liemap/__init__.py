@@ -1,6 +1,6 @@
 """Exact-arithmetic Chevalley algebras and polynomial maps on them."""
 
-from .scalar import FpElement, PrimeField, Rationals, invert, make_field
+from .scalar import PrimeField, Rationals, make_field
 from .rootsystem import Root, RootSystem, build_root_system
 from .chevalley import (AlgElement, ChevalleyAlgebra, LieAutomorphism,
                         build_algebra, build_chevalley)

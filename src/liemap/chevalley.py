@@ -213,8 +213,7 @@ class LieAutomorphism:
     word ((b_1, t_1), .., (b_k, t_k)) of root coordinates and residues and
     applied letter by letter from the integral divided powers.  `factors`,
     with residue scalars, is what a report prints about it.  The residue
-    matrices `res_matrix` and `res_inv_matrix`, and `matrix` and `inv_matrix`
-    in the field's scalars, are computed from the word on demand."""
+    matrices `matrix` and `inv_matrix` are computed from the word on demand."""
 
     def __init__(self, alg, word=(), factors=()):
         self.alg = alg
@@ -227,22 +226,14 @@ class LieAutomorphism:
         return v
 
     @property
-    def res_matrix(self):
+    def matrix(self):
         f = self.alg.field
         cols = [self._times(e) for e in linalg.identity_matrix(f, self.alg.dim)]
         return [list(row) for row in zip(*cols)]
 
     @property
-    def res_inv_matrix(self):
-        return self.inverse().res_matrix
-
-    @property
-    def matrix(self):
-        return [[self.alg.field.lift(x) for x in row] for row in self.res_matrix]
-
-    @property
     def inv_matrix(self):
-        return [[self.alg.field.lift(x) for x in row] for row in self.res_inv_matrix]
+        return self.inverse().matrix
 
     def apply(self, x: AlgElement) -> AlgElement:
         if x.alg is not self.alg:
@@ -291,7 +282,8 @@ class ChevalleyAlgebra:
         return AlgElement(self, [self.field.residue(0)] * self.dim)
 
     def element(self, coeffs):
-        """The element with these coefficients (FpElements, Fractions or ints)."""
+        """The element with these coefficients (ints or Fractions, taken to
+        residues)."""
         cs = list(coeffs)
         if len(cs) != self.dim:
             raise ChevalleyError("expected %d coefficients" % self.dim)

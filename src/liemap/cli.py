@@ -234,13 +234,13 @@ def cmd_example48(args):
     a, b, c, d = vals
     value = maps.example48_closed_form(alg, a, b, c, d)
     from .freelie import evaluate
-    X = alg.element([field.zero(), a, b])
-    Y = alg.element([d, field.zero(), c])
+    X = alg.element([0, a, b])
+    Y = alg.element([d, 0, c])
     direct = evaluate(maps.example48_poly(), [X, Y])
-    s = field.from_int(4) * b * d * d - a * c * c
     obj = {"schema": "liemap/example48/v1", "field": str(field),
            "inputs": [field.format_scalar(v) for v in vals],
-           "s": field.format_scalar(s), "value": value.to_json(),
+           "s": field.format_scalar(maps.example48_s(field, a, b, c, d)),
+           "value": value.to_json(),
            "matches_direct": direct == value}
     _emit(obj, args.out)
     return 0 if obj["matches_direct"] else 1

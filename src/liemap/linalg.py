@@ -1,7 +1,7 @@
 """Exact Gaussian elimination and matrix products, one body for every field.
 
 Matrices are lists of rows of residues: ints in [0, p) over F_p, Fractions
-over Q (``field.residue`` converts a scalar, ``field.lift`` converts back).
+over Q; ``field.residue`` takes an int or a Fraction to one.
 The field descriptor supplies the residue arithmetic: the reduction of a sum
 of products, the pivot inverse and the row updates.  ``mat_mul`` runs on
 ints: over Q it clears each matrix's denominators once, sums int products

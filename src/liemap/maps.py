@@ -708,9 +708,14 @@ def example48_poly() -> LiePoly:
     return parse("[[[X,Y],X],[[X,Y],Y]]")
 
 
+def example48_s(field, a, b, c, d):
+    """s = 4 b d^2 - a c^2 at the residues a, b, c, d, as a residue."""
+    return field.reduce(4 * b * d * d - a * c * c)
+
+
 def example48_closed_form(alg: ChevalleyAlgebra, a, b, c, d) -> AlgElement:
     """Value of the example map at X = a e + b f, Y = c f + d h, in closed
-    form: with s = 4 b d^2 - a c^2,
+    form: with s = 4 b d^2 - a c^2 (example48_s),
 
         P(X, Y) = 4 a^2 c s * h  -  8 a^2 d s * e  +  8 a b d s * f.
 
@@ -723,9 +728,6 @@ def example48_closed_form(alg: ChevalleyAlgebra, a, b, c, d) -> AlgElement:
     if alg.field.characteristic == 2:
         raise MapsError("characteristic 2 is excluded")
     f = alg.field
-    four, eight = f.from_int(4), f.from_int(8)
-    s = four * b * d * d - a * c * c
-    h_c = four * a * a * c * s
-    e_c = -(eight * a * a * d * s)
-    f_c = eight * a * b * d * s
-    return alg.element([h_c, e_c, f_c])
+    a, b, c, d = (f.residue(x) for x in (a, b, c, d))
+    s = example48_s(f, a, b, c, d)
+    return alg.element([4 * a * a * c * s, -8 * a * a * d * s, 8 * a * b * d * s])

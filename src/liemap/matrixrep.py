@@ -16,10 +16,11 @@ Dominancy witnesses are pairs of assignments whose values under P theta
 separates; dominance_witness_check confirms one, dominance_witness_search
 looks for one by seeded random sampling.
 
-Rows hold the field's public scalars, but the arithmetic runs on ints.  A
-matrix is read as a flat n^2 int row with one denominator, X = A / d
-(MatrixElement.to_row; d = 1 over F_p), and one core, _commutator_rows,
-computes AB - BA on such rows for commutator, for freelie.evaluate (the hook
+Rows hold residues (ints in [0, p) over F_p, Fractions over Q; see
+scalar.py), and the arithmetic runs on ints.  A matrix is read as a flat
+n^2 int row with one denominator, X = A / d (MatrixElement.to_row; d = 1
+over F_p), and one core, _commutator_rows, computes AB - BA on such rows
+for commutator, for freelie.evaluate (the hook
 MatrixElement.integer_rows, which keeps every node's value in that form and
 rebuilds the matrix once, at the root) and for the realizations' checks.
 char_poly runs the memoised Laplace expansion on ints as
@@ -46,7 +47,8 @@ class MatrixRepError(ValueError):
 
 
 class MatrixElement:
-    """n x n matrix over an exact field, tagged with its realization."""
+    """n x n matrix over an exact field, tagged with its realization; its
+    rows are residues (matrix_from_ints takes ints)."""
 
     __slots__ = ("realization", "rows", "field")
 
@@ -66,33 +68,31 @@ class MatrixElement:
         if self.realization.startswith("sl"):
             if int(self.realization[2:]) != n:
                 raise MatrixRepError("size mismatch for %s" % self.realization)
-            tr = self.rows[0][0]
-            for i in range(1, n):
-                tr = tr + self.rows[i][i]
-            if tr:
+            if self.field.reduce(sum(self.rows[i][i] for i in range(n))):
                 raise MatrixRepError("sl(%d) element must be traceless" % n)
         elif self.realization == "so5":
             if n != 5:
                 raise MatrixRepError("so5 elements are 5x5")
             R = self.rows
+            red = self.field.reduce
             if R[0][0]:
                 raise MatrixRepError("so5 shape: (0,0) entry must vanish")
             # first column vs first row blocks
             for k in (1, 2):
-                if R[k][0] != -R[0][k + 2]:
+                if R[k][0] != red(-R[0][k + 2]):
                     raise MatrixRepError("so5 shape: -c^t block mismatch")
             for k in (3, 4):
-                if R[k][0] != -R[0][k - 2]:
+                if R[k][0] != red(-R[0][k - 2]):
                     raise MatrixRepError("so5 shape: -b^t block mismatch")
             # n, p skew
-            if R[1][3] or R[2][4] or R[1][4] != -R[2][3]:
+            if R[1][3] or R[2][4] or R[1][4] != red(-R[2][3]):
                 raise MatrixRepError("so5 shape: n block must be skew")
-            if R[3][1] or R[4][2] or R[3][2] != -R[4][1]:
+            if R[3][1] or R[4][2] or R[3][2] != red(-R[4][1]):
                 raise MatrixRepError("so5 shape: p block must be skew")
             # lower-right = -m^t
             for i in (1, 2):
                 for j in (1, 2):
-                    if R[i + 2][j + 2] != -R[j][i]:
+                    if R[i + 2][j + 2] != red(-R[j][i]):
                         raise MatrixRepError("so5 shape: -m^t block mismatch")
         else:
             raise MatrixRepError("unknown realization %r" % self.realization)
@@ -104,30 +104,32 @@ class MatrixElement:
                 or other.field != self.field:
             raise MatrixRepError("realization/shape mismatch")
 
+    def _with_rows(self, rows):
+        return MatrixElement(self.realization, rows, self.field, validate=False)
+
     def __add__(self, other):
         self._check(other)
-        return MatrixElement(self.realization,
-                             [[a + b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.rows, other.rows)],
-                             self.field, validate=False)
+        red = self.field.reduce_row
+        return self._with_rows([red([a + b for a, b in zip(ra, rb)])
+                                for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         self._check(other)
-        return MatrixElement(self.realization,
-                             [[a - b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.rows, other.rows)],
-                             self.field, validate=False)
+        red = self.field.reduce_row
+        return self._with_rows([red([a - b for a, b in zip(ra, rb)])
+                                for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
-        return MatrixElement(self.realization, [[-a for a in r] for r in self.rows],
-                             self.field, validate=False)
+        red = self.field.reduce_row
+        return self._with_rows([red([-a for a in r]) for r in self.rows])
 
     def scale(self, c):
-        return MatrixElement(self.realization, [[c * a for a in r] for r in self.rows],
-                             self.field, validate=False)
+        f = self.field
+        c = f.residue(c)
+        return self._with_rows([f.scale_row(r, c) for r in self.rows])
 
     def scale_rational(self, q):
-        return self.scale(self.field.from_rational(Fraction(q)))
+        return self.scale(Fraction(q))
 
     def bracket(self, other):
         return commutator(self, other)
@@ -152,16 +154,14 @@ class MatrixElement:
         """The matrix as (flat n^2 int row, d) with rows = row / d, d the lcm
         of the denominators (d = 1 over F_p)."""
         f = self.field
-        (ints,), d = f.integral_rows(([f.residue(x) for r in self.rows for x in r],))
+        (ints,), d = f.integral_rows(([x for r in self.rows for x in r],))
         return ints, d
 
     def from_row(self, value):
         """The matrix of this realization and field with flat row ints / d."""
-        f = self.field
         n = len(self.rows)
-        entries = [f.lift(x) for x in f.from_integral_row(*value)]
-        return MatrixElement(self.realization, [entries[i:i + n] for i in range(0, n * n, n)],
-                             f, validate=False)
+        entries = self.field.from_integral_row(*value)
+        return self._with_rows([entries[i:i + n] for i in range(0, n * n, n)])
 
     def is_zero(self):
         return not any(any(r) for r in self.rows)
@@ -204,7 +204,7 @@ def triples_from_json(data, field):
 
 
 def matrix_from_ints(realization, rows, field, validate=True):
-    return MatrixElement(realization, [[field.from_int(x) for x in r] for r in rows],
+    return MatrixElement(realization, [[field.residue(x) for x in r] for r in rows],
                          field, validate=validate)
 
 
@@ -250,9 +250,9 @@ def _poly_mul(p, q):
 
 
 def char_poly(X: MatrixElement):
-    """Exact coefficients of det(tI - X), low degree first, as the field's
-    public scalars.  X's denominators are cleared once, X = A / d with A an
-    int matrix, and the Laplace expansion runs on ints as
+    """Exact coefficients of det(tI - X), low degree first, as residues.
+    X's denominators are cleared once, X = A / d with A an int matrix, and
+    the Laplace expansion runs on ints as
     det(d t I - A) = d^n det(tI - X): coefficient k is c_k / d^n."""
     field = X.field
     n = len(X.rows)
@@ -260,7 +260,7 @@ def char_poly(X: MatrixElement):
     P = [[([-A[i * n + j], d] if i == j else [-A[i * n + j]])
           for j in range(n)] for i in range(n)]
     out = _det(tuple(range(n)), P, n, {})
-    return [field.lift(x) for x in field.from_integral_row(out, d ** n)]
+    return field.from_integral_row(out, d ** n)
 
 
 def _det(cols, P, n, memo):
@@ -292,12 +292,14 @@ def _det(cols, P, n, memo):
 
 
 class InvariantPair(NamedTuple):
-    """Characteristic-polynomial invariants with the projective theta pair."""
+    """Characteristic-polynomial invariants with the projective theta pair,
+    all residues of the field."""
 
     f1: object
     f2: object
     deg_f1: int
     deg_f2: int
+    field: object
 
     @property
     def m1(self):
@@ -309,13 +311,15 @@ class InvariantPair(NamedTuple):
 
     @property
     def theta_pair(self):
-        return (self.f1 ** self.m1, self.f2 ** self.m2)
+        red = self.field.reduce
+        return (red(self.f1 ** self.m1), red(self.f2 ** self.m2))
 
-    def to_json(self, field):
+    def to_json(self):
+        fmt = self.field.format_scalar
         x, y = self.theta_pair
-        return {"f1": field.format_scalar(self.f1), "f2": field.format_scalar(self.f2),
+        return {"f1": fmt(self.f1), "f2": fmt(self.f2),
                 "deg_f1": self.deg_f1, "deg_f2": self.deg_f2,
-                "theta_pair": [field.format_scalar(x), field.format_scalar(y)]}
+                "theta_pair": [fmt(x), fmt(y)]}
 
 
 def char_invariants(X: MatrixElement) -> InvariantPair:
@@ -324,13 +328,13 @@ def char_invariants(X: MatrixElement) -> InvariantPair:
         c = char_poly(X)
         if c[2]:
             raise MatrixRepError("sl(3) characteristic polynomial has nonzero t^2 term")
-        return InvariantPair(f1=c[1], f2=c[0], deg_f1=2, deg_f2=3)
+        return InvariantPair(f1=c[1], f2=c[0], deg_f1=2, deg_f2=3, field=f)
     if X.realization == "so5":
         X.validate()
         c = char_poly(X)
         if c[0] or c[2] or c[4]:
             raise MatrixRepError("so(5) characteristic polynomial must be odd")
-        return InvariantPair(f1=c[3], f2=c[1], deg_f1=2, deg_f2=4)
+        return InvariantPair(f1=c[3], f2=c[1], deg_f1=2, deg_f2=4, field=f)
     raise MatrixRepError("char_invariants supports sl3 and so5 only")
 
 
@@ -342,7 +346,7 @@ def theta_separates(D1: MatrixElement, D2: MatrixElement) -> str:
     x2, y2 = char_invariants(D2).theta_pair
     if (not x1 and not y1) or (not x2 and not y2):
         return "undefined"
-    return "separated" if x1 * y2 != x2 * y1 else "equal"
+    return "separated" if D1.field.reduce(x1 * y2 - x2 * y1) else "equal"
 
 
 # -- Chevalley-basis realizations --------------------------------------------
@@ -378,10 +382,8 @@ class Realization:
         return [f.reduce_row(row) for row in rows]
 
     def to_matrix(self, x: AlgElement) -> MatrixElement:
-        f = self.alg.field
-        rows = self.combine(x.coeffs)
-        return MatrixElement(self.tag, [[f.lift(v) for v in row] for row in rows],
-                             f, validate=False)
+        return MatrixElement(self.tag, self.combine(x.coeffs), self.alg.field,
+                             validate=False)
 
     def matrix_coords(self, rows):
         """Coordinates (residues) of the residue matrix `rows`."""
@@ -392,9 +394,7 @@ class Realization:
         return sol
 
     def from_matrix(self, M: MatrixElement) -> AlgElement:
-        f = self.alg.field
-        coords = self.matrix_coords([[f.residue(x) for x in r] for r in M.rows])
-        return AlgElement(self.alg, coords)
+        return AlgElement(self.alg, self.matrix_coords(M.rows))
 
     def _verify(self):
         """[phi(b_i), phi(b_j)] = phi([b_i, b_j]) for every i < j, on ints:
@@ -515,7 +515,7 @@ class WitnessVerdict(NamedTuple):
             if v is not None:
                 out[name] = v.to_json()
                 if not v.is_zero():
-                    out[name + "_theta"] = char_invariants(v).to_json(v.field)
+                    out[name + "_theta"] = char_invariants(v).to_json()
         return out
 
 
@@ -542,32 +542,30 @@ def dominance_witness_check(P: LiePoly, triple1, triple2) -> WitnessVerdict:
 
 
 def _random_matrix(realization, field, rng, span):
+    """A random matrix of the realization: each free entry the residue of an
+    int drawn from [-span, span], the others fixed by the shape, which holds
+    by construction."""
+    def draw():
+        return field.residue(rng.randint(-span, span))
+
     if realization.startswith("sl"):
         n = int(realization[2:])
-        rows = [[field.from_int(rng.randint(-span, span)) for _ in range(n)]
-                for _ in range(n)]
-        acc = field.zero()
-        for i in range(n - 1):
-            acc = acc + rows[i][i]
-        rows[n - 1][n - 1] = -acc
-        return MatrixElement(realization, rows, field, validate=False)
-    if realization == "so5":
-        z = field.zero()
-        b = [field.from_int(rng.randint(-span, span)) for _ in range(2)]
-        c = [field.from_int(rng.randint(-span, span)) for _ in range(2)]
-        m = [[field.from_int(rng.randint(-span, span)) for _ in range(2)]
-             for _ in range(2)]
-        nval = field.from_int(rng.randint(-span, span))
-        pval = field.from_int(rng.randint(-span, span))
+        rows = [[draw() for _ in range(n)] for _ in range(n)]
+        rows[n - 1][n - 1] = field.residue(-sum(rows[i][i] for i in range(n - 1)))
+    elif realization == "so5":
+        red = field.reduce
+        z = field.residue(0)
+        b0, b1, c0, c1, m00, m01, m10, m11, nval, pval = (draw() for _ in range(10))
         rows = [
-            [z, b[0], b[1], c[0], c[1]],
-            [-c[0], m[0][0], m[0][1], z, nval],
-            [-c[1], m[1][0], m[1][1], -nval, z],
-            [-b[0], z, pval, -m[0][0], -m[1][0]],
-            [-b[1], -pval, z, -m[0][1], -m[1][1]],
+            [z, b0, b1, c0, c1],
+            [red(-c0), m00, m01, z, nval],
+            [red(-c1), m10, m11, red(-nval), z],
+            [red(-b0), z, pval, red(-m00), red(-m10)],
+            [red(-b1), red(-pval), z, red(-m01), red(-m11)],
         ]
-        return MatrixElement("so5", rows, field)
-    raise MapsError("unknown realization %r" % realization)
+    else:
+        raise MapsError("unknown realization %r" % realization)
+    return MatrixElement(realization, rows, field, validate=False)
 
 
 class WitnessSearchResult(NamedTuple):

@@ -166,8 +166,8 @@ class RootSystem:
             perm.append(self._index[tuple(out)])
         return tuple(perm)
 
-    def weyl_orbit(self, h_coords):
-        """Orbit of a coroot-coordinate vector (entries are field scalars).
+    def weyl_orbit(self, h_coords, field):
+        """Orbit of a coroot-coordinate vector of the field's residues.
 
         s_i acts on h = sum t_j h_{alpha_j} by t_i -= alpha_i(h).
         """
@@ -185,7 +185,7 @@ class RootSystem:
                     for j in range(1, self.rank):
                         v = v + t[j] * C[i][j]
                     img = list(t)
-                    img[i] = img[i] - v
+                    img[i] = field.reduce(img[i] - v)
                     img = tuple(img)
                     if img not in seen:
                         seen.add(img)

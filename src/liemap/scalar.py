@@ -1,26 +1,26 @@
 """Exact field arithmetic: arbitrary-precision rationals and prime fields F_p.
 
-Scalars are either ``fractions.Fraction`` (over Q) or :class:`FpElement`
-(canonical residue in [0, p)).  Both support +, -, *, /, ** and compare
-equal by value, so all higher modules are generic over the field.
-No floating point anywhere.
+A scalar is a residue: an int in [0, p) over F_p, a ``fractions.Fraction``
+over Q.  Arguments, algebra elements, matrix rows, polynomial coefficients
+and returned values all hold residues, and the field descriptor supplies
+the field structure on them.  No floating point anywhere.
 
-These are the public scalars: arguments, MatrixElement rows and the
-values formatted into JSON.  Algebra elements, linear algebra and the
-automorphism and realization matrices hold a bare representation instead:
-residues, meaning ints in [0, p) over F_p and Fractions over Q.  Each field
-descriptor converts scalars to residues (``residue``) and back (``lift``)
-and supplies the residue arithmetic: ``reduce`` and ``reduce_row`` for sums
-of products, ``inv`` for pivots, and the row updates ``scale_row`` and
-``sub_row``.  Sums of products run on plain ints: ``integral_rows`` turns
-residue rows into int rows and one denominator d (over Q the lcm of their
-denominators, over F_p the residues themselves and d = 1), and
-``from_integral_row`` turns an int row of products back into residues
-(n / d over Q, n mod p over F_p).  A value kept in that form between steps
-is brought back to it by ``normal_row`` (over Q the row and d divided by
-their gcd, over F_p the row reduced), ``integral_scalar`` gives a
-rational scalar as such a pair (n, d), and ``row_combine`` takes rational
-linear combinations of such values.
+Each descriptor has one way in, ``residue``, which takes an int, a
+Fraction (or, over F_p, an FpElement) to its residue, and text in and out,
+``parse_scalar`` and ``format_scalar``.  It supplies the residue arithmetic:
+``reduce`` and ``reduce_row`` for sums of products, ``inv`` for pivots, and
+the row updates ``scale_row`` and ``sub_row``.  Sums of products run on
+plain ints: ``integral_rows`` turns residue rows into int rows and one
+denominator d (over Q the lcm of their denominators, over F_p the residues
+themselves and d = 1), and ``from_integral_row`` turns an int row of
+products back into residues (n / d over Q, n mod p over F_p).  A value kept
+in that form between steps is brought back to it by ``normal_row`` (over Q
+the row and d divided by their gcd, over F_p the row reduced),
+``integral_scalar`` gives a rational scalar as such a pair (n, d), and
+``row_combine`` takes rational linear combinations of such values.
+
+:class:`FpElement`, a residue that reduces itself, is kept for callers
+outside the library; nothing in liemap builds one.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ def _fraction_residue(q: Fraction, p: int) -> int:
 
 
 class FpElement:
-    """Residue modulo a prime p, always stored in canonical form [0, p).
-
-    Mixed arithmetic with plain ints is allowed (ints reduce mod p), which
-    keeps structure-constant code readable.
+    """Residue modulo a prime p that reduces itself, always stored in
+    canonical form [0, p); ints and Fractions mixed into its arithmetic
+    reduce mod p.  The library holds plain int residues instead, and
+    PrimeField.residue takes an FpElement to one.
     """
 
     __slots__ = ("val", "p")
@@ -164,18 +164,6 @@ class Rationals:
     characteristic = 0
     modulus = None
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def from_rational(self, q: Fraction):
-        return Fraction(q)
-
     def parse_scalar(self, text: str):
         return Fraction(text.strip())
 
@@ -185,16 +173,10 @@ class Rationals:
             return str(x.numerator)
         return "%d/%d" % (x.numerator, x.denominator)
 
-    def elements(self):
-        raise FieldSpecError("Q is infinite; cannot enumerate")
-
     # -- residues (here the Fractions themselves) --------------------------
 
     def residue(self, x):
         return x if type(x) is Fraction else Fraction(x)
-
-    def lift(self, r):
-        return r
 
     def reduce(self, x):
         return x
@@ -257,27 +239,11 @@ class PrimeField:
         self.modulus = p
         self.characteristic = p
 
-    def zero(self):
-        return FpElement(0, self.modulus)
-
-    def one(self):
-        return FpElement(1, self.modulus)
-
-    def from_int(self, n: int):
-        return FpElement(n, self.modulus)
-
-    def from_rational(self, q: Fraction):
-        return FpElement(self.residue(q), self.modulus)
-
-    def parse_scalar(self, text: str):
-        return FpElement(int(text.strip()), self.modulus)
+    def parse_scalar(self, text: str) -> int:
+        return int(text.strip()) % self.modulus
 
     def format_scalar(self, x) -> str:
         return str(self.residue(x))
-
-    def elements(self):
-        p = self.modulus
-        return [FpElement(v, p) for v in range(p)]
 
     # -- residues: ints in [0, p) ------------------------------------------
 
@@ -291,9 +257,6 @@ class PrimeField:
         if isinstance(x, Fraction):
             return _fraction_residue(x, self.modulus)
         return x % self.modulus
-
-    def lift(self, r) -> FpElement:
-        return FpElement(r, self.modulus)
 
     def reduce(self, x) -> int:
         return x % self.modulus
@@ -372,14 +335,3 @@ def make_field(spec: str):
         raise FieldSpecError("unparseable field spec %r" % spec) from None
     return PrimeField(p)
 
-
-def invert(x):
-    """Multiplicative inverse of a nonzero scalar."""
-    if isinstance(x, FpElement):
-        if x.val == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return x ** (-1)
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroDivisionError("inverse of zero")
-    return 1 / x

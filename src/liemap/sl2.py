@@ -18,8 +18,10 @@ from .freelie import LiePoly, evaluate, expansion, walk
 
 
 class MPoly:
-    """Sparse multivariate polynomial with exact coefficients: field scalars,
-    or ints over Q while they are integral."""
+    """Sparse multivariate polynomial with exact coefficients: ints, or over
+    Q Fractions once a non-integral scalar multiplies them.  Over F_p the
+    coefficients stay ints, reduced mod p by folded: the map Z -> F_p
+    commutes with every ring operation here."""
 
     __slots__ = ("coeffs", "nvars")
 
@@ -37,10 +39,10 @@ class MPoly:
         return out
 
     @staticmethod
-    def variable(i, nvars, one):
-        """Variable i, with the coefficient one."""
+    def variable(i, nvars):
+        """Variable i."""
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return MPoly({mono: one}, nvars)
+        return MPoly({mono: 1}, nvars)
 
     @staticmethod
     def zero(nvars):
@@ -93,15 +95,15 @@ class MPoly:
         return MPoly(out, self.nvars)
 
     def folded(self, p):
-        """The polynomial with every exponent e >= 1 reduced to 1 + (e-1) %
-        (p-1): by x^p = x the same function on F_p^n, and, all exponents
-        being below p, zero iff that function is (Combinatorial
-        Nullstellensatz)."""
+        """The polynomial over F_p, with int coefficients reduced mod p and
+        every exponent e >= 1 reduced to 1 + (e-1) % (p-1): by x^p = x the
+        same function on F_p^n, and, all exponents being below p, zero iff
+        that function is (Combinatorial Nullstellensatz)."""
         out = {}
         for m, c in self.coeffs.items():
             k = tuple(e and 1 + (e - 1) % (p - 1) for e in m)
             out[k] = out.get(k, 0) + c
-        return MPoly(out, self.nvars)
+        return MPoly({k: c % p for k, c in out.items()}, self.nvars)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -147,20 +149,18 @@ def _symbolic_value(P, field, symbolic):
     """P at sl(2) elements whose coordinates are indeterminates (variable
     3(i-1)+k for coordinate k of X_i in (e, f, h) order) for the X_i with i
     in `symbolic`, and zero for the other X_i, as an (e, f, h) tuple of
-    MPoly, walked on rows in A_1's basis order (h, e, f).  Over F_p the
-    polynomials are folded (MPoly.folded), so they are zero iff P vanishes
-    on sl(2, F_p)^d."""
+    MPoly, walked on rows in A_1's basis order (h, e, f).  The walk runs on
+    int coefficients (over Q until a non-integral coefficient of P scales
+    them), and over F_p the polynomials are folded (MPoly.folded), so they
+    are zero iff P vanishes on sl(2, F_p)^d."""
     alg = build_algebra("A", 1, field)
     nsym = 3 * P.nvars
     zero = MPoly.zero(nsym)
-    # over Q the coefficients are ints until a non-integral coefficient of P
-    # scales them, which keeps most of the walk off Fraction arithmetic
-    one = field.one() if field.characteristic else 1
-    rows = [[MPoly.variable(3 * i + k, nsym, one) if i + 1 in symbolic else zero
+    rows = [[MPoly.variable(3 * i + k, nsym) if i + 1 in symbolic else zero
              for k in (2, 0, 1)] for i in range(P.nvars)]
 
     def combine(terms):
-        scaled = [r if c == 1 else [field.from_rational(c) * x for x in r]
+        scaled = [r if c == 1 else [field.residue(c) * x for x in r]
                   for c, r in terms]
         return [sum(q, zero) for q in zip(*scaled)] or [zero] * 3
 
@@ -178,16 +178,17 @@ def _greedy_witness(P, val, field, deg):
     takes the least grid value that leaves some coordinate polynomial
     nonzero.  One always exists: a variable occurs in `val` in degree below
     the number of grid values (at most deg(P) over Q, below p once folded
-    over F_p), so a nonzero polynomial cannot vanish on all of them."""
-    if field.characteristic:
-        grid = field.elements()
-    else:
-        grid = [Fraction(v) for v in range(max(3, deg + 2))]
+    over F_p), so a nonzero polynomial cannot vanish on all of them.  Over
+    F_p each substitution is folded again, which reduces its coefficients."""
+    p = field.characteristic
+    grid = range(p) if p else [Fraction(v) for v in range(max(3, deg + 2))]
     polys = list(val)
     point = []
     for i in range(3 * P.nvars):
         for v in grid:
             sub = [q.substitute(i, v) for q in polys]
+            if p:
+                sub = [q.folded(p) for q in sub]
             if any(sub):
                 break
         else:
@@ -248,7 +249,7 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
         raise MapsError(
             "randomized mode needs a grid larger than deg(P) = %d" % deg)
     for _ in range(trials):
-        triples = [tuple(field.from_int(rng.randrange(eff_grid)) for _ in range(3))
+        triples = [tuple(field.residue(rng.randrange(eff_grid)) for _ in range(3))
                    for _ in range(P.nvars)]
         val = _sl2_value(P, triples, field)
         if any(val):

@@ -53,7 +53,7 @@ def grid_witness(P, field, deg):
     nonzero on sl(2), with P's (e, f, h) value there; (None, None) if P
     vanishes on the whole grid."""
     if field.characteristic:
-        values = field.elements()
+        values = range(field.modulus)
     else:
         values = [Fraction(v) for v in range(max(3, deg + 2))]
     d = P.nvars
@@ -70,7 +70,7 @@ def similarity_conjugator(alg, l):
     the moves ("elem", a, b, t) of _zero_diagonal replayed into S = the
     product of the I + t E_ab and into S^-1, then S B S^-1 and S^-1 B S for
     every basis image B, read back into coordinates by matrix_coords.
-    Returns (res_matrix, res_inv_matrix, factors, u coefficients)."""
+    Returns (matrix, inv_matrix, factors, u coefficients)."""
     f = alg.field
     real = alg._get_realization()
     factors = _zero_diagonal(real.combine(l.coeffs), f)

@@ -135,9 +135,9 @@ def test_criterion_6_example48():
         assert 25 * m not in attained, "m*f attained"
     count = 0
     for a, b, c, d in itertools.product(range(5), repeat=4):
-        av, bv, cv, dv = (F5.from_int(v) for v in (a, b, c, d))
-        X = alg.element([F5.zero(), av, bv])
-        Y = alg.element([dv, F5.zero(), cv])
+        av, bv, cv, dv = (F5.residue(v) for v in (a, b, c, d))
+        X = alg.element([F5.residue(0), av, bv])
+        Y = alg.element([dv, F5.residue(0), cv])
         assert evaluate(P, [X, Y]) == maps.example48_closed_form(alg, av, bv, cv, dv)
         count += 1
     assert count == 625
@@ -243,7 +243,7 @@ def test_criterion_9_invariance_suite():
     for _ in range(100):
         P = random_poly(rng, nvars=2, max_degree=4, max_terms=3)
         b = alg.rs.roots[rng.randrange(len(alg.rs.roots))]
-        g = alg.root_automorphism(b, F7.from_int(rng.randrange(1, 7)))
+        g = alg.root_automorphism(b, F7.residue(rng.randrange(1, 7)))
         xs = [random_element(alg, rng) for _ in range(P.arity)]
         assert evaluate(P, [g.apply(x) for x in xs]) == g.apply(evaluate(P, xs))
     _report(9, "conjugation, scaling, and equivariance invariants exact", t0)

@@ -149,6 +149,46 @@ ENGEL_SOLVE_DIGESTS = [
 ]
 
 
+# stdout sha256 of F_p commands whose scalars changed form (FpElement to
+# residue ints), recorded while FpElement was still the public F_p scalar
+FP_SCALAR_DIGESTS = [
+    (["identity", "--poly", "[[[[X4,X3],X2],X1],X4]", "--field", "F5"],
+     "f285deb0032670647aea05754dbd80d7b273fd8c509142ed61051803722a6066"),
+    (["identity", "--poly", "[[[[X1,X2],X2],X2],X2]", "--field", "F7"],
+     "d27bd881731b89752e9a294407d7f3bc7b5dd617fefd40975d511dd158f258a8"),
+    (["identity", "--poly", "@filippov.lie", "--field", "F5"],
+     "2b59a03bf26acef426b608ff2f961b1ac9725d42b2f27910f083b27bdb7ebf63"),
+    (["witness", "--fixtures", "paper-a2", "--field", "F5"],
+     "c8e59db2f92234752a25e76a5083c547e882bc723a8cbb133410daf66cab85c5"),
+    (["witness", "--fixtures", "paper-b2", "--field", "F7"],
+     "1eed4c37e66119ad2e020bca1df2f2185eeee80997689fdfdc6e44a8178ed9a0"),
+    (["witness-search", "--poly", "[[X1,X2],X3]", "--realization", "so5",
+      "--field", "F7", "--seed", "1"],
+     "be215fc5c30493a22b733b1def85c4a0711b7506e112d26a273c408a902f25d7"),
+    (["witness-search", "--poly", "[[X1,X2],X3]", "--realization", "sl3",
+      "--field", "F5", "--seed", "2"],
+     "3fd4187164fe6f4c18754cbece1162c2fef23230b36da6ecc40adf9015e97fc7"),
+    (["witness-search", "--poly", "[[[X1,X2],X2],X1]", "--realization", "so5",
+      "--field", "F5", "--seed", "0"],
+     "77f380686c5b7ba66fd31f2317a2ba47c9c8988bd87f15041e7f999a0696432e"),
+    (["example48", "--field", "F7", "--a", "2", "--b", "3", "--c", "1", "--d", "5"],
+     "3cf621cf0825f7478ce4c7cb51a3be463a039a2d6b36ae1e082a69897590dab3"),
+    (["example48", "--field", "F5", "--a", "1", "--b", "2", "--c", "3", "--d", "4"],
+     "3dfb284dedfdc5a96a9e4761f132e21a898b6bdcc0c3738552937ceac78ed5cf"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FP_SCALAR_DIGESTS,
+                         ids=["identity-E4x-F5", "identity-E4-F7", "identity-filippov-F5",
+                              "witness-a2-F5", "witness-b2-F7", "search-so5-F7",
+                              "search-sl3-F5", "search-so5-F5-2-attempts",
+                              "example48-F7", "example48-F5"])
+def test_fp_scalar_pinned_bytes(capsys, argv, digest):
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args,coeffs,digest", ENGEL_SOLVE_DIGESTS,
                          ids=["A2-F5-E1", "A3-F7-E2", "A2-Q-720720", "A4-Q-E2"])
 def test_engel_solve_pinned_bytes(tmp_path, capsys, args, coeffs, digest):

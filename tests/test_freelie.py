@@ -286,9 +286,9 @@ def test_multihomogeneity():
             else:
                 stack.extend((n.left, n.right))
         xs = [random_element(alg, rng) for _ in range(2)]
-        lams = [F7.from_int(rng.randrange(1, 7)) for _ in range(2)]
+        lams = [F7.residue(rng.randrange(1, 7)) for _ in range(2)]
         scaled = [x.scale(l) for x, l in zip(xs, lams)]
-        factor = alg.field.one()
+        factor = alg.field.residue(1)
         for l, k in zip(lams, multideg):
             factor = factor * l ** k
         assert evaluate(P, scaled) == evaluate(P, xs).scale(factor)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from liemap import linalg
-from liemap.scalar import make_field
+from liemap.scalar import FpElement, make_field
 
 FIELDS = [make_field(s) for s in ("F2", "F3", "F5", "Q")]
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -137,23 +137,26 @@ def _gauss_jordan(rows):
 @given(systems(fields=FIELDS[:3], max_rows=4), st.data())
 def test_residues_agree_with_fp_elements(system, data):
     field, A, b = system
-    lift = field.lift
+
+    def lift(x):
+        return FpElement(x, field.modulus)
+
     LA = [[lift(x) for x in row] for row in A]
     R, _ = linalg.rref(A, field)
     assert [[lift(x) for x in row] for row in R] == _gauss_jordan(LA)
     B = [[data.draw(scalars(field)) for _ in range(2)] for _ in range(len(A[0]))]
     LB = [[lift(x) for x in row] for row in B]
-    product = [[sum((a * LB[k][j] for k, a in enumerate(row)), field.zero())
+    product = [[sum((a * LB[k][j] for k, a in enumerate(row)), lift(0))
                 for j in range(2)] for row in LA]
     assert [[lift(x) for x in row] for row in linalg.mat_mul(A, B, field)] == product
     x = linalg.solve(A, b, field)
     if x is not None:
         Lx = [lift(v) for v in x]
-        assert [sum((a * v for a, v in zip(row, Lx)), field.zero()) for row in LA] == \
+        assert [sum((a * v for a, v in zip(row, Lx)), lift(0)) for row in LA] == \
             [lift(v) for v in b]
     for v in linalg.kernel_basis(A, field):
         Lv = [lift(c) for c in v]
-        assert not any(sum((a * c for a, c in zip(row, Lv)), field.zero()) for row in LA)
+        assert not any(sum((a * c for a, c in zip(row, Lv)), lift(0)) for row in LA)
 
 
 P = linalg.CERTIFICATE_PRIME

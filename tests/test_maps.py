@@ -197,13 +197,13 @@ def test_symbolic_value_is_the_numeric_value(field, seed):
     P = random_poly(rng, nvars=3, max_degree=5)
     nsym = 3 * P.nvars
     if field.characteristic:
-        point = [field.from_int(rng.randrange(field.modulus)) for _ in range(nsym)]
+        point = [field.residue(rng.randrange(field.modulus)) for _ in range(nsym)]
     else:
         point = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nsym)]
     polys = _symbolic_value(P, field, set(range(1, P.nvars + 1)))
     for i, v in enumerate(point):
         polys = [q.substitute(i, v) for q in polys]
-    at_point = tuple(q.coeffs.get((0,) * nsym, 0) for q in polys)
+    at_point = tuple(field.reduce(q.coeffs.get((0,) * nsym, 0)) for q in polys)
     triples = [tuple(point[3 * i: 3 * i + 3]) for i in range(P.nvars)]
     assert at_point == _sl2_value(P, triples, field)
 
@@ -370,6 +370,49 @@ def test_engel_solve_multiplies_no_matrices(monkeypatch):
                 assert evaluate(P, [sol.X, sol.Y]) == x and sol.certificate
 
 
+FP_CLI_SWEEP = [
+    ["engel-solve", "--algebra", "A2", "--field", "F5", "--coeffs", "1"],
+    ["engel-solve", "--algebra", "B2", "--field", "F5", "--coeffs", "0,1"],
+    ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A1", "--field", "F3"],
+    ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A2", "--field", "F3",
+     "--mode", "sampled", "--seed", "1", "--samples", "200"],
+    ["central-probe", "--algebra", "A2", "--field", "F3", "--m-from", "1", "--m-to", "4"],
+    ["identity", "--poly", "[[[[X4,X3],X2],X1],X4]", "--field", "F5"],
+    ["identity", "--poly", "@filippov.lie", "--field", "F5"],
+    ["identity", "--poly", "[[[[X1,X2],X2],X2],X2]", "--field", "F7",
+     "--mode", "randomized", "--seed", "3"],
+    ["witness", "--fixtures", "paper-a2", "--field", "F5"],
+    ["witness", "--fixtures", "paper-b2", "--field", "F7"],
+    ["witness-search", "--poly", "[[X1,X2],X3]", "--realization", "so5",
+     "--field", "F7", "--seed", "1"],
+    ["witness-search", "--poly", "[[X1,X2],X3]", "--realization", "sl3",
+     "--field", "F5", "--seed", "2"],
+    ["example48", "--field", "F7", "--a", "2", "--b", "3", "--c", "1", "--d", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", FP_CLI_SWEEP, ids=lambda a: "-".join(a[:1] + a[-2:]))
+def test_cli_over_fp_builds_no_fp_elements(tmp_path, capsys, monkeypatch, argv):
+    # every scalar the library takes in and gives out over F_p is a residue
+    from liemap.cli import main
+    if argv[0] == "engel-solve":
+        dim = 8 if argv[2] == "A2" else 10
+        target = tmp_path / "target.json"
+        target.write_text('{"basis": "chevalley", "coeffs": [%s]}'
+                          % ", ".join('"%d"' % (k % 3 + 1) for k in range(dim)))
+        argv = argv + ["--target", str(target)]
+    built = []
+
+    def no_fp_element(self, *args):
+        built.append(args)
+        raise AssertionError("the library built an FpElement")
+
+    monkeypatch.setattr(scalar.FpElement, "__init__", no_fp_element)
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert not built and code == 0 and out
+
+
 def test_engel_solve_builds_no_fp_elements(monkeypatch):
     # the solve path holds residues: the roots of f, the regular h,
     # f(beta(h)), the division and the conjugator's scalars
@@ -436,7 +479,7 @@ def test_engel_solve_avoid_set_of_size_two():
         h = alg.element_from_json(sol.trace["h"])
         for b in alg.rs.roots:
             v = alg.beta_value(b.coords, h)
-            assert v != F5.zero() and v != F5.one()
+            assert v != F5.residue(0) and v != F5.residue(1)
 
 
 def test_conjugate_into_U_deterministic():
@@ -1078,23 +1121,65 @@ def test_example48_closed_form_exhaustive():
     alg = build_algebra("A", 1, F5)
     P = maps.example48_poly()
     for a, b, c, d in itertools.product(range(5), repeat=4):
-        av, bv, cv, dv = (F5.from_int(v) for v in (a, b, c, d))
-        X = alg.element([F5.zero(), av, bv])
-        Y = alg.element([dv, F5.zero(), cv])
+        av, bv, cv, dv = (F5.residue(v) for v in (a, b, c, d))
+        X = alg.element([F5.residue(0), av, bv])
+        Y = alg.element([dv, F5.residue(0), cv])
         assert evaluate(P, [X, Y]) == maps.example48_closed_form(alg, av, bv, cv, dv)
+
+
+@pytest.mark.parametrize("field", [F5, F7], ids=str)
+def test_library_returns_residues_over_fp(field):
+    # every scalar handed out over F_p is an int in [0, p): matrix rows and
+    # their invariants, sl(2) witnesses and values, automorphism matrices
+    # and the example48 values
+    from liemap.matrixrep import char_invariants, char_poly, commutator
+    p = field.modulus
+
+    def residues(xs):
+        return all(type(x) is int and 0 <= x < p for x in xs)
+
+    P = load_poly("razmyslov_bracket")
+    matrices = []
+    for key in ("paper-a2", "paper-b2"):
+        _, t1, t2 = load_witness_triples(key, field)
+        v = maps.dominance_witness_check(P, t1, t2)
+        X, Y = t1[0], t2[0]
+        matrices += t1 + t2 + [v.value1, v.value2, X + Y, X - Y, -X, X.scale(-3),
+                               X.scale_rational(Fraction(-1, 2)), commutator(X, Y)]
+    for realization in ("sl3", "so5"):
+        res = maps.dominance_witness_search(parse("[[X1,X2],X3]"), realization, field,
+                                            seed=1)
+        matrices += res.triple1 + res.triple2
+    for M in matrices:
+        assert residues(x for r in M.rows for x in r)
+        inv = char_invariants(M)
+        assert residues(char_poly(M)) and residues([inv.f1, inv.f2, *inv.theta_pair])
+    for mode in ("exact", "randomized"):
+        v = maps.is_identity_sl2(parse("[[[X1,X2],X2],X2]"), field, mode=mode, seed=3)
+        assert v.result == "not_identity"
+        assert residues(c for t in v.witness for c in t) and residues(v.witness_value)
+    alg = build_algebra("B", 2, field)
+    g = alg.root_automorphism(alg.rs.roots[0], -2).compose(
+        alg.root_automorphism(alg.rs.roots[3], 3))
+    assert residues(x for r in g.matrix + g.inv_matrix for x in r)
+    a1 = build_algebra("A", 1, field)
+    for a, b, c, d in ((2, 3, 1, 5), (-1, -2, 4, 6), (1, 1, 1, 1)):
+        assert residues(maps.example48_closed_form(a1, a, b, c, d).coeffs)
+        s = maps.example48_s(field, *(field.residue(x) for x in (a, b, c, d)))
+        assert residues([s])
 
 
 def test_example48_special_values():
     alg = build_algebra("A", 1, Q)
-    z = maps.example48_closed_form(alg, Q.from_int(1), Q.from_int(0),
-                                   Q.from_int(0), Q.from_int(1))
+    z = maps.example48_closed_form(alg, Q.residue(1), Q.residue(0),
+                                   Q.residue(0), Q.residue(1))
     assert z.is_zero()  # s = 0
-    v = maps.example48_closed_form(alg, Q.from_int(1), Q.from_int(1),
-                                   Q.from_int(1), Q.from_int(1))
+    v = maps.example48_closed_form(alg, Q.residue(1), Q.residue(1),
+                                   Q.residue(1), Q.residue(1))
     # s = 3: 12h - 24e + 24f (exact evaluation fixes the e-term sign)
     assert [str(c) for c in v.coeffs] == ["12", "-24", "24"]
-    z2 = maps.example48_closed_form(alg, Q.from_int(2), Q.from_int(3),
-                                    Q.zero(), Q.zero())
+    z2 = maps.example48_closed_form(alg, Q.residue(2), Q.residue(3),
+                                    Q.residue(0), Q.residue(0))
     assert z2.is_zero()  # c = d = 0 means Y = 0
 
 
@@ -1105,7 +1190,7 @@ def test_example48_reduction_invariance():
     rng = random.Random(21)
     for _ in range(50):
         X, Y = random_element(alg, rng), random_element(alg, rng)
-        m = F7.from_int(rng.randrange(7))
+        m = F7.residue(rng.randrange(7))
         base = evaluate(P, [X, Y])
         assert evaluate(P, [X + Y.scale(m), Y]) == base
         assert evaluate(P, [X, Y + X.scale(m)]) == base
@@ -1178,7 +1263,7 @@ def _union_find_roots(type_label, rank, spec):
             union(idx, maps._encode([c * x % p for x in v], p))
     for b in alg.rs.roots:
         for t in range(1, p):
-            cols = [list(col) for col in zip(*alg.root_automorphism(b, t).res_matrix)]
+            cols = [list(col) for col in zip(*alg.root_automorphism(b, t).matrix)]
             images, k = [[0] * dim], 0
             for idx in range(1, N):
                 if k + 1 < dim and idx >= weights[k + 1]:
@@ -1220,7 +1305,7 @@ def test_orbit_labels_partition(type_label, rank, spec, n_orbits):
     ("A", 2, "F3"), ("B", 2, "F3"), ("G", 2, "F2"), ("A", 3, "F2")])
 def test_orbit_generators_are_simple_root_elements_minus_identity(type_label, rank,
                                                                    spec):
-    # oracle: the columns of root_automorphism(+-alpha_i, 1).res_matrix - I,
+    # oracle: the columns of root_automorphism(+-alpha_i, 1).matrix - I,
     # in the generators' sparse form (nonzero columns and entries only)
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
@@ -1228,7 +1313,7 @@ def test_orbit_generators_are_simple_root_elements_minus_identity(type_label, ra
     gens = orbits._orbit_generators(alg)
     assert len(gens) == len(roots)
     for gen, b in zip(gens, roots):
-        M = alg.root_automorphism(b, 1).res_matrix
+        M = alg.root_automorphism(b, 1).matrix
         cols = [[(M[i][j] - (i == j)) % p for i in range(dim)] for j in range(dim)]
         assert gen == tuple((j, tuple((i, c) for i, c in enumerate(col) if c))
                             for j, col in enumerate(cols) if any(col))
@@ -1280,7 +1365,7 @@ def test_evaluate_equivariance_under_automorphisms():
     for _ in range(100):
         P = polys[rng.randrange(len(polys))]
         b = alg.rs.roots[rng.randrange(len(alg.rs.roots))]
-        g = alg.root_automorphism(b, F7.from_int(rng.randrange(1, 7)))
+        g = alg.root_automorphism(b, F7.residue(rng.randrange(1, 7)))
         xs = [random_element(alg, rng) for _ in range(P.arity)]
         lhs = evaluate(P, [g.apply(x) for x in xs])
         assert lhs == g.apply(evaluate(P, xs))

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liemap import linalg
 from liemap.chevalley import build_algebra
@@ -10,7 +11,7 @@ from liemap.matrixrep import (MatrixElement, MatrixRepError, char_invariants, ch
                               commutator, matrix_from_ints, matrix_from_json,
                               realize_chevalley, theta_separates)
 from liemap.fixtures import load_witness_triples
-from liemap.scalar import make_field
+from liemap.scalar import FpElement, make_field
 
 Q = make_field("Q")
 F5 = make_field("F5")
@@ -44,7 +45,7 @@ def test_so5_shape_validation_and_closure():
         load_witness_triples(key, Q)
     bad = [[1, 0, 0, 0, 0]] + [[0] * 5 for _ in range(4)]
     with pytest.raises(MatrixRepError):
-        MatrixElement("so5", [[Q.from_int(v) for v in r] for r in bad], Q)
+        MatrixElement("so5", [[Q.residue(v) for v in r] for r in bad], Q)
     # one entry off the shape breaks exactly one block rule
     for (i, j), rule in (((0, 0), r"\(0,0\) entry"), ((1, 0), r"-c\^t block"),
                          ((3, 0), r"-b\^t block"), ((1, 3), "n block"),
@@ -137,7 +138,7 @@ def test_b2_realization_images_are_pinned(name):
     import json
     f = make_field(name)
     real = realize_chevalley(build_algebra("B", 2, f))
-    text = json.dumps([[[f.format_scalar(f.lift(x)) for x in row] for row in B]
+    text = json.dumps([[[f.format_scalar(x) for x in row] for row in B]
                        for B in real.images])
     assert real.tag == "so5"
     assert hashlib.sha256(text.encode()).hexdigest() == B2_IMAGE_DIGESTS[name]
@@ -327,17 +328,29 @@ def test_matrix_json_round_trip():
 # -- the integer-row paths against the field-scalar oracles ---------------------
 
 
+def _scalar(field, x):
+    """The oracles' scalar for the residue x: an FpElement over F_p, the
+    Fraction itself over Q."""
+    return FpElement(x, field.modulus) if field.characteristic else x
+
+
+def _scalar_rows(X):
+    return [[_scalar(X.field, x) for x in r] for r in X.rows]
+
+
 def _scalar_commutator(X, Y):
-    """AB - BA by the schoolbook product on the field's public scalars."""
-    n, z = len(X.rows), X.field.zero()
-    A, B = X.rows, Y.rows
+    """AB - BA by the schoolbook product in FpElement (over Q Fraction)
+    arithmetic, read back as residues."""
+    f = X.field
+    n, z = len(X.rows), _scalar(f, f.residue(0))
+    A, B = _scalar_rows(X), _scalar_rows(Y)
 
     def prod(A, B, i, j):
         return sum((A[i][k] * B[k][j] for k in range(n)), z)
 
-    return MatrixElement(X.realization, [[prod(A, B, i, j) - prod(B, A, i, j)
+    return MatrixElement(X.realization, [[f.residue(prod(A, B, i, j) - prod(B, A, i, j))
                                           for j in range(n)] for i in range(n)],
-                         X.field, validate=False)
+                         f, validate=False)
 
 
 def _element_walk(P, xs):
@@ -355,10 +368,10 @@ def _element_walk(P, xs):
 
 
 def _scalar_char_poly(X):
-    """det(tI - X) by Laplace expansion along the first row, on the field's
-    public scalars, low degree first."""
+    """det(tI - X) by Laplace expansion along the first row, in FpElement
+    (over Q Fraction) arithmetic, low degree first."""
     f = X.field
-    zero, one = f.zero(), f.one()
+    zero, one = _scalar(f, f.residue(0)), _scalar(f, f.residue(1))
 
     def mul(p, q):
         out = [zero] * (len(p) + len(q) - 1)
@@ -377,8 +390,8 @@ def _scalar_char_poly(X):
                 acc[k] = acc[k] - c if j % 2 else acc[k] + c
         return acc
 
-    n = len(X.rows)
-    return det([[[-X.rows[i][j], one] if i == j else [-X.rows[i][j]]
+    n, R = len(X.rows), _scalar_rows(X)
+    return det([[[-R[i][j], one] if i == j else [-R[i][j]]
                  for j in range(n)] for i in range(n)])
 
 
@@ -422,19 +435,89 @@ def test_matrix_evaluation_matches_the_element_walk(t, r, fs):
             assert value.realization == X.realization and value.field == X.field
             for row in value.rows:
                 for x in row:
-                    assert type(x) is type(alg.field.one())
+                    assert type(x) is type(alg.field.residue(1))
 
 
 @pytest.mark.parametrize("t,r,fs", ORACLE_ALGEBRAS,
                          ids=["%s%d-%s" % c for c in ORACLE_ALGEBRAS])
 def test_char_poly_matches_the_scalar_laplace_expansion(t, r, fs):
     alg = build_algebra(t, r, make_field(fs))
-    one = alg.field.one()
+    one = alg.field.residue(1)
     rng = random.Random(31)
     for X in _random_realized(alg, rng, 12) + [realize_chevalley(alg).to_matrix(alg.zero())]:
         coeffs = char_poly(X)
-        assert coeffs == _scalar_char_poly(X)
+        assert coeffs == [alg.field.residue(c) for c in _scalar_char_poly(X)]
         assert all(type(c) is type(one) for c in coeffs) and coeffs[-1] == one
+
+
+def _residues_of(field, xs):
+    """xs is a list of residues of the field: ints in [0, p) over F_p,
+    Fractions over Q."""
+    if field.characteristic:
+        return all(type(x) is int and 0 <= x < field.modulus for x in xs)
+    return all(type(x) is Fraction for x in xs)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("sl3", "so5")), st.sampled_from((5, 7, 11)),
+       st.sampled_from(("generic", "scaled", "nilpotent")), st.data())
+def test_invariants_match_the_fp_element_laplace_expansion(realization, p, kind, data):
+    # char_poly, char_invariants and theta_separates on residue rows against
+    # _scalar_char_poly, the Laplace expansion in FpElement arithmetic, and
+    # theta's cross-product test in the same arithmetic
+    f = make_field("F%d" % p)
+    alg = build_algebra(*(("A", 2) if realization == "sl3" else ("B", 2)), f)
+    real = realize_chevalley(alg)
+    free = range(alg.dim) if kind != "nilpotent" else \
+        range(alg.rank, alg.rank + len(alg.rs.positive_roots))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=len(free), max_size=len(free))
+
+    def draw():
+        c = [0] * alg.dim
+        for k, v in zip(free, data.draw(coeffs)):
+            c[k] = v
+        return real.to_matrix(alg.element(c))
+
+    X = draw()
+    Y = X.scale(data.draw(st.integers(1, p - 1))) if kind == "scaled" else draw()
+    pairs = []
+    for M in (X, Y):
+        assert _residues_of(f, [x for r in M.rows for x in r])
+        oracle = _scalar_char_poly(M)
+        coeffs_ = char_poly(M)
+        assert _residues_of(f, coeffs_) and coeffs_ == [f.residue(c) for c in oracle]
+        f1, f2, m1, m2 = ((oracle[1], oracle[0], 3, 2) if realization == "sl3"
+                          else (oracle[3], oracle[1], 4, 2))
+        inv = char_invariants(M)
+        assert _residues_of(f, [inv.f1, inv.f2])
+        assert (inv.f1, inv.f2) == (f.residue(f1), f.residue(f2))
+        pairs.append((f1 ** m1, f2 ** m2))
+        assert _residues_of(f, inv.theta_pair)
+        assert inv.theta_pair == tuple(f.residue(x) for x in pairs[-1])
+    if X.is_zero() or Y.is_zero():
+        with pytest.raises(MatrixRepError, match="zero matrix"):
+            theta_separates(X, Y)
+        return
+    (x1, y1), (x2, y2) = pairs
+    if (not x1 and not y1) or (not x2 and not y2):
+        expected = "undefined"
+    else:
+        expected = "separated" if x1 * y2 != x2 * y1 else "equal"
+    assert theta_separates(X, Y) == expected
+
+
+@pytest.mark.parametrize("fs", ["Q", "F7"])
+@pytest.mark.parametrize("realization", ["sl3", "so5"])
+def test_random_matrices_hold_their_shape(realization, fs):
+    # the witness search builds its matrices without validating them: the
+    # shape holds by construction, over both entry spans
+    from liemap.matrixrep import _random_matrix
+    f = make_field(fs)
+    rng = random.Random(realization + fs)
+    for i in range(200):
+        X = _random_matrix(realization, f, rng, 10 if i < 100 else 100)
+        X.validate()
+        assert _residues_of(f, [x for r in X.rows for x in r])
 
 
 def test_evaluate_rejects_mixed_realizations_and_fields():

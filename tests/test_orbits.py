@@ -35,7 +35,7 @@ def test_orbit_tree_reaches_every_point_from_its_root(type_label, rank, spec):
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
     reps, labels, via, scale = orbits._orbit_tree(alg)
-    inverses = [alg.root_automorphism(b, p - 1).res_matrix
+    inverses = [alg.root_automorphism(b, p - 1).matrix
                 for a in alg.rs.simple_roots for b in (a, -a)]
     depth = {}
     for idx in range(p ** dim):

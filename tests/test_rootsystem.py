@@ -173,16 +173,18 @@ def test_height_compare_is_strict_partial_order():
 
 def test_weyl_orbits():
     a2 = build_root_system("A", 2)
+    Q = make_field("Q")
     zero = (Fraction(0), Fraction(0))
-    assert a2.weyl_orbit(zero) == {zero}
-    assert len(a2.weyl_orbit((Fraction(1), Fraction(0)))) == 6
+    assert a2.weyl_orbit(zero, Q) == {zero}
+    assert len(a2.weyl_orbit((Fraction(1), Fraction(0)), Q)) == 6
     # (1, 2) lies on the alpha_1 wall: 2*1 - 2 = 0
-    assert len(a2.weyl_orbit((Fraction(1), Fraction(2)))) == 3
+    assert len(a2.weyl_orbit((Fraction(1), Fraction(2)), Q)) == 3
     f5 = make_field("F5")
-    orbit = a2.weyl_orbit((f5.from_int(1), f5.from_int(0)))
+    orbit = a2.weyl_orbit((f5.residue(1), f5.residue(0)), f5)
     assert len(orbit) == 6
+    assert all(type(t) is int and 0 <= t < 5 for v in orbit for t in v)
     # orbit sizes divide |W| = 6
     for vec in [(Fraction(2), Fraction(1)), (Fraction(1), Fraction(1))]:
-        assert 6 % len(a2.weyl_orbit(vec)) == 0
+        assert 6 % len(a2.weyl_orbit(vec, Q)) == 0
     with pytest.raises(ValueError):
-        a2.weyl_orbit((Fraction(1),))
+        a2.weyl_orbit((Fraction(1),), Q)

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liemap.scalar import (FieldSpecError, FpElement, PrimeField, Rationals,
-                           invert, make_field)
+from liemap.scalar import FieldSpecError, FpElement, PrimeField, Rationals, make_field
 
 
 def test_make_field():
@@ -19,53 +18,61 @@ def test_make_field():
         make_field("gibberish")
 
 
-def test_invert():
-    assert invert(Fraction(2, 3)) == Fraction(3, 2)
-    assert invert(FpElement(2, 5)) == FpElement(3, 5)
-    with pytest.raises(ZeroDivisionError):
-        invert(Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        invert(FpElement(0, 5))
-
-
 def test_canonical_residues():
     x = FpElement(-1, 7)
     assert x.val == 6
     assert x + 1 == 0
     assert str(FpElement(12, 7)) == "5"
+    # the inverses that replaced scalar.invert: FpElement's own and field.inv
+    assert FpElement(2, 5) ** -1 == FpElement(3, 5)
+    assert Rationals().inv(Fraction(2, 3)) == Fraction(3, 2)
+    for zero_inverse in (lambda: FpElement(0, 5) ** -1, lambda: PrimeField(5).inv(5),
+                         lambda: Rationals().inv(Fraction(0))):
+        with pytest.raises(ZeroDivisionError):
+            zero_inverse()
 
 
 def test_canonical_zero_unique():
     for f in (make_field("Q"), make_field("F7")):
-        a = f.from_int(3)
-        z = a + (-a)
-        assert z == f.zero() and not z
-        assert hash(z) == hash(f.zero())
+        a = f.residue(3)
+        z = f.reduce(a + f.reduce(-a))
+        assert z == f.residue(0) and not z
+        assert hash(z) == hash(f.residue(0))
+    a = FpElement(3, 7)
+    z = a + (-a)
+    assert z == FpElement(0, 7) and not z
+    assert hash(z) == hash(FpElement(0, 7))
 
 
 @pytest.mark.parametrize("spec", ["Q", "F5", "F7", "F13"])
 def test_field_axioms_random_triples(spec):
+    # FpElement arithmetic over F_p, Fractions over Q; the descriptor's
+    # inverse is checked on the same residues
     f = make_field(spec)
+    p = f.modulus
+    zero, one = (FpElement(0, p), FpElement(1, p)) if p else (Fraction(0), Fraction(1))
     rng = random.Random(20240517)
     for _ in range(200):
         if f.characteristic:
-            a, b, c = (f.from_int(rng.randrange(f.modulus)) for _ in range(3))
+            a, b, c = (FpElement(rng.randrange(p), p) for _ in range(3))
         else:
             a, b, c = (Fraction(rng.randint(-30, 30), rng.randint(1, 9))
                        for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a + f.zero() == a and a * f.one() == a
-        if a != f.zero():
-            assert a * invert(a) == f.one()
+        assert a + zero == a and a * one == a
+        if a != zero:
+            assert a * a ** -1 == one
+            r = f.residue(a)
+            assert f.reduce(r * f.inv(r)) == f.residue(1)
 
 
 def test_rational_embedding_mod_p():
     f = make_field("F5")
-    assert f.from_rational(Fraction(1, 2)) == f.from_int(3)
+    assert f.residue(Fraction(1, 2)) == f.residue(3) == 3
     with pytest.raises(ZeroDivisionError):
-        f.from_rational(Fraction(1, 5))
+        f.residue(Fraction(1, 5))
 
 
 def test_text_encoding_round_trip():
@@ -74,6 +81,7 @@ def test_text_encoding_round_trip():
         assert q.format_scalar(q.parse_scalar(s)) == s
     f = make_field("F7")
     assert f.format_scalar(f.parse_scalar("12")) == "5"
+    assert f.parse_scalar(" -2 ") == 5 and type(f.parse_scalar("12")) is int
 
 
 def test_mixed_moduli_rejected():
@@ -83,9 +91,9 @@ def test_mixed_moduli_rejected():
 
 def test_fraction_with_a_multiple_of_p_below_is_one_error():
     # FpElement arithmetic and the field descriptor reduce a Fraction through
-    # the same residue helper, so both refuse 1/3 mod 3 the same way
+    # the same residue helper, so both refuse 1/6 mod 3 the same way
     for convert in (lambda q: FpElement(1, 3) + q, lambda q: q * FpElement(1, 3),
-                    PrimeField(3).residue, make_field("F3").from_rational):
+                    PrimeField(3).residue):
         with pytest.raises(ZeroDivisionError, match=r"^denominator 6 not invertible mod 3$"):
             convert(Fraction(1, 6))
     assert FpElement(1, 5) + Fraction(1, 2) == FpElement(4, 5)
@@ -101,3 +109,11 @@ def test_prime_field_residue_of_ints_bools_and_scalars():
     assert f.residue(FpElement(10, 7)) == 3 and f.residue(Fraction(1, 2)) == 4
     with pytest.raises(ValueError, match="mixed moduli"):
         f.residue(FpElement(1, 5))
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(7)])
+def test_descriptor_has_one_way_in(field):
+    # residue is the one conversion; the constructors of public scalars and
+    # the conversion back from residues are gone
+    for name in ("lift", "from_int", "from_rational", "zero", "one", "elements"):
+        assert not hasattr(field, name), name
