@@ -28,7 +28,6 @@ rebuilds residues once, at the root.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import partial
 from itertools import permutations
 from operator import add, mul
@@ -158,9 +157,6 @@ class AlgElement:
     def scale(self, c):
         f = self.alg.field
         return AlgElement(self.alg, f.scale_row(self.coeffs, f.residue(c)))
-
-    def scale_rational(self, q):
-        return self.scale(Fraction(q))
 
     def bracket(self, other):
         self._check(other)

@@ -9,13 +9,13 @@ Grammar (whitespace insignificant; a leading sign is also accepted):
 
 Coefficients are integers or rationals "a/b" and always live over Q; they are
 mapped into the target field at evaluation time, so one AST serves every
-field.  Nesting is bounded by MAX_NESTING; a tree built from nodes in Python
-past it, deeper than the recursion limit, makes evaluate and normal_form
-raise NestingError.  P acts as the substitution
-homomorphism X_i -> x_i, and one tree walk (walk) computes it in every
-target, each caller supplying its bracket and linear combination: algebra
-and matrix elements (evaluate, on their integer rows), the
-tensor algebra (_tensor_expand) and the scan kernel's blocks of F_p
+field.  Nesting is bounded by MAX_NESTING and variable indices by MAX_INDEX;
+a tree built from nodes in Python past the nesting bound, deeper than the
+recursion limit, makes evaluate and normal_form raise NestingError.  P acts
+as the substitution homomorphism X_i -> x_i, and one tree walk (walk)
+computes it in every target, each caller supplying its bracket and linear
+combination: Chevalley algebra elements (evaluate, on their integer rows),
+the tensor algebra (_tensor_expand) and the scan kernel's blocks of F_p
 assignments (lanes.block_kernel).  Normal forms use
 the Lyndon-word basis for the variable order X1 < X2 < ..., computed by
 straightening in the tensor algebra: the lex-least word of a homogeneous
@@ -29,12 +29,18 @@ import re
 from fractions import Fraction
 from math import isqrt, lcm
 
+from .chevalley import AlgElement, ChevalleyError
+
 
 # The deepest nesting of brackets and parentheses a polynomial may have, and
 # the most terms of an Engel sum (E_m nests m brackets).  The parser and a
 # walk over the tree each take up to three frames per level, so 200 levels
 # stay clear of Python's default recursion limit of 1000.
 MAX_NESTING = 200
+
+# The largest variable index the parser takes: normal forms, linear parts and
+# assignments have an entry per variable up to the largest index.
+MAX_INDEX = 200
 
 
 class ParseError(ValueError):
@@ -182,6 +188,8 @@ def _tokenize(text):
             if digits:
                 if letter != "X":
                     raise ParseError("alias variables Y,Z,T take no index", start)
+                if len(digits.lstrip("0")) > len(str(MAX_INDEX)) or int(digits) > MAX_INDEX:
+                    raise ParseError("variable index above %d" % MAX_INDEX, start)
                 idx = int(digits)
                 if idx == 0:
                     raise ParseError("variable index 0 is invalid", start)
@@ -336,14 +344,17 @@ def walk(node, xs, bracket, combine, memo):
 
 
 def evaluate(P: LiePoly, assignment):
-    """Evaluate by walk, so that each distinct bracket subterm is evaluated
-    once, on integer rows.  The first element's hook integer_rows
-    (AlgElement, MatrixElement) checks the assignment and turns it into
+    """Evaluate on elements of one Chevalley algebra by walk, so that each
+    distinct bracket subterm is evaluated once, on integer rows.  The hook
+    AlgElement.integer_rows checks the assignment and turns it into
     (values, bracket, combine, finish): the walk runs on those values, and
     finish turns the root's value into an element."""
     xs = list(assignment)
     if len(xs) != P.nvars:
         raise ValueError("expected %d arguments, got %d" % (P.nvars, len(xs)))
+    if not isinstance(xs[0], AlgElement):
+        raise ChevalleyError("evaluate takes elements of one Chevalley algebra, "
+                             "not %s" % type(xs[0]).__name__)
     values, bracket, combine, finish = xs[0].integer_rows(xs)
     try:
         return finish(walk(P.node, values, bracket, combine, {}))

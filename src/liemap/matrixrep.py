@@ -17,29 +17,26 @@ separates; dominance_witness_check confirms one, dominance_witness_search
 looks for one by seeded random sampling.
 
 Rows hold residues (ints in [0, p) over F_p, Fractions over Q; see
-scalar.py), and the arithmetic runs on ints.  A matrix is read as a flat
-n^2 int row with one denominator, X = A / d (MatrixElement.to_row; d = 1
-over F_p), and one core, _commutator_rows, computes AB - BA on such rows
-for commutator, for freelie.evaluate (the hook
-MatrixElement.integer_rows, which keeps every node's value in that form and
-rebuilds the matrix once, at the root) and for the realizations' checks.
-char_poly runs the memoised Laplace expansion on ints as
-det(d t I - A) = d^n det(tI - X) and divides by d^n once.
+scalar.py).  A MatrixElement has no arithmetic: the witness commands read
+each matrix into A2 (sl3) or B2 (so5) through the verified Realization,
+evaluate P there with freelie.evaluate, and map the two values back for
+char_poly.  A matrix is read as a flat n^2 int row with one denominator,
+X = A / d (MatrixElement.to_row; d = 1 over F_p); char_poly runs the
+memoised Laplace expansion on ints as det(d t I - A) = d^n det(tI - X) and
+divides by d^n once, and _commutator_rows computes AB - BA on such rows
+for the realizations' construction and checks.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from functools import partial
 from operator import mul
 from typing import NamedTuple
 
 from . import linalg
-from .chevalley import AlgElement, ChevalleyAlgebra, _neg
+from .chevalley import AlgElement, ChevalleyAlgebra, _neg, build_algebra
 from .errors import MapsError
 from .freelie import LiePoly, evaluate
-from .scalar import row_combine
 
 
 class MatrixRepError(ValueError):
@@ -97,59 +94,6 @@ class MatrixElement:
         else:
             raise MatrixRepError("unknown realization %r" % self.realization)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other):
-        if not isinstance(other, MatrixElement) or other.realization != self.realization \
-                or other.field != self.field:
-            raise MatrixRepError("realization/shape mismatch")
-
-    def _with_rows(self, rows):
-        return MatrixElement(self.realization, rows, self.field, validate=False)
-
-    def __add__(self, other):
-        self._check(other)
-        red = self.field.reduce_row
-        return self._with_rows([red([a + b for a, b in zip(ra, rb)])
-                                for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        self._check(other)
-        red = self.field.reduce_row
-        return self._with_rows([red([a - b for a, b in zip(ra, rb)])
-                                for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        red = self.field.reduce_row
-        return self._with_rows([red([-a for a in r]) for r in self.rows])
-
-    def scale(self, c):
-        f = self.field
-        c = f.residue(c)
-        return self._with_rows([f.scale_row(r, c) for r in self.rows])
-
-    def scale_rational(self, q):
-        return self.scale(Fraction(q))
-
-    def bracket(self, other):
-        return commutator(self, other)
-
-    def integer_rows(self, xs):
-        """freelie.evaluate's integer-row hook (see AlgElement.integer_rows):
-        (the matrices of xs as integer rows, their commutator, their linear
-        combination, the matrix of a value), with every element of xs of
-        this element's realization and field."""
-        for x in xs:
-            self._check(x)
-        f, n = self.field, len(self.rows)
-
-        def bracket(a, b):
-            (ra, da), (rb, db) = a, b
-            return f.normal_row(_commutator_rows(ra, rb, n), da * db)
-
-        return ([x.to_row() for x in xs], bracket, partial(row_combine, f, n * n),
-                self.from_row)
-
     def to_row(self):
         """The matrix as (flat n^2 int row, d) with rows = row / d, d the lcm
         of the denominators (d = 1 over F_p)."""
@@ -157,21 +101,12 @@ class MatrixElement:
         (ints,), d = f.integral_rows(([x for r in self.rows for x in r],))
         return ints, d
 
-    def from_row(self, value):
-        """The matrix of this realization and field with flat row ints / d."""
-        n = len(self.rows)
-        entries = self.field.from_integral_row(*value)
-        return self._with_rows([entries[i:i + n] for i in range(0, n * n, n)])
-
     def is_zero(self):
         return not any(any(r) for r in self.rows)
 
     def __eq__(self, other):
         return isinstance(other, MatrixElement) and other.realization == self.realization \
             and other.rows == self.rows
-
-    def __hash__(self):
-        return hash((self.realization, self.rows))
 
     def to_json(self):
         f = self.field
@@ -199,19 +134,16 @@ def triples_from_json(data, field):
             or not all(isinstance(data.get(k), list) for k in ("triple1", "triple2")):
         raise MatrixRepError("a witness document needs a realization string "
                              "and the lists triple1 and triple2")
-    return (data["realization"], [matrix_from_json(m, field) for m in data["triple1"]],
-            [matrix_from_json(m, field) for m in data["triple2"]])
+    t1, t2 = ([matrix_from_json(m, field) for m in data[k]] for k in ("triple1", "triple2"))
+    if any(M.realization != data["realization"] for M in t1 + t2):
+        raise MatrixRepError("the document's realization %s is not its matrices'"
+                             % data["realization"])
+    return data["realization"], t1, t2
 
 
 def matrix_from_ints(realization, rows, field, validate=True):
     return MatrixElement(realization, [[field.residue(x) for x in r] for r in rows],
                          field, validate=validate)
-
-
-def commutator(X: MatrixElement, Y: MatrixElement) -> MatrixElement:
-    X._check(Y)
-    (xs, dx), (ys, dy) = X.to_row(), Y.to_row()
-    return X.from_row((_commutator_rows(xs, ys, len(X.rows)), dx * dy))
 
 
 def _commutator(A, B, field):
@@ -223,8 +155,8 @@ def _commutator(A, B, field):
 
 
 def _commutator_rows(a, b, n):
-    """AB - BA on flat n x n int rows: the one commutator core, of
-    commutator, evaluate and the realizations' checks.  Entry (i, j) is one
+    """AB - BA on flat n x n int rows: the one commutator core, of the
+    realizations' construction and checks.  Entry (i, j) is one
     dot product of row i of (A | B) with column j of (B | -A); a zero row of
     (A | B), common in the sparse realization images, is skipped."""
     right = [b[j::n] + [-x for x in a[j::n]] for j in range(n)]
@@ -302,17 +234,10 @@ class InvariantPair(NamedTuple):
     field: object
 
     @property
-    def m1(self):
-        return self.deg_f2
-
-    @property
-    def m2(self):
-        return self.deg_f1
-
-    @property
     def theta_pair(self):
+        """(f1^m1, f2^m2) with m1 = deg f2 and m2 = deg f1."""
         red = self.field.reduce
-        return (red(self.f1 ** self.m1), red(self.f2 ** self.m2))
+        return (red(self.f1 ** self.deg_f2), red(self.f2 ** self.deg_f1))
 
     def to_json(self):
         fmt = self.field.format_scalar
@@ -355,63 +280,76 @@ def theta_separates(D1: MatrixElement, D2: MatrixElement) -> str:
 class Realization:
     """Verified linear isomorphism between a Chevalley algebra and a matrix
     algebra, with phi([x,y]) = [phi(x), phi(y)] checked on every basis pair.
-    The basis images are residue matrices (see linalg)."""
+    The basis images are residue matrices (see linalg).  Both conversions
+    run on ints: each image is cleared to a flat int row, images[k] =
+    rows[k] / D, a combination is summed on those rows, and coordinates are
+    read off dim independent entries by an int left inverse, built once."""
 
     def __init__(self, alg: ChevalleyAlgebra, tag, images):
         self.alg = alg
         self.tag = tag
         self.n = len(images[0])
         self.images = images
-        flat = []
-        for i in range(self.n):
-            for j in range(self.n):
-                flat.append([images[k][i][j] for k in range(alg.dim)])
-        self._A = flat
-        self._verify()
+        f = alg.field
+        flat = [[x for r in B for x in r] for B in images]
+        rows, self._D = f.integral_rows(flat)
+        self._nonzero = [[(p, v) for p, v in enumerate(a) if v] for a in rows]
+        self._verify(rows)
+        # the entries at the pivots of the flat images determine an element:
+        # its coordinates are the inverse of the images there, applied to them
+        _, self._entries = linalg.rref(flat, f)
+        if len(self._entries) < alg.dim:
+            raise MatrixRepError("realization images are linearly dependent")
+        inverse = linalg.invert_matrix([[a[p] for a in flat] for p in self._entries], f)
+        self._inverse, self._inverse_d = f.integral_rows(inverse)
+
+    def _int_sum(self, terms, out):
+        """out + sum c rows[k] over the (k, c) of terms, on the flat int
+        images rows[k] = D images[k]."""
+        for k, c in terms:
+            for p, v in self._nonzero[k]:
+                out[p] += c * v
+        return out
 
     def combine(self, coeffs):
-        """The residue matrix sum_k coeffs[k] images[k] (coeffs in residues)."""
-        f = self.alg.field
-        rows = linalg.zero_matrix(f, self.n, self.n)
-        for c, B in zip(coeffs, self.images):
-            if c:
-                for row, Brow in zip(rows, B):
-                    for j, b in enumerate(Brow):
-                        if b:
-                            row[j] += c * b
-        return [f.reduce_row(row) for row in rows]
+        """The residue matrix sum_k coeffs[k] images[k] (coeffs in residues),
+        summed on ints."""
+        f, n = self.alg.field, self.n
+        (cs,), d = f.integral_rows((coeffs,))
+        flat = f.from_integral_row(self._int_sum(enumerate(cs), [0] * (n * n)), d * self._D)
+        return [flat[i:i + n] for i in range(0, n * n, n)]
 
     def to_matrix(self, x: AlgElement) -> MatrixElement:
         return MatrixElement(self.tag, self.combine(x.coeffs), self.alg.field,
                              validate=False)
 
     def matrix_coords(self, rows):
-        """Coordinates (residues) of the residue matrix `rows`."""
-        b = [rows[i][j] for i in range(self.n) for j in range(self.n)]
-        sol = linalg.solve(self._A, b, self.alg.field)
-        if sol is None:
+        """Coordinates (residues) of the residue matrix rows = ints / d.  The
+        int left inverse L / dL on the independent entries gives them as
+        C / (dL d), and sum_k C_k rows[k] must be dL D ints at every entry."""
+        f = self.alg.field
+        (ints,), d = f.integral_rows(([x for r in rows for x in r],))
+        picked = [ints[p] for p in self._entries]
+        C = [sum(map(mul, row, picked)) for row in self._inverse]
+        diff = self._int_sum(enumerate(C), [-self._inverse_d * self._D * x for x in ints])
+        if any(f.from_integral_row(diff, 1)):
             raise MatrixRepError("matrix is outside the realized subalgebra")
-        return sol
+        return f.from_integral_row(C, self._inverse_d * d)
 
     def from_matrix(self, M: MatrixElement) -> AlgElement:
         return AlgElement(self.alg, self.matrix_coords(M.rows))
 
-    def _verify(self):
-        """[phi(b_i), phi(b_j)] = phi([b_i, b_j]) for every i < j, on ints:
-        with every image cleared to an int row a_k = D A_k, the commutator
-        core gives D^2 [A_i, A_j], from which D c a_k is subtracted for each
-        (k, c) in bracket_table[i][j]; the difference, reduced once by the
-        field, must vanish."""
+    def _verify(self, rows):
+        """[phi(b_i), phi(b_j)] = phi([b_i, b_j]) for every i < j, on the int
+        rows a_k = D A_k: the commutator core gives D^2 [A_i, A_j], from
+        which D c a_k is subtracted for each (k, c) in bracket_table[i][j];
+        the difference, reduced once by the field, must vanish."""
         alg = self.alg
-        f = alg.field
-        rows, D = f.integral_rows([[x for r in B for x in r] for B in self.images])
-        nonzero = [[(p, D * v) for p, v in enumerate(a) if v] for a in rows]
+        f, D = alg.field, self._D
         for i, row in enumerate(alg.bracket_table):
             for j in range(i + 1, alg.dim):
-                diff = _commutator_rows(rows[i], rows[j], self.n)
-                for k, c in row[j]:
-                    for p, v in nonzero[k]:
-                        diff[p] -= c * v
+                diff = self._int_sum([(k, -c * D) for k, c in row[j]],
+                                     _commutator_rows(rows[i], rows[j], self.n))
                 if any(f.from_integral_row(diff, D * D)):
                     raise MatrixRepError(
                         "realization fails on basis pair (%d, %d)" % (i, j))
@@ -457,14 +395,12 @@ def _fill_composite_images(alg, images, n):
 def _realize_type_A(alg: ChevalleyAlgebra) -> Realization:
     n = alg.rank + 1
     f = alg.field
-    images = {}
+    images = {k: None for k in range(alg.dim)}
     for i in range(alg.rank):
         images[i] = _sparse_matrix(f, n, (i, i, 1), (i + 1, i + 1, -1))
         a = alg.rs.simple_roots[i].coords
         images[alg._eidx[a]] = _sparse_matrix(f, n, (i, i + 1, 1))
         images[alg._eidx[_neg(a)]] = _sparse_matrix(f, n, (i + 1, i, 1))
-    for k in range(alg.dim):
-        images.setdefault(k, None)
     images = _fill_composite_images(alg, images, n)
     return Realization(alg, "sl%d" % n, [images[k] for k in range(alg.dim)])
 
@@ -491,8 +427,6 @@ def _realize_B2(alg: ChevalleyAlgebra) -> Realization:
 
 def realize_chevalley(alg: ChevalleyAlgebra) -> Realization:
     """Verified isomorphism onto sl(rank+1) for type A, so(5) for B2."""
-    if alg.field.characteristic == 2:
-        raise MatrixRepError("matrix realizations need characteristic != 2")
     if alg.rs.type_label == "A":
         return _realize_type_A(alg)
     if alg.rs.key == ("B", 2):
@@ -519,17 +453,30 @@ class WitnessVerdict(NamedTuple):
         return out
 
 
+# the algebra each witness realization is read into: char_invariants knows
+# sl3 and so5, the realizations of A2 and B2
+WITNESS_ALGEBRAS = {"sl3": ("A", 2), "so5": ("B", 2)}
+
+
 def dominance_witness_check(P: LiePoly, triple1, triple2) -> WitnessVerdict:
-    """confirmed iff theta exactly separates P(triple1) from P(triple2)."""
+    """confirmed iff theta exactly separates P(triple1) from P(triple2).
+    Every matrix carries the first one's realization, sl3 or so5, and field;
+    each is read into A2 or B2 through the verified realization, P is
+    evaluated there, and the two values are mapped back for char_poly."""
     for t in (triple1, triple2):
         if len(t) != P.nvars:
             raise MapsError("assignment arity mismatch")
-    D1 = evaluate(P, list(triple1))
-    D2 = evaluate(P, list(triple2))
+    X = triple1[0]
+    if not all(isinstance(M, MatrixElement) and (M.realization, M.field)
+               == (X.realization, X.field) for M in (*triple1, *triple2)):
+        raise MatrixRepError("realization/shape mismatch")
+    if X.realization not in WITNESS_ALGEBRAS:
+        raise MatrixRepError("witnesses are sl3 or so5 matrices, not %s" % X.realization)
+    real = build_algebra(*WITNESS_ALGEBRAS[X.realization], X.field)._get_realization()
+    D1, D2 = (real.to_matrix(evaluate(P, [real.from_matrix(M) for M in t]))
+              for t in (triple1, triple2))
     if D1.is_zero() or D2.is_zero():
-        which = "first" if D1.is_zero() else "second"
-        if D1.is_zero() and D2.is_zero():
-            which = "both"
+        which = ("both" if D2.is_zero() else "first") if D1.is_zero() else "second"
         return WitnessVerdict(result="undefined", value1=D1, value2=D2,
                               detail="P vanishes on the %s assignment" % which)
     sep = theta_separates(D1, D2)
@@ -542,17 +489,16 @@ def dominance_witness_check(P: LiePoly, triple1, triple2) -> WitnessVerdict:
 
 
 def _random_matrix(realization, field, rng, span):
-    """A random matrix of the realization: each free entry the residue of an
+    """A random sl3 or so5 matrix: each free entry the residue of an
     int drawn from [-span, span], the others fixed by the shape, which holds
     by construction."""
     def draw():
         return field.residue(rng.randint(-span, span))
 
-    if realization.startswith("sl"):
-        n = int(realization[2:])
-        rows = [[draw() for _ in range(n)] for _ in range(n)]
-        rows[n - 1][n - 1] = field.residue(-sum(rows[i][i] for i in range(n - 1)))
-    elif realization == "so5":
+    if realization == "sl3":
+        rows = [[draw() for _ in range(3)] for _ in range(3)]
+        rows[2][2] = field.residue(-rows[0][0] - rows[1][1])
+    else:
         red = field.reduce
         z = field.residue(0)
         b0, b1, c0, c1, m00, m01, m10, m11, nval, pval = (draw() for _ in range(10))
@@ -563,8 +509,6 @@ def _random_matrix(realization, field, rng, span):
             [red(-b0), z, pval, red(-m00), red(-m10)],
             [red(-b1), red(-pval), z, red(-m01), red(-m11)],
         ]
-    else:
-        raise MapsError("unknown realization %r" % realization)
     return MatrixElement(realization, rows, field, validate=False)
 
 
@@ -588,7 +532,7 @@ def dominance_witness_search(P: LiePoly, realization, field, budget=10000,
     """Seeded random search for a confirmed witness pair; entries start in
     [-10, 10] and widen to [-100, 100] for the second half of the budget.
     Exhaustion is inconclusive, not a disproof."""
-    if realization not in ("sl3", "so5"):
+    if realization not in WITNESS_ALGEBRAS:
         raise MapsError("witness search supports sl3 and so5 only")
     rng = random.Random(seed)
     d = P.nvars

@@ -1,6 +1,7 @@
-"""Shared test utilities: seeded random elements and polynomials, the
-brute-force sl(2) witness oracle, the type-A similarity oracle and the
-column-space walk that credits the Engel scan's printed preimages."""
+"""Shared test utilities: seeded random elements and polynomials, scaled
+matrices and the matrix commutator, the brute-force sl(2) witness oracle,
+the type-A similarity oracle and the column-space walk that credits the
+Engel scan's printed preimages."""
 
 import itertools
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 from liemap import linalg, maps
 from liemap.chevalley import AlgElement, _zero_diagonal
 from liemap.freelie import Br, LiePoly, Sum, Var
+from liemap.matrixrep import MatrixElement, _commutator
 from liemap.sl2 import _sl2_value
 
 
@@ -24,6 +26,20 @@ def random_nonzero_element(alg, rng):
         x = random_element(alg, rng)
         if not x.is_zero():
             return x
+
+
+def scaled_matrix(X, c):
+    """The matrix c X (a MatrixElement has no arithmetic of its own)."""
+    f = X.field
+    c = f.residue(c)
+    return MatrixElement(X.realization, [f.scale_row(r, c) for r in X.rows], f,
+                         validate=False)
+
+
+def matrix_commutator(X, Y):
+    """XY - YX by matrixrep's integer commutator core."""
+    return MatrixElement(X.realization, _commutator(X.rows, Y.rows, X.field), X.field,
+                         validate=False)
 
 
 def random_monomial(rng, nvars, degree):

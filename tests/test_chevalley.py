@@ -28,8 +28,8 @@ def test_sl2_relations():
     alg = build_algebra("A", 1, Q)
     h, e, f = (alg.basis_element(i) for i in range(3))
     assert alg.bracket(e, f) == h
-    assert alg.bracket(h, e) == e.scale_rational(2)
-    assert alg.bracket(h, f) == f.scale_rational(-2)
+    assert alg.bracket(h, e) == e.scale(2)
+    assert alg.bracket(h, f) == f.scale(-2)
 
 
 def test_relation_1_and_3():
@@ -216,7 +216,7 @@ def test_root_automorphism_basics():
     g = alg.root_automorphism(b, Fraction(3, 2))
     # x_beta(t)(h) = h - t beta(h) e_beta
     h = alg.h_element(1)
-    expected = h + alg.e_element(b.coords).scale_rational(Fraction(3, 2))
+    expected = h + alg.e_element(b.coords).scale(Fraction(3, 2))
     assert g.apply(h) == expected
     # e_beta is fixed
     assert g.apply(alg.e_element(b.coords)) == alg.e_element(b.coords)

@@ -178,6 +178,38 @@ FP_SCALAR_DIGESTS = [
 ]
 
 
+# stdout sha256 of sl3 witnesses over F2, recorded while witness matrices
+# were still evaluated as matrices, before they were read into A2/F2
+CHAR2_SL3_DIGESTS = [
+    (["witness", "--fixtures", "paper-a2", "--field", "F2"],
+     "011d4de72ee41330473fc92bdac2c031456c63d76b19419dec5d3236d87125db"),
+    (["witness-search", "--poly", "[[X1,X2],X3]", "--realization", "sl3",
+      "--field", "F2"],
+     "ac726d173699108529599d9ee25686df99a7fc5eb9a586f86021e6903d3dbd7e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CHAR2_SL3_DIGESTS,
+                         ids=["witness-a2-F2", "search-sl3-F2"])
+def test_sl3_witnesses_over_f2_keep_their_bytes(capsys, argv, digest):
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--fixtures", "paper-b2", "--field", "F2"],
+    ["witness-search", "--poly", "[[X1,X2],X3]", "--realization", "so5", "--field", "F2"],
+], ids=["witness-b2-F2", "search-so5-F2"])
+def test_so5_witnesses_over_f2_are_refused(capsys, argv):
+    # so5 is read into B2, which is of type C in characteristic 2 and is
+    # rejected when its root system is built
+    code, out = run(capsys, argv)
+    assert code == 1 and json.loads(out) == {
+        "error": "B_2 is of type C in characteristic 2 and is rejected",
+        "kind": "RootSystemError"}
+
+
 @pytest.mark.parametrize("argv,digest", FP_SCALAR_DIGESTS,
                          ids=["identity-E4x-F5", "identity-E4-F7", "identity-filippov-F5",
                               "witness-a2-F5", "witness-b2-F7", "search-so5-F7",
@@ -541,6 +573,7 @@ def test_witness_triples_file_matches_fixture(tmp_path, capsys):
 
 
 _A2F5_TARGET = {"basis": "chevalley", "coeffs": ["1", "2", "0", "0", "3", "0", "1", "0"]}
+_PAPER_A2_AS_SO5 = dict(json.loads(fixture_text("paper_a2.json")), realization="so5")
 _SL3_DIAG = {"basis": "matrix", "realization": "sl3",
              "rows": [[1, 0, 0], [0, -1, 0], [0, 0, 0]]}
 
@@ -558,8 +591,9 @@ def _error_json(capsys, argv, kind):
     ("witness", [], "MatrixRepError"),
     ("witness", {"realization": "sl3", "triple1": [_SL3_DIAG] * 3,
                  "triple2": [_SL3_DIAG] * 3}, "MatrixRepError"),
+    ("witness", _PAPER_A2_AS_SO5, "MatrixRepError"),
 ], ids=["target-list", "target-int-coeffs", "target-no-coeffs", "triples-list",
-        "triples-int-rows"])
+        "triples-int-rows", "triples-mislabelled"])
 def test_malformed_input_file_is_error_json(tmp_path, capsys, command, doc, kind):
     # the shape is checked at the boundary: no input format beyond strings
     path = tmp_path / "doc.json"
@@ -568,6 +602,22 @@ def test_malformed_input_file_is_error_json(tmp_path, capsys, command, doc, kind
                             "--coeffs", "0,1", "--target"],
             "witness": ["witness", "--triples"]}[command]
     _error_json(capsys, argv + [str(path)], kind)
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse"],
+    ["scan", "--algebra", "A1", "--field", "F3"],
+    ["identity", "--field", "Q"],
+    ["witness-search", "--realization", "sl3"],
+], ids=["parse", "scan", "identity", "witness-search"])
+def test_huge_variable_index_is_refused(capsys, argv):
+    # one entry per variable up to the largest index: X99999999999 would ask
+    # for a table of that size, and is refused at its offset instead
+    t0 = time.perf_counter()
+    code, out = run(capsys, argv + ["--poly", "[X1,X99999999999]"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and json.loads(out) == {
+        "error": "variable index above 200 (at offset 5)", "kind": "ParseError"}
 
 
 def test_nesting_bound_from_the_cli(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_element, random_monomial, random_poly
-from liemap.chevalley import build_algebra
-from liemap.freelie import (MAX_NESTING, Br, EngelSpec, LiePoly, LyndonForm,
+from liemap.chevalley import ChevalleyError, build_algebra
+from liemap.freelie import (MAX_INDEX, MAX_NESTING, Br, EngelSpec, LiePoly, LyndonForm,
                             NestingError, ParseError, Sum, Var, _divisors,
                             engel_monomial, engel_spec, evaluate, expansion,
                             linear_part, make_engel, max_monomial_degree,
@@ -249,7 +249,7 @@ def test_evaluate_sl2():
     h, e, f = (alg.basis_element(i) for i in range(3))
     E1, _ = make_engel([1])
     assert evaluate(E1, [e, f]) == h
-    assert evaluate(engel_monomial(2), [e, h]) == e.scale_rational(4)
+    assert evaluate(engel_monomial(2), [e, h]) == e.scale(4)
     P, _ = make_engel([0, 0, 1])
     assert evaluate(P, [alg.zero(), alg.zero()]).is_zero()
 
@@ -258,6 +258,25 @@ def test_evaluate_arity_mismatch():
     alg = build_algebra("A", 1, Q)
     with pytest.raises(ValueError):
         evaluate(parse("[X1,X2]"), [alg.zero()])
+
+
+def test_evaluate_takes_elements_of_one_algebra():
+    # the one hook implementer is AlgElement: any other assignment, matrices
+    # included, is refused with the library's error, not an AttributeError
+    from liemap.matrixrep import realize_chevalley
+    P = parse("[X1,X2]")
+    a2q, a2f7 = build_algebra("A", 2, Q), build_algebra("A", 2, F7)
+    x, y = a2q.basis_element(3), a2f7.basis_element(3)
+    X = realize_chevalley(a2q).to_matrix(x)
+    for xs, message in (([1, 2], "not int"), ([X, X], "not MatrixElement"),
+                        ([x, 2], "different algebras"), ([x, X], "different algebras"),
+                        ([x, y], "different algebras"), ([y, x], "different algebras")):
+        with pytest.raises(ChevalleyError, match=message):
+            evaluate(P, xs)
+    # the whole assignment is checked, used by P or not
+    with pytest.raises(ChevalleyError, match="different algebras"):
+        evaluate(parse("[X1,X2]", nvars=3), [x, x, y])
+    assert evaluate(P, [x, x]).is_zero()
 
 
 def test_normal_form_evaluation_agreement():
@@ -352,7 +371,7 @@ def test_tensor_expansion_expands_each_distinct_subterm_once(monkeypatch):
 
 def test_empty_sum_evaluates_to_zero():
     # LyndonForm({}) is the one source of a Sum with no terms
-    from liemap.matrixrep import realize_chevalley
+    from liemap.matrixrep import dominance_witness_check, realize_chevalley
     P = LyndonForm({}).to_lie_poly(2)
     assert P.node == Sum(())
     rng = random.Random(5)
@@ -360,9 +379,12 @@ def test_empty_sum_evaluates_to_zero():
         alg = build_algebra("A", 2, field)
         xs = [random_element(alg, rng) for _ in range(2)]
         assert evaluate(P, xs) == alg.zero()
+    # on witness matrices, read into A2 and mapped back
     real = realize_chevalley(build_algebra("A", 2, Q))
-    value = evaluate(P, [real.to_matrix(random_element(real.alg, rng)) for _ in range(2)])
-    assert value.realization == "sl3" and value.is_zero()
+    triple = [real.to_matrix(random_element(real.alg, rng)) for _ in range(2)]
+    verdict = dominance_witness_check(P, triple, triple)
+    assert verdict.result == "undefined" and verdict.detail.endswith("both assignment")
+    assert verdict.value1.realization == "sl3" and verdict.value1.is_zero()
     # sl(2) points, (e, f, h) = (1, 2, 3) and (-1, 0, 5), as A_1 elements
     a1 = build_algebra("A", 1, Q)
     points = [a1.element((h, e, f)) for e, f, h in ((1, 2, 3), (-1, 0, 5))]
@@ -378,6 +400,18 @@ def test_nesting_past_the_bound_is_refused(depth):
             parse(text)
         assert e.value.position == MAX_NESTING
         assert "nesting deeper than %d" % MAX_NESTING in str(e.value)
+
+
+def test_variable_index_past_the_bound_is_refused():
+    # refused at the index digits, before any table with an entry per
+    # variable is built
+    assert parse("[X1,X%d]" % MAX_INDEX).nvars == MAX_INDEX
+    assert parse("X000%d" % MAX_INDEX).nvars == MAX_INDEX
+    for index in ("%d" % (MAX_INDEX + 1), "99999999999", "9" * 5000, "0" * 9 + "999"):
+        with pytest.raises(ParseError) as e:
+            parse("[X1,X%s]" % index)
+        assert e.value.position == 5
+        assert "variable index above %d" % MAX_INDEX in str(e.value)
 
 
 def test_engel_monomial_at_the_nesting_bound():

@@ -137,7 +137,7 @@ def evaluations(draw):
 
 
 def element_combine(terms, alg):
-    return sum((v.scale_rational(c) for c, v in terms), alg.zero())
+    return sum((v.scale(c) for c, v in terms), alg.zero())
 
 
 @settings(SETTINGS, max_examples=200)

@@ -1130,9 +1130,9 @@ def test_example48_closed_form_exhaustive():
 @pytest.mark.parametrize("field", [F5, F7], ids=str)
 def test_library_returns_residues_over_fp(field):
     # every scalar handed out over F_p is an int in [0, p): matrix rows and
-    # their invariants, sl(2) witnesses and values, automorphism matrices
-    # and the example48 values
-    from liemap.matrixrep import char_invariants, char_poly, commutator
+    # their invariants, the matrices' Chevalley coordinates, sl(2) witnesses
+    # and values, automorphism matrices and the example48 values
+    from liemap.matrixrep import WITNESS_ALGEBRAS, char_invariants, char_poly
     p = field.modulus
 
     def residues(xs):
@@ -1141,11 +1141,14 @@ def test_library_returns_residues_over_fp(field):
     P = load_poly("razmyslov_bracket")
     matrices = []
     for key in ("paper-a2", "paper-b2"):
-        _, t1, t2 = load_witness_triples(key, field)
+        realization, t1, t2 = load_witness_triples(key, field)
         v = maps.dominance_witness_check(P, t1, t2)
-        X, Y = t1[0], t2[0]
-        matrices += t1 + t2 + [v.value1, v.value2, X + Y, X - Y, -X, X.scale(-3),
-                               X.scale_rational(Fraction(-1, 2)), commutator(X, Y)]
+        real = build_algebra(*WITNESS_ALGEBRAS[realization], field)._get_realization()
+        matrices += t1 + t2 + [v.value1, v.value2]
+        for X in t1 + t2:
+            x = real.from_matrix(X)
+            assert residues(x.coeffs)
+            matrices.append(real.to_matrix(x.scale(Fraction(-1, 2))))
     for realization in ("sl3", "so5"):
         res = maps.dominance_witness_search(parse("[[X1,X2],X3]"), realization, field,
                                             seed=1)

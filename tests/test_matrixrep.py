@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import matrix_commutator, scaled_matrix
 from liemap import linalg
 from liemap.chevalley import build_algebra
 from liemap.matrixrep import (MatrixElement, MatrixRepError, char_invariants, char_poly,
-                              commutator, matrix_from_ints, matrix_from_json,
-                              realize_chevalley, theta_separates)
+                              dominance_witness_check, matrix_from_ints, matrix_from_json,
+                              realize_chevalley, theta_separates, triples_from_json)
 from liemap.fixtures import load_witness_triples
+from liemap.rootsystem import RootSystemError
 from liemap.scalar import FpElement, make_field
 
 Q = make_field("Q")
@@ -24,13 +26,14 @@ def _rand_so5(rng, field):
 
 
 def test_commutator_basics():
+    # the integer commutator core that builds and checks the realizations
     X = matrix_from_ints("sl2", [[0, 1], [0, 0]], Q)
     Y = matrix_from_ints("sl2", [[0, 0], [1, 0]], Q)
     H = matrix_from_ints("sl2", [[1, 0], [0, -1]], Q)
-    assert commutator(X, X).is_zero()
-    assert commutator(X, Y) == H
-    with pytest.raises(MatrixRepError):
-        commutator(X, matrix_from_ints("sl3", [[0, 1, 0], [0, 0, 0], [0, 0, 0]], Q))
+    assert matrix_commutator(X, X).is_zero()
+    assert matrix_commutator(X, Y) == H
+    half = Fraction(1, 2)
+    assert matrix_commutator(Y, scaled_matrix(X, half)) == scaled_matrix(H, -half)
 
 
 def test_sl_trace_validation():
@@ -66,7 +69,7 @@ def test_so5_shape_validation_and_closure():
     for _ in range(100):
         X = _rand_so5(rng, Q)
         Y = _rand_so5(rng, Q)
-        Z = commutator(X, Y)
+        Z = matrix_commutator(X, Y)
         Z.validate()  # closed under the bracket
 
 
@@ -117,7 +120,7 @@ def test_invariant_homogeneity():
             X = _random_matrix(realization, Q, rng, 7)
             lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             a = char_invariants(X)
-            b = char_invariants(X.scale_rational(lam))
+            b = char_invariants(scaled_matrix(X, lam))
             assert b.f1 == lam ** 2 * a.f1
             assert b.f2 == lam ** d2 * a.f2
 
@@ -165,8 +168,8 @@ def test_theta_separates():
     assert char_invariants(D).theta_pair == (Fraction(-27), Fraction(4))
     assert char_invariants(D2).theta_pair == (Fraction(-1), Fraction(0))
     # scaling invariance (cone invariance of theta)
-    assert theta_separates(D, D.scale_rational(5)) == "equal"
-    assert theta_separates(D2, D2.scale_rational(Fraction(-7, 3))) == "equal"
+    assert theta_separates(D, scaled_matrix(D, 5)) == "equal"
+    assert theta_separates(D2, scaled_matrix(D2, Fraction(-7, 3))) == "equal"
     # symmetric
     assert theta_separates(D2, D) == "separated"
     N = matrix_from_ints("sl3", [[0, 1, 0], [0, 0, 1], [0, 0, 0]], Q)
@@ -185,7 +188,7 @@ def test_theta_scaling_invariance_random():
             continue
         base = theta_separates(X, Y)
         lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert theta_separates(X.scale_rational(lam), Y) == base
+        assert theta_separates(scaled_matrix(X, lam), Y) == base
 
 
 def test_realize_sl2():
@@ -210,9 +213,13 @@ def test_realize_constructions_verify():
     realize_chevalley(build_algebra("A", 5, F7))
     with pytest.raises(MatrixRepError):
         realize_chevalley(build_algebra("G", 2, Q))
+    # characteristic 2: type A realizes (every structure constant is +-1),
+    # and B2 is refused when its root system is built
     f2 = make_field("F2")
-    with pytest.raises(MatrixRepError):
-        realize_chevalley(build_algebra("A", 2, f2))
+    realize_chevalley(build_algebra("A", 2, f2))
+    realize_chevalley(build_algebra("A", 3, f2))
+    with pytest.raises(RootSystemError, match="characteristic 2"):
+        build_algebra("B", 2, f2)
 
 
 def _first_failing_pair(alg, images):
@@ -258,6 +265,15 @@ def test_realization_check_names_the_failing_pair(t, r, fs):
             Realization(alg, real.tag, images)
 
 
+def test_realization_images_must_be_independent():
+    # the zero map respects every bracket, but is no isomorphism: coordinates
+    # could not be read back off it
+    from liemap.matrixrep import Realization
+    alg = build_algebra("A", 2, F5)
+    with pytest.raises(MatrixRepError, match="linearly dependent"):
+        Realization(alg, "sl3", [linalg.zero_matrix(F5, 3, 3)] * alg.dim)
+
+
 def test_realize_round_trip():
     alg = build_algebra("A", 2, F5)
     real = realize_chevalley(alg)
@@ -268,12 +284,23 @@ def test_realize_round_trip():
         y = random_element(alg, rng)
         assert real.from_matrix(real.to_matrix(x)) == x
         assert real.to_matrix(alg.bracket(x, y)) == \
-            commutator(real.to_matrix(x), real.to_matrix(y))
+            matrix_commutator(real.to_matrix(x), real.to_matrix(y))
+    # a matrix outside the image is refused: every entry is checked, not
+    # only the entries the coordinates are read from
+    for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]):
+        with pytest.raises(MatrixRepError, match="outside the realized subalgebra"):
+            real.from_matrix(matrix_from_ints("sl3", rows, F5, validate=False))
+    so5 = realize_chevalley(build_algebra("B", 2, F5))
+    for i, j in ((0, 0), (1, 0), (1, 3), (4, 4)):
+        rows = [[0] * 5 for _ in range(5)]
+        rows[i][j] = 1
+        with pytest.raises(MatrixRepError, match="outside the realized subalgebra"):
+            so5.from_matrix(matrix_from_ints("so5", rows, F5, validate=False))
 
 
 def test_sum_node_evaluates_on_matrices():
-    # a Sum node adds and scales matrices: the sl(3) value is the image of
-    # the value in the Chevalley basis
+    # the witness check's sl(3) value of a polynomial with a Sum node is the
+    # image of its value in the Chevalley basis, and the element walk's
     from helpers import random_element
     from liemap.freelie import evaluate, parse
     alg = build_algebra("A", 2, Q)
@@ -281,11 +308,11 @@ def test_sum_node_evaluates_on_matrices():
     P = parse("[X1,X2] - 2*[[X1,X2],X1]")
     rng = random.Random(12)
     for _ in range(10):
-        xs = [random_element(alg, rng) for _ in range(2)]
-        X, Y = [real.to_matrix(x) for x in xs]
-        assert evaluate(P, [X, Y]) == real.to_matrix(evaluate(P, xs))
-        assert X - Y == X + (-Y) == real.to_matrix(xs[0] - xs[1])
-        assert -X == real.to_matrix(-xs[0])
+        xs, ys = ([random_element(alg, rng) for _ in range(2)] for _ in range(2))
+        t1, t2 = [real.to_matrix(x) for x in xs], [real.to_matrix(y) for y in ys]
+        verdict = dominance_witness_check(P, t1, t2)
+        assert verdict.value1 == real.to_matrix(evaluate(P, xs)) == _element_walk(P, t1)
+        assert verdict.value2 == real.to_matrix(evaluate(P, ys)) == _element_walk(P, t2)
 
 
 def test_conjugation_invariance_sl3():
@@ -354,15 +381,18 @@ def _scalar_commutator(X, Y):
 
 
 def _element_walk(P, xs):
-    """P on matrices by the element protocol: the schoolbook commutator,
-    + and scale_rational."""
+    """P on matrices by the schoolbook commutator and entrywise linear
+    combinations of residues."""
     from liemap.freelie import walk
+    f, n = xs[0].field, len(xs[0].rows)
 
     def combine(terms):
-        if not terms:
-            return xs[0].scale_rational(0)
-        values = [v if c == 1 else v.scale_rational(c) for c, v in terms]
-        return sum(values[1:], values[0])
+        rows = [[f.residue(0)] * n for _ in range(n)]
+        for c, v in terms:
+            c = f.residue(c)
+            rows = [[f.reduce(a + c * b) for a, b in zip(r, vr)]
+                    for r, vr in zip(rows, v.rows)]
+        return MatrixElement(xs[0].realization, rows, f, validate=False)
 
     return walk(P.node, xs, _scalar_commutator, combine, {})
 
@@ -418,24 +448,33 @@ ORACLE_ALGEBRAS = [(t, r, f) for t, r in (("A", 2), ("A", 3), ("B", 2))
 @pytest.mark.parametrize("t,r,fs", ORACLE_ALGEBRAS,
                          ids=["%s%d-%s" % c for c in ORACLE_ALGEBRAS])
 def test_matrix_evaluation_matches_the_element_walk(t, r, fs):
+    # evaluation in Chevalley coordinates, read in and mapped back through
+    # the realization, against the schoolbook walk on the matrices; the
+    # witness check does exactly this for sl3 and so5 and refuses sl4
     from liemap.fixtures import load_poly
     from liemap.freelie import engel_monomial, evaluate, parse
     alg = build_algebra(t, r, make_field(fs))
+    real = realize_chevalley(alg)
     polys = [load_poly("razmyslov_bracket"), engel_monomial(3),
              parse("1/2*[X1,X2] - 3/4*[[X1,X2],X3] + 5/3*X3 + [[X3,X1],X1]")]
     rng = random.Random("%s%d/%s" % (t, r, fs))
     for _ in range(6):
         xs = _random_realized(alg, rng, 3)
         X, Y = xs[:2]
-        assert commutator(X, Y) == _scalar_commutator(X, Y)
+        assert matrix_commutator(X, Y) == _scalar_commutator(X, Y)
         for P in polys:
             args = xs[:P.nvars]
-            value = evaluate(P, args)
+            value = real.to_matrix(evaluate(P, [real.from_matrix(M) for M in args]))
             assert value == _element_walk(P, args)
             assert value.realization == X.realization and value.field == X.field
             for row in value.rows:
                 for x in row:
                     assert type(x) is type(alg.field.residue(1))
+            if real.tag == "sl4":
+                with pytest.raises(MatrixRepError, match="sl3 or so5 matrices, not sl4"):
+                    dominance_witness_check(P, args, args)
+            else:
+                assert dominance_witness_check(P, args, args).value1 == value
 
 
 @pytest.mark.parametrize("t,r,fs", ORACLE_ALGEBRAS,
@@ -479,7 +518,7 @@ def test_invariants_match_the_fp_element_laplace_expansion(realization, p, kind,
         return real.to_matrix(alg.element(c))
 
     X = draw()
-    Y = X.scale(data.draw(st.integers(1, p - 1))) if kind == "scaled" else draw()
+    Y = scaled_matrix(X, data.draw(st.integers(1, p - 1))) if kind == "scaled" else draw()
     pairs = []
     for M in (X, Y):
         assert _residues_of(f, [x for r in M.rows for x in r])
@@ -521,16 +560,34 @@ def test_random_matrices_hold_their_shape(realization, fs):
 
 
 def test_evaluate_rejects_mixed_realizations_and_fields():
-    from liemap.freelie import evaluate, parse
+    # every matrix of both triples carries the first one's realization and
+    # field, in either triple
+    from liemap.freelie import parse
     P = parse("[X1,X2]")
     rng = random.Random(3)
     sl3_q, = _random_realized(build_algebra("A", 2, Q), rng, 1)
     sl3_f5, = _random_realized(build_algebra("A", 2, F5), rng, 1)
     so5_q, = _random_realized(build_algebra("B", 2, Q), rng, 1)
     element = build_algebra("A", 2, Q).basis_element(3)
-    for xs in ([sl3_q, so5_q], [sl3_q, sl3_f5], [sl3_f5, sl3_q], [sl3_q, element]):
-        with pytest.raises(MatrixRepError, match="realization/shape mismatch"):
-            evaluate(P, xs)
+    for xs in ([sl3_q, so5_q], [sl3_q, sl3_f5], [sl3_f5, sl3_q], [sl3_q, element],
+               [element, sl3_q]):
+        for t1, t2 in ((xs, [sl3_q, sl3_q]), ([sl3_q, sl3_q], xs)):
+            with pytest.raises(MatrixRepError, match="realization/shape mismatch"):
+                dominance_witness_check(P, t1, t2)
     # the whole assignment is checked, used by P or not
     with pytest.raises(MatrixRepError, match="realization/shape mismatch"):
-        evaluate(parse("[X1,X2]", nvars=3), [sl3_q, sl3_q, so5_q])
+        dominance_witness_check(parse("[X1,X2]", nvars=3), [sl3_q] * 3,
+                                [sl3_q, sl3_q, so5_q])
+
+
+def test_witness_document_names_its_matrices_realization():
+    # a document whose top-level realization is not its matrices' is refused,
+    # so a verdict on sl3 values is never printed under "so5"
+    import json
+    from liemap.fixtures import WITNESS_FIXTURES, fixture_text
+    for key, other in (("paper-a2", "so5"), ("paper-b2", "sl3")):
+        doc = json.loads(fixture_text(WITNESS_FIXTURES[key]))
+        assert triples_from_json(doc, Q)[0] != other
+        with pytest.raises(MatrixRepError,
+                           match="realization %s is not its matrices'" % other):
+            triples_from_json(dict(doc, realization=other), Q)

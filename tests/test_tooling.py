@@ -118,6 +118,29 @@ def test_sl2_keeps_no_bracket_of_its_own():
             assert "bracket" not in methods, node.name
 
 
+def test_one_element_type_implements_evaluate():
+    # freelie.evaluate has one hook implementer, AlgElement.integer_rows;
+    # witness matrices are evaluated through their realization, so a class
+    # that defines the hook or matrix arithmetic is a second element type
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    hooks, matrix_methods = [], None
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if "integer_rows" in methods:
+                    hooks.append((name, node.name))
+                if node.name == "MatrixElement":
+                    matrix_methods = methods
+    assert hooks == [("chevalley.py", "AlgElement")]
+    assert matrix_methods is not None
+    assert not matrix_methods & {"__add__", "__sub__", "__neg__", "scale", "bracket"}
+
+
 def test_no_module_exceeds_32_kib():
     # a run from a fresh checkout compiles liemap from source, and the
     # largest compile() peak (+2.25 MB for a 32.7 KB module) sets the
