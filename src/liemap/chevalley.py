@@ -207,9 +207,10 @@ class AlgElement:
 class LieAutomorphism:
     """The product x_{b_k}(t_k) .. x_{b_1}(t_1) of root elements, held as its
     word ((b_1, t_1), .., (b_k, t_k)) of root coordinates and residues and
-    applied letter by letter from the integral divided powers.  `factors`,
-    with residue scalars, is what a report prints about it.  The residue
-    matrices `matrix` and `inv_matrix` are computed from the word on demand."""
+    applied letter by letter from the integral divided powers to one int
+    row with one denominator.  `factors`, with residue scalars, is what a
+    report prints about it.  The residue matrices `matrix` and `inv_matrix`
+    are computed from the word on demand."""
 
     def __init__(self, alg, word=(), factors=()):
         self.alg = alg
@@ -217,9 +218,12 @@ class LieAutomorphism:
         self.factors = tuple(factors)
 
     def _times(self, v):
+        alg = self.alg
+        f = alg.field
+        (ints,), d = f.integral_rows((v,))
         for coords, t in self.word:
-            v = self.alg._root_element_times(coords, t, v)
-        return v
+            ints, d = alg._root_element_row(coords, f.integral_scalar(t), ints, d)
+        return f.from_integral_row(ints, d)
 
     @property
     def matrix(self):
@@ -448,23 +452,26 @@ class ChevalleyAlgebra:
         t = self.field.residue(t)
         return LieAutomorphism(self, ((coords, t),), (("root", coords, t),))
 
-    def _root_element_times(self, coords, t, v):
-        """x_beta(t) v = v + sum_k t^k N_k v on a residue vector, with the
-        integral N_k read in place and the sum reduced once."""
-        powers = self._z_powers.get(coords)
-        if powers is None:
-            powers = _integral_divided_powers(self, coords)
-        out = list(v)
-        tk = 1
-        for nk in powers:
-            tk = tk * t
+    def _root_element_row(self, coords, t, ints, d):
+        """x_beta(a/b) on the row ints / d, t = (a, b): b^K ints + sum_k
+        a^k b^(K-k) N_k ints over d b^K, the integral N_k read in place,
+        normalised once.  Over F_p, b = d = 1 and the sum is reduced mod p."""
+        powers = self._z_powers.get(coords) or _integral_divided_powers(self, coords)
+        a, b = t
+        K = len(powers)
+        out = list(ints)
+        if b != 1:
+            out = [b ** K * x for x in out]
+            d *= b ** K
+        for k, nk in enumerate(powers, 1):
+            m = a ** k if b == 1 else a ** k * b ** (K - k)
             for j, col in nk:
-                x = v[j]
+                x = ints[j]
                 if x:
-                    x = tk * x
+                    x = m * x
                     for i, n in col:
                         out[i] += n * x
-        return self.field.reduce_row(out)
+        return self.field.normal_row(out, d)
 
     def conjugate_into_U(self, l: AlgElement, seed=0, budget=4000):
         """Find (g, u) with u = g(l) having zero H-part.
@@ -539,7 +546,7 @@ class ChevalleyAlgebra:
             for _ in range(steps):
                 b = roots[rng.randrange(len(roots))]
                 t = rng.randrange(1, p)
-                v = self._root_element_times(b.coords, t, v)
+                v, _ = self._root_element_row(b.coords, (t, 1), v, 1)
                 word.append((b.coords, t))
             if not any(v[: self.rank]):
                 factors = (("root", c, t) for c, t in word)

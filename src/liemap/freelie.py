@@ -182,7 +182,11 @@ def _tokenize(text):
             break
         start = m.start(m.lastindex)
         if m.group(1):
-            toks.append(("int", int(m.group(1)), start))
+            try:
+                toks.append(("int", int(m.group(1)), start))
+            except ValueError:    # longer than sys.get_int_max_str_digits()
+                raise ParseError("coefficient of %d digits is too long"
+                                 % len(m.group(1)), start) from None
         elif m.group(2):
             letter, digits = m.group(2), m.group(3)
             if digits:
@@ -579,12 +583,17 @@ class EngelSpec:
             g = g[1:]
         roots = {Fraction(0)}
         if g:
-            c0, lead, n = abs(g[0]), abs(g[-1]), len(g) - 1
-            for p in _divisors(c0):
-                for q in _divisors(lead):
+            qs = _divisors(g[-1])
+            for p in _divisors(g[0]):
+                for q in qs:
                     for a in (p, -p):
-                        # g(a/q) = 0 iff q^n g(a/q) = sum g_i a^i q^(n-i) = 0
-                        if not sum(c * a ** i * q ** (n - i) for i, c in enumerate(g)):
+                        # g(a/q) = 0 iff q^n g(a/q) = sum g_i a^i q^(n-i) = 0,
+                        # by Horner's rule from g_n
+                        acc, qi = 0, 1
+                        for c in reversed(g):
+                            acc = acc * a + c * qi
+                            qi *= q
+                        if not acc:
                             roots.add(Fraction(a, q))
         return sorted(roots)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import random
@@ -130,12 +131,21 @@ def engel_solve(alg: ChevalleyAlgebra, spec: EngelSpec, target: AlgElement,
     g, u = alg.conjugate_into_U(target, seed=seed, budget=budget)
     conj_desc = [[f[0]] + [str(x) for x in f[1:]] for f in g.factors]
 
+    # f(beta(h)) on ints: h is integral on both fields, so beta(h) is a dot
+    # product with the table beta(h_i), and f(t) = sum_i A_i (-t)^i / D
+    (hs,), dh = field.integral_rows((h.h_part,))
+    assert dh == 1, "find_regular returned a non-integral h"
+    D = math.lcm(*(a.denominator for a in spec.coeffs))
+    As = [a.numerator * (D // a.denominator) for a in reversed(spec.coeffs)]
     coeffs = [0] * alg.dim
     for k in range(alg.rank, alg.dim):
         c = u.coeffs[k]
         if c:
-            fv = spec.f_value(alg.beta_value(alg.basis[k][1], h), field)
-            coeffs[k] = field.reduce(c * field.inv(fv))
+            s = -sum(map(operator.mul, hs, alg.rs.h_values[alg.basis[k][1]]))
+            fv = 0
+            for A in As:
+                fv = (fv + A) * s
+            coeffs[k] = field.reduce(c * D * field.inv(fv))
     X = alg.element(coeffs)
     ginv = g.inverse()
     Xs, Ys = ginv.apply(X), ginv.apply(h)

@@ -43,7 +43,7 @@ def _orbit_generators(alg: ChevalleyAlgebra, t=1):
     for a in alg.rs.simple_roots:
         for coords in (a.coords, (-a).coords):
             cols = ((j, [(x - y) % p for x, y in
-                         zip(alg._root_element_times(coords, t % p, e), e)])
+                         zip(alg._root_element_row(coords, (t % p, 1), e, 1)[0], e)])
                     for j, e in enumerate(eye))
             gens.append(tuple((j, tuple((i, c) for i, c in enumerate(col) if c))
                               for j, col in cols if any(col)))

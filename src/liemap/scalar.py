@@ -168,7 +168,7 @@ class Rationals:
         return Fraction(text.strip())
 
     def format_scalar(self, x) -> str:
-        x = Fraction(x)
+        x = self.residue(x)
         if x.denominator == 1:
             return str(x.numerator)
         return "%d/%d" % (x.numerator, x.denominator)

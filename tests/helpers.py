@@ -1,5 +1,6 @@
-"""Shared test utilities: seeded random elements and polynomials, scaled
-matrices and the matrix commutator, the brute-force sl(2) witness oracle,
+"""Shared test utilities: seeded random elements and polynomials, the
+residue reference for root elements, scaled matrices and the matrix
+commutator, the brute-force sl(2) witness oracle,
 the type-A similarity oracle and the column-space walk that credits the
 Engel scan's printed preimages."""
 
@@ -8,7 +9,7 @@ import random
 from fractions import Fraction
 
 from liemap import linalg, maps
-from liemap.chevalley import AlgElement, _zero_diagonal
+from liemap.chevalley import AlgElement, _integral_divided_powers, _zero_diagonal
 from liemap.freelie import Br, LiePoly, Sum, Var
 from liemap.matrixrep import MatrixElement, _commutator
 from liemap.sl2 import _sl2_value
@@ -26,6 +27,25 @@ def random_nonzero_element(alg, rng):
         x = random_element(alg, rng)
         if not x.is_zero():
             return x
+
+
+def root_element_times(alg, coords, t, v):
+    """Reference for x_beta(t) v = v + sum_k t^k N_k v on a residue vector
+    (the library's loop before it ran on integer rows): every product is a
+    residue, the integral N_k are read in place and the sum is reduced
+    once."""
+    powers = alg._z_powers.get(coords) or _integral_divided_powers(alg, coords)
+    out = list(v)
+    tk = 1
+    for nk in powers:
+        tk = tk * t
+        for j, col in nk:
+            x = v[j]
+            if x:
+                x = tk * x
+                for i, n in col:
+                    out[i] += n * x
+    return alg.field.reduce_row(out)
 
 
 def scaled_matrix(X, c):

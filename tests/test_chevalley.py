@@ -7,8 +7,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import (random_element, random_nonzero_element,
+from helpers import (random_element, random_nonzero_element, root_element_times,
                      similarity_conjugator)
 from liemap import linalg
 from liemap.chevalley import (CentralElementError, ChevalleyError,
@@ -571,6 +572,36 @@ def test_algebra_mismatch_rejected():
     b = build_algebra("A", 2, F7)
     with pytest.raises(ChevalleyError):
         a.basis_element(0) + b.basis_element(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_root_element_words_match_the_residue_reference(data):
+    # words run on one int row with one denominator; the oracle applies each
+    # letter on residues, Fraction by Fraction over Q
+    type_label = data.draw(st.sampled_from("ABG"))
+    field = data.draw(st.sampled_from([Q, F5, F7]))
+    alg = build_algebra(type_label, 2, field)
+    if field.characteristic:
+        scalar = st.integers(0, field.modulus - 1)
+    else:
+        scalar = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+    letters = data.draw(st.lists(st.tuples(st.sampled_from(alg.rs.roots), scalar),
+                                 max_size=6))
+    x = alg.element(data.draw(st.lists(scalar, min_size=alg.dim, max_size=alg.dim)))
+    g = alg.identity_automorphism()
+    v = x.coeffs
+    for b, t in letters:
+        g = alg.root_automorphism(b, t).compose(g)
+        v = root_element_times(alg, b.coords, field.residue(t), v)
+    assert g.apply(x).coeffs == tuple(v)
+    assert g.inverse().apply(g.apply(x)) == x
+    (ints,), d = field.integral_rows((x.coeffs,))
+    for coords, t in g.word:
+        ints, d = alg._root_element_row(coords, field.integral_scalar(t), ints, d)
+        assert d > 0 and math.gcd(d, *ints) == 1
+        if field.characteristic:
+            assert d == 1 and all(0 <= n < field.modulus for n in ints)
 
 
 def test_integer_tables_are_shared_across_fields():

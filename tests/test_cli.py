@@ -148,6 +148,21 @@ ENGEL_SOLVE_DIGESTS = [
      "1d0dc5142e30c9c8bedba33263247ce8145af0a0515861a415dbac7278259c23"),
 ]
 
+# stdout sha256 of Q engel-solve runs whose rows carry a denominator,
+# recorded while root elements still built a Fraction per coordinate: a target
+# with non-integral coefficients (d > 1), and f with non-integral
+# coefficients (D > 1)
+_A3_FRACTIONAL_TARGET = ["1/2", "-3/4", "0", "2", "0", "1/3", "0", "0", "5", "0",
+                         "0", "-1", "0", "0", "7/6"]
+ENGEL_SOLVE_DIGESTS += [
+    (["A3", "Q", "0,1"], _A3_FRACTIONAL_TARGET,
+     "2d40e97cdb15ce81e438a528791a5201164a4809135b2cf6b8ee5b560cc15970"),
+    (["A3", "Q", "1/2,0,1"], _A3_FRACTIONAL_TARGET,
+     "e241fa56209a5e5149e9fa159c12fcb7ad1c99937dc25cdda889b4c107c8a00b"),
+    (["A2", "Q", "1/2,3"], ["3", "-1", "0", "2", "0", "1", "0", "-2"],
+     "21deaa7843fc7a0cd77a0408dfadb4e945b62bbe8427af6edd0c950f719e9e2a"),
+]
+
 
 # stdout sha256 of F_p commands whose scalars changed form (FpElement to
 # residue ints), recorded while FpElement was still the public F_p scalar
@@ -222,7 +237,9 @@ def test_fp_scalar_pinned_bytes(capsys, argv, digest):
 
 
 @pytest.mark.parametrize("args,coeffs,digest", ENGEL_SOLVE_DIGESTS,
-                         ids=["A2-F5-E1", "A3-F7-E2", "A2-Q-720720", "A4-Q-E2"])
+                         ids=["A2-F5-E1", "A3-F7-E2", "A2-Q-720720", "A4-Q-E2",
+                              "A3-Q-E2-fractional-target", "A3-Q-fractional-f",
+                              "A2-Q-half-3"])
 def test_engel_solve_pinned_bytes(tmp_path, capsys, args, coeffs, digest):
     target = tmp_path / "target.json"
     target.write_text(json.dumps({"basis": "chevalley", "coeffs": coeffs}))
@@ -618,6 +635,16 @@ def test_huge_variable_index_is_refused(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and json.loads(out) == {
         "error": "variable index above 200 (at offset 5)", "kind": "ParseError"}
+
+
+@pytest.mark.parametrize("prefix", ["", "[X1,X2] + "], ids=["first", "offset-10"])
+def test_overlong_coefficient_is_a_parse_error(capsys, prefix):
+    # int() refuses a decimal string of more than 4,300 digits; the parser
+    # reports it at the coefficient's offset like any malformed polynomial
+    code, out = run(capsys, ["parse", "--poly", prefix + "9" * 5000 + "*X1"])
+    assert code == 1 and json.loads(out) == {
+        "error": "coefficient of 5000 digits is too long (at offset %d)" % len(prefix),
+        "kind": "ParseError"}
 
 
 def test_nesting_bound_from_the_cli(tmp_path, capsys):

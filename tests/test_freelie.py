@@ -516,6 +516,9 @@ def _rational_roots_reference(spec, bound=20):
     ((3, Fraction(5, 2), -3), (Fraction(-3, 2), 0, Fraction(2, 3))),
     # f = t (4t^2 - 9)(5t - 1) = 9t - 45t^2 - 4t^3 + 20t^4
     ((-9, -45, 4, 20), (Fraction(-3, 2), 0, Fraction(1, 5), Fraction(3, 2))),
+    # f = t (2t - 1)(3t + 2)(2t - 9) = 18t - 13t^2 - 52t^3 + 12t^4: leading
+    # coefficient 12 (divisors read for each of the 6 divisors of 18)
+    ((-18, -13, 52, 12), (Fraction(-2, 3), 0, Fraction(1, 2), Fraction(9, 2))),
 ])
 def test_rational_roots_non_monic(coeffs, roots):
     spec = EngelSpec(coeffs)

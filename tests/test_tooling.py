@@ -88,6 +88,28 @@ def test_only_freelie_walks_the_tree():
         assert not imported & {"Var", "Br", "Sum"}, name
 
 
+def test_only_chevalley_applies_root_elements():
+    # x_beta(t) runs in one place, ChevalleyAlgebra._root_element_row, from
+    # the integral divided powers; a module that reads them is about to grow
+    # a second root-element path
+    from liemap.chevalley import ChevalleyAlgebra
+    assert not hasattr(ChevalleyAlgebra, "_root_element_times")
+    powers = {"_z_powers", "_integral_divided_powers"}
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            used = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            assert used != "_root_element_times", (name, node.lineno)
+            if name != "chevalley.py":
+                assert used not in powers, (name, getattr(node, "lineno", None))
+
+
 def test_only_rootsystem_reads_the_gram_form():
     # the root datum (beta(h_i), lengths, coroots) is tabulated once in
     # rootsystem.py; a module that reads the Gram form is about to recompute it
