@@ -222,7 +222,8 @@ class LieAutomorphism:
         f = alg.field
         (ints,), d = f.integral_rows((v,))
         for coords, t in self.word:
-            ints, d = alg._root_element_row(coords, f.integral_scalar(t), ints, d)
+            t = t.numerator, t.denominator
+            ints, d = alg._root_element_row(coords, t, ints, d)
         return f.from_integral_row(ints, d)
 
     @property
@@ -458,13 +459,15 @@ class ChevalleyAlgebra:
         normalised once.  Over F_p, b = d = 1 and the sum is reduced mod p."""
         powers = self._z_powers.get(coords) or _integral_divided_powers(self, coords)
         a, b = t
-        K = len(powers)
-        out = list(ints)
-        if b != 1:
-            out = [b ** K * x for x in out]
-            d *= b ** K
-        for k, nk in enumerate(powers, 1):
-            m = a ** k if b == 1 else a ** k * b ** (K - k)
+        m = 1
+        if b == 1:
+            out = list(ints)
+        else:
+            m = b ** len(powers)
+            out = [m * x for x in ints]
+            d *= m
+        for nk in powers:
+            m = m * a if b == 1 else m * a // b        # a^k b^(K-k)
             for j, col in nk:
                 x = ints[j]
                 if x:
@@ -538,7 +541,7 @@ class ChevalleyAlgebra:
             # answers where it did and nowhere else.
             raise ChevalleyError(
                 "the randomized conjugation search is limited to characteristic >= 5")
-        roots = self.rs.roots
+        roots = [b.coords for b in self.rs.roots]
         steps = 2 * len(self.rs.positive_roots)
         for _ in range(budget):
             word = []
@@ -546,8 +549,8 @@ class ChevalleyAlgebra:
             for _ in range(steps):
                 b = roots[rng.randrange(len(roots))]
                 t = rng.randrange(1, p)
-                v, _ = self._root_element_row(b.coords, (t, 1), v, 1)
-                word.append((b.coords, t))
+                v, _ = self._root_element_row(b, (t, 1), v, 1)
+                word.append((b, t))
             if not any(v[: self.rank]):
                 factors = (("root", c, t) for c, t in word)
                 return LieAutomorphism(self, word, factors), AlgElement(self, v)

@@ -272,7 +272,8 @@ class PrimeField:
         return self.reduce_row(ints)
 
     def normal_row(self, ints, d):
-        return self.reduce_row(ints), 1
+        p = self.modulus
+        return [x % p for x in ints], 1
 
     def integral_scalar(self, q):
         return self.residue(q), 1
