@@ -311,7 +311,13 @@ class ChevalleyAlgebra:
         coeffs = obj.get("coeffs")
         if not isinstance(coeffs, list) or not all(isinstance(s, str) for s in coeffs):
             raise ChevalleyError("chevalley coeffs must be a list of strings")
-        return self.element([self.field.parse_scalar(s) for s in coeffs])
+        out = []
+        for i, s in enumerate(coeffs):
+            try:
+                out.append(self.field.parse_scalar(s))
+            except (ValueError, ZeroDivisionError) as e:
+                raise ChevalleyError("coeffs[%d]: %s" % (i, e)) from None
+        return self.element(out)
 
     def bracket(self, x: AlgElement, y: AlgElement) -> AlgElement:
         f = self.field
@@ -389,12 +395,6 @@ class ChevalleyAlgebra:
     def is_central(self, x: AlgElement) -> bool:
         _, R, pivots = self._center_echelon()
         return linalg.in_row_space(R, pivots, x.coeffs, self.field)
-
-    def beta_value(self, coords, h: AlgElement):
-        """beta(h) = sum_i t_i beta(h_i) for h = sum_i t_i h_i + (U-part,
-        ignored), as a residue."""
-        values = self.rs.h_values[coords]
-        return self.field.reduce(sum(t * v for t, v in zip(h.coeffs, values)))
 
     def find_regular(self, avoid):
         """Deterministic lattice search for h in H with beta(h) outside `avoid`
@@ -564,9 +564,8 @@ class ChevalleyAlgebra:
         rs = self.rs
         q = _Q_TABLES.get(rs.key)
         if q is None:
-            hv = rs.h_values
-            q = _Q_TABLES[rs.key] = {(b, g): sum(map(mul, hv[g], c))
-                                     for b, c in rs.coroot.items() for g in hv}
+            q = _Q_TABLES[rs.key] = {(b, g): rs.pairing(g, b)
+                                     for b in rs.coroot for g in rs.h_values}
         return q
 
     def structure_json(self):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import fixtures, maps
 from .chevalley import ChevalleyError, build_algebra
-from .freelie import ParseError, _frac_str, engel_spec, make_engel, normal_form, parse
+from .freelie import ParseError, _frac_str, make_engel, normal_form, parse
 from .matrixrep import MatrixRepError, triples_from_json
 from .rootsystem import RootSystemError, build_root_system
 from .scalar import FieldSpecError, make_field
@@ -174,7 +174,12 @@ def cmd_engel_solve(args):
     field = make_field(args.field)
     t, r = _algebra_label(args.algebra)
     alg = build_algebra(t, r, field)
-    coeffs = [Fraction(c) for c in args.coeffs.split(",")]
+    coeffs = []
+    for i, c in enumerate(args.coeffs.split(","), start=1):
+        try:
+            coeffs.append(Fraction(c))
+        except (ValueError, ZeroDivisionError) as e:
+            raise ValueError("--coeffs entry %d: %s" % (i, e)) from None
     _, spec = make_engel(coeffs)
     with open(args.target) as fh:
         target = alg.element_from_json(json.load(fh))
@@ -191,24 +196,9 @@ def cmd_scan(args):
     field = make_field(args.field)
     t, r = _algebra_label(args.algebra)
     alg = build_algebra(t, r, field)
-    P = _poly_arg(args.poly)
-    spec = None
-    if args.mode == "exhaustive" and field.characteristic and P.nvars == 2:
-        N, budget = field.modulus ** alg.dim, maps.scan_budget(args.budget)
-        if budget < N * N:
-            # brute force would exceed the budget: the Engel engine labels N elements
-            spec = engel_spec(P)
-            if spec is not None and N > budget:
-                raise maps.ScanBudgetError(
-                    "exhaustive scan needs %d evaluations > budget %d; as an Engel sum "
-                    "P needs %d element labels (LIEMAP_BUDGET >= %d)" % (N * N, budget, N, N))
-    if spec is not None:
-        rep = maps.engel_image_scan(alg, spec, workers=args.workers,
-                                    budget=args.budget)
-    else:
-        rep = maps.image_scan(alg, P, mode=args.mode, seed=args.seed,
-                              workers=args.workers, budget=args.budget,
-                              sample_count=args.samples)
+    rep = maps.image_scan(alg, _poly_arg(args.poly), mode=args.mode, seed=args.seed,
+                          workers=args.workers, budget=args.budget,
+                          sample_count=args.samples)
     obj = {"schema": "liemap/scan/v1"}
     obj.update(rep.to_json())
     _emit(obj, args.out)

@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .chevalley import AlgElement, ChevalleyError
+from .errors import CostGuardError
 
 
 # The deepest nesting of brackets and parentheses a polynomial may have, and
@@ -41,6 +42,11 @@ MAX_NESTING = 200
 # The largest variable index the parser takes: normal forms, linear parts and
 # assignments have an entry per variable up to the largest index.
 MAX_INDEX = 200
+
+# The most trial divisions roots_in makes over Q for one end coefficient n of
+# g, which needs isqrt(|n|): |n| up to about 10^14 (_divisors(10^14) takes
+# 0.6-0.9 s on a 2-vCPU Xeon VM).
+ROOT_DIVISOR_BOUND = 10 ** 7
 
 
 class ParseError(ValueError):
@@ -544,7 +550,9 @@ def max_monomial_degree(P: LiePoly) -> int:
 
 class EngelSpec:
     """Coefficients a_1..a_m of sum a_i E_i(X, Y), with the induced univariate
-    f(t) = sum (-1)^i a_i t^i whose roots steer the constructive solver."""
+    f(t) = sum (-1)^i a_i t^i whose roots steer the constructive solver.  f
+    is cleared once, to ints: D is the lcm of the denominators, A_i = a_i D,
+    and f_int(s) = D f(-s) = sum A_i s^i."""
 
     def __init__(self, coeffs):
         cs = tuple(Fraction(c) for c in coeffs)
@@ -556,45 +564,48 @@ class EngelSpec:
         self.coeffs = cs
         self.m = len(cs)
         self.degree = self.m + 1
+        self.D = lcm(*(a.denominator for a in cs))
+        self.A = tuple(a.numerator * (self.D // a.denominator) for a in cs)
 
-    def f_coefficients(self):
-        """Coefficients of f, low degree first (constant term is 0)."""
-        return tuple([Fraction(0)] + [(-1) ** i * a for i, a in
-                                      enumerate(self.coeffs, start=1)])
-
-    def f_value(self, t, field):
-        """f(t) = sum a_i s^i, s = -t, by Horner's rule on residues."""
-        s = field.reduce(-t)
+    def f_int(self, s):
+        """D f(-s) = sum A_i s^i, by Horner's rule on ints."""
         acc = 0
-        for a in reversed(self.coeffs):
-            acc = field.reduce((acc + field.residue(a)) * s)
+        for a in reversed(self.A):
+            acc = (acc + a) * s
         return acc
 
     def roots_in(self, field):
         """All roots of f in the field, as residues: exhaustive over F_p,
-        rational-root enumeration over Q.  Always contains 0."""
+        rational-root enumeration over Q.  Always contains 0.  Over Q the
+        divisors of g's end coefficients are found by trial division, which
+        is refused (CostGuardError) past ROOT_DIVISOR_BOUND candidates."""
         if field.characteristic:
-            return [x for x in range(field.modulus) if not self.f_value(x, field)]
-        fc = self.f_coefficients()
-        # f = t * g; rational roots of g have p | const(g), q | lead(g)
-        den = lcm(*(c.denominator for c in fc))
-        g = [int(c * den) for c in fc[1:]]
-        while g and g[0] == 0:
+            p = field.modulus
+            for a in reversed(self.coeffs):
+                field.residue(a)    # a denominator divisible by p raises here
+            return [x for x in range(p) if not self.f_int(-x) % p]
+        # f = t * g with g_i = (-1)^(i+1) A_(i+1) / D, whose last entry is
+        # nonzero; rational roots of g have p | const(g), q | lead(g)
+        g = [-a if i % 2 else a for i, a in enumerate(self.A, start=1)]
+        while not g[0]:
             g = g[1:]
+        if max(isqrt(abs(g[0])), isqrt(abs(g[-1]))) > ROOT_DIVISOR_BOUND:
+            raise CostGuardError(
+                "rational roots of f: trial division of an end coefficient "
+                "of g would pass %d candidates (ROOT_DIVISOR_BOUND)" % ROOT_DIVISOR_BOUND)
         roots = {Fraction(0)}
-        if g:
-            qs = _divisors(g[-1])
-            for p in _divisors(g[0]):
-                for q in qs:
-                    for a in (p, -p):
-                        # g(a/q) = 0 iff q^n g(a/q) = sum g_i a^i q^(n-i) = 0,
-                        # by Horner's rule from g_n
-                        acc, qi = 0, 1
-                        for c in reversed(g):
-                            acc = acc * a + c * qi
-                            qi *= q
-                        if not acc:
-                            roots.add(Fraction(a, q))
+        qs = _divisors(g[-1])
+        for p in _divisors(g[0]):
+            for q in qs:
+                for a in (p, -p):
+                    # g(a/q) = 0 iff q^n g(a/q) = sum g_i a^i q^(n-i) = 0,
+                    # by Horner's rule from g_n
+                    acc, qi = 0, 1
+                    for c in reversed(g):
+                        acc = acc * a + c * qi
+                        qi *= q
+                    if not acc:
+                        roots.add(Fraction(a, q))
         return sorted(roots)
 
     def is_plain_engel(self) -> bool:

@@ -23,21 +23,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import operator
 import os
 import random
 from typing import NamedTuple
 
-from .chevalley import (AlgElement, CentralElementError, ChevalleyAlgebra,
-                        build_algebra)
+from .chevalley import AlgElement, CentralElementError, ChevalleyAlgebra
 from .errors import (CostGuardError, InvalidBudgetError,  # noqa: F401 (re-export)
                      InvalidSampleCountError, MapsError, ScanBudgetError)
-from .freelie import EngelSpec, LiePoly, engel_monomial, evaluate, make_engel, parse
+from .freelie import (EngelSpec, LiePoly, engel_monomial, engel_spec, evaluate,
+                      make_engel, parse)
 from . import linalg
 from .matrixrep import (WitnessSearchResult, WitnessVerdict,  # noqa: F401 (re-export)
                         dominance_witness_check, dominance_witness_search)
-from .scalar import PrimeField
 from .sl2 import IdentityVerdict, is_identity_sl2  # noqa: F401 (re-export)
 
 
@@ -132,20 +130,15 @@ def engel_solve(alg: ChevalleyAlgebra, spec: EngelSpec, target: AlgElement,
     conj_desc = [[f[0]] + [str(x) for x in f[1:]] for f in g.factors]
 
     # f(beta(h)) on ints: h is integral on both fields, so beta(h) is a dot
-    # product with the table beta(h_i), and f(t) = sum_i A_i (-t)^i / D
+    # product with the table beta(h_i), and f(beta(h)) = f_int(-beta(h)) / D
     (hs,), dh = field.integral_rows((h.h_part,))
     assert dh == 1, "find_regular returned a non-integral h"
-    D = math.lcm(*(a.denominator for a in spec.coeffs))
-    As = [a.numerator * (D // a.denominator) for a in reversed(spec.coeffs)]
     coeffs = [0] * alg.dim
     for k in range(alg.rank, alg.dim):
         c = u.coeffs[k]
         if c:
             s = -sum(map(operator.mul, hs, alg.rs.h_values[alg.basis[k][1]]))
-            fv = 0
-            for A in As:
-                fv = (fv + A) * s
-            coeffs[k] = field.reduce(c * D * field.inv(fv))
+            coeffs[k] = field.reduce(c * spec.D * field.inv(spec.f_int(s)))
     X = alg.element(coeffs)
     ginv = g.inverse()
     Xs, Ys = ginv.apply(X), ginv.apply(h)
@@ -335,9 +328,10 @@ class ImageReport(NamedTuple):
 
 def _scan_chunk(args):
     """Worker: the least index of every value P takes on the assignment
-    indices [start, end), evaluated by lanes.block_kernel a block at a
-    time on the column store for p (bytes for p <= 13); pure and
-    order-free.
+    indices [start, end), for P of d variables on alg, evaluated by its
+    lanes.block_kernel `kernel` a block at a time on the column store
+    `store` for p (bytes for p <= 13); pure and order-free.  A forked
+    worker shares the caller's alg, store and kernel.
 
     Exhaustive mode walks the indices a_idx = x1 + N (x2 + N (..)) in
     order, in blocks of at most _BLOCK_LANES that share X2..Xd, so only X1
@@ -347,14 +341,9 @@ def _scan_chunk(args):
     value, keyed by its index (the kernel's lane code), keeps the first
     assignment index that reaches it.
     """
-    from .lanes import block_kernel, column_store
-    start, end, type_label, rank, p, poly_text, mode_seed = args
-    alg = build_algebra(type_label, rank, PrimeField(p))
-    P = parse(poly_text)
-    dim, d = alg.dim, P.nvars
+    start, end, alg, d, store, kernel, mode_seed = args
+    p, dim = alg.field.modulus, alg.dim
     N = p ** dim
-    store = column_store(p)
-    kernel = block_kernel(P, alg, store)
     attained = {}
 
     def merge(keys, indices):
@@ -404,7 +393,8 @@ def _draws(seed, n, count):
 
 def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
                workers=1, budget=None, sample_count=10000) -> ImageReport:
-    """Brute-force image computation over a finite field.
+    """Image computation over a finite field, by brute force or, for an
+    Engel sum, by engel_image_scan.
 
     exhaustive mode enumerates every assignment (the independent oracle used
     throughout the test suite); sampled mode draws seeded uniform assignments.
@@ -417,7 +407,9 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     assignment index, so reports are bit-identical for any worker count.
     `budget` (default LIEMAP_BUDGET, else 2,000,000) caps the exhaustive
     enumeration and the sample count, and must be at least 1, as must
-    sample_count.
+    sample_count.  An exhaustive scan past the budget whose P is an Engel
+    sum in X1, X2 (freelie.engel_spec) is engel_image_scan's instead, which
+    counts its p^dim element labels against the budget.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
@@ -428,9 +420,13 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     total = N ** d
     if mode == "exhaustive":
         if total > budget:
-            raise ScanBudgetError(
-                "exhaustive scan needs %d evaluations > budget %d; "
-                "use sampled mode or raise LIEMAP_BUDGET" % (total, budget))
+            spec = engel_spec(P)
+            hint = ("use sampled mode or raise LIEMAP_BUDGET" if spec is None else
+                    "as an Engel sum P needs %d element labels (LIEMAP_BUDGET >= %d)" % (N, N))
+            if spec is None or N > budget:
+                raise ScanBudgetError("exhaustive scan needs %d evaluations > budget %d; %s"
+                                      % (total, budget, hint))
+            return engel_image_scan(alg, spec, workers=workers, budget=budget)
         njobs = total
         mode_seed = None
         mode_json = {"kind": "exhaustive", "engine": "brute-force"}
@@ -446,10 +442,10 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     else:
         raise MapsError("unknown scan mode %r" % mode)
 
-    from .lanes import column_store
-    column_store(p)  # module and tables built once here, not in each forked worker
-    parts = _map_chunks(_scan_chunk, njobs, workers, alg.rs.type_label,
-                        alg.rs.rank, p, P.pretty(), mode_seed)
+    from .lanes import block_kernel, column_store
+    store = column_store(p)     # built once here; forked workers share both
+    parts = _map_chunks(_scan_chunk, njobs, workers, alg, d, store,
+                        block_kernel(P, alg, store), mode_seed)
     attained = {}
     for part in parts:
         for v, a_idx in part.items():

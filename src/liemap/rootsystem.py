@@ -19,6 +19,7 @@ every reader looks it up, and only that build reads the Gram form.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 
@@ -112,8 +113,8 @@ class Root(NamedTuple):
 
 
 class RootSystem:
-    """Complete root datum: roots, Cartan matrix, heights, Weyl generators, and
-    per root coordinates the tables h_values (beta(h_1), .., beta(h_r)),
+    """Complete root datum: roots, Cartan matrix, heights, and per root
+    coordinates the tables h_values (beta(h_1), .., beta(h_r)),
     length ((beta, beta)) and coroot (c with beta^vee = sum_j c_j alpha_j^vee)."""
 
     def __init__(self, type_label, rank, gram, cartan, positive_coords):
@@ -137,7 +138,6 @@ class RootSystem:
             # (beta, alpha_j) = beta(h_j) (alpha_j, alpha_j) / 2
             bb = self.length[c] = sum(x * v * d for x, v, d in zip(c, hv, diag)) // 2
             self.coroot[c] = tuple(_exact(x * d, bb) for x, d in zip(c, diag))
-        self.weyl_generators = [self._reflection_permutation(i) for i in range(rank)]
 
     # -- basic queries -------------------------------------------------
 
@@ -153,60 +153,9 @@ class RootSystem:
     def pairing(self, beta, gamma) -> int:
         """<beta, gamma^vee> = 2(beta,gamma)/(gamma,gamma) for roots: beta's
         values on the alpha_j^vee weighted by gamma^vee's coordinates."""
-        return sum(v * c for v, c in zip(self.h_values[beta], self.coroot[gamma]))
+        return sum(map(mul, self.h_values[beta], self.coroot[gamma]))
 
-    # -- reflections & Weyl orbit ---------------------------------------
-
-    def _reflection_permutation(self, i):
-        """s_i(beta) = beta - beta(h_i) alpha_i, as a permutation of root indices."""
-        perm = []
-        for b in self.roots:
-            out = list(b.coords)
-            out[i] -= self.h_values[b.coords][i]
-            perm.append(self._index[tuple(out)])
-        return tuple(perm)
-
-    def weyl_orbit(self, h_coords, field):
-        """Orbit of a coroot-coordinate vector of the field's residues.
-
-        s_i acts on h = sum t_j h_{alpha_j} by t_i -= alpha_i(h).
-        """
-        if len(h_coords) != self.rank:
-            raise ValueError("expected %d coordinates" % self.rank)
-        start = tuple(h_coords)
-        seen = {start}
-        frontier = [start]
-        C = self.cartan_matrix
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for i in range(self.rank):
-                    v = t[0] * C[i][0]
-                    for j in range(1, self.rank):
-                        v = v + t[j] * C[i][j]
-                    img = list(t)
-                    img[i] = field.reduce(img[i] - v)
-                    img = tuple(img)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return seen
-
-    # -- order and root strings -----------------------------------------
-
-    def height_compare(self, a: Root, b: Root) -> str:
-        """Partial order: a < b iff b - a is a nonzero sum of positive roots."""
-        if a.system_key != self.key or b.system_key != self.key:
-            raise ValueError("roots from a different system")
-        diff = [y - x for x, y in zip(a.coords, b.coords)]
-        if all(d == 0 for d in diff):
-            return "equal"
-        if all(d >= 0 for d in diff):
-            return "less"
-        if all(d <= 0 for d in diff):
-            return "greater"
-        return "incomparable"
+    # -- root strings -------------------------------------------------
 
     def chain_down_length(self, a: Root, b: Root) -> int:
         """Largest p >= 0 with b - p*a still a root."""

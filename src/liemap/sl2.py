@@ -61,12 +61,6 @@ class MPoly:
                 del out[m]
         return MPoly._nonzero(out, self.nvars)
 
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __neg__(self):
-        return MPoly._nonzero({m: -c for m, c in self.coeffs.items()}, self.nvars)
-
     def __mul__(self, o):
         if not isinstance(o, MPoly):
             return MPoly({m: c * o for m, c in self.coeffs.items()}, self.nvars)

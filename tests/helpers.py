@@ -1,6 +1,6 @@
 """Shared test utilities: seeded random elements and polynomials, the
-residue reference for root elements, scaled matrices and the matrix
-commutator, the brute-force sl(2) witness oracle,
+residue reference for root elements, root values beta(h), the residue
+Horner value of an Engel f, scaled matrices and the matrix commutator, the brute-force sl(2) witness oracle,
 the type-A similarity oracle and the column-space walk that credits the
 Engel scan's printed preimages."""
 
@@ -46,6 +46,24 @@ def root_element_times(alg, coords, t, v):
                 for i, n in col:
                     out[i] += n * x
     return alg.field.reduce_row(out)
+
+
+def root_value(alg, coords, h):
+    """beta(h) = sum_i t_i beta(h_i) for h = sum_i t_i h_i + (U-part,
+    ignored), read off rs.h_values, as a residue."""
+    values = alg.rs.h_values[coords]
+    return alg.field.reduce(sum(t * v for t, v in zip(h.coeffs, values)))
+
+
+def f_value(spec, t, field):
+    """f(t) = sum a_i s^i, s = -t, by Horner's rule on residues (the
+    library's loop before f was cleared to ints): the reference for
+    EngelSpec.roots_in over F_p."""
+    s = field.reduce(-t)
+    acc = 0
+    for a in reversed(spec.coeffs):
+        acc = field.reduce((acc + field.residue(a)) * s)
+    return acc
 
 
 def scaled_matrix(X, c):

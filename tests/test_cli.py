@@ -115,6 +115,50 @@ def test_engel_solve_large_rational_coefficient(tmp_path, capsys):
     validate(obj)
 
 
+def test_engel_solve_refuses_a_huge_rational_coefficient(tmp_path, capsys):
+    # f = 7..7 t^2 over Q: trial division of its 40-digit coefficient would
+    # walk about 10^20 candidates, so the rational-root stage refuses
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(
+        {"basis": "chevalley", "coeffs": ["1", "2", "0", "0", "3", "0", "1", "0"]}))
+    start = time.perf_counter()
+    code, out = run(capsys, ["engel-solve", "--algebra", "A2", "--field", "Q",
+                             "--coeffs", "0," + "7" * 40, "--target", str(target)])
+    assert time.perf_counter() - start < 1
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "CostGuardError"
+    assert err["error"].startswith("rational roots of f: ") and "10000000" in err["error"]
+
+
+@pytest.mark.parametrize("coeffs,entry", [
+    ("9" * 5000, 1), ("0," + "9" * 5000, 2), ("1/" + "3" * 5000 + ",1", 1)],
+    ids=["first", "second", "denominator"])
+def test_overlong_engel_coefficient_names_its_entry(tmp_path, capsys, coeffs, entry):
+    # Fraction refuses more than 4,300 digits; the error names --coeffs and
+    # the entry, counted from 1 like a_1..a_m
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(_A2F5_TARGET))
+    code, out = run(capsys, ["engel-solve", "--algebra", "A2", "--field", "Q",
+                             "--coeffs", coeffs, "--target", str(target)])
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "ValueError"
+    assert err["error"].startswith("--coeffs entry %d: " % entry)
+    assert "4300 digits" in err["error"]
+
+
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_overlong_target_coefficient_names_its_index(tmp_path, capsys, field):
+    target = tmp_path / "target.json"
+    coeffs = list(_A2F5_TARGET["coeffs"])
+    coeffs[3] = "9" * 5000
+    target.write_text(json.dumps(dict(_A2F5_TARGET, coeffs=coeffs)))
+    code, out = run(capsys, ["engel-solve", "--algebra", "A2", "--field", field,
+                             "--coeffs", "0,1", "--target", str(target)])
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "ChevalleyError"
+    assert err["error"].startswith("coeffs[3]: ") and "4300 digits" in err["error"]
+
+
 def test_engel_solve_high_rank_answers_at_once(tmp_path, capsys):
     # the regular element is the lex-least point of F_19^8, which a walk over
     # every point in lex order reaches only after about 5 * 10^7 points

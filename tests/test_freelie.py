@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_element, random_monomial, random_poly
+from helpers import f_value, random_element, random_monomial, random_poly
 from liemap.chevalley import ChevalleyError, build_algebra
-from liemap.freelie import (MAX_INDEX, MAX_NESTING, Br, EngelSpec, LiePoly, LyndonForm,
-                            NestingError, ParseError, Sum, Var, _divisors,
-                            engel_monomial, engel_spec, evaluate, expansion,
+from liemap.errors import CostGuardError
+from liemap.freelie import (MAX_INDEX, MAX_NESTING, ROOT_DIVISOR_BOUND, Br, EngelSpec,
+                            LiePoly, LyndonForm, NestingError, ParseError, Sum, Var,
+                            _divisors, engel_monomial, engel_spec, evaluate, expansion,
                             linear_part, make_engel, max_monomial_degree,
                             min_monomial_degree, normal_form, parse)
 from liemap.freelie import _sigma_expand, _tensor_expand, is_lyndon
@@ -198,7 +199,8 @@ def test_make_engel():
     P2, s2 = make_engel([0, 1])
     assert P2.node == Br(Br(Var(1), Var(2)), Var(2))
     P11, s11 = make_engel([1, 1])
-    assert s11.f_coefficients() == (0, -1, 1)
+    # f = -t + t^2: f(0), f(1), f(2), f(-1) = 0, 0, 2, 2
+    assert [s11.f_int(-t) for t in (0, 1, 2, -1)] == [0, 0, 2, 2]
     assert [str(r) for r in s11.roots_in(make_field("F7"))] == ["0", "1"]
     assert s11.roots_in(Q) == [Fraction(0), Fraction(1)]
     assert s2.is_plain_engel() and not s11.is_plain_engel()
@@ -503,10 +505,57 @@ def test_engel_spec_refuses_more_coefficients_than_the_bound():
 def _rational_roots_reference(spec, bound=20):
     """0 and every +-p/q with p, q <= bound at which f vanishes, evaluated in
     Fraction arithmetic."""
-    fc = spec.f_coefficients()
     cands = {Fraction(0)} | {Fraction(s * p, q) for s in (1, -1)
                              for p in range(1, bound + 1) for q in range(1, bound + 1)}
-    return sorted(t for t in cands if not sum(c * t ** i for i, c in enumerate(fc)))
+    return sorted(t for t in cands if not _f_by_fractions(spec, t))
+
+
+def _f_by_fractions(spec, t):
+    """f(t) = sum (-1)^i a_i t^i, evaluated in Fraction arithmetic."""
+    return sum((-1) ** i * a * t ** i for i, a in enumerate(spec.coeffs, start=1))
+
+
+_ENGEL_FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(_ENGEL_FRACTIONS, min_size=1, max_size=8).filter(lambda cs: cs[-1]),
+       st.one_of(st.integers(-30, 30), _ENGEL_FRACTIONS))
+def test_f_int_is_the_cleared_f(coeffs, s):
+    # f_int(s) = D f(-s) with D the lcm of the denominators, on ints when s is
+    spec = EngelSpec(coeffs)
+    assert spec.D == math.lcm(*(Fraction(a).denominator for a in coeffs))
+    assert all(type(a) is int for a in spec.A)
+    assert spec.f_int(s) == spec.D * _f_by_fractions(spec, -Fraction(s))
+    if type(s) is int:
+        assert type(spec.f_int(s)) is int
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(_ENGEL_FRACTIONS, min_size=1, max_size=8).filter(lambda cs: cs[-1]),
+       st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
+def test_roots_in_fp_match_the_residue_horner(coeffs, p):
+    # the residues where the residue Horner value of f vanishes; a coefficient
+    # whose denominator p divides raises the same error as it does
+    spec, field = EngelSpec(coeffs), make_field("F%d" % p)
+    try:
+        expected = [x for x in range(p) if not f_value(spec, x, field)]
+    except ZeroDivisionError as e:
+        with pytest.raises(ZeroDivisionError) as raised:
+            spec.roots_in(field)
+        assert str(raised.value) == str(e)
+        return
+    assert spec.roots_in(field) == expected
+
+
+def test_rational_roots_refuse_past_the_divisor_bound():
+    # trial division of g's end coefficient would walk isqrt(|n|) candidates
+    bound = ROOT_DIVISOR_BOUND
+    for coeffs in ([0, (bound + 1) ** 2], [(bound + 1) ** 2, 1], [0, int("7" * 40)]):
+        with pytest.raises(CostGuardError, match="rational roots of f: .* %d candidates"
+                           % bound):
+            EngelSpec(coeffs).roots_in(Q)
+    assert EngelSpec([10 ** 12, 1]).roots_in(Q) == [0, 10 ** 12]
 
 
 @pytest.mark.parametrize("coeffs,roots", [

@@ -11,13 +11,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import grid_witness, random_element, random_nonzero_element, random_poly
+from helpers import (grid_witness, random_element, random_nonzero_element, random_poly,
+                     root_value)
 from liemap import lanes, linalg, maps, orbits, scalar
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
 from liemap.freelie import (MAX_NESTING, Br, LiePoly, Sum, Var, engel_monomial,
-                            evaluate, make_engel, normal_form, parse)
+                            engel_spec, evaluate, make_engel, normal_form, parse)
 from liemap.scalar import make_field
 
 Q = make_field("Q")
@@ -434,7 +435,7 @@ def test_engel_solve_builds_no_fp_elements(monkeypatch):
             S = spec.roots_in(alg.field)
             assert S == [0] and all(type(s) is int for s in S)
             h = alg.find_regular(S)
-            assert all(0 != alg.beta_value(b.coords, h) < p for b in alg.rs.roots)
+            assert all(0 != root_value(alg, b.coords, h) < p for b in alg.rs.roots)
             for x in targets:
                 sol = maps.engel_solve(alg, spec, x)
                 assert all(type(c) is int for c in sol.X.coeffs + sol.Y.coeffs)
@@ -478,7 +479,7 @@ def test_engel_solve_avoid_set_of_size_two():
         # the chosen h avoids both roots on every root of the system
         h = alg.element_from_json(sol.trace["h"])
         for b in alg.rs.roots:
-            v = alg.beta_value(b.coords, h)
+            v = root_value(alg, b.coords, h)
             assert v != F5.residue(0) and v != F5.residue(1)
 
 
@@ -549,6 +550,38 @@ def test_engel_scan_budget(monkeypatch):
     monkeypatch.setenv("LIEMAP_BUDGET", "6560")
     with pytest.raises(maps.ScanBudgetError):
         maps.engel_image_scan(alg, spec)
+
+
+@pytest.mark.parametrize("text", ["[[X1,X2],X2]", "[X1,X2] + 2*[[X1,X2],X2]"])
+def test_scan_past_the_budget_is_the_engel_engine(text):
+    # 125^2 assignments pass budget 125, but an Engel sum labels 125 elements
+    alg = build_algebra("A", 1, F5)
+    P = parse(text)
+    rep = maps.image_scan(alg, P, budget=125)
+    assert rep == maps.engel_image_scan(alg, engel_spec(P), budget=125)
+    assert rep.mode == {"kind": "exhaustive", "engine": "engel-linear"}
+    with pytest.raises(maps.ScanBudgetError, match="as an Engel sum P needs 125 element"):
+        maps.image_scan(alg, P, budget=124)
+    with pytest.raises(maps.ScanBudgetError, match="use sampled mode"):
+        maps.image_scan(alg, parse("[[X1,X2],X1]"), budget=125)
+    assert maps.image_scan(alg, P, budget=125 ** 2).mode["engine"] == "brute-force"
+
+
+def test_sampled_scan_keeps_a_declared_arity():
+    # [X1,X2] declared in three variables draws X3 as well: the domain is
+    # N^3, and each printed preimage is the least of the seed's N^3 draws
+    # that reaches it
+    alg = build_algebra("A", 1, F3)
+    P = LiePoly(Br(Var(1), Var(2)), 3)
+    rep = maps.image_scan(alg, P, mode="sampled", seed=1)
+    N = 27
+    rng = random.Random(1)
+    ref = _reference_attained(alg, P, [rng.randrange(N ** 3) for _ in range(10000)])
+    assert rep.domain_size == N ** 3 and rep.arity == 3
+    assert rep.attained_count == len(ref)
+    assert [e["preimage"] for e in rep.preimage_samples] == [
+        [alg.element_from_ints(maps._decode(ref[v] // N ** k % N, 3, alg.dim)).to_json()
+         for k in range(3)] for v in sorted(ref)[:8]]
 
 
 def test_scan_workers_bit_identical():
@@ -673,6 +706,14 @@ def _reference_attained(alg, P, indices):
     return attained
 
 
+def _chunk(alg, P, start, end, seed):
+    """maps._scan_chunk on [start, end) with the column store and kernel
+    that image_scan builds for P."""
+    store = lanes.column_store(alg.field.modulus)
+    return maps._scan_chunk((start, end, alg, P.nvars, store,
+                             lanes.block_kernel(P, alg, store), seed))
+
+
 # over F13 a bytes lane sums at most K = 255 // 12 - 1 = 20 terms before it
 # is reduced: a sampled sum of 24 batched terms (rows past K), and X2
 # constant at (12, 12, 12) in three 12*X2 terms (offset 432 before reduction)
@@ -705,16 +746,15 @@ def test_scan_chunk_matches_element_evaluation(case):
         rng = random.Random(seed)
         total = (p ** alg.dim) ** P.nvars
         indices = [rng.randrange(total) for _ in range(end)][start:]
-    args = (start, end, t, r, p, text, seed)
     with mock.patch.object(maps, "_BLOCK_LANES", lanes):
         try:
             expected = _reference_attained(alg, P, indices)
         except ZeroDivisionError:
             # a coefficient with p in its denominator, such as 1/2 over F2
             with pytest.raises(ZeroDivisionError):
-                maps._scan_chunk(args)
+                _chunk(alg, P, start, end, seed)
             return
-        assert maps._scan_chunk(args) == expected
+        assert _chunk(alg, P, start, end, seed) == expected
 
 
 def test_kernel_oracle_examples_pass_the_carry_bounds():
@@ -730,9 +770,9 @@ def test_kernel_oracle_examples_pass_the_carry_bounds():
         return combine(terms, offset, n)
 
     with mock.patch.object(store, "combine", recording):
-        maps._scan_chunk((0, 150, "G", 2, 13, _PAST_K_TERMS, 7))
-        maps._scan_chunk((_OFFSET_START, _OFFSET_START + 2_400, "A", 1, 13,
-                          _OFFSET_PAST_255, None))
+        _chunk(build_algebra("G", 2, make_field("F13")), parse(_PAST_K_TERMS), 0, 150, 7)
+        _chunk(build_algebra("A", 1, make_field("F13")), parse(_OFFSET_PAST_255),
+               _OFFSET_START, _OFFSET_START + 2_400, None)
     assert seen["terms"] > store.run == 20
     assert seen["offset"] > 255
 
@@ -962,8 +1002,7 @@ def test_sampled_scan_at_the_nesting_bound():
     alg = build_algebra("A", 1, make_field("F3"))
     rng = random.Random(5)
     indices = [rng.randrange(27 ** 2) for _ in range(60)]
-    assert maps._scan_chunk((0, 60, "A", 1, 3, P.pretty(), 5)) == \
-        _reference_attained(alg, P, indices)
+    assert _chunk(alg, P, 0, 60, 5) == _reference_attained(alg, P, indices)
 
 
 # coefficient lists of length 1-4 with a nonzero last entry, which may still

@@ -163,6 +163,30 @@ def test_one_element_type_implements_evaluate():
     assert not matrix_methods & {"__add__", "__sub__", "__neg__", "scale", "bracket"}
 
 
+def test_cli_chooses_no_scan_engine():
+    # maps.image_scan chooses brute force or the Engel engine, and its forked
+    # workers share the caller's algebra and kernel: a CLI that names the
+    # Engel engine, or a chunk that parses P or builds an algebra, is a
+    # second copy of those decisions
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    with open(os.path.join(src, "cli.py")) as fh:
+        tree = ast.parse(fh.read(), "cli.py")
+    for node in ast.walk(tree):
+        used = (node.attr if isinstance(node, ast.Attribute) else
+                node.id if isinstance(node, ast.Name) else
+                node.name if isinstance(node, ast.alias) else None)
+        assert used not in ("engel_spec", "engel_image_scan"), ("cli.py", node.lineno)
+    with open(os.path.join(src, "maps.py")) as fh:
+        tree = ast.parse(fh.read(), "maps.py")
+    chunk, = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_scan_chunk"]
+    for node in ast.walk(chunk):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            assert name not in ("parse", "build_algebra"), ("_scan_chunk", node.lineno)
+
+
 def test_no_module_exceeds_32_kib():
     # a run from a fresh checkout compiles liemap from source, and the
     # largest compile() peak (+2.25 MB for a 32.7 KB module) sets the
