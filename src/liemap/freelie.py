@@ -578,7 +578,8 @@ class EngelSpec:
         """All roots of f in the field, as residues: exhaustive over F_p,
         rational-root enumeration over Q.  Always contains 0.  Over Q the
         divisors of g's end coefficients are found by trial division, which
-        is refused (CostGuardError) past ROOT_DIVISOR_BOUND candidates."""
+        is refused (CostGuardError) past ROOT_DIVISOR_BOUND candidates; a
+        monomial f (g of degree 0) has the root 0 alone and needs none."""
         if field.characteristic:
             p = field.modulus
             for a in reversed(self.coeffs):
@@ -589,6 +590,8 @@ class EngelSpec:
         g = [-a if i % 2 else a for i, a in enumerate(self.A, start=1)]
         while not g[0]:
             g = g[1:]
+        if len(g) == 1:
+            return [Fraction(0)]
         if max(isqrt(abs(g[0])), isqrt(abs(g[-1]))) > ROOT_DIVISOR_BOUND:
             raise CostGuardError(
                 "rational roots of f: trial division of an end coefficient "

@@ -4,10 +4,13 @@
   eigenvalue division), with exact re-evaluation certificates,
 * exhaustive / sampled finite-field image scans with worker partitioning
   (this process plus forked children, at most one process per usable CPU),
-  which evaluate P on a block of assignments at once (every assignment is
-  still evaluated) with the kernel in `lanes`, loaded on first use (one
-  bytes column per coordinate and table arithmetic for p <= 13, lists of
-  ints above), plus an exact linear-fiber engine for (generalized)
+  which evaluate P on a block of assignments at once with the kernel in
+  `lanes`, loaded on first use (one bytes column per coordinate and table
+  arithmetic for p <= 13, lists of ints above).  An exhaustive scan of d >=
+  2 variables decides the image on the X_d of a cover that meets every
+  orbit of G, closes it under G, and walks X_d in index order only until
+  every printed value has its first preimage; its report is the full
+  sweep's.  There is also an exact linear-fiber engine for (generalized)
   Engel maps, which are linear in the first argument: it decides the image
   on one Y per orbit of G x F_p^*, G the group generated by the root
   elements x_beta(t), and walks Y only for the printed preimages,
@@ -15,7 +18,7 @@
   central values, visiting one Y per orbit of G x F_p^* (10 orbits on
   sl(3, F_3), 20 on sl(4, F_2)).
 
-The orbits are labelled in `orbits`, which both engines load on first use.
+The orbits are labelled in `orbits`, which the engines load on first use.
 """
 
 from __future__ import annotations
@@ -379,6 +382,13 @@ def _scan_chunk(args):
     return attained
 
 
+def _scan_cover(args):
+    """Worker: [_scan_chunk on the assignments with X_d = y, for each y in
+    cover[start:end]], M = N^(d-1) assignments each."""
+    start, end, cover, M, *common = args
+    return [_scan_chunk((y * M, (y + 1) * M, *common)) for y in cover[start:end]]
+
+
 def _draws(seed, n, count):
     """[rng.randrange(n) for _ in range(count)] for rng = random.Random(seed):
     CPython's own rejection loop for randrange(n), written out."""
@@ -393,18 +403,27 @@ def _draws(seed, n, count):
 
 def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
                workers=1, budget=None, sample_count=10000) -> ImageReport:
-    """Image computation over a finite field, by brute force or, for an
-    Engel sum, by engel_image_scan.
+    """Image computation over a finite field, by the block kernel or, for an
+    Engel sum past the budget, by engel_image_scan.
 
-    exhaustive mode enumerates every assignment (the independent oracle used
-    throughout the test suite); sampled mode draws seeded uniform assignments.
-    Every assignment is evaluated, a block at a time (lanes.block_kernel):
-    P's tree is walked once per block of up to _BLOCK_LANES assignments,
-    with each value held as one column of residues per basis coordinate, a
-    bytes object for p <= 13 (lanes.column_store).  In
-    exhaustive mode a block shares X2..Xd, so brackets with them are linear
-    maps built once per block.  Worker partitioning merges via minimum
-    assignment index, so reports are bit-identical for any worker count.
+    exhaustive mode decides the exact image; sampled mode draws seeded
+    uniform assignments.  Assignments are evaluated a block at a time
+    (lanes.block_kernel): P's tree is walked once per block of up to
+    _BLOCK_LANES assignments, with each value held as one column of
+    residues per basis coordinate, a bytes object for p <= 13
+    (lanes.column_store).  In exhaustive mode a block shares X2..Xd, so
+    brackets with them are linear maps built once per block.  For d >= 2
+    variables P(gX_1, .., gX_d) = g P(X_1, .., X_d) for every g in the group
+    G the x_beta(t) generate, so the image is G times the values at X_d in
+    orbits._pure_orbit_cover, which meets every G-orbit: phase 1 scans
+    those X_d, cut across the workers, and closes the values under G
+    (orbits._saturate); phase 2 walks X_d = 0, 1, .. in index order,
+    reusing phase 1's blocks, until every printed value has its least
+    assignment index.  The report equals that of the full sweep of
+    _scan_chunk over [0, N^d), which the tests keep as the oracle;
+    "brute-force" is its scan/v1 engine name.  Worker partitioning merges
+    via minimum assignment index, so reports are bit-identical for any
+    worker count.
     `budget` (default LIEMAP_BUDGET, else 2,000,000) caps the exhaustive
     enumeration and the sample count, and must be at least 1, as must
     sample_count.  An exhaustive scan past the budget whose P is an Engel
@@ -444,10 +463,31 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
 
     from .lanes import block_kernel, column_store
     store = column_store(p)     # built once here; forked workers share both
-    parts = _map_chunks(_scan_chunk, njobs, workers, alg, d, store,
-                        block_kernel(P, alg, store), mode_seed)
+    common = (alg, d, store, block_kernel(P, alg, store), mode_seed)
+    if mode_seed is None and d > 1:
+        from .orbits import _pure_orbit_cover, _saturate
+        M = N ** (d - 1)
+        cover = _pure_orbit_cover(alg)
+        blocks = dict(zip(cover, itertools.chain.from_iterable(
+            _map_chunks(_scan_cover, len(cover), workers, cover, M, *common))))
+        image = _saturate(alg, set().union(*blocks.values()))
+
+        def preimages(printed):
+            found, pending = {}, set(printed)
+            for y in range(N):
+                if not pending:
+                    break
+                block = blocks[y] if y in blocks else _scan_chunk(
+                    (y * M, (y + 1) * M) + common)
+                for v in pending.intersection(block):
+                    found[v] = block[v]
+                pending.difference_update(found)
+            assert not pending, "saturated image and preimage walk disagree"
+            return found
+
+        return _build_report(alg, P, mode_json, image, preimages, total, workers)
     attained = {}
-    for part in parts:
+    for part in _map_chunks(_scan_chunk, njobs, workers, *common):
         for v, a_idx in part.items():
             prev = attained.get(v)
             if prev is None or a_idx < prev:

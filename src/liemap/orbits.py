@@ -6,7 +6,9 @@ orbit of G x F_p^*, G the group the x_beta(t) generate.  This module
 labels those orbits once per algebra (_orbit_tree), records the tree the
 labelling search walked, and carries an equivariant subspace from an
 orbit's root to any point along that tree (subspace_annihilators), so that
-a subspace attached to every Y costs one echelon form per orbit.  The
+a subspace attached to every Y costs one echelon form per orbit.  For the
+exhaustive scan of any P it gives a point of every orbit of G alone
+(_pure_orbit_cover) and closes a set of values under G (_saturate).  The
 engines import it on first use: `import liemap` does not load it.
 """
 
@@ -141,6 +143,40 @@ def _orbit_representatives(alg: ChevalleyAlgebra):
     """(reps, labels) of _orbit_tree: one Y per orbit and every index's
     orbit number."""
     return _orbit_tree(alg)[:2]
+
+
+def _pure_orbit_cover(alg: ChevalleyAlgebra):
+    """Indices of 0 and of cY for every orbit root Y of _orbit_tree and c in
+    F_p^*, in increasing order: a point of every orbit of G alone, since a
+    point cgY (g in G) of Y's orbit of G x F_p^* has g^-1 cgY = cY."""
+    p, dim = alg.field.modulus, alg.dim
+    weights = [p ** k for k in range(dim)]
+    cover = {0}
+    for y_idx, y, _ in _orbit_tree(alg)[0]:
+        if y_idx:
+            cover.update(sum(c * x % p * w for x, w in zip(y, weights))
+                         for c in range(1, p))
+    return sorted(cover)
+
+
+def _saturate(alg: ChevalleyAlgebra, indices):
+    """The least G-stable set of indices holding `indices`: a breadth-first
+    search under _orbit_generators, whose forward steps reach all of G (a
+    finite group)."""
+    from collections import deque
+    p, dim = alg.field.modulus, alg.dim
+    weights = [p ** k for k in range(dim)]
+    gens = _orbit_generators(alg)
+    closed = set(indices)
+    queue = deque((v, _decode(v, p, dim)) for v in closed)
+    while queue:
+        idx, u = queue.popleft()
+        for gen in gens:
+            nxt = _step(gen, idx, u, p, weights)
+            if nxt is not None and nxt[0] not in closed:
+                closed.add(nxt[0])
+                queue.append(nxt)
+    return closed
 
 
 def subspace_annihilators(alg: ChevalleyAlgebra, echelon, scaled):

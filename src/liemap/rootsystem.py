@@ -95,7 +95,6 @@ class Root(NamedTuple):
     """A root in simple-root integer coordinates."""
 
     coords: tuple
-    system_key: tuple
 
     @property
     def height(self) -> int:
@@ -106,7 +105,7 @@ class Root(NamedTuple):
         return self.height > 0
 
     def __neg__(self):
-        return Root(tuple(-c for c in self.coords), self.system_key)
+        return Root(tuple(-c for c in self.coords))
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"
@@ -123,10 +122,10 @@ class RootSystem:
         self.gram = gram
         self.cartan_matrix = cartan
         self.key = (type_label, rank)
-        self.positive_roots = [Root(c, self.key) for c in positive_coords]
+        self.positive_roots = [Root(c) for c in positive_coords]
         self.roots = self.positive_roots + [-b for b in self.positive_roots]
         unit = lambda i: tuple(1 if j == i else 0 for j in range(rank))
-        self.simple_roots = [Root(unit(i), self.key) for i in range(rank)]
+        self.simple_roots = [Root(unit(i)) for i in range(rank)]
         self._index = {b.coords: i for i, b in enumerate(self.roots)}
         diag = [gram[j][j] for j in range(rank)]
         self.h_values, self.length, self.coroot = {}, {}, {}

@@ -116,8 +116,22 @@ def test_engel_solve_large_rational_coefficient(tmp_path, capsys):
 
 
 def test_engel_solve_refuses_a_huge_rational_coefficient(tmp_path, capsys):
-    # f = 7..7 t^2 over Q: trial division of its 40-digit coefficient would
-    # walk about 10^20 candidates, so the rational-root stage refuses
+    # f = -t + 7..7 t^2 over Q: trial division of its 40-digit coefficient
+    # would walk about 10^20 candidates, so the rational-root stage refuses
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(
+        {"basis": "chevalley", "coeffs": ["1", "2", "0", "0", "3", "0", "1", "0"]}))
+    start = time.perf_counter()
+    code, out = run(capsys, ["engel-solve", "--algebra", "A2", "--field", "Q",
+                             "--coeffs", "1," + "7" * 40, "--target", str(target)])
+    assert time.perf_counter() - start < 1
+    err = json.loads(out)
+    assert code == 1 and err["kind"] == "CostGuardError"
+    assert err["error"].startswith("rational roots of f: ") and "10000000" in err["error"]
+
+
+def test_engel_solve_huge_monomial_coefficient(tmp_path, capsys):
+    # f = 7..7 t^2 has the root 0 alone, so no trial division runs
     target = tmp_path / "target.json"
     target.write_text(json.dumps(
         {"basis": "chevalley", "coeffs": ["1", "2", "0", "0", "3", "0", "1", "0"]}))
@@ -125,9 +139,10 @@ def test_engel_solve_refuses_a_huge_rational_coefficient(tmp_path, capsys):
     code, out = run(capsys, ["engel-solve", "--algebra", "A2", "--field", "Q",
                              "--coeffs", "0," + "7" * 40, "--target", str(target)])
     assert time.perf_counter() - start < 1
-    err = json.loads(out)
-    assert code == 1 and err["kind"] == "CostGuardError"
-    assert err["error"].startswith("rational roots of f: ") and "10000000" in err["error"]
+    obj = json.loads(out)
+    assert code == 0 and obj["certificate"]
+    assert obj["trace"]["avoid"] == ["0"]
+    validate(obj)
 
 
 @pytest.mark.parametrize("coeffs,entry", [
@@ -515,14 +530,15 @@ def test_scan_worker_error_is_the_same_for_any_worker_count(capsys, monkeypatch,
 
 def test_scan_worker_that_dies_is_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    chunk = maps._scan_chunk
+    cover = maps._scan_cover
 
     def die_in_the_child(args):
+        # the child runs the cover's second chunk; this process runs the first
         if args[0]:
             os._exit(1)
-        return chunk(args)
+        return cover(args)
 
-    monkeypatch.setattr(maps, "_scan_chunk", die_in_the_child)
+    monkeypatch.setattr(maps, "_scan_cover", die_in_the_child)
     code, out = run(capsys, ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A1",
                              "--field", "F3", "--workers", "2"])
     err = json.loads(out)

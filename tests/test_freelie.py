@@ -551,11 +551,19 @@ def test_roots_in_fp_match_the_residue_horner(coeffs, p):
 def test_rational_roots_refuse_past_the_divisor_bound():
     # trial division of g's end coefficient would walk isqrt(|n|) candidates
     bound = ROOT_DIVISOR_BOUND
-    for coeffs in ([0, (bound + 1) ** 2], [(bound + 1) ** 2, 1], [0, int("7" * 40)]):
+    for coeffs in ([1, (bound + 1) ** 2], [(bound + 1) ** 2, 1], [1, int("7" * 40)]):
         with pytest.raises(CostGuardError, match="rational roots of f: .* %d candidates"
                            % bound):
             EngelSpec(coeffs).roots_in(Q)
     assert EngelSpec([10 ** 12, 1]).roots_in(Q) == [0, 10 ** 12]
+
+
+def test_rational_roots_of_a_monomial_need_no_divisors():
+    # f = a_m t^m, g = f / t of degree 0: the root 0 alone, whatever a_m is
+    for coeffs in ([0, (ROOT_DIVISOR_BOUND + 1) ** 2], [0, int("7" * 40)],
+                   [0, 0, Fraction(-1, 10 ** 30)], [5]):
+        assert EngelSpec(coeffs).roots_in(Q) == [0] == _rational_roots_reference(
+            EngelSpec(coeffs))
 
 
 @pytest.mark.parametrize("coeffs,roots", [

@@ -647,6 +647,63 @@ def test_scan_workers_bit_identical_inside_blocks():
     assert reports[0] == reports[1] == reports[2]
 
 
+def _sweep_report(alg, P, workers=1):
+    """The oracle of the exhaustive scan: the report on a plain _scan_chunk
+    sweep of every assignment index in [0, N^d)."""
+    total = (alg.field.modulus ** alg.dim) ** P.nvars
+    attained = _chunk(alg, P, 0, total, None)
+    return maps._build_report(alg, P, {"kind": "exhaustive", "engine": "brute-force"},
+                              attained, lambda _: attained, total, workers)
+
+
+# (type, rank, field, most variables) whose full sweep tier-1 can afford
+_SWEEP_ALGEBRAS = [("A", 1, "F3", 3), ("A", 1, "F5", 2), ("A", 2, "F2", 2)]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.sampled_from(_SWEEP_ALGEBRAS), st.integers(2, 3), st.integers(0, 2 ** 32),
+       st.sampled_from([1, 2]))
+def test_cover_scan_report_is_the_full_sweep(algebra, arity, seed, workers):
+    # random P of degree <= 5; X_d may not occur in P, and P may vanish
+    t, r, spec, most = algebra
+    alg = build_algebra(t, r, make_field(spec))
+    P = random_poly(random.Random(seed), nvars=min(arity, most), max_degree=5)
+    assert maps.image_scan(alg, P, workers=workers) == _sweep_report(alg, P, workers)
+
+
+_SWEEP_POLYS = {"E1": engel_monomial(1), "E2": engel_monomial(2),
+                "E3": engel_monomial(3), "example48": maps.example48_poly(),
+                "[[X1,X2],X3]": parse("[[X1,X2],X3]")}
+
+
+@pytest.mark.parametrize("name,p", [
+    (name, p) for name, P in _SWEEP_POLYS.items() for p in (3, 5, 7, 11)
+    if (p ** 3) ** P.nvars <= maps.DEFAULT_SCAN_BUDGET])
+def test_cover_scan_report_is_the_full_sweep_on_sl2(name, p):
+    alg = build_algebra("A", 1, make_field("F%d" % p))
+    P = _SWEEP_POLYS[name]
+    assert maps.image_scan(alg, P, workers=2) == _sweep_report(alg, P, 2)
+
+
+@pytest.mark.parametrize("name,most", [("example48", 27), ("E2", 76)])
+def test_cover_scan_runs_few_kernel_blocks(monkeypatch, name, most):
+    # on A1/F7 a block is one X_d (N = 343 lanes); the full sweep runs 343
+    calls = []
+    kernel_of = lanes.block_kernel
+
+    def counting(*args):
+        kernel = kernel_of(*args)
+
+        def count(xs, n):
+            calls.append(n)
+            return kernel(xs, n)
+        return count
+
+    monkeypatch.setattr(lanes, "block_kernel", counting)
+    maps.image_scan(build_algebra("A", 1, F7), _SWEEP_POLYS[name])
+    assert 0 < len(calls) <= most
+
+
 # the scan kernel's oracle: (type, rank, p, sampled?) per algebra, bytes
 # columns up to p = 13 and lists for F17; the coefficients include 1/2 and
 # multiples of p, resolved once p is known
@@ -858,7 +915,7 @@ def test_scan_pool_forks_at_most_one_process_per_cpu(monkeypatch):
     assert forks == []      # one chunk: no fork
     assert one.pop("workers") == 1
     wide = maps.image_scan(alg, P, workers=100_000).to_json()
-    assert len(forks) == min(27 ** 2, maps._usable_cpus()) - 1
+    assert len(forks) == min(len(orbits._pure_orbit_cover(alg)), maps._usable_cpus()) - 1
     assert wide.pop("workers") == 100_000
     assert wide == one
     _assert_no_child_left()

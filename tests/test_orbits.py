@@ -27,6 +27,31 @@ def test_orbit_labels_pinned(type_label, rank, spec, digest):
 
 
 @pytest.mark.parametrize("type_label,rank,spec", [
+    ("A", 1, "F7"), ("A", 2, "F3"), ("G", 2, "F2")])
+def test_pure_orbit_cover_meets_every_orbit_of_G(type_label, rank, spec):
+    # the G-orbit of each cover point lies in one orbit of G x F_p^*, and
+    # together they cover every element; the saturated set is G-stable
+    alg = build_algebra(type_label, rank, make_field(spec))
+    p, dim = alg.field.modulus, alg.dim
+    labels = orbits._orbit_representatives(alg)[1]
+    cover = orbits._pure_orbit_cover(alg)
+    assert cover[0] == 0 and cover == sorted(set(cover))
+    seen = set()
+    for y in cover:
+        orbit = orbits._saturate(alg, [y])
+        assert y in orbit and len({labels[v] for v in orbit}) == 1
+        seen |= orbit
+    assert seen == set(range(p ** dim))
+    gens = [alg.root_automorphism(b, 1).matrix
+            for a in alg.rs.simple_roots for b in (a, -a)]
+    some = orbits._saturate(alg, cover[1:3])
+    for v in some:
+        x = maps._decode(v, p, dim)
+        for g in gens:
+            assert maps._encode(linalg.mat_vec(g, x, alg.field), p) in some
+
+
+@pytest.mark.parametrize("type_label,rank,spec", [
     ("A", 2, "F3"), ("A", 3, "F2"), ("G", 2, "F2")])
 def test_orbit_tree_reaches_every_point_from_its_root(type_label, rank, spec):
     # the parent x_k(-1) Y (k = via[Y]) of every non-root Y is in Y's orbit
