@@ -5,11 +5,11 @@
 * exhaustive / sampled finite-field image scans with worker partitioning
   (this process plus forked children, at most one process per usable CPU),
   which evaluate P on a block of assignments at once with the kernel in
-  `lanes`, loaded on first use (one bytes column per coordinate and table
-  arithmetic for p <= 13, lists of ints above).  An exhaustive scan of d >=
-  2 variables decides the image on the X_d of a cover that meets every
-  orbit of G, closes it under G, and walks X_d in index order only until
-  every printed value has its first preimage; its report is the full
+  `lanes`, loaded on first use (bytes columns and table arithmetic for p
+  <= 13).  An exhaustive scan of d >= 2 variables decides the image on the
+  X_d of a cover that meets every orbit of G, closes it under G, and
+  evaluates another X_d only where a printed value, carried back to the
+  cover along the orbit tree, first appears; its report is the full
   sweep's.  There is also an exact linear-fiber engine for (generalized)
   Engel maps, which are linear in the first argument: it decides the image
   on one Y per orbit of G x F_p^*, G the group generated by the root
@@ -333,8 +333,8 @@ def _scan_chunk(args):
     """Worker: the least index of every value P takes on the assignment
     indices [start, end), for P of d variables on alg, evaluated by its
     lanes.block_kernel `kernel` a block at a time on the column store
-    `store` for p (bytes for p <= 13); pure and order-free.  A forked
-    worker shares the caller's alg, store and kernel.
+    `store` for p; pure and order-free.  A forked worker shares the
+    caller's alg, store and kernel.
 
     Exhaustive mode walks the indices a_idx = x1 + N (x2 + N (..)) in
     order, in blocks of at most _BLOCK_LANES that share X2..Xd, so only X1
@@ -407,23 +407,21 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     Engel sum past the budget, by engel_image_scan.
 
     exhaustive mode decides the exact image; sampled mode draws seeded
-    uniform assignments.  Assignments are evaluated a block at a time
-    (lanes.block_kernel): P's tree is walked once per block of up to
-    _BLOCK_LANES assignments, with each value held as one column of
-    residues per basis coordinate, a bytes object for p <= 13
-    (lanes.column_store).  In exhaustive mode a block shares X2..Xd, so
-    brackets with them are linear maps built once per block.  For d >= 2
-    variables P(gX_1, .., gX_d) = g P(X_1, .., X_d) for every g in the group
-    G the x_beta(t) generate, so the image is G times the values at X_d in
-    orbits._pure_orbit_cover, which meets every G-orbit: phase 1 scans
-    those X_d, cut across the workers, and closes the values under G
-    (orbits._saturate); phase 2 walks X_d = 0, 1, .. in index order,
-    reusing phase 1's blocks, until every printed value has its least
-    assignment index.  The report equals that of the full sweep of
-    _scan_chunk over [0, N^d), which the tests keep as the oracle;
-    "brute-force" is its scan/v1 engine name.  Worker partitioning merges
-    via minimum assignment index, so reports are bit-identical for any
-    worker count.
+    uniform assignments.  P's tree is walked once per block of up to
+    _BLOCK_LANES assignments (lanes.block_kernel), each value held as one
+    residue column per coordinate, bytes for p <= 13 (lanes.column_store).
+    In exhaustive mode a block shares X2..Xd, so brackets with them are
+    linear maps built once per block.  For d >= 2, P(gX_1, .., gX_d) = g
+    P(X_1, .., X_d) for g in the group G the x_beta(t) generate.  Phase 1
+    scans the X_d of orbits._pure_orbit_cover, which meets every G-orbit,
+    cut across the workers, and closes the values under G (_saturate).
+    Phase 2 walks X_d = 0, 1, .. until each printed value has its least
+    assignment index: at X_d = gr, r in the cover, v is a value exactly
+    when g^-1 v is one at r (orbits.pullback), so a block runs only where a
+    pending v is hit: at most one per printed value.  The report is that
+    of the full sweep of _scan_chunk over [0, N^d), the tests' oracle;
+    "brute-force" is its scan/v1 engine name.  Workers merge by least
+    assignment index, so reports are bit-identical for any worker count.
     `budget` (default LIEMAP_BUDGET, else 2,000,000) caps the exhaustive
     enumeration and the sample count, and must be at least 1, as must
     sample_count.  An exhaustive scan past the budget whose P is an Engel
@@ -465,7 +463,7 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     store = column_store(p)     # built once here; forked workers share both
     common = (alg, d, store, block_kernel(P, alg, store), mode_seed)
     if mode_seed is None and d > 1:
-        from .orbits import _pure_orbit_cover, _saturate
+        from .orbits import _pure_orbit_cover, _saturate, pullback
         M = N ** (d - 1)
         cover = _pure_orbit_cover(alg)
         blocks = dict(zip(cover, itertools.chain.from_iterable(
@@ -473,10 +471,13 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
         image = _saturate(alg, set().union(*blocks.values()))
 
         def preimages(printed):
-            found, pending = {}, set(printed)
+            pull, found, pending = pullback(alg), {}, set(printed)
             for y in range(N):
                 if not pending:
                     break
+                r, moved = pull(y, pending)
+                if blocks[r].keys().isdisjoint(moved):
+                    continue
                 block = blocks[y] if y in blocks else _scan_chunk(
                     (y * M, (y + 1) * M) + common)
                 for v in pending.intersection(block):
@@ -489,8 +490,7 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     attained = {}
     for part in _map_chunks(_scan_chunk, njobs, workers, *common):
         for v, a_idx in part.items():
-            prev = attained.get(v)
-            if prev is None or a_idx < prev:
+            if a_idx < attained.get(v, total):
                 attained[v] = a_idx
     return _build_report(alg, P, mode_json, attained, lambda _: attained,
                          total, workers)
@@ -522,7 +522,7 @@ def _build_report(alg, P, mode_json, image, preimages, domain_size, workers):
         domain_size=domain_size, attained_count=len(image),
         contains_zero=hit_zero,
         contains_all_noncentral=n_noncentral == N - len(central),
-        hit_counts={"zero": 1 if hit_zero else 0,
+        hit_counts={"zero": int(hit_zero),
                     "central_nonzero": len(hits), "noncentral": n_noncentral},
         central_hits=[entry(v) for v in hits], missed_sample=missed,
         preimage_samples=[entry(v) for v in order[:8]], workers=workers)
@@ -735,11 +735,7 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
     for (m, c_idx), (y_idx, x) in sorted(hits.items()):
         table[m].append(_certified_entry(alg, engel_monomial(m), c_idx,
                                          [x, _decode(y_idx, p, dim)]))
-    m0 = None
-    for m in ms:
-        if all(not table[m2] for m2 in ms if m2 >= m):
-            m0 = m
-            break
+    m0 = next((m for m in ms if not any(table[m2] for m2 in ms if m2 >= m)), None)
     return CentralProbeReport(algebra=algebra_id(alg), field=str(alg.field),
                               m_range=ms, table=table, m0=m0, workers=workers)
 

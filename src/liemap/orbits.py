@@ -1,21 +1,27 @@
-"""Orbits of Y under the root elements and F_p^*, and subspaces carried along them.
+"""Orbits of Y under the root elements and F_p^*, and rows carried along them.
 
 The finite-field engines in `maps` decide a question about Y (the column
-space of g(D_Y), or whether D_Y^m hits a central element) on one Y per
-orbit of G x F_p^*, G the group the x_beta(t) generate.  This module
-labels those orbits once per algebra (_orbit_tree), records the tree the
-labelling search walked, and carries an equivariant subspace from an
-orbit's root to any point along that tree (subspace_annihilators), so that
-a subspace attached to every Y costs one echelon form per orbit.  For the
-exhaustive scan of any P it gives a point of every orbit of G alone
-(_pure_orbit_cover) and closes a set of values under G (_saturate).  The
-engines import it on first use: `import liemap` does not load it.
+space of g(D_Y), whether D_Y^m hits a central element, or the values of P
+with X_d = Y) on one Y per orbit.  This module labels the orbits of G x
+F_p^*, G the group the x_beta(t) generate, once per algebra (_orbit_tree),
+records the tree the labelling search walked (`via`), and carries rows
+from an orbit's root to any point along that tree (tree_carrier).  Both
+scans read that tree.  The Engel scan carries the annihilator of an
+equivariant subspace (subspace_annihilators), so that a subspace attached
+to every Y costs one echelon form per orbit.  The exhaustive scan of any P
+carries the identity, the annihilator of the zero subspace, whose rows at
+Y are g^-1 for Y = g r, r a point of _pure_orbit_cover (pullback): a value
+v is attained at Y exactly when g^-1 v is at r.  For that scan it also
+gives a point of every orbit of G alone (_pure_orbit_cover) and closes a
+set of values under G (_saturate).  The engines import it on first use:
+`import liemap` does not load it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from . import linalg
 from .chevalley import ChevalleyAlgebra
@@ -32,13 +38,15 @@ def _scaling_representatives(p, dim):
     return itertools.chain((0,), *(range(p ** k, 2 * p ** k) for k in range(dim)))
 
 
+@functools.lru_cache(maxsize=None)
 def _orbit_generators(alg: ChevalleyAlgebra, t=1):
     """x_{+-alpha_i}(t) - I for the 2 rank simple root elements, as sparse
     residue columns (column j, ((row i, residue), ..)) for the nonzero
     columns, column j read off x_{+-alpha_i}(t) e_j.  For t = 1 they
     generate, over F_p, the group the x_beta(t) generate: x_a(t) =
     x_a(1)^t, and the simple reflections x_a(1) x_-a(-1) x_a(1) carry the
-    simple roots to every root.  t = -1 gives their inverses."""
+    simple roots to every root.  t = -1 gives their inverses.  Built once
+    per (algebra, t); callers share the tuple."""
     p = alg.field.modulus
     eye = linalg.identity_matrix(alg.field, alg.dim)
     gens = []
@@ -49,7 +57,7 @@ def _orbit_generators(alg: ChevalleyAlgebra, t=1):
                     for j, e in enumerate(eye))
             gens.append(tuple((j, tuple((i, c) for i, c in enumerate(col) if c))
                               for j, col in cols if any(col)))
-    return gens
+    return tuple(gens)
 
 
 def _step(gen, idx, u, p, weights):
@@ -179,17 +187,22 @@ def _saturate(alg: ChevalleyAlgebra, indices):
     return closed
 
 
-def subspace_annihilators(alg: ChevalleyAlgebra, echelon, scaled):
-    """A function Y index -> rows phi with phi . v = 0 mod p exactly for the
-    v in S(Y), for a family of subspaces with S(hY) = h S(Y) for every h in
-    the group the x_beta(t) generate.  echelon(index) gives the reduced
-    echelon basis (rows, pivots) of S(Y) and is called only at the roots of
-    _orbit_tree's search, where the annihilator is read off it: for each
-    non-pivot column j, e_j - sum_i R[i][j] e_(pivot_i).  Every other point
-    Y = x_k(1) Y' takes its parent's rows through A(Y) = A(Y') x_k(-1), on
-    the sparse columns of x_k(-1) - I.  With `scaled`, S(cY) = S(Y) for c in
-    F_p^*, so Y is first replaced by Y / scale[Y] and each orbit has one
-    root.  Rows are memoised per point for the life of the function."""
+def tree_carrier(alg: ChevalleyAlgebra, at_root, scaled):
+    """A function Y index -> rows A(Y), carried along _orbit_tree's `via`
+    chains.  at_root(index) gives the rows at a root of the labelling
+    search and is called once per root reached; every other point Y =
+    x_k(1) Y' (k = via[Y]) takes its parent's rows through A(Y) = A(Y')
+    x_k(-1), on the sparse columns of x_k(-1) - I.  With `scaled`, Y is
+    first replaced by Y / scale[Y], so each orbit of G x F_p^* has one root
+    (for rows with A(cY) = A(Y)); unscaled, the chains end at the multiples
+    cY_0 of the orbit's least Y_0.  Rows are memoised per point for the
+    life of the function.
+
+    So A(Y) = A(r) g^-1 for Y = g r, g = x_k1(1) x_k2(1) .. along Y's chain
+    and r its end.  The annihilator of a subspace S(r) at each root gives
+    that of S(Y) = g S(r) (subspace_annihilators); the identity, the
+    annihilator of the zero subspace, gives g^-1 itself, which carries Y to
+    r, a point of _pure_orbit_cover (pullback)."""
     p, dim = alg.field.modulus, alg.dim
     weights = [p ** k for k in range(dim)]
     _, _, via, scale = _orbit_tree(alg)
@@ -209,7 +222,7 @@ def subspace_annihilators(alg: ChevalleyAlgebra, echelon, scaled):
             out.append(psi)
         return out
 
-    def annihilator(idx):
+    def rows_at(idx):
         u = _decode(idx, p, dim)
         if scaled and scale[idx] > 1:
             c = pow(scale[idx], -1, p)
@@ -220,19 +233,64 @@ def subspace_annihilators(alg: ChevalleyAlgebra, echelon, scaled):
             path.append((idx, via[idx]))
             idx, u = _step(inverses[via[idx]], idx, u, p, weights)
         if idx not in memo:
-            R, pivots = echelon(idx)
-            free = [j for j in range(dim) if j not in pivots]
-            rows = []
-            for j in free:
-                phi = [0] * dim
-                phi[j] = 1
-                for row, i in zip(R, pivots):
-                    phi[i] = -row[j] % p
-                rows.append(phi)
-            memo[idx] = rows
+            memo[idx] = at_root(idx)
         rows = memo[idx]
         for child, k in reversed(path):
             rows = memo[child] = carry(rows, inverses[k])
         return rows
 
-    return annihilator
+    return rows_at
+
+
+def subspace_annihilators(alg: ChevalleyAlgebra, echelon, scaled):
+    """A function Y index -> rows phi with phi . v = 0 mod p exactly for the
+    v in S(Y), for a family of subspaces with S(hY) = h S(Y) for every h in
+    the group the x_beta(t) generate (and S(cY) = S(Y) with `scaled`),
+    carried by tree_carrier.  echelon(index) gives the reduced echelon basis (rows,
+    pivots) of S(Y) and is called only at the roots of _orbit_tree's search,
+    where the annihilator is read off it: for each non-pivot column j, e_j -
+    sum_i R[i][j] e_(pivot_i)."""
+    p, dim = alg.field.modulus, alg.dim
+
+    def at_root(idx):
+        R, pivots = echelon(idx)
+        rows = []
+        for j in range(dim):
+            if j not in pivots:
+                phi = [0] * dim
+                phi[j] = 1
+                for row, i in zip(R, pivots):
+                    phi[i] = -row[j] % p
+                rows.append(phi)
+        return rows
+
+    return tree_carrier(alg, at_root, scaled)
+
+
+def pullback(alg: ChevalleyAlgebra):
+    """A function (Y index, value indices) -> (index of r, [index of g^-1 v
+    for each value v]; the values themselves when Y is a root, g = 1), for
+    Y = g r with r the end of Y's `via` chain, a point of
+    _pure_orbit_cover, and g^-1 the rows tree_carrier carries from the
+    identity.  For a map with P(hX_1, .., hX_d) = h P(X_1, .., X_d), v is
+    a value with X_d = Y exactly when g^-1 v is one with X_d = r."""
+    p, dim = alg.field.modulus, alg.dim
+    weights = [p ** k for k in range(dim)]
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    inverse = tree_carrier(alg, lambda _: eye, False)
+    vectors = {}
+
+    def pull(y_idx, values):
+        rows = inverse(y_idx)
+        if rows is eye:     # a root: g = 1
+            return y_idx, values
+        moved = []
+        for v in (y_idx, *values):
+            u = vectors.get(v) or vectors.setdefault(v, _decode(v, p, dim))
+            n = 0
+            for phi, w in zip(rows, weights):
+                n += sum(map(operator.mul, phi, u)) % p * w
+            moved.append(n)
+        return moved[0], moved[1:]
+
+    return pull

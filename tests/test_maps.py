@@ -686,9 +686,11 @@ def test_cover_scan_report_is_the_full_sweep_on_sl2(name, p):
     assert maps.image_scan(alg, P, workers=2).to_json() == _sweep_report(alg, P, 2).to_json()
 
 
-@pytest.mark.parametrize("name,most", [("example48", 27), ("E2", 76)])
-def test_cover_scan_runs_few_kernel_blocks(monkeypatch, name, most):
-    # on A1/F7 a block is one X_d (N = 343 lanes); the full sweep runs 343
+@pytest.mark.parametrize("name,p", [("example48", 7), ("E2", 7), ("E2", 11)])
+def test_cover_scan_runs_few_kernel_blocks(monkeypatch, name, p):
+    # a block is one X_d (N = p^3 lanes): phase 1 runs one per cover point,
+    # and phase 2 at most one per printed element (A1/F7: example48 19, E_2
+    # 20; A1/F11: E_2 32), where the full sweep runs N
     calls = []
     kernel_of = lanes.block_kernel
 
@@ -701,8 +703,26 @@ def test_cover_scan_runs_few_kernel_blocks(monkeypatch, name, most):
         return count
 
     monkeypatch.setattr(lanes, "block_kernel", counting)
-    maps.image_scan(build_algebra("A", 1, F7), _SWEEP_POLYS[name])
-    assert 0 < len(calls) <= most
+    alg = build_algebra("A", 1, make_field("F%d" % p))
+    rep = maps.image_scan(alg, _SWEEP_POLYS[name])
+    printed = len(rep.central_hits) + len(rep.preimage_samples)
+    assert 0 < len(calls) <= len(orbits._pure_orbit_cover(alg)) + printed
+
+
+@pytest.mark.parametrize("name", ["example48", "E2"])
+def test_values_at_y_are_g_times_the_values_at_its_cover_point(name):
+    # the rule phase 2 rests on: for Y = g r with r = g^-1 Y the end of Y's
+    # via chain (orbits.pullback), v is a value of P with X_d = Y exactly
+    # when g^-1 v is one with X_d = r
+    alg = build_algebra("A", 1, F5)
+    P = _SWEEP_POLYS[name]
+    N = alg.field.modulus ** alg.dim
+    M = N ** (P.nvars - 1)
+    blocks = [_chunk(alg, P, y * M, (y + 1) * M, None) for y in range(N)]
+    pull = orbits.pullback(alg)
+    for y in range(N):
+        r, moved = pull(y, range(N))
+        assert {v for v, u in enumerate(moved) if u in blocks[r]} == set(blocks[y])
 
 
 # the scan kernel's oracle: (type, rank, p, sampled?) per algebra, bytes

@@ -82,6 +82,50 @@ def test_orbit_tree_reaches_every_point_from_its_root(type_label, rank, spec):
     assert len(depth) == p ** dim
 
 
+@pytest.mark.parametrize("type_label,rank,spec", [
+    ("A", 1, "F7"), ("A", 2, "F3"), ("G", 2, "F2")])
+def test_carried_inverse_takes_each_point_to_its_cover_point(type_label, rank, spec):
+    # with the identity at every root the carried rows at Y are g^-1, the
+    # product x_km(-1) .. x_k1(-1) of the dense inverses along Y's via chain
+    # (k1 = via[Y]), and send Y to the chain's end r, a cover point; pullback
+    # moves Y and sampled values by the same rows
+    alg = build_algebra(type_label, rank, make_field(spec))
+    field, p, dim = alg.field, alg.field.modulus, alg.dim
+    _, _, via, _ = orbits._orbit_tree(alg)
+    cover = set(orbits._pure_orbit_cover(alg))
+    inverses = [alg.root_automorphism(b, p - 1).matrix
+                for a in alg.rs.simple_roots for b in (a, -a)]
+    eye = linalg.identity_matrix(field, dim)
+    carried = orbits.tree_carrier(alg, lambda _: eye, False)
+    pull = orbits.pullback(alg)
+
+    def move(rows, idx):
+        return maps._encode(linalg.mat_vec(rows, maps._decode(idx, p, dim), field), p)
+
+    oracle = {}     # index -> (g^-1, r), filled along each chain
+    for idx in range(p ** dim):
+        chain = []
+        while idx not in oracle and via[idx] != orbits._ROOT:
+            chain.append(idx)
+            idx = move(inverses[via[idx]], idx)
+        if idx not in oracle:
+            assert idx in cover
+            oracle[idx] = eye, idx
+        for child in reversed(chain):
+            g_inv, r = oracle[idx]
+            oracle[child] = linalg.mat_mul(g_inv, inverses[via[child]], field), r
+            idx = child
+    assert len(oracle) == p ** dim
+    for idx, (g_inv, r) in oracle.items():
+        rows = carried(idx)
+        assert rows == g_inv and move(rows, idx) == r
+    rng = random.Random(5)
+    for idx in rng.sample(range(p ** dim), 100):
+        values = rng.sample(range(p ** dim), 3)
+        g_inv, r = oracle[idx]
+        assert pull(idx, values) == (r, [move(g_inv, v) for v in values])
+
+
 @pytest.mark.parametrize("coeffs", [[0, 1], [1, 1]], ids=["E_2", "E_1+E_2"])
 def test_carried_annihilators_cut_out_the_column_space(coeffs):
     # for sampled Y, the carried rows are independent, one per missing
