@@ -246,10 +246,10 @@ def subspace_annihilators(alg: ChevalleyAlgebra, echelon, scaled):
     """A function Y index -> rows phi with phi . v = 0 mod p exactly for the
     v in S(Y), for a family of subspaces with S(hY) = h S(Y) for every h in
     the group the x_beta(t) generate (and S(cY) = S(Y) with `scaled`),
-    carried by tree_carrier.  echelon(index) gives the reduced echelon basis (rows,
-    pivots) of S(Y) and is called only at the roots of _orbit_tree's search,
-    where the annihilator is read off it: for each non-pivot column j, e_j -
-    sum_i R[i][j] e_(pivot_i)."""
+    carried by tree_carrier.  echelon(index) gives the reduced echelon
+    basis (rows, pivots) of S(Y) and is called only at the roots of
+    _orbit_tree's search, where the annihilator is read off it: for each
+    non-pivot column j, e_j - sum_i R[i][j] e_(pivot_i)."""
     p, dim = alg.field.modulus, alg.dim
 
     def at_root(idx):

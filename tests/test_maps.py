@@ -719,9 +719,11 @@ def test_values_at_y_are_g_times_the_values_at_its_cover_point(name):
     N = alg.field.modulus ** alg.dim
     M = N ** (P.nvars - 1)
     blocks = [_chunk(alg, P, y * M, (y + 1) * M, None) for y in range(N)]
+    cover = set(orbits._pure_orbit_cover(alg))
     pull = orbits.pullback(alg)
     for y in range(N):
         r, moved = pull(y, range(N))
+        assert r in cover
         assert {v for v, u in enumerate(moved) if u in blocks[r]} == set(blocks[y])
 
 
