@@ -217,7 +217,8 @@ def _usable_cpus():
 def _map_chunks(worker, n, workers, *common):
     """[worker((start, end) + common) for each chunk], the positions [0, n)
     cut into k = min(workers, n, usable CPUs) contiguous chunks, one per
-    process.
+    process.  image_scan asks for at most one process per full block of
+    _BLOCK_LANES assignments: a fork costs about as much as a block.
 
     This process runs chunk 0; chunks 1..k-1 run in forked children, each
     of which sends back one pickled (result, exception or None) over a
@@ -334,7 +335,8 @@ def _scan_chunk(args):
     indices [start, end), for P of d variables on alg, evaluated by its
     lanes.block_kernel `kernel` a block at a time on the column store
     `store` for p; pure and order-free.  A forked worker shares the
-    caller's alg, store and kernel.
+    caller's alg, store and kernel.  `memo`, a dict per scan, keeps the
+    last block's X1 columns, so a scan's chunks build them once.
 
     Exhaustive mode walks the indices a_idx = x1 + N (x2 + N (..)) in
     order, in blocks of at most _BLOCK_LANES that share X2..Xd, so only X1
@@ -344,7 +346,7 @@ def _scan_chunk(args):
     value, keyed by its index (the kernel's lane code), keeps the first
     assignment index that reaches it.
     """
-    start, end, alg, d, store, kernel, mode_seed = args
+    start, end, alg, d, store, kernel, mode_seed, memo = args
     p, dim = alg.field.modulus, alg.dim
     N = p ** dim
     attained = {}
@@ -358,15 +360,14 @@ def _scan_chunk(args):
                 attained[v] = first[v]
 
     if mode_seed is None:
-        x1_key = x1_cols = None
         lo = start
         while lo < end:
             hi = min(end, lo + _BLOCK_LANES, (lo // N + 1) * N)
-            x1 = lo % N
-            if (x1, hi - lo) != x1_key:
-                x1_key = (x1, hi - lo)
-                x1_cols = store.digits(range(x1, x1 + hi - lo), dim)
-            rest, xs = lo // N, [x1_cols]
+            key = (lo % N, hi - lo)
+            if key not in memo:
+                memo.clear()
+                memo[key] = store.digits(range(key[0], sum(key)), dim)
+            rest, xs = lo // N, [memo[key]]
             for _ in range(d - 1):
                 rest, e_idx = divmod(rest, N)
                 xs.append(AlgElement(alg, _decode(e_idx, p, dim)))
@@ -414,14 +415,17 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     linear maps built once per block.  For d >= 2, P(gX_1, .., gX_d) = g
     P(X_1, .., X_d) for g in the group G the x_beta(t) generate.  Phase 1
     scans the X_d of orbits._pure_orbit_cover, which meets every G-orbit,
-    cut across the workers, and closes the values under G (_saturate).
+    cut across the workers, and closes the values under G (_saturate, a
+    union of stored G-orbits).
     Phase 2 walks X_d = 0, 1, .. until each printed value has its least
     assignment index: at X_d = gr, r in the cover, v is a value exactly
     when g^-1 v is one at r (orbits.pullback), so a block runs only where a
     pending v is hit: at most one per printed value.  The report is that
     of the full sweep of _scan_chunk over [0, N^d), the tests' oracle;
-    "brute-force" is its scan/v1 engine name.  Workers merge by least
-    assignment index, so reports are bit-identical for any worker count.
+    "brute-force" is its scan/v1 engine name.  At most `workers`
+    processes, and one per full block of the assignments mapped
+    (_map_chunks), merge by least assignment index, so reports are
+    bit-identical for any worker count.
     `budget` (default LIEMAP_BUDGET, else 2,000,000) caps the exhaustive
     enumeration and the sample count, and must be at least 1, as must
     sample_count.  An exhaustive scan past the budget whose P is an Engel
@@ -461,13 +465,17 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
 
     from .lanes import block_kernel, column_store
     store = column_store(p)     # built once here; forked workers share both
-    common = (alg, d, store, block_kernel(P, alg, store), mode_seed)
+    common = (alg, d, store, block_kernel(P, alg, store), mode_seed, {})
+
+    def procs(lanes):
+        return min(workers, max(1, lanes // _BLOCK_LANES))
+
     if mode_seed is None and d > 1:
         from .orbits import _pure_orbit_cover, _saturate, pullback
         M = N ** (d - 1)
         cover = _pure_orbit_cover(alg)
-        blocks = dict(zip(cover, itertools.chain.from_iterable(
-            _map_chunks(_scan_cover, len(cover), workers, cover, M, *common))))
+        blocks = dict(zip(cover, itertools.chain.from_iterable(_map_chunks(
+            _scan_cover, len(cover), procs(len(cover) * M), cover, M, *common))))
         image = _saturate(alg, set().union(*blocks.values()))
 
         def preimages(printed):
@@ -488,7 +496,7 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
 
         return _build_report(alg, P, mode_json, image, preimages, total, workers)
     attained = {}
-    for part in _map_chunks(_scan_chunk, njobs, workers, *common):
+    for part in _map_chunks(_scan_chunk, njobs, procs(njobs), *common):
         for v, a_idx in part.items():
             if a_idx < attained.get(v, total):
                 attained[v] = a_idx

@@ -12,9 +12,10 @@ to every Y costs one echelon form per orbit.  The exhaustive scan of any P
 carries the identity, the annihilator of the zero subspace, whose rows at
 Y are g^-1 for Y = g r, r a point of _pure_orbit_cover (pullback): a value
 v is attained at Y exactly when g^-1 v is at r.  For that scan it also
-gives a point of every orbit of G alone (_pure_orbit_cover) and closes a
-set of values under G (_saturate).  The engines import it on first use:
-`import liemap` does not load it.
+gives a point of every orbit of G alone (_pure_orbit_cover), labels the
+orbits of G alone once per algebra (_pure_orbit_labels) and closes a set
+of values under G as the union of the stored orbits it meets (_saturate).
+The engines import it on first use: `import liemap` does not load it.
 """
 
 from __future__ import annotations
@@ -167,24 +168,43 @@ def _pure_orbit_cover(alg: ChevalleyAlgebra):
     return sorted(cover)
 
 
-def _saturate(alg: ChevalleyAlgebra, indices):
-    """The least G-stable set of indices holding `indices`: a breadth-first
+@functools.lru_cache(maxsize=None)
+def _pure_orbit_labels(alg: ChevalleyAlgebra):
+    """An array('i') of length p^dim holding each index's orbit number
+    under G alone (no F_p^* scaling), orbits numbered by their least
+    index: each unlabelled index in increasing order starts a breadth-first
     search under _orbit_generators, whose forward steps reach all of G (a
-    finite group)."""
+    finite group).  Built once per algebra; callers share it and must not
+    change it."""
+    from array import array
     from collections import deque
     p, dim = alg.field.modulus, alg.dim
     weights = [p ** k for k in range(dim)]
     gens = _orbit_generators(alg)
-    closed = set(indices)
-    queue = deque((v, _decode(v, p, dim)) for v in closed)
-    while queue:
-        idx, u = queue.popleft()
-        for gen in gens:
-            nxt = _step(gen, idx, u, p, weights)
-            if nxt is not None and nxt[0] not in closed:
-                closed.add(nxt[0])
-                queue.append(nxt)
-    return closed
+    labels = array("i", [-1]) * p ** dim
+    count = 0
+    for y_idx in range(p ** dim):
+        if labels[y_idx] >= 0:
+            continue
+        labels[y_idx] = count
+        queue = deque([(y_idx, _decode(y_idx, p, dim))])
+        while queue:
+            idx, u = queue.popleft()
+            for gen in gens:
+                nxt = _step(gen, idx, u, p, weights)
+                if nxt is not None and labels[nxt[0]] < 0:
+                    labels[nxt[0]] = count
+                    queue.append(nxt)
+        count += 1
+    return labels
+
+
+def _saturate(alg: ChevalleyAlgebra, indices):
+    """The least G-stable set of indices holding `indices`: every index
+    whose _pure_orbit_labels label one of `indices` carries."""
+    labels = _pure_orbit_labels(alg)
+    wanted = {labels[i] for i in indices}
+    return set(itertools.compress(range(len(labels)), map(wanted.__contains__, labels)))
 
 
 def tree_carrier(alg: ChevalleyAlgebra, at_root, scaled):

@@ -1,14 +1,17 @@
 """Shared test utilities: seeded random elements and polynomials, the
 residue reference for root elements, root values beta(h), the residue
 Horner value of an Engel f, scaled matrices and the matrix commutator, the brute-force sl(2) witness oracle,
-the type-A similarity oracle and the column-space walk that credits the
-Engel scan's printed preimages."""
+the type-A similarity oracle, the column-space walk that credits the
+Engel scan's printed preimages, the breadth-first saturation under G and
+a counter of forked children."""
 
 import itertools
+import os
 import random
+from collections import deque
 from fractions import Fraction
 
-from liemap import linalg, maps
+from liemap import linalg, maps, orbits
 from liemap.chevalley import AlgElement, _integral_divided_powers, _zero_diagonal
 from liemap.freelie import Br, LiePoly, Sum, Var
 from liemap.matrixrep import MatrixElement, _commutator
@@ -180,3 +183,39 @@ def engel_preimages_oracle(alg, spec):
         return found
 
     return preimages
+
+
+def saturate_oracle(alg, indices):
+    """The least G-stable set of indices holding `indices`, by a
+    breadth-first search under orbits._orbit_generators, whose forward
+    steps reach all of G (a finite group): the reference for
+    orbits._saturate, which reads stored orbits."""
+    p, dim = alg.field.modulus, alg.dim
+    weights = [p ** k for k in range(dim)]
+    gens = orbits._orbit_generators(alg)
+    closed = set(indices)
+    queue = deque((v, maps._decode(v, p, dim)) for v in closed)
+    while queue:
+        idx, u = queue.popleft()
+        for gen in gens:
+            nxt = orbits._step(gen, idx, u, p, weights)
+            if nxt is not None and nxt[0] not in closed:
+                closed.add(nxt[0])
+                queue.append(nxt)
+    return closed
+
+
+def fork_counter(monkeypatch):
+    """A list that collects the pid of every child os.fork starts from
+    here on (the parent side of each fork)."""
+    forks = []
+    real = os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks

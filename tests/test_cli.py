@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 
 import liemap
+from helpers import fork_counter
 from liemap import maps
 from liemap.cli import main
 from liemap.fixtures import fixture_text, load_poly
@@ -516,20 +517,24 @@ def test_nonpositive_count_is_usage_error(argv):
 
 @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpus"])
 def test_scan_worker_error_is_the_same_for_any_worker_count(capsys, monkeypatch, cpus):
-    # 1/2 has no residue mod 2: every chunk raises, in this process or in a
-    # forked child, and the error JSON does not depend on where
+    # 1/11 has no residue mod 11: every chunk raises, in this process or in
+    # a forked child (A1/F11 maps 10 blocks, enough to fork for), and the
+    # error JSON does not depend on where
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    outs = {run(capsys, ["scan", "--poly", "1/2*[X1,X2]", "--algebra", "A2",
-                         "--field", "F2", "--workers", w]) for w in ("1", "2")}
+    forks = fork_counter(monkeypatch)
+    outs = {run(capsys, ["scan", "--poly", "1/11*[X1,X2]", "--algebra", "A1",
+                         "--field", "F11", "--workers", w]) for w in ("1", "2")}
+    assert len(forks) == len(cpus) - 1
     (code, out), = outs
     assert code == 1 and json.loads(out) == {
-        "error": "denominator 2 not invertible mod 2", "kind": "ZeroDivisionError"}
+        "error": "denominator 11 not invertible mod 11", "kind": "ZeroDivisionError"}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_scan_worker_that_dies_is_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = fork_counter(monkeypatch)
     cover = maps._scan_cover
 
     def die_in_the_child(args):
@@ -540,7 +545,8 @@ def test_scan_worker_that_dies_is_exit_2(capsys, monkeypatch):
 
     monkeypatch.setattr(maps, "_scan_cover", die_in_the_child)
     code, out = run(capsys, ["scan", "--poly", "[[X1,X2],X2]", "--algebra", "A1",
-                             "--field", "F3", "--workers", "2"])
+                             "--field", "F11", "--workers", "2"])
+    assert len(forks) == 1
     err = json.loads(out)
     assert code == 2 and err["kind"] == "ChildProcessError"
     assert "ended without a result" in err["error"]

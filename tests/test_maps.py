@@ -11,8 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (grid_witness, random_element, random_nonzero_element, random_poly,
-                     root_value)
+from helpers import (fork_counter, grid_witness, random_element, random_nonzero_element,
+                     random_poly, root_value)
 from liemap import lanes, linalg, maps, orbits, scalar
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
@@ -791,7 +791,7 @@ def _chunk(alg, P, start, end, seed):
     that image_scan builds for P."""
     store = lanes.column_store(alg.field.modulus)
     return maps._scan_chunk((start, end, alg, P.nvars, store,
-                             lanes.block_kernel(P, alg, store), seed))
+                             lanes.block_kernel(P, alg, store), seed, {}))
 
 
 # over F13 a bytes lane sums at most K = 255 // 12 - 1 = 20 terms before it
@@ -909,36 +909,30 @@ def test_lane_codes_match_encode(p):
         assert store.codes([None] * dim, n) == [0] * n
 
 
-def _fork_counter(monkeypatch):
-    forks = []
-    real = os.fork
-
-    def counting():
-        pid = real()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _three_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
 def test_scan_pool_forks_at_most_one_process_per_cpu(monkeypatch):
     # one chunk forks nothing; workers above the CPU count run one chunk
-    # here and fork one child per further CPU, with the same report bytes
-    alg = build_algebra("A", 1, F3)
+    # here and fork one child per further CPU and per further full block:
+    # E_2 on A1/F11 scans 31 X_d of 1,331 assignments, 10 blocks
+    _three_cpus(monkeypatch)
+    alg = build_algebra("A", 1, make_field("F11"))
     P = engel_monomial(2)
-    forks = _fork_counter(monkeypatch)
+    forks = fork_counter(monkeypatch)
     one = maps.image_scan(alg, P, workers=1).to_json()
     assert forks == []      # one chunk: no fork
     assert one.pop("workers") == 1
     wide = maps.image_scan(alg, P, workers=100_000).to_json()
-    assert len(forks) == min(len(orbits._pure_orbit_cover(alg)), maps._usable_cpus()) - 1
+    cover = orbits._pure_orbit_cover(alg)
+    blocks = len(cover) * 11 ** 3 // maps._BLOCK_LANES
+    assert len(forks) == min(len(cover), 3, blocks) - 1 == 2
     assert wide.pop("workers") == 100_000
     assert wide == one
     _assert_no_child_left()
@@ -948,6 +942,43 @@ def test_scan_pool_forks_at_most_one_process_per_cpu(monkeypatch):
     assert forks == []
     assert single.pop("workers") == 100_000
     assert single == one
+
+
+@pytest.mark.parametrize("type_label,rank,spec,name", [
+    ("A", 1, "F7", "E2"), ("A", 1, "F7", "example48"), ("A", 2, "F2", "E2")])
+def test_scan_below_a_block_per_child_forks_nothing(monkeypatch, type_label, rank, spec,
+                                                    name):
+    # phase 1 maps |cover| N lanes (A1/F7: 19 * 343 = 6,517; A2/F2: 7 * 256
+    # = 1,792), less than two blocks: a fork would cost more than the block
+    # it spreads, so workers=2 runs in this process, with the same bytes
+    _two_cpus(monkeypatch)
+    alg = build_algebra(type_label, rank, make_field(spec))
+    P = _SWEEP_POLYS[name]
+    forks = fork_counter(monkeypatch)
+    two = maps.image_scan(alg, P, workers=2).to_json()
+    assert forks == []
+    assert two.pop("workers") == 2
+    one = maps.image_scan(alg, P, workers=1).to_json()
+    assert one.pop("workers") == 1
+    assert two == one
+
+
+@pytest.mark.parametrize("name", ["E2", "example48"])
+def test_exhaustive_scan_builds_x1_columns_once(monkeypatch, name):
+    # phase 1's 19 X_d and phase 2's extra X_d on A1/F7 share one block of
+    # X1's 343 digit columns
+    alg = build_algebra("A", 1, make_field("F7"))
+    store = lanes.column_store(7)
+    calls = []
+    digits = store.digits
+
+    def counting(ints, m):
+        calls.append((ints, m))
+        return digits(ints, m)
+
+    monkeypatch.setattr(store, "digits", counting)
+    maps.image_scan(alg, _SWEEP_POLYS[name], workers=2)
+    assert calls == [(range(343), 3)]
 
 
 def _two_cpus(monkeypatch):
@@ -966,13 +997,9 @@ def _exit_past_the_first_chunk(args):
     return args[0]
 
 
-def _three_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-
-
 def test_map_chunks_runs_the_first_chunk_here_and_forks_the_rest(monkeypatch):
     _three_cpus(monkeypatch)
-    forks = _fork_counter(monkeypatch)
+    forks = fork_counter(monkeypatch)
     pid = os.getpid()
 
     def where(a):
@@ -1048,7 +1075,7 @@ def test_map_chunks_reaps_children_when_this_process_fails(monkeypatch):
 
 def test_map_chunks_reaps_the_children_when_a_fork_fails(monkeypatch):
     _three_cpus(monkeypatch)
-    forks = _fork_counter(monkeypatch)
+    forks = fork_counter(monkeypatch)
     counting = os.fork
 
     def fail_second():

@@ -2,8 +2,9 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import engel_preimages_oracle
+from helpers import engel_preimages_oracle, saturate_oracle
 from liemap import linalg, maps, orbits
 from liemap.chevalley import AlgElement, build_algebra
 from liemap.freelie import make_engel
@@ -49,6 +50,45 @@ def test_pure_orbit_cover_meets_every_orbit_of_G(type_label, rank, spec):
         x = maps._decode(v, p, dim)
         for g in gens:
             assert maps._encode(linalg.mat_vec(g, x, alg.field), p) in some
+
+
+_SATURATE_ALGEBRAS = [("A", 1, "F3"), ("A", 1, "F5"), ("A", 1, "F7"), ("A", 2, "F2"),
+                      ("A", 2, "F3"), ("G", 2, "F2")]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(_SATURATE_ALGEBRAS), st.integers(0, 6), st.integers(0, 2 ** 32))
+def test_saturate_is_the_breadth_first_closure(algebra, size, seed):
+    # the union of stored G-orbits is the search's closure, on random subsets
+    t, r, spec = algebra
+    alg = build_algebra(t, r, make_field(spec))
+    indices = random.Random(seed).sample(range(alg.field.modulus ** alg.dim), size)
+    assert orbits._saturate(alg, indices) == saturate_oracle(alg, indices)
+
+
+@pytest.mark.parametrize("type_label,rank,spec", [
+    ("A", 1, "F7"), ("A", 2, "F2"), ("A", 2, "F3")])
+def test_pure_orbit_labels_partition_into_stable_sets(type_label, rank, spec):
+    # every index has a label, numbered in order of each orbit's least
+    # index; x_{+-alpha_i}(1) keep every label; and each label's set is the
+    # search's closure of its least index, so one orbit of G
+    alg = build_algebra(type_label, rank, make_field(spec))
+    p, dim = alg.field.modulus, alg.dim
+    labels = orbits._pure_orbit_labels(alg)
+    assert len(labels) == p ** dim
+    gens = [alg.root_automorphism(b, 1).matrix
+            for a in alg.rs.simple_roots for b in (a, -a)]
+    classes = {}
+    for idx, label in enumerate(labels):
+        if label not in classes:
+            assert label == len(classes)
+            classes[label] = set()
+        classes[label].add(idx)
+        x = maps._decode(idx, p, dim)
+        for g in gens:
+            assert labels[maps._encode(linalg.mat_vec(g, x, alg.field), p)] == label
+    for label, members in classes.items():
+        assert saturate_oracle(alg, [min(members)]) == members
 
 
 @pytest.mark.parametrize("type_label,rank,spec", [
