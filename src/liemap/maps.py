@@ -414,9 +414,9 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     In exhaustive mode a block shares X2..Xd, so brackets with them are
     linear maps built once per block.  For d >= 2, P(gX_1, .., gX_d) = g
     P(X_1, .., X_d) for g in the group G the x_beta(t) generate.  Phase 1
-    scans the X_d of orbits._pure_orbit_cover, which meets every G-orbit,
-    cut across the workers, and closes the values under G (_saturate, a
-    union of stored G-orbits).
+    scans the X_d of orbits._pure_orbit_cover, one per G-orbit, cut
+    across the workers, and closes the values under G (_saturate, a union
+    of stored G-orbits).
     Phase 2 walks X_d = 0, 1, .. until each printed value has its least
     assignment index: at X_d = gr, r in the cover, v is a value exactly
     when g^-1 v is one at r (orbits.pullback), so a block runs only where a
@@ -576,19 +576,21 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     Y the values form the column space of g(D_Y).  For h in the group G the
     x_beta(t) generate, g(D_hY) = h g(D_Y) h^-1, and column spaces are
     closed under F_p^*, so the image is a union of the orbits of G x F_p^*
-    that orbits._orbit_representatives labels (10 on sl(3, F_3)).
+    (10 on sl(3, F_3)), each a union of the G-orbits orbits._orbit_tree
+    labels.
 
-    Phase 1 decides the image: the column space of g(D_Y) for each orbit's
-    least Y, and for its multiples cY unless g is a monomial (then g(D_cY)
-    = c^m g(D_Y)), is enumerated, and the orbits it meets are attained,
-    until every orbit is.  Phase 2 credits each element the report prints
-    to the first Y of the walk in index order (one Y per F_p^* class for a
-    monomial g) whose column space holds it, with the preimage
-    `linalg.solve` gives there.  It stops once each has its Y.  Membership
-    is tested on annihilators (orbits.subspace_annihilators): an orbit
-    root's is read off the echelon form phase 1 built, and every other Y
-    takes its parent's along the labelling tree, since the column space of
-    hY is h times that of Y; g(D_Y) is built again only at a chosen Y.
+    Phase 1 decides the image: the column space of g(D_Y) for each least
+    Y of an orbit of G x F_p^*, and for its multiples cY unless g is a
+    monomial (then g(D_cY) = c^m g(D_Y)), is enumerated, and the G-orbits
+    it meets are attained, until every G-orbit is.  Phase 2 credits each
+    element the report prints to the first Y of the walk in index order
+    (one Y per F_p^* class for a monomial g) whose column space holds it,
+    with the preimage `linalg.solve` gives there.  It stops once each has
+    its Y.  Membership is tested on annihilators
+    (orbits.subspace_annihilators): a G-orbit root's is read off its
+    echelon form, and every other Y takes its parent's along the labelling
+    tree, since the column space of hY is h times that of Y; g(D_Y) is
+    built again only at a chosen Y.
     The image is the brute-force scan's (validated on small cases).  The
     scan runs in-process; `workers` is recorded only.  The labels cover all
     p^dim elements, which `budget` (default LIEMAP_BUDGET) caps.
@@ -602,11 +604,10 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
         raise ScanBudgetError(
             "Engel scan holds %d elements > budget %d; raise LIEMAP_BUDGET"
             % (N, budget))
-    from .orbits import (_orbit_representatives, _scaling_representatives,
-                         subspace_annihilators)
+    from .orbits import _orbit_tree, _scaling_representatives, subspace_annihilators
     acoeffs = [field.residue(c) for c in spec.coeffs]
     monomial = sum(1 for a in acoeffs if a) == 1
-    reps, labels = _orbit_representatives(alg)
+    reps, labels, _, roots = _orbit_tree(alg)
     spaces = {}
 
     def engel_matrix(y_idx):
@@ -623,11 +624,11 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
         hit.update(labels[i] for c in ([1] if monomial else range(1, p))
                    for i in _span_indices(
                        echelon(_encode([c * a % p for a in y], p))[0], p, dim))
-        if len(hit) == len(reps):
+        if len(hit) == len(roots):
             break
 
     def preimages(printed):
-        annihilator = subspace_annihilators(alg, echelon, monomial)
+        annihilator = subspace_annihilators(alg, echelon)
         found, pending = {}, {v: _decode(v, p, dim) for v in printed}
         for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
             if not pending:
@@ -680,7 +681,7 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
     fixes every central c; D_cY^m = c^m D_Y^m has the same column space.  So
     the Y hitting c at degree m form a union of orbits of that group times
     F_p^*, and only the least Y of each orbit is visited
-    (orbits._orbit_representatives), which keeps every least hitting Y and
+    (orbits._orbit_tree), which keeps every least hitting Y and
     its preimage.
 
     For each visited Y the central targets are tested against the echelon
@@ -718,9 +719,9 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
         raise MapsError("central probe is meaningless for a trivial centre")
 
     max_m = max(ms)
-    from .orbits import _orbit_representatives
+    from .orbits import _orbit_tree
     hits = {}
-    for y_idx, y, _ in _orbit_representatives(alg)[0]:
+    for y_idx, y, _ in _orbit_tree(alg)[0]:
         D = alg.ad_matrix(-AlgElement(alg, y))
         M, rk, frozen = D, -1, False
         for m in range(1, max_m + 1):

@@ -2,8 +2,8 @@
 residue reference for root elements, root values beta(h), the residue
 Horner value of an Engel f, scaled matrices and the matrix commutator, the brute-force sl(2) witness oracle,
 the type-A similarity oracle, the column-space walk that credits the
-Engel scan's printed preimages, the breadth-first saturation under G and
-a counter of forked children."""
+Engel scan's printed preimages, the breadth-first saturation under G,
+the orbit labels under G x F_p^* and a counter of forked children."""
 
 import itertools
 import os
@@ -187,22 +187,34 @@ def engel_preimages_oracle(alg, spec):
 
 def saturate_oracle(alg, indices):
     """The least G-stable set of indices holding `indices`, by a
-    breadth-first search under orbits._orbit_generators, whose forward
+    breadth-first search under orbits._generator_rows, whose forward
     steps reach all of G (a finite group): the reference for
     orbits._saturate, which reads stored orbits."""
     p, dim = alg.field.modulus, alg.dim
-    weights = [p ** k for k in range(dim)]
-    gens = orbits._orbit_generators(alg)
+    gens = orbits._generator_rows(alg)
     closed = set(indices)
     queue = deque((v, maps._decode(v, p, dim)) for v in closed)
     while queue:
         idx, u = queue.popleft()
         for gen in gens:
-            nxt = orbits._step(gen, idx, u, p, weights)
+            nxt = orbits._step(gen, idx, u, p)
             if nxt is not None and nxt[0] not in closed:
                 closed.add(nxt[0])
                 queue.append(nxt)
     return closed
+
+
+def orbit_class_labels(alg):
+    """Each index's orbit number under G x F_p^*, its position in
+    orbits._orbit_tree's reps, read off the G-orbit labels: the class of
+    an index is that of its G-orbit's root r, whose least multiple c r is
+    the class's least element."""
+    reps, labels, _, roots = orbits._orbit_tree(alg)
+    p, dim = alg.field.modulus, alg.dim
+    position = {y_idx: n for n, (y_idx, _, _) in enumerate(reps)}
+    least = [position[min(maps._encode([c * x % p for x in maps._decode(r, p, dim)], p)
+                          for c in range(1, p))] for r in roots]
+    return [least[label] for label in labels]
 
 
 def fork_counter(monkeypatch):

@@ -11,8 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (fork_counter, grid_witness, random_element, random_nonzero_element,
-                     random_poly, root_value)
+from helpers import (fork_counter, grid_witness, orbit_class_labels, random_element,
+                     random_nonzero_element, random_poly, root_value)
 from liemap import lanes, linalg, maps, orbits, scalar
 from liemap.chevalley import (CentralElementError, FieldTooSmallError,
                               build_algebra)
@@ -689,8 +689,9 @@ def test_cover_scan_report_is_the_full_sweep_on_sl2(name, p):
 @pytest.mark.parametrize("name,p", [("example48", 7), ("E2", 7), ("E2", 11)])
 def test_cover_scan_runs_few_kernel_blocks(monkeypatch, name, p):
     # a block is one X_d (N = p^3 lanes): phase 1 runs one per cover point,
-    # and phase 2 at most one per printed element (A1/F7: example48 19, E_2
-    # 20; A1/F11: E_2 32), where the full sweep runs N
+    # one per G-orbit (9 on A1/F7, 13 on A1/F11), and phase 2 at most one
+    # per printed element, where the full sweep runs N
+    blocks = {("example48", 7): 9, ("E2", 7): 10, ("E2", 11): 14}[name, p]
     calls = []
     kernel_of = lanes.block_kernel
 
@@ -706,7 +707,7 @@ def test_cover_scan_runs_few_kernel_blocks(monkeypatch, name, p):
     alg = build_algebra("A", 1, make_field("F%d" % p))
     rep = maps.image_scan(alg, _SWEEP_POLYS[name])
     printed = len(rep.central_hits) + len(rep.preimage_samples)
-    assert 0 < len(calls) <= len(orbits._pure_orbit_cover(alg)) + printed
+    assert len(calls) == blocks <= len(orbits._pure_orbit_cover(alg)) + printed
 
 
 @pytest.mark.parametrize("name", ["example48", "E2"])
@@ -921,7 +922,7 @@ def _three_cpus(monkeypatch):
 def test_scan_pool_forks_at_most_one_process_per_cpu(monkeypatch):
     # one chunk forks nothing; workers above the CPU count run one chunk
     # here and fork one child per further CPU and per further full block:
-    # E_2 on A1/F11 scans 31 X_d of 1,331 assignments, 10 blocks
+    # E_2 on A1/F11 scans 13 X_d of 1,331 assignments, 4 blocks
     _three_cpus(monkeypatch)
     alg = build_algebra("A", 1, make_field("F11"))
     P = engel_monomial(2)
@@ -948,7 +949,7 @@ def test_scan_pool_forks_at_most_one_process_per_cpu(monkeypatch):
     ("A", 1, "F7", "E2"), ("A", 1, "F7", "example48"), ("A", 2, "F2", "E2")])
 def test_scan_below_a_block_per_child_forks_nothing(monkeypatch, type_label, rank, spec,
                                                     name):
-    # phase 1 maps |cover| N lanes (A1/F7: 19 * 343 = 6,517; A2/F2: 7 * 256
+    # phase 1 maps |cover| N lanes (A1/F7: 9 * 343 = 3,087; A2/F2: 7 * 256
     # = 1,792), less than two blocks: a fork would cost more than the block
     # it spreads, so workers=2 runs in this process, with the same bytes
     _two_cpus(monkeypatch)
@@ -1427,7 +1428,7 @@ def _union_find_roots(type_label, rank, spec):
     ("A", 1, "F5", 4), ("A", 2, "F3", 10), ("A", 3, "F2", 20)])
 def test_orbit_representatives_match_union_find(type_label, rank, spec, n_orbits):
     alg = build_algebra(type_label, rank, make_field(spec))
-    reps, _ = orbits._orbit_representatives(alg)
+    reps = orbits._orbit_tree(alg)[0]
     for y_idx, y, _ in reps:
         assert y == maps._decode(y_idx, alg.field.modulus, alg.dim)
     assert {y_idx: size for y_idx, _, size in reps} == \
@@ -1442,7 +1443,7 @@ def test_orbit_labels_partition(type_label, rank, spec, n_orbits):
     # one label in range per index, the labels' classes are the union-find
     # orbits, and each class's least index and size are its representative's
     alg = build_algebra(type_label, rank, make_field(spec))
-    reps, labels = orbits._orbit_representatives(alg)
+    reps, labels = orbits._orbit_tree(alg)[0], orbit_class_labels(alg)
     assert len(labels) == alg.field.modulus ** alg.dim and len(reps) == n_orbits
     assert set(labels) == set(range(n_orbits))
     roots = _union_find_roots(type_label, rank, spec)
@@ -1455,17 +1456,22 @@ def test_orbit_labels_partition(type_label, rank, spec, n_orbits):
 def test_orbit_generators_are_simple_root_elements_minus_identity(type_label, rank,
                                                                    spec):
     # oracle: the columns of root_automorphism(+-alpha_i, 1).matrix - I,
-    # in the generators' sparse form (nonzero columns and entries only)
+    # in the generators' sparse form (nonzero columns and entries only), and
+    # its rows, each with its weight p^i, in _generator_rows
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
     roots = [b for a in alg.rs.simple_roots for b in (a, -a)]
     gens = orbits._orbit_generators(alg)
-    assert len(gens) == len(roots)
-    for gen, b in zip(gens, roots):
+    assert len(gens) == len(roots) == len(orbits._generator_rows(alg))
+    for gen, by_rows, b in zip(gens, orbits._generator_rows(alg), roots):
         M = alg.root_automorphism(b, 1).matrix
         cols = [[(M[i][j] - (i == j)) % p for i in range(dim)] for j in range(dim)]
         assert gen == tuple((j, tuple((i, c) for i, c in enumerate(col) if c))
                             for j, col in enumerate(cols) if any(col))
+        rows = list(zip(*cols))
+        assert sorted(by_rows) == [
+            (i, p ** i, tuple((j, c) for j, c in enumerate(row) if c))
+            for i, row in enumerate(rows) if any(row)]
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -1,10 +1,11 @@
 import hashlib
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import engel_preimages_oracle, saturate_oracle
+from helpers import engel_preimages_oracle, orbit_class_labels, saturate_oracle
 from liemap import linalg, maps, orbits
 from liemap.chevalley import AlgElement, build_algebra
 from liemap.freelie import make_engel
@@ -21,9 +22,10 @@ ENGEL_SUMS = {"E_1": [1], "E_2": [0, 1], "E_3": [0, 0, 1], "E_1+E_2": [1, 1],
 ])
 def test_orbit_labels_pinned(type_label, rank, spec, digest):
     # regression constants, recorded with the depth-first labelling search
-    # that kept no tree: the search order changes neither labels nor reps
+    # that kept no tree: the search order changes neither labels nor reps;
+    # the labels under G x F_p^* are read off the G-orbit labels
     alg = build_algebra(type_label, rank, make_field(spec))
-    reps, labels = orbits._orbit_representatives(alg)
+    reps, labels = orbits._orbit_tree(alg)[0], array("i", orbit_class_labels(alg))
     assert hashlib.sha256(repr((reps, bytes(labels))).encode()).hexdigest() == digest
 
 
@@ -34,7 +36,7 @@ def test_pure_orbit_cover_meets_every_orbit_of_G(type_label, rank, spec):
     # together they cover every element; the saturated set is G-stable
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
-    labels = orbits._orbit_representatives(alg)[1]
+    labels = orbit_class_labels(alg)
     cover = orbits._pure_orbit_cover(alg)
     assert cover[0] == 0 and cover == sorted(set(cover))
     seen = set()
@@ -50,6 +52,23 @@ def test_pure_orbit_cover_meets_every_orbit_of_G(type_label, rank, spec):
         x = maps._decode(v, p, dim)
         for g in gens:
             assert maps._encode(linalg.mat_vec(g, x, alg.field), p) in some
+
+
+@pytest.mark.parametrize("type_label,rank,spec,size", [
+    ("A", 1, "F7", 9), ("A", 1, "F11", 13), ("A", 2, "F3", 15), ("B", 2, "F3", 21),
+    ("A", 3, "F2", 20), ("G", 2, "F2", 15)])
+def test_pure_orbit_cover_has_one_point_per_orbit_of_G(type_label, rank, spec, size):
+    # the breadth-first closures of the cover points are disjoint, so no
+    # two lie in one G-orbit, and together they hold every element
+    alg = build_algebra(type_label, rank, make_field(spec))
+    cover = orbits._pure_orbit_cover(alg)
+    assert len(cover) == size
+    seen = set()
+    for y in cover:
+        orbit = saturate_oracle(alg, [y])
+        assert seen.isdisjoint(orbit)
+        seen |= orbit
+    assert len(seen) == alg.field.modulus ** alg.dim
 
 
 _SATURATE_ALGEBRAS = [("A", 1, "F3"), ("A", 1, "F5"), ("A", 1, "F7"), ("A", 2, "F2"),
@@ -69,24 +88,22 @@ def test_saturate_is_the_breadth_first_closure(algebra, size, seed):
 @pytest.mark.parametrize("type_label,rank,spec", [
     ("A", 1, "F7"), ("A", 2, "F2"), ("A", 2, "F3")])
 def test_pure_orbit_labels_partition_into_stable_sets(type_label, rank, spec):
-    # every index has a label, numbered in order of each orbit's least
-    # index; x_{+-alpha_i}(1) keep every label; and each label's set is the
-    # search's closure of its least index, so one orbit of G
+    # every index has a label, and the labels run from 0; x_{+-alpha_i}(1)
+    # keep every label; and each label's set is the search's closure of its
+    # least index, so one orbit of G
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
-    labels = orbits._pure_orbit_labels(alg)
+    labels = orbits._orbit_tree(alg)[1]
     assert len(labels) == p ** dim
     gens = [alg.root_automorphism(b, 1).matrix
             for a in alg.rs.simple_roots for b in (a, -a)]
     classes = {}
     for idx, label in enumerate(labels):
-        if label not in classes:
-            assert label == len(classes)
-            classes[label] = set()
-        classes[label].add(idx)
+        classes.setdefault(label, set()).add(idx)
         x = maps._decode(idx, p, dim)
         for g in gens:
             assert labels[maps._encode(linalg.mat_vec(g, x, alg.field), p)] == label
+    assert set(classes) == set(range(len(classes)))
     for label, members in classes.items():
         assert saturate_oracle(alg, [min(members)]) == members
 
@@ -94,12 +111,13 @@ def test_pure_orbit_labels_partition_into_stable_sets(type_label, rank, spec):
 @pytest.mark.parametrize("type_label,rank,spec", [
     ("A", 2, "F3"), ("A", 3, "F2"), ("G", 2, "F2")])
 def test_orbit_tree_reaches_every_point_from_its_root(type_label, rank, spec):
-    # the parent x_k(-1) Y (k = via[Y]) of every non-root Y is in Y's orbit
-    # with Y's scale, and the roots of orbit r are the multiples c Y_r with
-    # c = scale; depths, filled along each chain, show the chains end
+    # the parent x_k(-1) Y (k = via[Y]) of every non-root Y carries Y's
+    # label, every root is a multiple c Y_r of its class's least Y_r, and
+    # depths, filled along each chain, show the chains end
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
-    reps, labels, via, scale = orbits._orbit_tree(alg)
+    reps, labels, via, roots = orbits._orbit_tree(alg)
+    classes = orbit_class_labels(alg)
     inverses = [alg.root_automorphism(b, p - 1).matrix
                 for a in alg.rs.simple_roots for b in (a, -a)]
     depth = {}
@@ -108,13 +126,15 @@ def test_orbit_tree_reaches_every_point_from_its_root(type_label, rank, spec):
         while idx not in depth:
             y = maps._decode(idx, p, dim)
             if via[idx] == orbits._ROOT:
-                assert y == [scale[idx] * x % p for x in reps[labels[idx]][1]]
+                assert idx == roots[labels[idx]]
+                assert any(y == [c * x % p for x in reps[classes[idx]][1]]
+                           for c in range(1, p))
                 depth[idx] = 0
                 break
             chain.append(idx)
             parent = maps._encode(linalg.mat_vec(inverses[via[idx]], y, alg.field), p)
             assert parent != idx
-            assert (labels[parent], scale[parent]) == (labels[idx], scale[idx])
+            assert labels[parent] == labels[idx]
             idx = parent
         for child in reversed(chain):
             depth[child] = depth[idx] + 1
@@ -127,8 +147,8 @@ def test_orbit_tree_reaches_every_point_from_its_root(type_label, rank, spec):
 def test_carried_inverse_takes_each_point_to_its_cover_point(type_label, rank, spec):
     # with the identity at every root the carried rows at Y are g^-1, the
     # product x_km(-1) .. x_k1(-1) of the dense inverses along Y's via chain
-    # (k1 = via[Y]), and send Y to the chain's end r, a cover point; pullback
-    # moves Y and sampled values by the same rows
+    # (k1 = via[Y]), and send Y to the chain's end r, a cover point; pullback,
+    # built once per algebra, moves Y and sampled values by the same rows
     alg = build_algebra(type_label, rank, make_field(spec))
     field, p, dim = alg.field, alg.field.modulus, alg.dim
     _, _, via, _ = orbits._orbit_tree(alg)
@@ -136,8 +156,9 @@ def test_carried_inverse_takes_each_point_to_its_cover_point(type_label, rank, s
     inverses = [alg.root_automorphism(b, p - 1).matrix
                 for a in alg.rs.simple_roots for b in (a, -a)]
     eye = linalg.identity_matrix(field, dim)
-    carried = orbits.tree_carrier(alg, lambda _: eye, False)
+    carried = orbits.tree_carrier(alg, lambda _: eye)
     pull = orbits.pullback(alg)
+    assert orbits.pullback(alg) is pull
 
     def move(rows, idx):
         return maps._encode(linalg.mat_vec(rows, maps._decode(idx, p, dim), field), p)
@@ -179,7 +200,7 @@ def test_carried_annihilators_cut_out_the_column_space(coeffs):
         D = alg.ad_matrix(-AlgElement(alg, maps._decode(y_idx, p, dim)))
         return maps._column_echelon(maps._engel_matrix(acoeffs, D, field), field)
 
-    annihilator = orbits.subspace_annihilators(alg, echelon, coeffs == [0, 1])
+    annihilator = orbits.subspace_annihilators(alg, echelon)
     for y_idx in random.Random(7).sample(range(p ** dim), 300):
         rows = annihilator(y_idx)
         basis, pivots = echelon(y_idx)
@@ -210,8 +231,9 @@ def test_engel_scan_matches_the_column_space_walk(monkeypatch, type_label, rank,
 
 
 def test_engel_scan_builds_few_engel_matrices(monkeypatch):
-    # after labelling, one echelon form per orbit root and one g(D_Y) per
-    # chosen Y, against 651 when every walked Y built its column space
+    # after labelling, one echelon form per G-orbit root reached and one
+    # g(D_Y) per chosen Y (17 in all), against 651 when every walked Y
+    # built its column space
     alg = build_algebra("A", 2, make_field("F3"))
     orbits._orbit_tree(alg)
     calls, real = [], maps._engel_matrix

@@ -211,3 +211,24 @@ def test_only_scalar_names_fp_element():
                 assert "FpElement" not in fh.read(), name
     scalar = importlib.import_module("liemap.scalar")
     assert not hasattr(scalar, "invert")
+
+
+def test_one_orbit_labelling_search():
+    # orbits._orbit_tree is the one breadth-first search that labels the
+    # orbits of G; the cover, the saturation and the carried rows all read
+    # its labels, so a second deque in the library is a second labelling
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    built = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                called = (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+                if called == "deque":
+                    built.append((name, getattr(top, "name", None)))
+    assert built == [("orbits.py", "_orbit_tree")]
