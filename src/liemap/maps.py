@@ -2,27 +2,24 @@
 
 * the constructive Engel solver (regular element + conjugation into U +
   eigenvalue division), with exact re-evaluation certificates,
-* exhaustive / sampled finite-field image scans with worker partitioning
-  (this process plus forked children, at most one process per usable CPU),
-  which evaluate P on a block of assignments at once with the kernel in
-  `lanes`, loaded on first use (bytes columns and table arithmetic for p
-  <= 13).  An exhaustive scan of d >= 2 variables decides the image on the
-  X_d of a cover that meets every orbit of G, closes it under G, and
-  evaluates another X_d only where a printed value, carried back to the
-  cover along the orbit tree, first appears; its report is the full
-  sweep's.  There is also an exact linear-fiber engine for (generalized)
-  Engel maps, which are linear in the first argument: it decides the image
-  on one Y per orbit of G x F_p^*, G the group generated by the root
-  elements x_beta(t), and walks Y only for the printed preimages,
-* the central-image probe measuring the least Engel degree with no nonzero
-  central values, visiting one Y per orbit of G x F_p^* (10 orbits on
-  sl(3, F_3), 20 on sl(4, F_2)).
+* exhaustive / sampled finite-field image scans, in this process and
+  forked children, by blocks of assignments (the kernel in `lanes`,
+  loaded on first use).  With d >= 2 variables an exhaustive scan decides
+  the image on one X_d per orbit of G, the group the root elements
+  x_beta(t) generate, and evaluates another X_d only where a printed value
+  first appears; its report is the full sweep's,
+* an exact linear-fiber engine for (generalized) Engel maps, linear in
+  the first argument: it decides the image on one Y per orbit of G x
+  F_p^* and walks Y only for the printed preimages,
+* the central-image probe: the least Engel degree with no nonzero central
+  values, on one Y per orbit of G x F_p^* (10 on sl(3, F_3)).
 
 The orbits are labelled in `orbits`, which the engines load on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -338,15 +335,15 @@ def _scan_chunk(args):
     caller's alg, store and kernel.  `memo`, a dict per scan, keeps the
     last block's X1 columns, so a scan's chunks build them once.
 
-    Exhaustive mode walks the indices a_idx = x1 + N (x2 + N (..)) in
-    order, in blocks of at most _BLOCK_LANES that share X2..Xd, so only X1
-    is batched.  Sampled mode takes its slice of one global seeded stream
-    (so the merged result is independent of the worker count), sorted, and
-    batches every variable.  Blocks come in increasing index order, so a
-    value, keyed by its index (the kernel's lane code), keeps the first
-    assignment index that reaches it.
+    Exhaustive mode (drawn None) walks the indices a_idx = x1 + N (x2 + N
+    (..)) in order, in blocks of at most _BLOCK_LANES that share X2..Xd, so
+    only X1 is batched.  Sampled mode takes drawn[start:end], its slice of
+    the scan's one seeded stream (so the merged result is independent of
+    the worker count), sorted, and batches every variable.  Blocks come in
+    increasing index order, so a value, keyed by its index (the kernel's
+    lane code), keeps the first assignment index that reaches it.
     """
-    start, end, alg, d, store, kernel, mode_seed, memo = args
+    start, end, alg, d, store, kernel, drawn, memo = args
     p, dim = alg.field.modulus, alg.dim
     N = p ** dim
     attained = {}
@@ -359,7 +356,7 @@ def _scan_chunk(args):
             for v in new:
                 attained[v] = first[v]
 
-    if mode_seed is None:
+    if drawn is None:
         lo = start
         while lo < end:
             hi = min(end, lo + _BLOCK_LANES, (lo // N + 1) * N)
@@ -374,7 +371,7 @@ def _scan_chunk(args):
             merge(kernel(xs, hi - lo), range(lo, hi))
             lo = hi
     else:
-        drawn = sorted(_draws(mode_seed, N ** d, end)[start:])
+        drawn = sorted(drawn[start:end])
         for lo in range(0, len(drawn), _BLOCK_LANES):
             block = drawn[lo:lo + _BLOCK_LANES]
             cols = store.digits(block, d * dim)     # a's digits are X1's, X2's, ..
@@ -408,15 +405,13 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     Engel sum past the budget, by engel_image_scan.
 
     exhaustive mode decides the exact image; sampled mode draws seeded
-    uniform assignments.  P's tree is walked once per block of up to
-    _BLOCK_LANES assignments (lanes.block_kernel), each value held as one
-    residue column per coordinate, bytes for p <= 13 (lanes.column_store).
-    In exhaustive mode a block shares X2..Xd, so brackets with them are
-    linear maps built once per block.  For d >= 2, P(gX_1, .., gX_d) = g
+    uniform assignments, once per scan.  P's tree is walked once per block
+    of up to _BLOCK_LANES assignments (lanes.block_kernel).  In exhaustive
+    mode a block shares X2..Xd, so brackets with them are linear maps
+    built once per block.  For d >= 2, P(gX_1, .., gX_d) = g
     P(X_1, .., X_d) for g in the group G the x_beta(t) generate.  Phase 1
     scans the X_d of orbits._pure_orbit_cover, one per G-orbit, cut
-    across the workers, and closes the values under G (_saturate, a union
-    of stored G-orbits).
+    across the workers, and closes the values under G (_saturate).
     Phase 2 walks X_d = 0, 1, .. until each printed value has its least
     assignment index: at X_d = gr, r in the cover, v is a value exactly
     when g^-1 v is one at r (orbits.pullback), so a block runs only where a
@@ -449,7 +444,7 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
                                       % (total, budget, hint))
             return engel_image_scan(alg, spec, workers=workers, budget=budget)
         njobs = total
-        mode_seed = None
+        drawn = None
         mode_json = {"kind": "exhaustive", "engine": "brute-force"}
     elif mode == "sampled":
         if seed is None:
@@ -458,19 +453,19 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
             raise InvalidSampleCountError(
                 "sample_count must be at least 1, got %d" % sample_count)
         njobs = min(sample_count, budget)
-        mode_seed = seed
+        drawn = _draws(seed, total, njobs)     # once; each chunk takes its slice
         mode_json = {"kind": "sampled", "count": njobs, "seed": seed}
     else:
         raise MapsError("unknown scan mode %r" % mode)
 
     from .lanes import block_kernel, column_store
     store = column_store(p)     # built once here; forked workers share both
-    common = (alg, d, store, block_kernel(P, alg, store), mode_seed, {})
+    common = (alg, d, store, block_kernel(P, alg, store), drawn, {})
 
     def procs(lanes):
         return min(workers, max(1, lanes // _BLOCK_LANES))
 
-    if mode_seed is None and d > 1:
+    if drawn is None and d > 1:
         from .orbits import _pure_orbit_cover, _saturate, pullback
         M = N ** (d - 1)
         cover = _pure_orbit_cover(alg)
@@ -568,6 +563,29 @@ def _engel_matrix(acoeffs, D, field):
     return M
 
 
+# (algebra, g) families kept for repeat Engel scans; one holds the rows of
+# one phase-2 walk
+_ENGEL_FAMILIES = 4
+
+
+@functools.lru_cache(maxsize=_ENGEL_FAMILIES)
+def _engel_family(alg: ChevalleyAlgebra, acoeffs):
+    """(g(D_Y), echelon, annihilator), functions of Y's index for g with
+    residues acoeffs, shared by every engel_image_scan of g on alg:
+    echelon memoises the reduced echelon basis of g(D_Y)'s column space,
+    and annihilator carries its annihilators once per point
+    (orbits.subspace_annihilators)."""
+    from .orbits import subspace_annihilators
+    field, p, dim = alg.field, alg.field.modulus, alg.dim
+
+    def engel_matrix(y_idx):
+        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
+        return _engel_matrix(acoeffs, D, field)
+
+    echelon = functools.cache(lambda y_idx: _column_echelon(engel_matrix(y_idx), field))
+    return engel_matrix, echelon, subspace_annihilators(alg, echelon)
+
+
 def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
                      budget=None) -> ImageReport:
     """Exact image of a generalized Engel map, decided on one Y per orbit.
@@ -583,17 +601,15 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     Y of an orbit of G x F_p^*, and for its multiples cY unless g is a
     monomial (then g(D_cY) = c^m g(D_Y)), is enumerated, and the G-orbits
     it meets are attained, until every G-orbit is.  Phase 2 credits each
-    element the report prints to the first Y of the walk in index order
-    (one Y per F_p^* class for a monomial g) whose column space holds it,
-    with the preimage `linalg.solve` gives there.  It stops once each has
-    its Y.  Membership is tested on annihilators
-    (orbits.subspace_annihilators): a G-orbit root's is read off its
-    echelon form, and every other Y takes its parent's along the labelling
-    tree, since the column space of hY is h times that of Y; g(D_Y) is
-    built again only at a chosen Y.
-    The image is the brute-force scan's (validated on small cases).  The
-    scan runs in-process; `workers` is recorded only.  The labels cover all
-    p^dim elements, which `budget` (default LIEMAP_BUDGET) caps.
+    printed element to the first Y of the walk in index order (one Y per
+    F_p^* class for a monomial g) whose column space holds it, with the
+    preimage `linalg.solve` gives there.  Membership is tested on the
+    nonzero digits of v against annihilators, carried once per (algebra,
+    g) along the labelling tree from each G-orbit root's echelon form
+    (_engel_family), since the column space of hY is h times that of Y.
+    The image is the brute-force scan's.  The scan runs in-process;
+    `workers` is recorded only.  The labels cover all p^dim elements,
+    which `budget` (default LIEMAP_BUDGET) caps.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
@@ -604,21 +620,11 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
         raise ScanBudgetError(
             "Engel scan holds %d elements > budget %d; raise LIEMAP_BUDGET"
             % (N, budget))
-    from .orbits import _orbit_tree, _scaling_representatives, subspace_annihilators
-    acoeffs = [field.residue(c) for c in spec.coeffs]
+    from .orbits import _orbit_tree, _scaling_representatives
+    acoeffs = tuple(field.residue(c) for c in spec.coeffs)
     monomial = sum(1 for a in acoeffs if a) == 1
     reps, labels, _, roots = _orbit_tree(alg)
-    spaces = {}
-
-    def engel_matrix(y_idx):
-        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
-        return _engel_matrix(acoeffs, D, field)
-
-    def echelon(y_idx):
-        if y_idx not in spaces:
-            spaces[y_idx] = _column_echelon(engel_matrix(y_idx), field)
-        return spaces[y_idx]
-
+    engel_matrix, echelon, annihilator = _engel_family(alg, acoeffs)
     hit = set()
     for _, y, _ in reps:
         hit.update(labels[i] for c in ([1] if monomial else range(1, p))
@@ -628,14 +634,21 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
             break
 
     def preimages(printed):
-        annihilator = subspace_annihilators(alg, echelon)
         found, pending = {}, {v: _decode(v, p, dim) for v in printed}
+        digits = {v: [(j, x) for j, x in enumerate(vec) if x] for v, vec in pending.items()}
         for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
             if not pending:
                 break
-            rows = annihilator(y_idx)
-            inside = [v for v, vec in pending.items()
-                      if not any(sum(map(operator.mul, phi, vec)) % p for phi in rows)]
+            rows, inside = annihilator(y_idx), []
+            for v in pending:   # loops, not any(sum(..)): a quarter of the time
+                for phi in rows:
+                    s = 0
+                    for j, x in digits[v]:
+                        s += phi[j] * x
+                    if s % p:
+                        break
+                else:
+                    inside.append(v)
             if inside:
                 M = engel_matrix(y_idx)
             for v in inside:
@@ -648,7 +661,7 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
 
     P, _ = make_engel(spec.coeffs)
     mode_json = {"kind": "exhaustive", "engine": "engel-linear"}
-    image = {v for v in range(N) if labels[v] in hit}
+    image = set(itertools.compress(range(N), map(hit.__contains__, labels)))
     return _build_report(alg, P, mode_json, image, preimages, N ** 2, workers)
 
 

@@ -11,7 +11,8 @@ labelling: a cover with one point per G-orbit, the orbits' roots
 the stored orbits it meets (_saturate); and rows carried from an orbit's
 root to any point along the tree (tree_carrier).  The Engel scan carries
 the annihilator of an equivariant subspace (subspace_annihilators), so
-that a subspace attached to every Y costs one echelon form per orbit.
+that a subspace attached to every Y costs one echelon form per orbit; it
+keeps the carrier per (algebra, g), so each annihilator is carried once.
 The exhaustive scan of any P carries the identity, whose rows at Y are
 g^-1 for Y = g r, r the root of Y's orbit (pullback): a value v is
 attained at Y exactly when g^-1 v is at r.  The engines import it on
@@ -175,6 +176,22 @@ def _saturate(alg: ChevalleyAlgebra, indices):
     return set(itertools.compress(range(len(labels)), map(wanted.__contains__, labels)))
 
 
+def _carry(rows, gen, p):
+    """The rows phi (I + gen) mod p, for gen sparse columns (column j, ((row
+    i, residue), ..)) of _orbit_generators."""
+    out = []
+    for phi in rows:
+        psi = list(phi)
+        for j, col in gen:
+            s = 0
+            for i, c in col:
+                s += phi[i] * c
+            if s:
+                psi[j] = (psi[j] + s) % p
+        out.append(psi)
+    return out
+
+
 def tree_carrier(alg: ChevalleyAlgebra, at_root):
     """A function Y index -> rows A(Y), carried along _orbit_tree's `via`
     chains.  at_root(index) gives the rows at an orbit's root and is called
@@ -193,20 +210,9 @@ def tree_carrier(alg: ChevalleyAlgebra, at_root):
     inverses, steps = _orbit_generators(alg, -1), _generator_rows(alg, -1)
     memo = {}
 
-    def carry(rows, gen):
-        out = []
-        for phi in rows:
-            psi = list(phi)
-            for j, col in gen:
-                s = 0
-                for i, c in col:
-                    s += phi[i] * c
-                if s:
-                    psi[j] = (psi[j] + s) % p
-            out.append(psi)
-        return out
-
     def rows_at(idx):
+        if idx in memo:
+            return memo[idx]
         u = _decode(idx, p, dim)
         path = []
         while idx not in memo and via[idx] != _ROOT:
@@ -216,7 +222,7 @@ def tree_carrier(alg: ChevalleyAlgebra, at_root):
             memo[idx] = at_root(idx)
         rows = memo[idx]
         for child, k in reversed(path):
-            rows = memo[child] = carry(rows, inverses[k])
+            rows = memo[child] = _carry(rows, inverses[k], p)
         return rows
 
     return rows_at

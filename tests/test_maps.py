@@ -606,6 +606,32 @@ def test_scan_sampled_workers_bit_identical():
     assert j1 == j2
 
 
+def test_sampled_scan_draws_once_per_scan(monkeypatch):
+    # 10,000 draws make two chunks at workers=2; each takes its slice of the
+    # one stream image_scan draws, forked or run here in turn
+    alg = build_algebra("A", 2, F3)
+    P = engel_monomial(2)
+
+    def scan(workers):
+        j = maps.image_scan(alg, P, mode="sampled", seed=3, workers=workers).to_json()
+        assert j.pop("workers") == workers
+        return j
+
+    forked = scan(2)
+    assert scan(1) == forked
+    chunks, calls, draws = [], [], maps._draws
+
+    def in_turn(worker, n, workers, *common):
+        step = -(-n // workers)
+        chunks.extend(range(0, n, step))
+        return [worker((lo, min(n, lo + step)) + common) for lo in range(0, n, step)]
+
+    monkeypatch.setattr(maps, "_map_chunks", in_turn)
+    monkeypatch.setattr(maps, "_draws", lambda *args: calls.append(args) or draws(*args))
+    assert scan(2) == forked
+    assert chunks == [0, 5000] and len(calls) == 1
+
+
 def test_scan_sampled_deterministic():
     alg = build_algebra("A", 1, F5)
     P = maps.example48_poly()
@@ -788,11 +814,13 @@ def _reference_attained(alg, P, indices):
 
 
 def _chunk(alg, P, start, end, seed):
-    """maps._scan_chunk on [start, end) with the column store and kernel
-    that image_scan builds for P."""
+    """maps._scan_chunk on [start, end) with the column store, kernel and
+    seeded stream (for a seed) that image_scan builds for P."""
     store = lanes.column_store(alg.field.modulus)
+    drawn = None if seed is None else maps._draws(
+        seed, (alg.field.modulus ** alg.dim) ** P.nvars, end)
     return maps._scan_chunk((start, end, alg, P.nvars, store,
-                             lanes.block_kernel(P, alg, store), seed, {}))
+                             lanes.block_kernel(P, alg, store), drawn, {}))
 
 
 # over F13 a bytes lane sums at most K = 255 // 12 - 1 = 20 terms before it

@@ -231,14 +231,73 @@ def test_engel_scan_matches_the_column_space_walk(monkeypatch, type_label, rank,
 
 
 def test_engel_scan_builds_few_engel_matrices(monkeypatch):
-    # after labelling, one echelon form per G-orbit root reached and one
-    # g(D_Y) per chosen Y (17 in all), against 651 when every walked Y
-    # built its column space
+    # after labelling, a cold scan builds one echelon form per G-orbit root
+    # reached and one g(D_Y) per chosen Y (17 in all), against 651 when
+    # every walked Y built its column space
     alg = build_algebra("A", 2, make_field("F3"))
     orbits._orbit_tree(alg)
+    maps._engel_family.cache_clear()
     calls, real = [], maps._engel_matrix
     monkeypatch.setattr(maps, "_engel_matrix",
                         lambda *args: calls.append(1) or real(*args))
     rep = maps.engel_image_scan(alg, make_engel([0, 1])[1])
     assert rep.contains_all_noncentral
     assert len(calls) <= 32
+
+
+@pytest.mark.parametrize("poly", ["E_2", "E_1+E_2"])
+def test_repeat_engel_scan_builds_and_carries_nothing(monkeypatch, poly):
+    # the echelon forms and carried annihilators are kept per (algebra, g):
+    # a second scan only enumerates, walks, solves and certifies
+    alg = build_algebra("A", 2, make_field("F3"))
+    _, spec = make_engel(ENGEL_SUMS[poly])
+    maps._engel_family.cache_clear()
+    built, carried = [], []
+    echelon, carry = maps._column_echelon, orbits._carry
+    monkeypatch.setattr(maps, "_column_echelon",
+                        lambda *args: built.append(1) or echelon(*args))
+    monkeypatch.setattr(orbits, "_carry", lambda *args: carried.append(1) or carry(*args))
+    first = maps.engel_image_scan(alg, spec)
+    assert built and carried
+    built.clear(), carried.clear()
+    assert maps.engel_image_scan(alg, spec) == first
+    assert not built and not carried
+
+
+def test_interleaved_engel_scans_match_the_column_space_walk(monkeypatch):
+    # more (algebra, g) families than the cache keeps, scanned in turn
+    # twice: each report, from a warm or a rebuilt family, is the oracle's
+    built, real = [], maps._build_report
+    monkeypatch.setattr(maps, "_build_report",
+                        lambda *args: built.append(args) or real(*args))
+    cases = [(build_algebra(t, r, make_field(f)), make_engel(ENGEL_SUMS[poly])[1])
+             for t, r, f in (("A", 2, "F3"), ("B", 2, "F3"))
+             for poly in ("E_2", "E_1+E_2", "E_3")]
+    assert len(cases) > maps._ENGEL_FAMILIES
+    maps._engel_family.cache_clear()
+    oracles = {}
+    for _ in range(2):
+        for alg, espec in cases:
+            built.clear()
+            rep = maps.engel_image_scan(alg, espec)
+            (_, P, mode_json, image, _, domain_size, workers), = built
+            key = (alg, espec.coeffs)
+            if key not in oracles:
+                oracles[key] = real(alg, P, mode_json, image,
+                                    engel_preimages_oracle(alg, espec),
+                                    domain_size, workers).to_json()
+            assert rep.to_json() == oracles[key]
+
+
+def test_engel_family_cache_is_bounded():
+    # keyed on the algebra and g's residues: 6 and 1 are one E_1 over F5
+    alg = build_algebra("A", 1, make_field("F5"))
+    maps._engel_family.cache_clear()
+    for coeffs in ([1], [0, 1], [0, 0, 1], [1, 1], [1, 2, 1], [2, 1]):
+        maps.engel_image_scan(alg, make_engel(coeffs)[1])
+    info = maps._engel_family.cache_info()
+    assert info.maxsize == maps._ENGEL_FAMILIES
+    assert info.currsize <= maps._ENGEL_FAMILIES and info.misses == 6
+    maps.engel_image_scan(alg, make_engel([2, 1])[1])
+    maps.engel_image_scan(alg, make_engel([7, 1])[1])
+    assert maps._engel_family.cache_info().hits == info.hits + 2

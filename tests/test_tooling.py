@@ -232,3 +232,23 @@ def test_one_orbit_labelling_search():
                 if called == "deque":
                     built.append((name, getattr(top, "name", None)))
     assert built == [("orbits.py", "_orbit_tree")]
+
+
+def test_engel_annihilators_carried_by_the_family_alone():
+    # maps._engel_family, cached per (algebra, g), is the one caller of
+    # orbits.subspace_annihilators, so no scan carries its own annihilators
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    callers = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                called = (func.attr if isinstance(func, ast.Attribute)
+                          else getattr(func, "id", None))
+                if called == "subspace_annihilators":
+                    callers.append((name, getattr(top, "name", None)))
+    assert callers == [("maps.py", "_engel_family")]
