@@ -290,7 +290,8 @@ def test_interleaved_engel_scans_match_the_column_space_walk(monkeypatch):
 
 
 def test_engel_family_cache_is_bounded():
-    # keyed on the algebra and g's residues: 6 and 1 are one E_1 over F5
+    # keyed on the algebra and g's residues: 7 E_1 + E_2 and 2 E_1 + E_2
+    # are one family over F5
     alg = build_algebra("A", 1, make_field("F5"))
     maps._engel_family.cache_clear()
     for coeffs in ([1], [0, 1], [0, 0, 1], [1, 1], [1, 2, 1], [2, 1]):

@@ -213,30 +213,9 @@ def test_only_scalar_names_fp_element():
     assert not hasattr(scalar, "invert")
 
 
-def test_one_orbit_labelling_search():
-    # orbits._orbit_tree is the one breadth-first search that labels the
-    # orbits of G; the cover, the saturation and the carried rows all read
-    # its labels, so a second deque in the library is a second labelling
-    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
-    built = []
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(src, name)) as fh:
-            tree = ast.parse(fh.read(), name)
-        for top in tree.body:
-            for node in ast.walk(top):
-                func = node.func if isinstance(node, ast.Call) else None
-                called = (func.attr if isinstance(func, ast.Attribute)
-                          else getattr(func, "id", None))
-                if called == "deque":
-                    built.append((name, getattr(top, "name", None)))
-    assert built == [("orbits.py", "_orbit_tree")]
-
-
-def test_engel_annihilators_carried_by_the_family_alone():
-    # maps._engel_family, cached per (algebra, g), is the one caller of
-    # orbits.subspace_annihilators, so no scan carries its own annihilators
+def _library_callers(called_name):
+    """(module file, top-level definition) of every call in src/liemap to a
+    function or method named called_name."""
     src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
     callers = []
     for name in sorted(os.listdir(src)):
@@ -249,6 +228,19 @@ def test_engel_annihilators_carried_by_the_family_alone():
                 func = node.func if isinstance(node, ast.Call) else None
                 called = (func.attr if isinstance(func, ast.Attribute)
                           else getattr(func, "id", None))
-                if called == "subspace_annihilators":
+                if called == called_name:
                     callers.append((name, getattr(top, "name", None)))
-    assert callers == [("maps.py", "_engel_family")]
+    return callers
+
+
+def test_one_orbit_labelling_search():
+    # orbits._orbit_tree is the one breadth-first search that labels the
+    # orbits of G; the cover, the saturation and the carried rows all read
+    # its labels, so a second deque in the library is a second labelling
+    assert _library_callers("deque") == [("orbits.py", "_orbit_tree")]
+
+
+def test_engel_annihilators_carried_by_the_family_alone():
+    # maps._engel_family, cached per (algebra, g), is the one caller of
+    # orbits.subspace_annihilators, so no scan carries its own annihilators
+    assert _library_callers("subspace_annihilators") == [("maps.py", "_engel_family")]
