@@ -2,24 +2,27 @@
 
 * the constructive Engel solver (regular element + conjugation into U +
   eigenvalue division), with exact re-evaluation certificates,
-* exhaustive / sampled finite-field image scans, in this process and
-  forked children, by blocks of assignments (the kernel in `lanes`,
-  loaded on first use).  With d >= 2 variables an exhaustive scan decides
-  the image on one X_d per orbit of G, the group the root elements
-  x_beta(t) generate, and evaluates another X_d only where a printed value
-  first appears; its report is the full sweep's,
-* an exact linear-fiber engine for (generalized) Engel maps, linear in
-  the first argument: it decides the image on one Y per orbit of G x
-  F_p^* and walks Y only for the printed preimages,
-* the central-image probe: the least Engel degree with no nonzero central
-  values, on one Y per orbit of G x F_p^* (10 on sl(3, F_3)).
+* exhaustive / sampled finite-field image scans with worker partitioning
+  (this process plus forked children, at most one process per usable CPU),
+  which evaluate P on a block of assignments at once with the kernel in
+  `lanes`, loaded on first use (bytes columns and table arithmetic for p
+  <= 13).  An exhaustive scan of d >= 2 variables decides the image on the
+  X_d of a cover that meets every orbit of G, closes it under G, and
+  evaluates another X_d only where a printed value, carried back to the
+  cover along the orbit tree, first appears; its report is the full
+  sweep's.  There is also an exact linear-fiber engine for (generalized)
+  Engel maps, which are linear in the first argument: it decides the image
+  on one Y per orbit of G x F_p^*, G the group generated by the root
+  elements x_beta(t), and walks Y only for the printed preimages,
+* the central-image probe measuring the least Engel degree with no nonzero
+  central values, visiting one Y per orbit of G x F_p^* (10 orbits on
+  sl(3, F_3), 20 on sl(4, F_2)).
 
 The orbits are labelled in `orbits`, which the engines load on first use.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
@@ -32,11 +35,12 @@ from .chevalley import AlgElement, CentralElementError, ChevalleyAlgebra
 from .errors import (CostGuardError, InvalidBudgetError,  # noqa: F401 (re-export)
                      InvalidSampleCountError, MapsError, ScanBudgetError)
 from .freelie import (EngelSpec, LiePoly, engel_monomial, engel_spec, evaluate,
-                      make_engel, parse)
+                      make_engel)
 from . import linalg
 from .matrixrep import (WitnessSearchResult, WitnessVerdict,  # noqa: F401 (re-export)
                         dominance_witness_check, dominance_witness_search)
-from .sl2 import IdentityVerdict, is_identity_sl2  # noqa: F401 (re-export)
+from .sl2 import (IdentityVerdict, example48_closed_form,  # noqa: F401 (re-export)
+                  example48_poly, example48_s, is_identity_sl2)
 
 
 DEFAULT_SCAN_BUDGET = 2_000_000
@@ -406,12 +410,15 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
 
     exhaustive mode decides the exact image; sampled mode draws seeded
     uniform assignments, once per scan.  P's tree is walked once per block
-    of up to _BLOCK_LANES assignments (lanes.block_kernel).  In exhaustive
-    mode a block shares X2..Xd, so brackets with them are linear maps
-    built once per block.  For d >= 2, P(gX_1, .., gX_d) = g
+    of up to _BLOCK_LANES assignments (lanes.block_kernel), each value held
+    as one residue column per coordinate, bytes for p <= 13
+    (lanes.column_store).
+    In exhaustive mode a block shares X2..Xd, so brackets with them are
+    linear maps built once per block.  For d >= 2, P(gX_1, .., gX_d) = g
     P(X_1, .., X_d) for g in the group G the x_beta(t) generate.  Phase 1
     scans the X_d of orbits._pure_orbit_cover, one per G-orbit, cut
-    across the workers, and closes the values under G (_saturate).
+    across the workers, and closes the values under G (_saturate, a union
+    of stored G-orbits).
     Phase 2 walks X_d = 0, 1, .. until each printed value has its least
     assignment index: at X_d = gr, r in the cover, v is a value exactly
     when g^-1 v is one at r (orbits.pullback), so a block runs only where a
@@ -563,26 +570,35 @@ def _engel_matrix(acoeffs, D, field):
     return M
 
 
-# (algebra, g) families kept for repeat Engel scans; one holds the rows of
-# one phase-2 walk
-_ENGEL_FAMILIES = 4
+# Engel families kept, least recently used first: the images workload scans
+# two (algebra, g).  One whose phase-2 walk passed more than _ENGEL_WALK
+# points is dropped: E_3 on B2/F3 (1,860) keeps 2.1 MiB, E_2 on A2/F5 7.7.
+_ENGEL_FAMILIES, _ENGEL_WALK = 2, 2000
+_engel_families = {}
 
 
-@functools.lru_cache(maxsize=_ENGEL_FAMILIES)
 def _engel_family(alg: ChevalleyAlgebra, acoeffs):
     """(g(D_Y), echelon, annihilator), functions of Y's index for g with
-    residues acoeffs, shared by every engel_image_scan of g on alg:
-    echelon memoises the reduced echelon basis of g(D_Y)'s column space,
-    and annihilator carries its annihilators once per point
-    (orbits.subspace_annihilators)."""
+    residues acoeffs: echelon memoises the reduced echelon basis of
+    g(D_Y)'s column space, and annihilator carries its annihilators once
+    per point (orbits.subspace_annihilators).  Taken from
+    _engel_families or built; engel_image_scan puts it back."""
+    family = _engel_families.pop((alg, acoeffs), None)
+    if family:
+        return family
     from .orbits import subspace_annihilators
     field, p, dim = alg.field, alg.field.modulus, alg.dim
+    spaces = {}
 
     def engel_matrix(y_idx):
         D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
         return _engel_matrix(acoeffs, D, field)
 
-    echelon = functools.cache(lambda y_idx: _column_echelon(engel_matrix(y_idx), field))
+    def echelon(y_idx):
+        if y_idx not in spaces:
+            spaces[y_idx] = _column_echelon(engel_matrix(y_idx), field)
+        return spaces[y_idx]
+
     return engel_matrix, echelon, subspace_annihilators(alg, echelon)
 
 
@@ -601,15 +617,19 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     Y of an orbit of G x F_p^*, and for its multiples cY unless g is a
     monomial (then g(D_cY) = c^m g(D_Y)), is enumerated, and the G-orbits
     it meets are attained, until every G-orbit is.  Phase 2 credits each
-    printed element to the first Y of the walk in index order (one Y per
-    F_p^* class for a monomial g) whose column space holds it, with the
-    preimage `linalg.solve` gives there.  Membership is tested on the
-    nonzero digits of v against annihilators, carried once per (algebra,
-    g) along the labelling tree from each G-orbit root's echelon form
-    (_engel_family), since the column space of hY is h times that of Y.
-    The image is the brute-force scan's.  The scan runs in-process;
-    `workers` is recorded only.  The labels cover all p^dim elements,
-    which `budget` (default LIEMAP_BUDGET) caps.
+    element the report prints to the first Y of the walk in index order
+    (one Y per F_p^* class for a monomial g) whose column space holds it,
+    with the preimage `linalg.solve` gives there.  It stops once each has
+    its Y.  Membership is tested on the nonzero digits of v against
+    annihilators (orbits.subspace_annihilators): a G-orbit root's is read
+    off its echelon form, and every other Y takes its parent's along the
+    labelling tree, since the column space of hY is h times that of Y;
+    g(D_Y) is built again only at a chosen Y.  The echelon forms and
+    carried annihilators are kept per (algebra, g) (_engel_family), so a
+    repeat scan carries none twice.
+    The image is the brute-force scan's (validated on small cases).  The
+    scan runs in-process; `workers` is recorded only.  The labels cover all
+    p^dim elements, which `budget` (default LIEMAP_BUDGET) caps.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
@@ -624,7 +644,7 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     acoeffs = tuple(field.residue(c) for c in spec.coeffs)
     monomial = sum(1 for a in acoeffs if a) == 1
     reps, labels, _, roots = _orbit_tree(alg)
-    engel_matrix, echelon, annihilator = _engel_family(alg, acoeffs)
+    family = engel_matrix, echelon, annihilator = _engel_family(alg, acoeffs)
     hit = set()
     for _, y, _ in reps:
         hit.update(labels[i] for c in ([1] if monomial else range(1, p))
@@ -633,12 +653,16 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
         if len(hit) == len(roots):
             break
 
+    walked = 0
+
     def preimages(printed):
+        nonlocal walked
         found, pending = {}, {v: _decode(v, p, dim) for v in printed}
         digits = {v: [(j, x) for j, x in enumerate(vec) if x] for v, vec in pending.items()}
         for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
             if not pending:
                 break
+            walked += 1
             rows, inside = annihilator(y_idx), []
             for v in pending:   # loops, not any(sum(..)): a quarter of the time
                 for phi in rows:
@@ -661,8 +685,13 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
 
     P, _ = make_engel(spec.coeffs)
     mode_json = {"kind": "exhaustive", "engine": "engel-linear"}
-    image = set(itertools.compress(range(N), map(hit.__contains__, labels)))
-    return _build_report(alg, P, mode_json, image, preimages, N ** 2, workers)
+    image = {v for v in range(N) if labels[v] in hit}
+    report = _build_report(alg, P, mode_json, image, preimages, N ** 2, workers)
+    if walked <= _ENGEL_WALK:
+        _engel_families[alg, acoeffs] = family
+        for key in list(_engel_families)[:-_ENGEL_FAMILIES]:
+            del _engel_families[key]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -760,38 +789,3 @@ def central_image_probe(alg: ChevalleyAlgebra, m_range, workers=1) -> CentralPro
     m0 = next((m for m in ms if not any(table[m2] for m2 in ms if m2 >= m)), None)
     return CentralProbeReport(algebra=algebra_id(alg), field=str(alg.field),
                               m_range=ms, table=table, m0=m0, workers=workers)
-
-
-# ---------------------------------------------------------------------------
-# the degree-6 non-surjective example
-# ---------------------------------------------------------------------------
-
-
-def example48_poly() -> LiePoly:
-    """[[[X,Y],X],[[X,Y],Y]]: linear nilpotent directions e, f are missed."""
-    return parse("[[[X,Y],X],[[X,Y],Y]]")
-
-
-def example48_s(field, a, b, c, d):
-    """s = 4 b d^2 - a c^2 at the residues a, b, c, d, as a residue."""
-    return field.reduce(4 * b * d * d - a * c * c)
-
-
-def example48_closed_form(alg: ChevalleyAlgebra, a, b, c, d) -> AlgElement:
-    """Value of the example map at X = a e + b f, Y = c f + d h, in closed
-    form: with s = 4 b d^2 - a c^2 (example48_s),
-
-        P(X, Y) = 4 a^2 c s * h  -  8 a^2 d s * e  +  8 a b d s * f.
-
-    (The e-coefficient sign is fixed by exact evaluation; see the test suite,
-    which checks the closed form against direct bracket evaluation on all of
-    F_5^4.)
-    """
-    if alg.rs.key != ("A", 1):
-        raise MapsError("closed form lives in sl(2)")
-    if alg.field.characteristic == 2:
-        raise MapsError("characteristic 2 is excluded")
-    f = alg.field
-    a, b, c, d = (f.residue(x) for x in (a, b, c, d))
-    s = example48_s(f, a, b, c, d)
-    return alg.element([4 * a * a * c * s, -8 * a * a * d * s, 8 * a * b * d * s])

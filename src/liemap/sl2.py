@@ -3,7 +3,8 @@
 randomized testing.  sl(2) is the Chevalley algebra of type A_1, with basis
 (h, e, f) and [h, e] = 2e, [h, f] = -2f, [e, f] = h: numeric points are A_1
 elements, and polynomial rows are bracketed by A_1's table.  Points and
-values are written as (e, f, h) coordinate tuples."""
+values are written as (e, f, h) coordinate tuples.  The closed form of the
+degree-6 map [[[X,Y],X],[[X,Y],Y]], which misses e and f, is here too."""
 
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .chevalley import build_algebra
+from .chevalley import AlgElement, ChevalleyAlgebra, build_algebra
 from .errors import CostGuardError, MapsError
-from .freelie import LiePoly, evaluate, expansion, walk
+from .freelie import LiePoly, evaluate, expansion, parse, walk
 
 
 class MPoly:
@@ -252,3 +253,36 @@ def is_identity_sl2(P: LiePoly, field, mode="exact", seed=0,
     bound = Fraction(deg, eff_grid) ** trials
     return IdentityVerdict(result="probably_identity", mode="randomized",
                            failure_bound=bound, trials=trials)
+
+
+# -- the degree-6 non-surjective example -----------------------------------
+
+
+def example48_poly() -> LiePoly:
+    """[[[X,Y],X],[[X,Y],Y]]: linear nilpotent directions e, f are missed."""
+    return parse("[[[X,Y],X],[[X,Y],Y]]")
+
+
+def example48_s(field, a, b, c, d):
+    """s = 4 b d^2 - a c^2 at the residues a, b, c, d, as a residue."""
+    return field.reduce(4 * b * d * d - a * c * c)
+
+
+def example48_closed_form(alg: ChevalleyAlgebra, a, b, c, d) -> AlgElement:
+    """Value of the example map at X = a e + b f, Y = c f + d h, in closed
+    form: with s = 4 b d^2 - a c^2 (example48_s),
+
+        P(X, Y) = 4 a^2 c s * h  -  8 a^2 d s * e  +  8 a b d s * f.
+
+    (The e-coefficient sign is fixed by exact evaluation; see the test suite,
+    which checks the closed form against direct bracket evaluation on all of
+    F_5^4.)
+    """
+    if alg.rs.key != ("A", 1):
+        raise MapsError("closed form lives in sl(2)")
+    if alg.field.characteristic == 2:
+        raise MapsError("characteristic 2 is excluded")
+    f = alg.field
+    a, b, c, d = (f.residue(x) for x in (a, b, c, d))
+    s = example48_s(f, a, b, c, d)
+    return alg.element([4 * a * a * c * s, -8 * a * a * d * s, 8 * a * b * d * s])

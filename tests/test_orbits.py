@@ -236,7 +236,7 @@ def test_engel_scan_builds_few_engel_matrices(monkeypatch):
     # every walked Y built its column space
     alg = build_algebra("A", 2, make_field("F3"))
     orbits._orbit_tree(alg)
-    maps._engel_family.cache_clear()
+    maps._engel_families.clear()
     calls, real = [], maps._engel_matrix
     monkeypatch.setattr(maps, "_engel_matrix",
                         lambda *args: calls.append(1) or real(*args))
@@ -251,7 +251,7 @@ def test_repeat_engel_scan_builds_and_carries_nothing(monkeypatch, poly):
     # a second scan only enumerates, walks, solves and certifies
     alg = build_algebra("A", 2, make_field("F3"))
     _, spec = make_engel(ENGEL_SUMS[poly])
-    maps._engel_family.cache_clear()
+    maps._engel_families.clear()
     built, carried = [], []
     echelon, carry = maps._column_echelon, orbits._carry
     monkeypatch.setattr(maps, "_column_echelon",
@@ -274,7 +274,7 @@ def test_interleaved_engel_scans_match_the_column_space_walk(monkeypatch):
              for t, r, f in (("A", 2, "F3"), ("B", 2, "F3"))
              for poly in ("E_2", "E_1+E_2", "E_3")]
     assert len(cases) > maps._ENGEL_FAMILIES
-    maps._engel_family.cache_clear()
+    maps._engel_families.clear()
     oracles = {}
     for _ in range(2):
         for alg, espec in cases:
@@ -291,14 +291,25 @@ def test_interleaved_engel_scans_match_the_column_space_walk(monkeypatch):
 
 def test_engel_family_cache_is_bounded():
     # keyed on the algebra and g's residues: 7 E_1 + E_2 and 2 E_1 + E_2
-    # are one family over F5
+    # are one family over F5, and the last scanned is kept
     alg = build_algebra("A", 1, make_field("F5"))
-    maps._engel_family.cache_clear()
+    maps._engel_families.clear()
     for coeffs in ([1], [0, 1], [0, 0, 1], [1, 1], [1, 2, 1], [2, 1]):
         maps.engel_image_scan(alg, make_engel(coeffs)[1])
-    info = maps._engel_family.cache_info()
-    assert info.maxsize == maps._ENGEL_FAMILIES
-    assert info.currsize <= maps._ENGEL_FAMILIES and info.misses == 6
-    maps.engel_image_scan(alg, make_engel([2, 1])[1])
+        assert len(maps._engel_families) <= maps._ENGEL_FAMILIES
+    assert list(maps._engel_families)[-2:] == [(alg, (1, 2, 1)), (alg, (2, 1))]
+    family = maps._engel_families[alg, (2, 1)]
     maps.engel_image_scan(alg, make_engel([7, 1])[1])
-    assert maps._engel_family.cache_info().hits == info.hits + 2
+    assert maps._engel_families[alg, (2, 1)] is family
+
+
+def test_engel_family_past_the_walk_bound_is_not_kept(monkeypatch):
+    # phase 2 walks 645 points for E_2 on A2/F3 and 37 for E_1 + E_2: with
+    # the bound between them, only the short walk's rows stay
+    alg = build_algebra("A", 2, make_field("F3"))
+    monkeypatch.setattr(maps, "_ENGEL_WALK", 100)
+    maps._engel_families.clear()
+    maps.engel_image_scan(alg, make_engel([0, 1])[1])
+    assert not maps._engel_families
+    maps.engel_image_scan(alg, make_engel([1, 1])[1])
+    assert list(maps._engel_families) == [(alg, (1, 1))]
