@@ -12,7 +12,8 @@ the stored orbits it meets (_saturate); and rows carried from an orbit's
 root to any point along the tree (tree_carrier).  The Engel scan carries
 the annihilator of an equivariant subspace (subspace_annihilators), so
 that a subspace attached to every Y costs one echelon form per orbit; it
-keeps the carrier per (algebra, g), so each annihilator is carried once.
+keeps the carrier of the last (algebra, g) pairs it scanned, so a repeat
+scan carries no annihilator twice.
 The exhaustive scan of any P carries the identity, whose rows at Y are
 g^-1 for Y = g r, r the root of Y's orbit (pullback): a value v is
 attained at Y exactly when g^-1 v is at r.  The engines import it on
