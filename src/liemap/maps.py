@@ -570,36 +570,11 @@ def _engel_matrix(acoeffs, D, field):
     return M
 
 
-# Engel families kept, least recently used first: the images workload scans
-# two (algebra, g).  One whose phase-2 walk passed more than _ENGEL_WALK
-# points is dropped: E_3 on B2/F3 (1,860) keeps 2.1 MiB, E_2 on A2/F5 7.7.
-_ENGEL_FAMILIES, _ENGEL_WALK = 2, 2000
+# Engel answers kept, least recently used first: the images workload scans
+# two (algebra, g).  Each is (attained G-orbit labels, {printed index:
+# preimage index}): 3 KiB for E_3 on A3/F2 (tracemalloc).
+_ENGEL_FAMILIES = 2
 _engel_families = {}
-
-
-def _engel_family(alg: ChevalleyAlgebra, acoeffs):
-    """(g(D_Y), echelon, annihilator), functions of Y's index for g with
-    residues acoeffs: echelon memoises the reduced echelon basis of
-    g(D_Y)'s column space, and annihilator carries its annihilators once
-    per point (orbits.subspace_annihilators).  Taken from
-    _engel_families or built; engel_image_scan puts it back."""
-    family = _engel_families.pop((alg, acoeffs), None)
-    if family:
-        return family
-    from .orbits import subspace_annihilators
-    field, p, dim = alg.field, alg.field.modulus, alg.dim
-    spaces = {}
-
-    def engel_matrix(y_idx):
-        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
-        return _engel_matrix(acoeffs, D, field)
-
-    def echelon(y_idx):
-        if y_idx not in spaces:
-            spaces[y_idx] = _column_echelon(engel_matrix(y_idx), field)
-        return spaces[y_idx]
-
-    return engel_matrix, echelon, subspace_annihilators(alg, echelon)
 
 
 def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
@@ -624,9 +599,10 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     annihilators (orbits.subspace_annihilators): a G-orbit root's is read
     off its echelon form, and every other Y takes its parent's along the
     labelling tree, since the column space of hY is h times that of Y;
-    g(D_Y) is built again only at a chosen Y.  The echelon forms and
-    carried annihilators are kept per (algebra, g) (_engel_family), so a
-    repeat scan carries none twice.
+    g(D_Y) is built again only at a chosen Y.  Both phases' answers, the
+    attained G-orbit labels and the printed preimages, are kept per
+    (algebra, g residues) in _engel_families, so a repeat scan only
+    rebuilds the image from the labels and certifies the preimages.
     The image is the brute-force scan's (validated on small cases).  The
     scan runs in-process; `workers` is recorded only.  The labels cover all
     p^dim elements, which `budget` (default LIEMAP_BUDGET) caps.
@@ -640,29 +616,42 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
         raise ScanBudgetError(
             "Engel scan holds %d elements > budget %d; raise LIEMAP_BUDGET"
             % (N, budget))
-    from .orbits import _orbit_tree, _scaling_representatives
+    from .orbits import _orbit_tree, _scaling_representatives, subspace_annihilators
     acoeffs = tuple(field.residue(c) for c in spec.coeffs)
     monomial = sum(1 for a in acoeffs if a) == 1
     reps, labels, _, roots = _orbit_tree(alg)
-    family = engel_matrix, echelon, annihilator = _engel_family(alg, acoeffs)
-    hit = set()
-    for _, y, _ in reps:
-        hit.update(labels[i] for c in ([1] if monomial else range(1, p))
-                   for i in _span_indices(
-                       echelon(_encode([c * a % p for a in y], p))[0], p, dim))
-        if len(hit) == len(roots):
-            break
+    kept = _engel_families.pop((alg, acoeffs), (set(), {}))
+    hit, found = kept
+    spaces = {}
 
-    walked = 0
+    def engel_matrix(y_idx):
+        D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
+        return _engel_matrix(acoeffs, D, field)
+
+    def echelon(y_idx):
+        if y_idx not in spaces:
+            spaces[y_idx] = _column_echelon(engel_matrix(y_idx), field)
+        return spaces[y_idx]
+
+    if not hit:     # a cold scan; a repeat keeps phase 1's labels
+        for _, y, _ in reps:
+            hit.update(labels[i] for c in ([1] if monomial else range(1, p))
+                       for i in _span_indices(
+                           echelon(_encode([c * a % p for a in y], p))[0], p, dim))
+            if len(hit) == len(roots):
+                break
 
     def preimages(printed):
-        nonlocal walked
-        found, pending = {}, {v: _decode(v, p, dim) for v in printed}
+        if found:   # a repeat scan: phase 2's kept answer
+            if not found.keys() >= set(printed):
+                raise AssertionError("kept Engel preimages miss a printed element")
+            return found
+        annihilator = subspace_annihilators(alg, echelon)
+        pending = {v: _decode(v, p, dim) for v in printed}
         digits = {v: [(j, x) for j, x in enumerate(vec) if x] for v, vec in pending.items()}
         for y_idx in _scaling_representatives(p, dim) if monomial else range(N):
             if not pending:
                 break
-            walked += 1
             rows, inside = annihilator(y_idx), []
             for v in pending:   # loops, not any(sum(..)): a quarter of the time
                 for phi in rows:
@@ -687,10 +676,9 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     mode_json = {"kind": "exhaustive", "engine": "engel-linear"}
     image = {v for v in range(N) if labels[v] in hit}
     report = _build_report(alg, P, mode_json, image, preimages, N ** 2, workers)
-    if walked <= _ENGEL_WALK:
-        _engel_families[alg, acoeffs] = family
-        for key in list(_engel_families)[:-_ENGEL_FAMILIES]:
-            del _engel_families[key]
+    _engel_families[alg, acoeffs] = kept
+    for key in list(_engel_families)[:-_ENGEL_FAMILIES]:
+        del _engel_families[key]
     return report
 
 

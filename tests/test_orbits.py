@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import tracemalloc
 from array import array
 
 import pytest
@@ -247,21 +249,30 @@ def test_engel_scan_builds_few_engel_matrices(monkeypatch):
 
 @pytest.mark.parametrize("poly", ["E_2", "E_1+E_2"])
 def test_repeat_engel_scan_builds_and_carries_nothing(monkeypatch, poly):
-    # the echelon forms and carried annihilators are kept per (algebra, g):
-    # a second scan only enumerates, walks, solves and certifies
+    # the scan's answer is kept per (algebra, g): a second scan builds no
+    # echelon form, carries no row, enumerates no column space and solves
+    # nothing; it rebuilds the image and certifies every printed preimage
     alg = build_algebra("A", 2, make_field("F3"))
     _, spec = make_engel(ENGEL_SUMS[poly])
     maps._engel_families.clear()
-    built, carried = [], []
-    echelon, carry = maps._column_echelon, orbits._carry
-    monkeypatch.setattr(maps, "_column_echelon",
-                        lambda *args: built.append(1) or echelon(*args))
-    monkeypatch.setattr(orbits, "_carry", lambda *args: carried.append(1) or carry(*args))
+    calls = {}
+    for owner, name in ((maps, "_column_echelon"), (orbits, "_carry"),
+                        (maps, "_span_indices"), (linalg, "solve"),
+                        (maps, "_certified_entry")):
+        calls[name] = []
+        monkeypatch.setattr(owner, name, lambda *args, real=getattr(owner, name),
+                            seen=calls[name]: seen.append(args) or real(*args))
     first = maps.engel_image_scan(alg, spec)
-    assert built and carried
-    built.clear(), carried.clear()
+    assert all(calls.values())
+    for seen in calls.values():
+        seen.clear()
     assert maps.engel_image_scan(alg, spec) == first
-    assert not built and not carried
+    assert not calls["_column_echelon"] and not calls["_carry"] and not calls["solve"]
+    # the one span left is the report's centre (_central_indices)
+    assert [args[0] for args in calls["_span_indices"]] == [
+        [b.coeffs for b in alg.center()]]
+    assert len(calls["_certified_entry"]) == len(first.central_hits) + len(
+        first.preimage_samples)
 
 
 def test_interleaved_engel_scans_match_the_column_space_walk(monkeypatch):
@@ -303,13 +314,30 @@ def test_engel_family_cache_is_bounded():
     assert maps._engel_families[alg, (2, 1)] is family
 
 
-def test_engel_family_past_the_walk_bound_is_not_kept(monkeypatch):
-    # phase 2 walks 645 points for E_2 on A2/F3 and 37 for E_1 + E_2: with
-    # the bound between them, only the short walk's rows stay
-    alg = build_algebra("A", 2, make_field("F3"))
-    monkeypatch.setattr(maps, "_ENGEL_WALK", 100)
+def test_engel_scan_keeps_only_its_answer():
+    # E_3 on A3/F2 walks 6,401 points in phase 2; what stays is the answer,
+    # one label per attained G-orbit and one preimage per printed element,
+    # not the echelon forms and carried rows that found it
+    alg = build_algebra("A", 3, make_field("F2"))
+    p = alg.field.modulus
+    _, spec = make_engel([0, 0, 1])
+    maps.engel_image_scan(alg, make_engel([0, 1])[1])     # labels and centre
     maps._engel_families.clear()
-    maps.engel_image_scan(alg, make_engel([0, 1])[1])
-    assert not maps._engel_families
-    maps.engel_image_scan(alg, make_engel([1, 1])[1])
-    assert list(maps._engel_families) == [(alg, (1, 1))]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        maps.engel_image_scan(alg, spec)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 64 * 1024
+    (key, (hit, found)), = maps._engel_families.items()
+    assert key == (alg, (0, 0, 1))
+    assert hit <= set(range(len(orbits._orbit_tree(alg)[3])))
+    rep = maps.engel_image_scan(alg, spec)
+    printed = {maps._encode(alg.element_from_json(e["element"]).coeffs, p)
+               for e in rep.central_hits + rep.preimage_samples}
+    assert found.keys() == printed
+    assert all(type(x) is int for x in [*hit, *found, *found.values()])

@@ -240,7 +240,7 @@ def test_one_orbit_labelling_search():
     assert _library_callers("deque") == [("orbits.py", "_orbit_tree")]
 
 
-def test_engel_annihilators_carried_by_the_family_alone():
-    # maps._engel_family, cached per (algebra, g), is the one caller of
-    # orbits.subspace_annihilators, so no scan carries its own annihilators
-    assert _library_callers("subspace_annihilators") == [("maps.py", "_engel_family")]
+def test_engel_annihilators_carried_by_the_engel_scan_alone():
+    # maps.engel_image_scan is the one caller of orbits.subspace_annihilators:
+    # a cold scan carries them for its own walk and keeps only its answer
+    assert _library_callers("subspace_annihilators") == [("maps.py", "engel_image_scan")]
