@@ -329,10 +329,10 @@ def test_engel_scan_keeps_only_its_answer():
         before = tracemalloc.get_traced_memory()[0]
         maps.engel_image_scan(alg, spec)
         gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - before
+        retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept < 64 * 1024
+    assert retained < 64 * 1024
     (key, (hit, found)), = maps._engel_families.items()
     assert key == (alg, (0, 0, 1))
     assert hit <= set(range(len(orbits._orbit_tree(alg)[3])))
@@ -341,3 +341,16 @@ def test_engel_scan_keeps_only_its_answer():
                for e in rep.central_hits + rep.preimage_samples}
     assert found.keys() == printed
     assert all(type(x) is int for x in [*hit, *found, *found.values()])
+
+
+def test_repeat_engel_scan_refuses_a_kept_answer_missing_a_printed_element():
+    # a repeat scan prints exactly the elements its kept preimages answer;
+    # one gone is an internal fault (AssertionError, exit 3), not a KeyError
+    alg = build_algebra("A", 2, make_field("F3"))
+    _, spec = make_engel([0, 1])
+    maps._engel_families.clear()
+    maps.engel_image_scan(alg, spec)
+    (_, found), = maps._engel_families.values()
+    del found[min(found)]
+    with pytest.raises(AssertionError, match="miss a printed element"):
+        maps.engel_image_scan(alg, spec)
