@@ -179,16 +179,6 @@ class AlgElement:
     def h_part(self):
         return self.coeffs[: self.alg.rank]
 
-    @property
-    def u_plus_part(self):
-        r, p = self.alg.rank, len(self.alg.rs.positive_roots)
-        return self.coeffs[r: r + p]
-
-    @property
-    def u_minus_part(self):
-        r, p = self.alg.rank, len(self.alg.rs.positive_roots)
-        return self.coeffs[r + p:]
-
     def __eq__(self, other):
         return isinstance(other, AlgElement) and other.alg is self.alg \
             and other.coeffs == self.coeffs

@@ -611,9 +611,6 @@ class EngelSpec:
                         roots.add(Fraction(a, q))
         return sorted(roots)
 
-    def is_plain_engel(self) -> bool:
-        return all(c == 0 for c in self.coeffs[:-1]) and self.coeffs[-1] == 1
-
     def __repr__(self):
         return "EngelSpec(%s)" % (tuple(map(_frac_str, self.coeffs)),)
 

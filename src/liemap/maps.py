@@ -218,8 +218,7 @@ def _usable_cpus():
 def _map_chunks(worker, n, workers, *common):
     """[worker((start, end) + common) for each chunk], the positions [0, n)
     cut into k = min(workers, n, usable CPUs) contiguous chunks, one per
-    process.  image_scan asks for at most one process per full block of
-    _BLOCK_LANES assignments: a fork costs about as much as a block.
+    process.
 
     This process runs chunk 0; chunks 1..k-1 run in forked children, each
     of which sends back one pickled (result, exception or None) over a
@@ -410,24 +409,23 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
 
     exhaustive mode decides the exact image; sampled mode draws seeded
     uniform assignments, once per scan.  P's tree is walked once per block
-    of up to _BLOCK_LANES assignments (lanes.block_kernel), each value held
-    as one residue column per coordinate, bytes for p <= 13
-    (lanes.column_store).
+    of up to _BLOCK_LANES assignments (lanes.block_kernel), each value a
+    residue column per coordinate (lanes.column_store).
     In exhaustive mode a block shares X2..Xd, so brackets with them are
     linear maps built once per block.  For d >= 2, P(gX_1, .., gX_d) = g
     P(X_1, .., X_d) for g in the group G the x_beta(t) generate.  Phase 1
     scans the X_d of orbits._pure_orbit_cover, one per G-orbit, cut
-    across the workers, and closes the values under G (_saturate, a union
-    of stored G-orbits).
+    across the workers, and keeps the G-orbits the values meet
+    (orbits.OrbitUnion).
     Phase 2 walks X_d = 0, 1, .. until each printed value has its least
     assignment index: at X_d = gr, r in the cover, v is a value exactly
     when g^-1 v is one at r (orbits.pullback), so a block runs only where a
     pending v is hit: at most one per printed value.  The report is that
     of the full sweep of _scan_chunk over [0, N^d), the tests' oracle;
     "brute-force" is its scan/v1 engine name.  At most `workers`
-    processes, and one per full block of the assignments mapped
-    (_map_chunks), merge by least assignment index, so reports are
-    bit-identical for any worker count.
+    processes, and one per full block of the assignments mapped (a fork
+    costs about a block; _map_chunks), merge by least assignment index, so
+    reports are bit-identical for any worker count.
     `budget` (default LIEMAP_BUDGET, else 2,000,000) caps the exhaustive
     enumeration and the sample count, and must be at least 1, as must
     sample_count.  An exhaustive scan past the budget whose P is an Engel
@@ -473,12 +471,13 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
         return min(workers, max(1, lanes // _BLOCK_LANES))
 
     if drawn is None and d > 1:
-        from .orbits import _pure_orbit_cover, _saturate, pullback
+        from .orbits import OrbitUnion, _pure_orbit_cover, pullback
         M = N ** (d - 1)
         cover = _pure_orbit_cover(alg)
         blocks = dict(zip(cover, itertools.chain.from_iterable(_map_chunks(
             _scan_cover, len(cover), procs(len(cover) * M), cover, M, *common))))
-        image = _saturate(alg, set().union(*blocks.values()))
+        image = OrbitUnion(alg, set())
+        image.add(itertools.chain.from_iterable(blocks.values()))
 
         def preimages(printed):
             pull, found, pending = pullback(alg), {}, set(printed)
@@ -490,10 +489,9 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
                     continue
                 block = blocks[y] if y in blocks else _scan_chunk(
                     (y * M, (y + 1) * M) + common)
-                for v in pending.intersection(block):
-                    found[v] = block[v]
+                found.update((v, block[v]) for v in pending.intersection(block))
                 pending.difference_update(found)
-            assert not pending, "saturated image and preimage walk disagree"
+            assert not pending, "orbit image and preimage walk disagree"
             return found
 
         return _build_report(alg, P, mode_json, image, preimages, total, workers)
@@ -507,16 +505,17 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
 
 
 def _build_report(alg, P, mode_json, image, preimages, domain_size, workers):
-    """The report on the attained indices `image` (a set or dict).  It
-    prints a preimage for every nonzero central index and the 8 least, and
-    preimages(printed) maps each printed index to its assignment index."""
+    """The report on the attained indices `image`, a set, a dict or an
+    orbits.OrbitUnion read by `in` and len (walks stop early; a dict short
+    of N is sorted).  It prints a preimage for every nonzero central index
+    and the 8 least; preimages(printed) maps each to its assignment index."""
     p, dim = alg.field.modulus, alg.dim
     N = p ** dim
     central = _central_indices(alg)
-    order = sorted(image)
-    hits = [v for v in order if v and v in central]
-    printed = hits + order[:8]
-    found = preimages(printed)
+    hits = [v for v in sorted(central) if v and v in image]
+    least = (sorted(image)[:8] if isinstance(image, dict) and len(image) < N
+             else list(itertools.islice(filter(image.__contains__, range(N)), 8)))
+    found = preimages(hits + least)
     hit_zero = 0 in image
     n_noncentral = len(image) - len(hits) - hit_zero
 
@@ -524,8 +523,8 @@ def _build_report(alg, P, mode_json, image, preimages, domain_size, workers):
         return _certified_entry(alg, P, v, [_decode(found[v] // N ** k % N, p, dim)
                                             for k in range(P.nvars)])
 
-    missed = [alg.element_from_ints(_decode(v, p, dim)).to_json() for v in
-              itertools.islice((v for v in range(N) if v not in image), 10)]
+    missed = [alg.element_from_ints(_decode(v, p, dim)).to_json() for v in itertools.islice(
+        itertools.filterfalse(image.__contains__, range(N)), min(10, N - len(image)))]
     return ImageReport(
         algebra=algebra_id(alg), field=str(alg.field), poly=P.pretty(),
         mode=mode_json, dim=alg.dim, arity=P.nvars, total_elements=N,
@@ -535,7 +534,7 @@ def _build_report(alg, P, mode_json, image, preimages, domain_size, workers):
         hit_counts={"zero": int(hit_zero),
                     "central_nonzero": len(hits), "noncentral": n_noncentral},
         central_hits=[entry(v) for v in hits], missed_sample=missed,
-        preimage_samples=[entry(v) for v in order[:8]], workers=workers)
+        preimage_samples=[entry(v) for v in least], workers=workers)
 
 
 def _certified_entry(alg, P, v, assignment):
@@ -591,21 +590,21 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
     Phase 1 decides the image: the column space of g(D_Y) for each least
     Y of an orbit of G x F_p^*, and for its multiples cY unless g is a
     monomial (then g(D_cY) = c^m g(D_Y)), is enumerated, and the G-orbits
-    it meets are attained, until every G-orbit is.  Phase 2 credits each
-    element the report prints to the first Y of the walk in index order
-    (one Y per F_p^* class for a monomial g) whose column space holds it,
-    with the preimage `linalg.solve` gives there.  It stops once each has
-    its Y.  Membership is tested on the nonzero digits of v against
-    annihilators (orbits.subspace_annihilators): a G-orbit root's is read
-    off its echelon form, and every other Y takes its parent's along the
-    labelling tree, since the column space of hY is h times that of Y;
-    g(D_Y) is built again only at a chosen Y.  Both phases' answers, the
-    attained G-orbit labels and the printed preimages, are kept per
-    (algebra, g residues) in _engel_families, so a repeat scan only
-    rebuilds the image from the labels and certifies the preimages.
-    The image is the brute-force scan's (validated on small cases).  The
-    scan runs in-process; `workers` is recorded only.  The labels cover all
-    p^dim elements, which `budget` (default LIEMAP_BUDGET) caps.
+    it meets are attained (orbits.OrbitUnion) until they hold all p^dim
+    elements.  Phase 2 credits each element the report prints to the
+    first Y of the walk in index order (one Y per F_p^* class for a
+    monomial g) whose column space holds it, with the preimage
+    `linalg.solve` gives there.  It stops once each has its Y.  Membership
+    is tested on the nonzero digits of v against annihilators
+    (orbits.subspace_annihilators): a G-orbit root's is read off its
+    echelon form, and every other Y takes its parent's along the labelling
+    tree, since the column space of hY is h times that of Y; g(D_Y) is
+    built again only at a chosen Y.  Both answers, the attained labels and
+    the printed preimages, are kept per (algebra, g residues) in
+    _engel_families, so a repeat scan only certifies the preimages.
+    The image is the brute-force scan's.  The scan runs in-process;
+    `workers` is recorded only.  The labels cover all p^dim elements,
+    which `budget` (default LIEMAP_BUDGET) caps.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
@@ -616,13 +615,13 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
         raise ScanBudgetError(
             "Engel scan holds %d elements > budget %d; raise LIEMAP_BUDGET"
             % (N, budget))
-    from .orbits import _orbit_tree, _scaling_representatives, subspace_annihilators
+    from .orbits import (OrbitUnion, _orbit_tree, _scaling_representatives,
+                         subspace_annihilators)
     acoeffs = tuple(field.residue(c) for c in spec.coeffs)
     monomial = sum(1 for a in acoeffs if a) == 1
-    reps, labels, _, roots = _orbit_tree(alg)
     kept = _engel_families.pop((alg, acoeffs), (set(), {}))
     hit, found = kept
-    spaces = {}
+    image, spaces = OrbitUnion(alg, hit), {}
 
     def engel_matrix(y_idx):
         D = alg.ad_matrix(-AlgElement(alg, _decode(y_idx, p, dim)))
@@ -634,11 +633,10 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
         return spaces[y_idx]
 
     if not hit:     # a cold scan; a repeat keeps phase 1's labels
-        for _, y, _ in reps:
-            hit.update(labels[i] for c in ([1] if monomial else range(1, p))
-                       for i in _span_indices(
-                           echelon(_encode([c * a % p for a in y], p))[0], p, dim))
-            if len(hit) == len(roots):
+        for _, y, _ in _orbit_tree(alg)[0]:
+            image.add(i for c in ([1] if monomial else range(1, p)) for i in
+                      _span_indices(echelon(_encode([c * a % p for a in y], p))[0], p, dim))
+            if len(image) == N:
                 break
 
     def preimages(printed):
@@ -674,7 +672,6 @@ def engel_image_scan(alg: ChevalleyAlgebra, spec: EngelSpec, workers=1,
 
     P, _ = make_engel(spec.coeffs)
     mode_json = {"kind": "exhaustive", "engine": "engel-linear"}
-    image = {v for v in range(N) if labels[v] in hit}
     report = _build_report(alg, P, mode_json, image, preimages, N ** 2, workers)
     _engel_families[alg, acoeffs] = kept
     for key in list(_engel_families)[:-_ENGEL_FAMILIES]:

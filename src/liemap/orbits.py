@@ -2,22 +2,22 @@
 
 The finite-field engines in `maps` decide a question about Y (the column
 space of g(D_Y), whether D_Y^m hits a central element, or the values of P
-with X_d = Y) on one Y per orbit.  This module labels the orbits of G,
-the group the x_beta(t) generate, by one search per algebra
-(_orbit_tree), which also gives the least Y of each orbit of G x F_p^*
-and records the tree it walked (`via`).  Everything else reads that
-labelling: a cover with one point per G-orbit, the orbits' roots
-(_pure_orbit_cover); the closure of a set of values under G, the union of
-the stored orbits it meets (_saturate); and rows carried from an orbit's
-root to any point along the tree (tree_carrier).  The Engel scan carries
-the annihilator of an equivariant subspace (subspace_annihilators), so
-that a subspace attached to every Y costs one echelon form per orbit; the
-carrier lives for one scan, which keeps only its answer (the attained
-G-orbits and the printed preimages), so a repeat scan carries nothing.
-The exhaustive scan of any P carries the identity, whose rows at Y are
-g^-1 for Y = g r, r the root of Y's orbit (pullback): a value v is
-attained at Y exactly when g^-1 v is at r.  The engines import it on
-first use: `import liemap` does not load it.
+with X_d = Y) on one Y per orbit.  This module labels the orbits of G, the
+group the x_beta(t) generate, by one search per algebra (_orbit_tree),
+which also gives the least Y of each orbit of G x F_p^* and records the
+tree it walked (`via`).  Everything else reads that labelling: a cover
+with one point per G-orbit, the orbits' roots (_pure_orbit_cover); the
+exhaustive engines' images, each the union of the stored orbits its
+values meet (OrbitUnion: no other module reads the labels); and rows
+carried from an orbit's root to any point along the tree (tree_carrier).
+The Engel scan carries the annihilator of an equivariant subspace
+(subspace_annihilators), so that a subspace attached to every Y costs one
+echelon form per orbit; the carrier lives for one scan, which keeps only
+its answer (the attained G-orbits and the printed preimages), so a repeat
+scan carries nothing.  The exhaustive scan of any P carries the identity,
+whose rows at Y are g^-1 for Y = g r, r the root of Y's orbit (pullback):
+a value v is attained at Y exactly when g^-1 v is at r.  The engines
+import it on first use: `import liemap` does not load it.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ def _step(gen, idx, u, p):
 
 @functools.lru_cache(maxsize=None)
 def _orbit_tree(alg: ChevalleyAlgebra):
-    """(reps, labels, via, roots), once per algebra.
+    """(reps, labels, via, roots, sizes), once per algebra.
 
-    labels, an array('i') of length p^dim, holds each index's G-orbit
-    number, and roots[n] is the index orbit n's labelling starts from.
+    labels, an array('i') of length p^dim, holds each index's G-orbit n;
+    roots[n] is the index n's labelling starts from, sizes[n] its size.
     reps lists (index, vector, size) for the least Y of each orbit of G x
     F_p^*, in increasing index order, with that orbit's size: sl(3, F_3)
     has 10, sl(4, F_2) 20.
@@ -121,7 +121,7 @@ def _orbit_tree(alg: ChevalleyAlgebra):
     gens = _generator_rows(alg)
     labels = array("i", [-1]) * p ** dim
     via = bytearray(p ** dim)
-    reps, roots = [], []
+    reps, roots, sizes = [], [], []
 
     for y_idx in _scaling_representatives(p, dim):
         if labels[y_idx] >= 0:
@@ -159,8 +159,9 @@ def _orbit_tree(alg: ChevalleyAlgebra):
                     n = sum(c * x % p * w for x, w in zip(u, weights) if x)
                     labels[n], via[n] = len(roots), via[idx]
                 roots.append(root)
+        sizes += [size] * (len(roots) - first)
         reps.append((y_idx, y, size * (len(roots) - first)))
-    return reps, labels, via, roots
+    return reps, labels, via, roots, sizes
 
 
 def _pure_orbit_cover(alg: ChevalleyAlgebra):
@@ -169,12 +170,24 @@ def _pure_orbit_cover(alg: ChevalleyAlgebra):
     return sorted(_orbit_tree(alg)[3])
 
 
-def _saturate(alg: ChevalleyAlgebra, indices):
-    """The least G-stable set of indices holding `indices`: every index
-    whose _orbit_tree label one of `indices` carries."""
-    labels = _orbit_tree(alg)[1]
-    wanted = {labels[i] for i in indices}
-    return set(itertools.compress(range(len(labels)), map(wanted.__contains__, labels)))
+class OrbitUnion:
+    """A union of G-orbits read as a set of indices, over a set `orbits` of
+    _orbit_tree labels that it shares with the caller: `v in image` is one
+    label lookup, len(image) the sum of the orbits' recorded sizes, and
+    add(values) takes in the G-orbits the values meet."""
+
+    def __init__(self, alg: ChevalleyAlgebra, orbits):
+        _, self._label, _, _, self._sizes = _orbit_tree(alg)
+        self._orbits = orbits
+
+    def add(self, values):
+        self._orbits.update(map(self._label.__getitem__, values))
+
+    def __contains__(self, v):
+        return self._label[v] in self._orbits
+
+    def __len__(self):
+        return sum(map(self._sizes.__getitem__, self._orbits))
 
 
 def _carry(rows, gen, p):

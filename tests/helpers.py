@@ -189,7 +189,7 @@ def saturate_oracle(alg, indices):
     """The least G-stable set of indices holding `indices`, by a
     breadth-first search under orbits._generator_rows, whose forward
     steps reach all of G (a finite group): the reference for
-    orbits._saturate, which reads stored orbits."""
+    orbits.OrbitUnion, which reads stored orbits."""
     p, dim = alg.field.modulus, alg.dim
     gens = orbits._generator_rows(alg)
     closed = set(indices)
@@ -209,7 +209,7 @@ def orbit_class_labels(alg):
     orbits._orbit_tree's reps, read off the G-orbit labels: the class of
     an index is that of its G-orbit's root r, whose least multiple c r is
     the class's least element."""
-    reps, labels, _, roots = orbits._orbit_tree(alg)
+    reps, labels, _, roots, _ = orbits._orbit_tree(alg)
     p, dim = alg.field.modulus, alg.dim
     position = {y_idx: n for n, (y_idx, _, _) in enumerate(reps)}
     least = [position[min(maps._encode([c * x % p for x in maps._decode(r, p, dim)], p)

@@ -546,8 +546,6 @@ def test_element_part_views():
     alg = build_algebra("A", 2, F5)
     x = alg.element_from_ints([1, 2, 3, 4, 0, 1, 0, 2])
     assert list(x.h_part) == [1, 2]
-    assert list(x.u_plus_part) == [3, 4, 0]
-    assert list(x.u_minus_part) == [1, 0, 2]
     assert len(x.coeffs) == alg.dim == alg.rank + len(alg.rs.roots)
 
 

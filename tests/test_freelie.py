@@ -203,7 +203,6 @@ def test_make_engel():
     assert [s11.f_int(-t) for t in (0, 1, 2, -1)] == [0, 0, 2, 2]
     assert [str(r) for r in s11.roots_in(make_field("F7"))] == ["0", "1"]
     assert s11.roots_in(Q) == [Fraction(0), Fraction(1)]
-    assert s2.is_plain_engel() and not s11.is_plain_engel()
     with pytest.raises(ValueError):
         EngelSpec([])
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import hashlib
 import random
 import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,11 +32,21 @@ def test_orbit_labels_pinned(type_label, rank, spec, digest):
     assert hashlib.sha256(repr((reps, bytes(labels))).encode()).hexdigest() == digest
 
 
+def _union_members(alg, values):
+    """The indices an orbits.OrbitUnion of `values` holds, read by `in`
+    over every index, checked against its len."""
+    image = orbits.OrbitUnion(alg, set())
+    image.add(values)
+    members = {v for v in range(alg.field.modulus ** alg.dim) if v in image}
+    assert len(image) == len(members)
+    return members
+
+
 @pytest.mark.parametrize("type_label,rank,spec", [
     ("A", 1, "F7"), ("A", 2, "F3"), ("G", 2, "F2")])
 def test_pure_orbit_cover_meets_every_orbit_of_G(type_label, rank, spec):
     # the G-orbit of each cover point lies in one orbit of G x F_p^*, and
-    # together they cover every element; the saturated set is G-stable
+    # together they cover every element; the union of orbits is G-stable
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
     labels = orbit_class_labels(alg)
@@ -43,13 +54,13 @@ def test_pure_orbit_cover_meets_every_orbit_of_G(type_label, rank, spec):
     assert cover[0] == 0 and cover == sorted(set(cover))
     seen = set()
     for y in cover:
-        orbit = orbits._saturate(alg, [y])
+        orbit = _union_members(alg, [y])
         assert y in orbit and len({labels[v] for v in orbit}) == 1
         seen |= orbit
     assert seen == set(range(p ** dim))
     gens = [alg.root_automorphism(b, 1).matrix
             for a in alg.rs.simple_roots for b in (a, -a)]
-    some = orbits._saturate(alg, cover[1:3])
+    some = _union_members(alg, cover[1:3])
     for v in some:
         x = maps._decode(v, p, dim)
         for g in gens:
@@ -84,7 +95,41 @@ def test_saturate_is_the_breadth_first_closure(algebra, size, seed):
     t, r, spec = algebra
     alg = build_algebra(t, r, make_field(spec))
     indices = random.Random(seed).sample(range(alg.field.modulus ** alg.dim), size)
-    assert orbits._saturate(alg, indices) == saturate_oracle(alg, indices)
+    assert _union_members(alg, indices) == saturate_oracle(alg, indices)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.sampled_from([("A", 1, "F5"), ("A", 2, "F2"), ("A", 2, "F3"), ("B", 2, "F3")]),
+       st.sampled_from(["some", "all", "one", "zero"]), st.integers(0, 2 ** 32))
+def test_report_on_an_orbit_union_is_the_expanded_sets(algebra, kind, seed):
+    # _build_report reads an image by `in` and len alone: on a union of
+    # G-orbits it prints what it prints on the breadth-first closure as a
+    # set, which it walks, and as a dict, which it sorts unless full
+    t, r, spec = algebra
+    alg = build_algebra(t, r, make_field(spec))
+    N = alg.field.modulus ** alg.dim
+    cover = orbits._pure_orbit_cover(alg)
+    rng = random.Random(seed)
+    chosen = {"all": cover, "one": [rng.choice(cover)], "zero": [0],
+              "some": rng.sample(cover, rng.randint(1, len(cover)))}[kind]
+    view = orbits.OrbitUnion(alg, set())
+    view.add(chosen)
+    expanded = saturate_oracle(alg, chosen)
+    printed = []
+
+    def preimages(values):
+        printed.append(values)
+        return {v: v for v in values}
+
+    reports = []
+    with mock.patch.object(maps, "_certified_entry", lambda alg, P, v, xs: [v, xs]):
+        for image in (view, expanded, dict.fromkeys(expanded)):
+            reports.append(maps._build_report(alg, make_engel([0, 1])[0], {}, image,
+                                              preimages, N ** 2, 1).to_json())
+    assert reports[0] == reports[1] == reports[2]
+    assert printed[0] == printed[1] == printed[2]
+    assert reports[0]["attained_count"] == len(expanded)
+    assert len(reports[0]["missed_sample"]) == min(10, N - len(expanded))
 
 
 @pytest.mark.parametrize("type_label,rank,spec", [
@@ -118,7 +163,7 @@ def test_orbit_tree_reaches_every_point_from_its_root(type_label, rank, spec):
     # depths, filled along each chain, show the chains end
     alg = build_algebra(type_label, rank, make_field(spec))
     p, dim = alg.field.modulus, alg.dim
-    reps, labels, via, roots = orbits._orbit_tree(alg)
+    reps, labels, via, roots, _ = orbits._orbit_tree(alg)
     classes = orbit_class_labels(alg)
     inverses = [alg.root_automorphism(b, p - 1).matrix
                 for a in alg.rs.simple_roots for b in (a, -a)]
@@ -153,7 +198,7 @@ def test_carried_inverse_takes_each_point_to_its_cover_point(type_label, rank, s
     # built once per algebra, moves Y and sampled values by the same rows
     alg = build_algebra(type_label, rank, make_field(spec))
     field, p, dim = alg.field, alg.field.modulus, alg.dim
-    _, _, via, _ = orbits._orbit_tree(alg)
+    _, _, via, _, _ = orbits._orbit_tree(alg)
     cover = set(orbits._pure_orbit_cover(alg))
     inverses = [alg.root_automorphism(b, p - 1).matrix
                 for a in alg.rs.simple_roots for b in (a, -a)]
@@ -273,6 +318,57 @@ def test_repeat_engel_scan_builds_and_carries_nothing(monkeypatch, poly):
         [b.coeffs for b in alg.center()]]
     assert len(calls["_certified_entry"]) == len(first.central_hits) + len(
         first.preimage_samples)
+
+
+def test_full_image_report_walks_no_index_range(monkeypatch):
+    # a repeat E_2 scan on B2/F3 attains all 59,049 elements: the report
+    # reads the kept orbit union a few times, never once per element, and
+    # a full dict image is not sorted and has no misses to walk
+    alg = build_algebra("B", 2, make_field("F3"))
+    N = alg.field.modulus ** alg.dim
+    _, spec = make_engel([0, 1])
+    maps._engel_families.clear()
+    first = maps.engel_image_scan(alg, spec)
+    assert first.attained_count == N and not first.missed_sample
+    calls, real = [], orbits.OrbitUnion.__contains__
+    monkeypatch.setattr(orbits.OrbitUnion, "__contains__",
+                        lambda self, v: calls.append(v) or real(self, v))
+    assert maps.engel_image_scan(alg, spec) == first
+    assert 0 < len(calls) < 100
+
+    class CountingDict(dict):
+        def __contains__(self, v):
+            calls.append(v)
+            return dict.__contains__(self, v)
+
+    calls.clear()
+    image = CountingDict((v, v) for v in range(N))
+    monkeypatch.setattr(maps, "_certified_entry", lambda alg, P, v, xs: v)
+    rep = maps._build_report(alg, make_engel([0, 1])[0], {}, image, lambda _: image,
+                             N ** 2, 1)
+    assert rep.preimage_samples == list(range(8)) and not rep.missed_sample
+    assert len(calls) < 100
+
+
+def test_sparse_dict_report_is_sorted_not_walked(monkeypatch):
+    # a sampled scan's dict holds a few of N = 5^15 indices on sl(4, F_5):
+    # a walk to its 8th least would take about 8 N / len lookups, so the
+    # report sorts it and only the walk for misses reads it by index
+    alg = build_algebra("A", 3, make_field("F5"))
+    N = alg.field.modulus ** alg.dim
+    calls = []
+
+    class CountingDict(dict):
+        def __contains__(self, v):
+            calls.append(v)
+            return dict.__contains__(self, v)
+
+    image = CountingDict((v, v) for v in random.Random(3).sample(range(N), 50))
+    monkeypatch.setattr(maps, "_certified_entry", lambda alg, P, v, xs: v)
+    rep = maps._build_report(alg, make_engel([0, 1])[0], {}, image, lambda _: image,
+                             N ** 2, 1)
+    assert rep.preimage_samples == sorted(image)[:8] and rep.attained_count == 50
+    assert len(rep.missed_sample) == 10 and len(calls) < 100
 
 
 def test_interleaved_engel_scans_match_the_column_space_walk(monkeypatch):

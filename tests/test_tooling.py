@@ -235,7 +235,7 @@ def _library_callers(called_name):
 
 def test_one_orbit_labelling_search():
     # orbits._orbit_tree is the one breadth-first search that labels the
-    # orbits of G; the cover, the saturation and the carried rows all read
+    # orbits of G; the cover, the image view and the carried rows all read
     # its labels, so a second deque in the library is a second labelling
     assert _library_callers("deque") == [("orbits.py", "_orbit_tree")]
 
@@ -244,3 +244,25 @@ def test_engel_annihilators_carried_by_the_engel_scan_alone():
     # maps.engel_image_scan is the one caller of orbits.subspace_annihilators:
     # a cold scan carries them for its own walk and keeps only its answer
     assert _library_callers("subspace_annihilators") == [("maps.py", "engel_image_scan")]
+
+
+def test_only_orbits_reads_the_orbit_labels():
+    # orbits.OrbitUnion is the one image form on _orbit_tree's labels, so
+    # elsewhere a call reads only the reps ([0]): a module that unpacks the
+    # tuple or indexes its labels is about to grow a second image form
+    src = os.path.join(os.path.dirname(os.path.dirname(TRACER)), "src", "liemap")
+    calls = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "orbits.py":
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        reps = {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and node.slice.value == 0}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "attr", getattr(func, "id", None)) == "_orbit_tree":
+                calls.append(name)
+                assert id(node) in reps, (name, node.lineno)
+    assert "maps.py" in calls
