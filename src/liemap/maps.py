@@ -1,7 +1,9 @@
 """High-level algorithms on Chevalley algebras.
 
-* the constructive Engel solver (regular element + conjugation into U +
-  eigenvalue division), with exact re-evaluation certificates,
+* the constructive Engel solver, with exact re-evaluation certificates:
+  the roots of f, a regular h and the divisors f(beta(h)) are built once
+  per (algebra, f); each target is conjugated into U, scaled and
+  conjugated back,
 * exhaustive / sampled finite-field image scans with worker partitioning
   (this process plus forked children, at most one process per usable CPU),
   which evaluate P on a block of assignments at once with the kernel in
@@ -23,6 +25,7 @@ The orbits are labelled in `orbits`, which the engines load on first use.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -87,9 +90,7 @@ EXCLUDED_COMBINATIONS = "A1, B_r, C_r (char 2) and G2 (char 3)"
 
 
 def _excluded_for_engel(alg: ChevalleyAlgebra) -> bool:
-    # A_1, B_2 and C_r in char 2 are rejected when the root system is built,
-    # so of EXCLUDED_COMBINATIONS only B_r (r >= 3) in char 2 and G_2 in
-    # char 3 arrive here.
+    # the root system refuses A_1, B_2 and C_r in char 2 before this
     return (alg.field.characteristic, alg.rs.type_label) in ((2, "B"), (3, "G"))
 
 
@@ -108,17 +109,17 @@ def engel_solve(alg: ChevalleyAlgebra, spec: EngelSpec, target: AlgElement,
                 seed=0, budget=4000) -> EngelSolution:
     """Solve P(X, Y) = target for a generalized Engel polynomial P.
 
-    Steps: roots S of f in K; regular h avoiding S on every root; conjugate
-    the target into U; divide each e_beta coordinate by f(beta(h)); undo the
-    conjugation.  The returned solution carries an exact re-evaluation
-    certificate.
+    The half fixed by (alg, f) is built once (_solve_plan).  A target then
+    costs its conjugation into U, one multiplication per nonzero e_beta
+    coordinate and the undoing of the conjugation.  The solution carries
+    an exact re-evaluation certificate.
     """
     if target.alg is not alg:
         raise EngelSolveError("target from a different algebra")
     if _excluded_for_engel(alg):
         raise EngelSolveError(
             "Engel surjectivity excludes %s" % EXCLUDED_COMBINATIONS)
-    P, _ = make_engel(spec.coeffs)
+    P, _ = _engel_poly(spec.coeffs)
     if target.is_zero():
         zero = alg.zero()
         return _certify(alg, P, spec, zero, zero, zero,
@@ -127,32 +128,39 @@ def engel_solve(alg: ChevalleyAlgebra, spec: EngelSpec, target: AlgElement,
         raise CentralElementError(
             "nonzero central targets can be unattainable; refusing")
 
+    avoid, h, divisors = _solve_plan(alg, spec.coeffs)
+    g, u = alg.conjugate_into_U(target, seed=seed, budget=budget)
+    red = alg.field.reduce
+    X = alg.element([red(c * d) if c else 0 for c, d in zip(u.coeffs, divisors)])
+    ginv = g.inverse()
+    trace = {"avoid": list(avoid), "h": h.to_json(),
+             "conjugator": [[f[0]] + [str(x) for x in f[1:]] for f in g.factors],
+             "seed": seed}
+    return _certify(alg, P, spec, ginv.apply(X), ginv.apply(h), target, trace)
+
+
+@functools.lru_cache(maxsize=32)
+def _engel_poly(coeffs):
+    return make_engel(coeffs)
+
+
+@functools.lru_cache(maxsize=32)
+def _solve_plan(alg, coeffs):
+    """(avoid, h, divisors) for f on alg: the printed roots S of f in K, the
+    regular h avoiding S, and per coordinate k the residue f(beta_k(h))^-1 =
+    D f_int(-beta_k(h))^-1 (0 on H).  A failing plan is not kept: it raises
+    on every call."""
+    spec = _engel_poly(coeffs)[1]
     field = alg.field
     S = spec.roots_in(field)
     h = alg.find_regular(S)
-    g, u = alg.conjugate_into_U(target, seed=seed, budget=budget)
-    conj_desc = [[f[0]] + [str(x) for x in f[1:]] for f in g.factors]
-
-    # f(beta(h)) on ints: h is integral on both fields, so beta(h) is a dot
-    # product with the table beta(h_i), and f(beta(h)) = f_int(-beta(h)) / D
     (hs,), dh = field.integral_rows((h.h_part,))
     assert dh == 1, "find_regular returned a non-integral h"
-    coeffs = [0] * alg.dim
+    divisors = [0] * alg.dim
     for k in range(alg.rank, alg.dim):
-        c = u.coeffs[k]
-        if c:
-            s = -sum(map(operator.mul, hs, alg.rs.h_values[alg.basis[k][1]]))
-            coeffs[k] = field.reduce(c * spec.D * field.inv(spec.f_int(s)))
-    X = alg.element(coeffs)
-    ginv = g.inverse()
-    Xs, Ys = ginv.apply(X), ginv.apply(h)
-    trace = {
-        "avoid": [field.format_scalar(s) for s in S],
-        "h": h.to_json(),
-        "conjugator": conj_desc,
-        "seed": seed,
-    }
-    return _certify(alg, P, spec, Xs, Ys, target, trace)
+        s = -sum(map(operator.mul, hs, alg.rs.h_values[alg.basis[k][1]]))
+        divisors[k] = field.reduce(spec.D * field.inv(spec.f_int(s)))
+    return tuple(map(field.format_scalar, S)), h, tuple(divisors)
 
 
 def _certify(alg, P, spec, X, Y, target, trace):
@@ -426,9 +434,8 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     processes, and one per full block of the assignments mapped (a fork
     costs about a block; _map_chunks), merge by least assignment index, so
     reports are bit-identical for any worker count.
-    `budget` (default LIEMAP_BUDGET, else 2,000,000) caps the exhaustive
-    enumeration and the sample count, and must be at least 1, as must
-    sample_count.  An exhaustive scan past the budget whose P is an Engel
+    `budget` (scan_budget) caps the exhaustive enumeration and the sample
+    count, and must be at least 1, as must sample_count.  An exhaustive scan past the budget whose P is an Engel
     sum in X1, X2 (freelie.engel_spec) is engel_image_scan's instead, which
     counts its p^dim element labels against the budget.
     """

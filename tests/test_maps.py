@@ -14,11 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (fork_counter, grid_witness, orbit_class_labels, random_element,
                      random_nonzero_element, random_poly, root_value)
 from liemap import lanes, linalg, maps, orbits, scalar
-from liemap.chevalley import (CentralElementError, FieldTooSmallError,
+from liemap.chevalley import (CentralElementError, ChevalleyAlgebra, FieldTooSmallError,
                               build_algebra)
 from liemap.fixtures import load_poly, load_witness_triples
-from liemap.freelie import (MAX_NESTING, Br, LiePoly, Sum, Var, engel_monomial,
-                            engel_spec, evaluate, make_engel, normal_form, parse)
+from liemap.freelie import (MAX_NESTING, Br, EngelSpec, LiePoly, Sum, Var,
+                            engel_monomial, engel_spec, evaluate, make_engel,
+                            normal_form, parse)
 from liemap.scalar import make_field
 
 Q = make_field("Q")
@@ -369,6 +370,96 @@ def test_engel_solve_multiplies_no_matrices(monkeypatch):
                     continue
                 sol = maps.engel_solve(alg, spec, x)
                 assert evaluate(P, [sol.X, sol.Y]) == x and sol.certificate
+
+
+
+def _clear_solve_plans():
+    maps._engel_poly.cache_clear()
+    maps._solve_plan.cache_clear()
+
+
+@pytest.mark.parametrize("t, r, f", [("A", 2, F5), ("A", 3, F7), ("B", 2, F5), ("A", 2, Q)])
+def test_engel_solve_builds_its_plan_once(monkeypatch, t, r, f):
+    # the roots S, the regular h and the divisors f(beta(h)) are built by a
+    # pair's first solve; the other 19 reuse them and print the same bytes
+    # as a solve on a cold cache
+    alg = build_algebra(t, r, f)
+    _, spec = make_engel([0, 1])
+    rng = random.Random("plan/%s%d%s" % (t, r, f))
+    targets = []
+    while len(targets) < 20:
+        x = random_nonzero_element(alg, rng)
+        if not alg.is_central(x):
+            targets.append(x)
+    cold = []
+    for x in targets:
+        _clear_solve_plans()
+        cold.append(maps.engel_solve(alg, spec, x).to_json())
+    _clear_solve_plans()
+    calls = Counter()
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(ChevalleyAlgebra, "find_regular")
+    spy(EngelSpec, "roots_in")
+    spy(maps, "make_engel")
+    for x, expected in zip(targets, cold):
+        assert maps.engel_solve(alg, spec, x).to_json() == expected
+    assert calls == {"find_regular": 1, "roots_in": 1, "make_engel": 1}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_engel_solve_checks_in_order_on_any_cache(warm):
+    # a plan is read only after the zero and central checks, and a failing
+    # plan is never kept: it raises again on every call
+    F2 = make_field("F2")
+    a2f2, a2f3, a2f5 = (build_algebra("A", 2, f) for f in (F2, F3, F5))
+    a2q = build_algebra("A", 2, Q)
+    e2, e1e2 = make_engel([0, 1])[1], make_engel([1, 1])[1]
+    huge = make_engel([7 ** 40, 1])[1]
+    fifth = make_engel([Fraction(1, 5), 1])[1]
+
+    def solve(alg, spec, x):
+        if not warm:
+            _clear_solve_plans()
+        return maps.engel_solve(alg, spec, x)
+
+    _clear_solve_plans()
+    if warm:
+        solve(a2f3, e2, a2f3.h_element(0))
+    for _ in range(2):
+        assert solve(a2f2, e2, a2f2.zero()).trace == {"case": "zero_target"}
+        with pytest.raises(FieldTooSmallError):
+            solve(a2f2, e2, a2f2.h_element(0))
+        assert solve(a2q, huge, a2q.zero()).trace == {"case": "zero_target"}
+        with pytest.raises(maps.CostGuardError):
+            solve(a2q, huge, a2q.h_element(0))
+        for spec in (e2, e1e2):     # the plan for E_1 + E_2 fails: no h on F_3
+            with pytest.raises(CentralElementError):
+                solve(a2f3, spec, a2f3.center()[0])
+        with pytest.raises(FieldTooSmallError):
+            solve(a2f3, e1e2, a2f3.h_element(0))
+        for x in (a2f5.zero(), a2f5.h_element(0)):
+            with pytest.raises(ZeroDivisionError):
+                solve(a2f5, fifth, x)
+
+
+def test_engel_solution_shares_nothing_with_its_plan():
+    alg = build_algebra("A", 2, F5)
+    _, spec = make_engel([0, 1])
+    x = alg.h_element(0)
+    first = maps.engel_solve(alg, spec, x)
+    printed = maps._canonical(first.to_json())
+    first.trace["avoid"].append("9")
+    first.trace["h"]["coeffs"][0] = "9"
+    first.Y.coeffs = (9,) * alg.dim
+    assert maps._canonical(maps.engel_solve(alg, spec, x).to_json()) == printed
 
 
 FP_CLI_SWEEP = [

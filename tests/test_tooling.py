@@ -266,3 +266,48 @@ def test_only_orbits_reads_the_orbit_labels():
                 calls.append(name)
                 assert id(node) in reps, (name, node.lineno)
     assert "maps.py" in calls
+
+
+def _workload_table(name):
+    """A literal table of perfbench/workloads.py, read without importing it."""
+    path = os.path.join(os.path.dirname(TRACER), "workloads.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == name)
+
+
+def test_solve_plans_hold_the_benchmark_traffic():
+    # every (algebra, f) the solve and exact workloads solve for keeps its
+    # plan while they interleave: one miss per pair, and the six solve
+    # plans retain well under 64 KiB
+    import gc
+    import tracemalloc
+    from liemap import maps
+    from liemap.chevalley import build_algebra
+    from liemap.freelie import make_engel
+    from liemap.scalar import make_field
+    solve_pairs = [(t, r, fs, c) for t, r, fs, c in _workload_table("SOLVE_A").values()]
+    solve_pairs.append(("B", 2, "F5", (1,)))      # B2_CLASS, as solve_b2_op solves it
+    pairs = solve_pairs + [(t, r, "Q", c) for t, r, c in _workload_table("SOLVE_Q").values()]
+    solves = [(build_algebra(t, r, make_field(fs)), make_engel(c)[1])
+              for t, r, fs, c in pairs]
+    maps._solve_plan.cache_clear()
+    for _ in range(2):
+        for alg, spec in solves:
+            maps.engel_solve(alg, spec, alg.basis_element(alg.rank))
+    info = maps._solve_plan.cache_info()
+    assert (info.misses, info.hits) == (len(pairs), len(pairs))
+
+    maps._solve_plan.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for alg, spec in solves[:len(solve_pairs)]:
+            maps._solve_plan(alg, spec.coeffs)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(solve_pairs) == 6 and retained < 64 * 1024, retained
