@@ -435,9 +435,10 @@ def image_scan(alg: ChevalleyAlgebra, P: LiePoly, mode="exhaustive", seed=None,
     costs about a block; _map_chunks), merge by least assignment index, so
     reports are bit-identical for any worker count.
     `budget` (scan_budget) caps the exhaustive enumeration and the sample
-    count, and must be at least 1, as must sample_count.  An exhaustive scan past the budget whose P is an Engel
-    sum in X1, X2 (freelie.engel_spec) is engel_image_scan's instead, which
-    counts its p^dim element labels against the budget.
+    count, and must be at least 1, as must sample_count.  An exhaustive
+    scan past the budget whose P is an Engel sum in X1, X2
+    (freelie.engel_spec) is engel_image_scan's instead, which counts its
+    p^dim element labels against the budget.
     """
     if alg.field.characteristic == 0:
         raise MapsError("image scans require a finite field")
